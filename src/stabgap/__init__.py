@@ -35,7 +35,6 @@ from .spectral import (
     ReconstructionReport,
     SpectralSummary,
     build_bipartite,
-    jacobi_eigensolve,
     lambda1_power_iteration,
     lambda2_power_iteration,
     reconstruction_report,
@@ -47,8 +46,6 @@ from .harmonic import (
     GroupFunction,
     NormIdentityReport,
     convolution_matches_matrix,
-    convolve,
-    group_point_mass,
     indicator,
     norm_identity_trials,
     point_mass,
@@ -116,15 +113,12 @@ __all__ = [
     "case_seed",
     "cauchy_schwarz_step",
     "convolution_matches_matrix",
-    "convolve",
     "double_coset",
     "double_coset_representatives",
     "evaluate_chain",
     "extract_connection_set",
-    "group_point_mass",
     "indicator",
     "is_inverse_closed",
-    "jacobi_eigensolve",
     "lambda1_power_iteration",
     "lambda2_power_iteration",
     "load_case",

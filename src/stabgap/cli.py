@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .casefile import CaseParseError, load_case
+from .casefile import _OPTION_KEYS, CaseParseError, load_case
 from .catalog import FAMILY_NAMES, builtin_cases
 from .errors import ConvergenceError, SizeLimitError, StructureError
 from .pipeline import (
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _options_from_args(args: argparse.Namespace) -> AnalyzeOptions:
     overrides = {
         key: getattr(args, key)
-        for key in ("tol", "seed", "max_vertices", "max_group_order")
+        for key in _OPTION_KEYS
         if getattr(args, key) is not None
     }
     return replace(AnalyzeOptions(), **overrides) if overrides else AnalyzeOptions()

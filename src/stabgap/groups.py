@@ -19,6 +19,24 @@ from .perms import Permutation
 DEFAULT_ELEMENT_CAP = 10**6
 
 
+def _transversal(
+    point: int, degree: int, gens: Sequence[Permutation]
+) -> dict[int, Permutation]:
+    """Map q -> u_q with u_q(point) = q, grown breadth-first with the
+    generators in their given order."""
+    t = {point: Permutation.identity(degree)}
+    queue = [point]
+    while queue:
+        p = queue.pop(0)
+        rep = t[p]
+        for g in gens:
+            q = g(p)
+            if q not in t:
+                t[q] = g * rep
+                queue.append(q)
+    return t
+
+
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the strong generators
     assigned to this level (they fix all earlier base points and move this
@@ -33,19 +51,6 @@ class _ChainLevel:
         self.transversal: dict[int, Permutation] = {
             basepoint: Permutation.identity(degree)
         }
-
-    def rebuild_transversal(self, degree: int, gens: Sequence[Permutation]) -> None:
-        t = {self.basepoint: Permutation.identity(degree)}
-        queue = [self.basepoint]
-        while queue:
-            p = queue.pop(0)
-            rep = t[p]
-            for g in gens:
-                q = g(p)
-                if q not in t:
-                    t[q] = g * rep
-                    queue.append(q)
-        self.transversal = t
 
 
 class PermutationGroup:
@@ -95,17 +100,7 @@ class PermutationGroup:
         """Map q -> u_q with u_q(point) = q, grown breadth-first."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        t = {point: Permutation.identity(self.degree)}
-        queue = [point]
-        while queue:
-            p = queue.pop(0)
-            rep = t[p]
-            for g in self.generators:
-                q = g(p)
-                if q not in t:
-                    t[q] = g * rep
-                    queue.append(q)
-        return t
+        return _transversal(point, self.degree, self.generators)
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -158,7 +153,9 @@ class PermutationGroup:
                 levels.append(_ChainLevel(basepoint, self.degree))
             levels[j].gens.append(g)
             for i in range(j + 1):
-                levels[i].rebuild_transversal(self.degree, effective_gens(i))
+                levels[i].transversal = _transversal(
+                    levels[i].basepoint, self.degree, effective_gens(i)
+                )
 
         for g in self.generators:
             residue, at = self._sift(levels, g)

@@ -70,10 +70,6 @@ class GroupFunction:
         return self.weights @ v[self._rows()]
 
 
-def convolve(mu: GroupFunction, values) -> np.ndarray:
-    return mu.convolve(values)
-
-
 def point_mass(vertex: int, n: int) -> np.ndarray:
     if not 0 <= vertex < n:
         raise ValueError(f"vertex {vertex} out of range for length {n}")
@@ -86,10 +82,6 @@ def uniform_distribution(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("length must be positive")
     return np.full(n, 1.0 / n)
-
-
-def group_point_mass(g: Permutation) -> GroupFunction:
-    return GroupFunction([g], [1.0])
 
 
 def indicator(elements: Iterable[Permutation]) -> GroupFunction:
@@ -125,7 +117,7 @@ def convolution_matches_matrix(
     rel_tol scaled to the operand magnitude.
     """
     chi = indicator(connection)
-    transposed = adjacency.matrix.T.astype(float)
+    transposed = adjacency.float_matrix.T
     n = adjacency.n
     for _ in range(trials):
         f = rng.integers(-9, 10, size=n).astype(float)

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .casefile import CaseSpec, realize_case
+from .casefile import _OPTION_KEYS, CaseSpec, realize_case
 from .errors import SizeLimitError
 from .graphs import local_action, sabidussi_isomorphism
 from .groups import double_coset_representatives
@@ -104,7 +104,7 @@ class AnalyzeOptions:
         """Apply per-document option overrides."""
         updates = {
             key: getattr(case_options, key)
-            for key in ("tol", "seed", "max_vertices", "max_group_order")
+            for key in _OPTION_KEYS
             if getattr(case_options, key) is not None
         }
         return replace(self, **updates) if updates else self

@@ -4,8 +4,9 @@ The matrix of the bipartite double of a connection set S counts, for
 vertices x and y, the elements of S sending x to y.  Since S is
 inverse-closed the matrix is symmetric, so its singular values are the
 absolute values of its eigenvalues; the dense path diagonalizes with
-cyclic Jacobi rotations, and a deflated power iteration provides an
-independent route to the second singular value.
+LAPACK's symmetric eigensolver (``numpy.linalg.eigh``), and a deflated
+power iteration provides an independent route to the second singular
+value.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ class BipartiteAdjacency:
 
     Row x, column y holds the number of connection elements mapping x to
     y.  Symmetry (forced by inverse closure) and regularity of row and
-    column sums are validated on construction, not trusted.
+    column sums are validated on construction, not trusted.  A read-only
+    float64 copy, ``float_matrix``, is the operator every numerical
+    routine applies.
     """
 
-    __slots__ = ("matrix", "s_size")
+    __slots__ = ("matrix", "float_matrix", "s_size")
 
     def __init__(self, matrix, s_size: int | None = None):
         m = np.asarray(matrix)
@@ -51,7 +54,10 @@ class BipartiteAdjacency:
                 f"row sums {degree} differ from connection size {s_size}"
             )
         m.setflags(write=False)
+        f = m.astype(float)
+        f.setflags(write=False)
         self.matrix = m
+        self.float_matrix = f
         self.s_size = degree
 
     @property
@@ -59,7 +65,7 @@ class BipartiteAdjacency:
         return self.matrix.shape[0]
 
     def apply(self, values) -> np.ndarray:
-        return self.matrix.astype(float) @ np.asarray(values, dtype=float)
+        return self.float_matrix @ np.asarray(values, dtype=float)
 
     def dump(self) -> str:
         """Dense integer rows, space-separated, one row per line."""
@@ -83,68 +89,6 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     return BipartiteAdjacency(a, s_size=len(connection))
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # summed directly over the off-diagonal entries; subtracting the
-    # diagonal mass from the total cancels catastrophically near
-    # convergence and would stall termination at sqrt(eps)
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
-def jacobi_eigensolve(
-    matrix: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, vectors) with matrix ~ V diag(w) V^T, column i
-    of V paired with w[i].  Sweeps stop when the off-diagonal Frobenius
-    mass falls below tol relative to the input norm.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return np.diag(a).copy(), v
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(n), v
-    skip = 1e-30 * scale
-    for _ in range(max_sweeps):
-        if _off_diagonal_norm(a) <= tol * scale:
-            return np.diag(a).copy(), v
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) if tau != 0 else 1.0
-                t = t / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                mask = np.ones(n, dtype=bool)
-                mask[p] = mask[q] = False
-                arp = a[mask, p].copy()
-                arq = a[mask, q].copy()
-                a[mask, p] = a[p, mask] = c * arp - s * arq
-                a[mask, q] = a[q, mask] = s * arp + c * arq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    off = _off_diagonal_norm(a)
-    if off <= tol * scale:
-        return np.diag(a).copy(), v
-    raise ConvergenceError(
-        f"jacobi did not converge in {max_sweeps} sweeps", last_estimate=off
-    )
-
-
 @dataclass(frozen=True)
 class SpectralSummary:
     """Singular values in non-increasing order with optional vector pairs.
@@ -157,7 +101,6 @@ class SpectralSummary:
     left_vectors: np.ndarray | None
     right_vectors: np.ndarray | None
     method: str
-    residual: float
 
     @property
     def lambda1(self) -> float:
@@ -176,28 +119,24 @@ def singular_values(
     """Dense singular value decomposition of the (symmetric) matrix.
 
     Singular values are the absolute eigenvalues; the left vector of a
-    negative eigenvalue is the negated eigenvector.
+    negative eigenvalue is the negated eigenvector.  A LAPACK failure to
+    converge raises ``numpy.linalg.LinAlgError``.
     """
     n = adjacency.n
     if n > size_cap:
         raise SizeLimitError(f"size {n} exceeds dense eigensolve cap {size_cap}")
-    w, vecs = jacobi_eigensolve(adjacency.matrix)
+    w, vecs = np.linalg.eigh(adjacency.float_matrix)
     lam = np.abs(w)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     right = vecs[:, order]
     signs = np.where(w[order] < 0.0, -1.0, 1.0)
     left = right * signs
-    recon = (left * lam) @ right.T
-    denom = float(np.linalg.norm(adjacency.matrix.astype(float)))
-    diff = float(np.linalg.norm(recon - adjacency.matrix))
-    residual = diff / denom if denom > 0.0 else diff
     return SpectralSummary(
         values=lam,
         left_vectors=left if keep_vectors else None,
         right_vectors=right if keep_vectors else None,
         method="dense-eigen",
-        residual=residual,
     )
 
 
@@ -213,7 +152,7 @@ def lambda1_power_iteration(
     matrices the all-ones direction carries the top value, so no
     deflation is needed."""
     n = adjacency.n
-    a = adjacency.matrix.astype(float)
+    a = adjacency.float_matrix
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n) + 1.0
     x /= float(np.linalg.norm(x))
@@ -253,7 +192,7 @@ def lambda2_power_iteration(
     n = adjacency.n
     if n == 1:
         return 0.0
-    a = adjacency.matrix.astype(float)
+    a = adjacency.float_matrix
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x -= x.mean()
@@ -289,7 +228,7 @@ def top_value_matches_degree(
     """Check the regular-bipartite law: the top singular value equals
     t * sqrt(|X| |Y|) where t = (common row sum) / |Y|, i.e. the row sum
     itself here (|X| = |Y|)."""
-    expected = (adjacency.s_size / adjacency.n) * adjacency.n
+    expected = adjacency.s_size
     return abs(summary.lambda1 - expected) <= rel_tol * max(1.0, expected)
 
 
@@ -307,8 +246,8 @@ def reconstruction_report(
     if summary.left_vectors is None or summary.right_vectors is None:
         raise ValueError("singular vectors were not retained")
     recon = (summary.left_vectors * summary.values) @ summary.right_vectors.T
-    denom = float(np.linalg.norm(adjacency.matrix.astype(float)))
-    diff = float(np.linalg.norm(recon - adjacency.matrix))
+    denom = float(np.linalg.norm(adjacency.float_matrix))
+    diff = float(np.linalg.norm(recon - adjacency.float_matrix))
     residual = diff / denom if denom > 0.0 else diff
     eye = np.eye(adjacency.n)
     defect = max(
@@ -326,7 +265,7 @@ def zero_sum_contraction_ok(
     slack: float = 1e-9,
 ) -> bool:
     """Check ||A f|| <= lambda2 ||f|| (1 + slack) on random zero-sum f."""
-    a = adjacency.matrix.astype(float)
+    a = adjacency.float_matrix
     n = adjacency.n
     for _ in range(trials):
         f = rng.standard_normal(n)

@@ -5,9 +5,10 @@ size |S| = k*m on n vertices, the chain runs from 1/k through the norm
 of the convolved point mass to lambda2^2/|S|^2 + 1/n.  Every line is
 computed numerically from first principles (convolutions and norms,
 never algebraic simplification); consecutive equalities must agree to
-working precision and the final strict inequality is tested without
-slack.  The derived disjunction is: either the graph is small (n < 2k)
-or m^2 < 2*lambda2^2/k.
+working precision.  A strict inequality holds only when its two sides
+are not equal to working precision, so an exact tie is never decided by
+the last bit of a float.  The derived disjunction is: either the graph
+is small (n < 2k) or m^2 < 2*lambda2^2/k.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ IDENTITY_TOL = 1e-12
 
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _strictly_less(a: float, b: float, tol: float) -> bool:
+    """a < b, with a tie within tol counted as not strictly less."""
+    return a < b and not _close(a, b, tol)
 
 
 @dataclass(frozen=True)
@@ -132,9 +138,8 @@ def evaluate_chain(
         scaled_convolution <= operator_bound + tol * max(1.0, operator_bound)
         and scaled_matrix <= operator_bound + tol * max(1.0, operator_bound)
     )
-    margin = final_bound - operator_bound
-    near_equality = abs(margin) <= tol * max(1.0, final_bound)
-    strict_final = (operator_bound < final_bound) and not near_equality
+    near_equality = _close(operator_bound, final_bound, tol)
+    strict_final = _strictly_less(operator_bound, final_bound, tol)
     return ChainDiagnostics(
         inverse_valency=inverse_valency,
         neighbor_mass=neighbor_mass,
@@ -160,7 +165,8 @@ class BoundReport:
 
     The proof-form bound m^2 < 2*lambda2^2/k is normative; the statement
     form m < sqrt(2)*lambda2/k (stronger by a factor sqrt(k)) is recorded
-    as a diagnostic only.
+    as a diagnostic only.  Both are strict: sides equal within
+    IDENTITY_TOL fail them.
     """
 
     name: str
@@ -189,8 +195,8 @@ def bound_report(
     n = case.graph.n
     k = case.valency
     m = case.stabilizer.order()
-    proof_form = m * m < 2.0 * lambda2 * lambda2 / k
-    statement_form = m < math.sqrt(2.0) * lambda2 / k
+    proof_form = _strictly_less(m * m, 2.0 * lambda2 * lambda2 / k, IDENTITY_TOL)
+    statement_form = _strictly_less(m, math.sqrt(2.0) * lambda2 / k, IDENTITY_TOL)
     small_case = True
     if n <= 2 * k:
         small_case = m <= case.group.order() <= math.factorial(2 * k)

@@ -4,8 +4,6 @@ import pytest
 from stabgap.harmonic import (
     GroupFunction,
     convolution_matches_matrix,
-    convolve,
-    group_point_mass,
     indicator,
     norm_identity_trials,
     point_mass,
@@ -28,7 +26,7 @@ def test_convolve_indicator_with_point_mass_triangle():
 def test_convolve_with_identity_point_mass_is_identity():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4)
-    mu = group_point_mass(Permutation.identity(4))
+    mu = GroupFunction([Permutation.identity(4)], [1.0])
     assert np.allclose(mu.convolve(f), f, atol=0)
 
 
@@ -55,15 +53,9 @@ def test_convolve_definition_by_direct_sum():
 
 
 def test_convolve_degree_mismatch():
-    mu = group_point_mass(Permutation.identity(4))
+    mu = GroupFunction([Permutation.identity(4)], [1.0])
     with pytest.raises(ValueError, match="length"):
         mu.convolve(np.ones(3))
-
-
-def test_module_level_convolve_matches_method():
-    f = np.arange(3.0)
-    mu = indicator(s3().elements())
-    assert np.array_equal(convolve(mu, f), mu.convolve(f))
 
 
 def test_constructors():

@@ -6,7 +6,6 @@ from stabgap.graphs import make_transitive_case
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
-    jacobi_eigensolve,
     lambda2_power_iteration,
     reconstruction_report,
     singular_values,
@@ -80,34 +79,15 @@ def test_adjacency_dump_format():
     assert adj.dump().splitlines() == ["0 2 2", "2 1 1", "2 1 1"]
 
 
-# -- jacobi eigensolver --------------------------------------------------------
-
-
-def test_jacobi_matches_lapack_on_random_symmetric():
-    rng = np.random.default_rng(42)
-    for n in (1, 2, 3, 5, 8, 13, 21, 40):
-        a = rng.standard_normal((n, n))
-        a = a + a.T
-        w, v = jacobi_eigensolve(a)
-        assert np.allclose(np.sort(w), np.linalg.eigvalsh(a), atol=1e-9)
-        assert np.linalg.norm(a @ v - v @ np.diag(w)) < 1e-8
-        assert np.linalg.norm(v.T @ v - np.eye(n)) < 1e-10
-
-
-def test_jacobi_zero_matrix():
-    w, v = jacobi_eigensolve(np.zeros((4, 4)))
-    assert (w == 0).all()
-    assert (v == np.eye(4)).all()
-
-
 # -- singular values -----------------------------------------------------------
 
 
 def test_triangle_singular_values_golden():
-    summary = singular_values(triangle_adjacency())
+    adj = triangle_adjacency()
+    summary = singular_values(adj)
     assert np.allclose(summary.values, [4.0, 2.0, 0.0], atol=1e-9)
     assert summary.method == "dense-eigen"
-    assert summary.residual <= 1e-12
+    assert reconstruction_report(summary, adj).residual <= 1e-12
 
 
 def test_doubled_complete_graph_matrix_singular_values():

@@ -102,6 +102,14 @@ def test_bound_report_triangle_small_graph_branch():
     assert case.group.order() <= math.factorial(2 * case.valency)
 
 
+def test_bound_report_tie_is_not_strict():
+    # triangle: k = 2, |G_v| = 2, so the proof form reads 4 < lambda2^2;
+    # one ulp above the exact tie lambda2 = 2 must still count as a tie
+    case = triangle_case()
+    report = bound_report(case, 4.0, np.nextafter(2.0, 3.0))
+    assert report.proof_form_ok is False
+
+
 def test_bound_report_four_cycle_bound_branch():
     case = four_cycle_case()
     adj, summary = spectra(case)
