@@ -56,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated families, or 'all' ({', '.join(FAMILY_NAMES)})",
     )
     catalog.add_argument("--out", required=True, help="path of the CSV report")
-    catalog.add_argument("--jobs", type=int, default=1)
     catalog.add_argument("--tol", type=float, default=None)
     catalog.add_argument("--seed", type=int, default=None)
     catalog.add_argument("--max-vertices", type=int, default=None)
@@ -97,7 +96,7 @@ def _parse_families(raw: str) -> list[str] | None:
 def _run_catalog(args: argparse.Namespace) -> int:
     families = _parse_families(args.families)
     specs = builtin_cases(families)
-    result = analyze_many(specs, _options_from_args(args), jobs=max(1, args.jobs))
+    result = analyze_many(specs, _options_from_args(args))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

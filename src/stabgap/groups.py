@@ -9,7 +9,6 @@ and element lists are returned in lexicographic order of image tuples.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Sequence
 
 from .errors import SizeLimitError, StructureError
@@ -57,8 +56,8 @@ class PermutationGroup:
     """A group of permutations of {0, ..., degree-1} given by generators.
 
     The stabilizer chain (base order 0, 1, 2, ...: each level uses the
-    smallest point moved by the group at that level) is built lazily, once,
-    under a lock; afterwards the object is safe to share between threads.
+    smallest point moved by the group at that level) and the element list
+    are built lazily, once, and cached.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
@@ -78,7 +77,6 @@ class PermutationGroup:
                 seen.add(g)
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
-        self._lock = threading.Lock()
         self._chain: list[_ChainLevel] | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
@@ -194,9 +192,7 @@ class PermutationGroup:
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:
         if self._chain is None:
-            with self._lock:
-                if self._chain is None:
-                    self._chain = self._build_chain()
+            self._chain = self._build_chain()
         return self._chain
 
     def order(self) -> int:
@@ -222,20 +218,18 @@ class PermutationGroup:
                 f"group order {order} exceeds enumeration cap {cap}"
             )
         if self._elements is None:
-            with self._lock:
-                if self._elements is None:
-                    found = {Permutation.identity(self.degree)}
-                    frontier = list(found)
-                    while frontier:
-                        nxt = []
-                        for x in frontier:
-                            for g in self.generators:
-                                y = g * x
-                                if y not in found:
-                                    found.add(y)
-                                    nxt.append(y)
-                        frontier = nxt
-                    self._elements = tuple(sorted(found))
+            found = {Permutation.identity(self.degree)}
+            frontier = list(found)
+            while frontier:
+                nxt = []
+                for x in frontier:
+                    for g in self.generators:
+                        y = g * x
+                        if y not in found:
+                            found.add(y)
+                            nxt.append(y)
+                frontier = nxt
+            self._elements = tuple(sorted(found))
         return list(self._elements)
 
 
@@ -305,20 +299,15 @@ def double_coset_representatives(
 class ConnectionSet:
     """An inverse-closed union of H-double cosets driving a coset graph.
 
-    Elements are held in lexicographic order.  Inverse closure and
-    H-bi-invariance are validated on construction (bi-invariance is
-    checked against the subgroup's generators, which suffices).
+    Elements are held in lexicographic order.  Inverse closure is checked
+    on construction, and H-bi-invariance is decided by splitting the set
+    into its H-double cosets; the split is kept as ``representatives``
+    (the smallest element of each double coset, in increasing order).
     """
 
-    __slots__ = ("degree", "elements", "subgroup", "_pool")
+    __slots__ = ("degree", "elements", "subgroup", "representatives", "_pool")
 
-    def __init__(
-        self,
-        elements: Iterable[Permutation],
-        subgroup: PermutationGroup,
-        *,
-        validate: bool = True,
-    ):
+    def __init__(self, elements: Iterable[Permutation], subgroup: PermutationGroup):
         elems = tuple(sorted(set(elements)))
         for s in elems:
             if s.degree != subgroup.degree:
@@ -330,15 +319,15 @@ class ConnectionSet:
         self.elements = elems
         self.subgroup = subgroup
         self._pool = frozenset(elems)
-        if validate:
-            if not is_inverse_closed(self._pool):
-                raise StructureError("connection set is not inverse-closed")
-            for g in subgroup.generators:
-                for s in elems:
-                    if g * s not in self._pool or s * g not in self._pool:
-                        raise StructureError(
-                            "connection set is not bi-invariant under the subgroup"
-                        )
+        if not is_inverse_closed(self._pool):
+            raise StructureError("connection set is not inverse-closed")
+        try:
+            reps = double_coset_representatives(self._pool, subgroup)
+        except StructureError:
+            raise StructureError(
+                "connection set is not bi-invariant under the subgroup"
+            ) from None
+        self.representatives = tuple(reps)
 
     def __len__(self) -> int:
         return len(self.elements)

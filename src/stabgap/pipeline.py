@@ -6,14 +6,12 @@ isomorphism, builds the bipartite matrix, computes its spectrum by two
 routes, runs the randomized convolution and norm-identity checks, and
 evaluates the inequality chain and the stabilizer bounds.  Randomness
 is drawn from a per-case seed derived from the base seed and the case
-name, so identical inputs produce byte-identical reports regardless of
-worker count.
+name, so identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -22,7 +20,6 @@ import numpy as np
 from .casefile import _OPTION_KEYS, CaseSpec, realize_case
 from .errors import SizeLimitError
 from .graphs import local_action, sabidussi_isomorphism
-from .groups import double_coset_representatives
 from .harmonic import (
     NormIdentityReport,
     convolution_matches_matrix,
@@ -254,9 +251,7 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     k = case.valency
     stabilizer_order = case.stabilizer.order()
 
-    representatives = double_coset_representatives(
-        set(case.connection.elements), case.stabilizer
-    )
+    representatives = case.connection.representatives
     local = local_action(case)
     local_agreement = local.locally_transitive == (len(representatives) == 1)
     sabidussi_ok = bool(sabidussi_isomorphism(case))
@@ -380,30 +375,16 @@ class CatalogResult:
 def analyze_many(
     specs: Sequence[CaseSpec],
     options: AnalyzeOptions = AnalyzeOptions(),
-    jobs: int = 1,
 ) -> CatalogResult:
-    """Analyze cases (optionally in parallel), keeping input order.
+    """Analyze cases in input order.
 
     Per-case failures are recorded and the run continues.
     """
-
-    def run(spec: CaseSpec):
-        try:
-            return analyze_case(spec, options)
-        except CaseAnalysisError as e:
-            return e
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, specs))
-    else:
-        outcomes = [run(spec) for spec in specs]
-
     reports = []
     errors = []
-    for spec, outcome in zip(specs, outcomes):
-        if isinstance(outcome, CaseAnalysisError):
-            errors.append((spec.name, str(outcome)))
-        else:
-            reports.append(outcome)
+    for spec in specs:
+        try:
+            reports.append(analyze_case(spec, options))
+        except CaseAnalysisError as e:
+            errors.append((spec.name, str(e)))
     return CatalogResult(tuple(reports), tuple(errors))

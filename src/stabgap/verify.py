@@ -118,8 +118,9 @@ def evaluate_chain(
     f = p_v - uniform
 
     neighbor_mass = float(np.sum(p_s.convolve(p_v) ** 2))
-    recentered = float(np.sum((p_s.convolve(f) + uniform) ** 2))
-    split = float(np.sum(p_s.convolve(f) ** 2)) + 1.0 / n
+    p_s_f = p_s.convolve(f)
+    recentered = float(np.sum((p_s_f + uniform) ** 2))
+    split = float(np.sum(p_s_f**2)) + 1.0 / n
     scaled_convolution = float(np.sum(chi.convolve(f) ** 2)) / s_size**2 + 1.0 / n
     scaled_matrix = float(np.sum(adjacency.apply(f) ** 2)) / s_size**2 + 1.0 / n
     f_norm_sq = float(np.sum(f**2))

@@ -29,7 +29,7 @@ RUNTIME_BUDGET_SECONDS = 300.0
 def catalog_run():
     specs = builtin_cases()
     start = time.monotonic()
-    result = analyze_many(specs, AnalyzeOptions(seed=0), jobs=1)
+    result = analyze_many(specs, AnalyzeOptions(seed=0))
     elapsed = time.monotonic() - start
     assert not result.errors, result.errors
     return result.reports, elapsed
@@ -69,7 +69,11 @@ def test_criterion_02_bound_disjunction(catalog_run):
     reports, _ = catalog_run
     for r in reports:
         small = r.n_vertices < 2 * r.valency_k
-        proof = r.stabilizer_order**2 < 2.0 * r.lambda2**2 / r.valency_k
+        # strict as in bound_report: sides within IDENTITY_TOL tie (complete-3)
+        lhs = r.stabilizer_order**2
+        rhs = 2.0 * r.lambda2**2 / r.valency_k
+        proof = lhs < rhs and abs(lhs - rhs) > IDENTITY_TOL * max(1.0, lhs, rhs)
+        assert proof == r.proof_form_ok, r.name
         assert small or proof, r.name
         assert r.disjunction_ok, r.name
     print(f"ACCEPTANCE 2 PASS: disjunction holds on all {len(reports)} cases")

@@ -122,15 +122,6 @@ def test_catalog_reports_are_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_catalog_jobs_do_not_change_output(tmp_path):
-    a = tmp_path / "serial.csv"
-    b = tmp_path / "parallel.csv"
-    args = ["--families", "cycles-dihedral,kneser"]
-    assert main(["catalog", *args, "--out", str(a), "--jobs", "1"]) == 0
-    assert main(["catalog", *args, "--out", str(b), "--jobs", "4"]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_catalog_seed_changes_rows(tmp_path):
     a = tmp_path / "s0.csv"
     b = tmp_path / "s1.csv"

@@ -288,3 +288,17 @@ def test_connection_set_holds_sorted_elements():
     assert list(conn.elements) == sorted(s)
     assert len(conn) == 4
     assert Permutation([1, 0, 2]) in conn
+
+
+def test_connection_set_keeps_its_double_coset_split():
+    h = h12()
+    s = double_coset(h, Permutation([1, 0, 2]))
+    assert ConnectionSet(s, h).representatives == tuple(
+        double_coset_representatives(s, h)
+    )
+    group, pairs, idx = pair_action_s5()
+    stab = group.stabilizer(idx[(0, 1)])
+    s = {g for g in group.elements(cap=200) if g(idx[(0, 1)]) != idx[(0, 1)]}
+    conn = ConnectionSet(s, stab)
+    assert conn.representatives == tuple(double_coset_representatives(s, stab))
+    assert len(conn.representatives) == 2

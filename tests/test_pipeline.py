@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stabgap.casefile import parse_case
+from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.pipeline import (
     AnalyzeOptions,
@@ -122,17 +122,17 @@ def test_analyze_many_keeps_order_and_collects_errors():
         "edges": [[0, 1], [0, 2], [1, 2]],
     }
     bad = parse_case(json.dumps(bad_doc))
-    result = analyze_many([good, bad, good], jobs=1)
+    result = analyze_many([good, bad, good])
     assert [r.name for r in result.reports] == ["triangle", "triangle"]
     assert len(result.errors) == 1
     assert result.errors[0][0] == "broken"
     assert not result.all_normative_ok
 
 
-def test_parallel_matches_serial():
-    specs = builtin_cases(["cycles-cyclic", "complete"])[:6]
-    serial = analyze_many(specs, jobs=1)
-    parallel = analyze_many(specs, jobs=4)
-    assert [r.csv_row() for r in serial.reports] == [
-        r.csv_row() for r in parallel.reports
-    ]
+def test_double_coset_count_is_the_connection_split():
+    specs = builtin_cases()
+    result = analyze_many(specs)
+    assert not result.errors, result.errors
+    for spec, report in zip(specs, result.reports):
+        case = realize_case(spec)
+        assert report.n_double_cosets == len(case.connection.representatives)
