@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import SizeLimitError, StructureError
 from .groups import (
     ConnectionSet,
@@ -150,9 +152,10 @@ def extract_connection_set(
     Inverse-closed and bi-invariant under the vertex stabilizer; these
     invariants are validated on construction rather than trusted.
     """
-    neighborhood = set(graph.neighbors(vertex))
-    chosen = [g for g in group.elements(cap) if g(vertex) in neighborhood]
-    return ConnectionSet(chosen, group.stabilizer(vertex))
+    elements = group.elements(cap)
+    images = group.element_array(cap)[:, vertex]
+    chosen = np.flatnonzero(np.isin(images, graph.neighbors(vertex)))
+    return ConnectionSet([elements[i] for i in chosen], group.stabilizer(vertex))
 
 
 def make_transitive_case(

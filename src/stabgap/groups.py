@@ -5,17 +5,43 @@ element enumeration, and double-coset machinery.  Every operation is
 deterministic: orbits are grown breadth-first with the generators in their
 given order, chains pick the smallest moved point as the next base point,
 and element lists are returned in lexicographic order of image tuples.
+
+Permutations are validated once, where they enter as ``Permutation``
+objects.  Element sets (the enumerated group, connection sets, the sets
+split into double cosets) are held as rows of an integer array of
+images, composed a whole array at a time by fancy indexing, and looked
+up by the bytes of each row.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import SizeLimitError, StructureError
 from .perms import Permutation
 
 #: Default cap on explicit element enumeration.
 DEFAULT_ELEMENT_CAP = 10**6
+
+
+def _image_dtype(degree: int) -> np.dtype:
+    """The smallest unsigned integer type that holds the points 0..degree-1."""
+    return np.min_scalar_type(max(degree - 1, 0))
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, in C order."""
+    data = rows.tobytes()
+    width = rows.shape[1] * rows.itemsize
+    return [data[i : i + width] for i in range(0, len(data), width)]
+
+
+def _lex_order(rows: np.ndarray) -> np.ndarray:
+    """The row order that sorts rows lexicographically, first column first."""
+    return np.lexsort(rows.T[::-1])
 
 
 def _transversal(
@@ -78,6 +104,7 @@ class PermutationGroup:
         self.degree = degree
         self.generators: tuple[Permutation, ...] = tuple(gens)
         self._chain: list[_ChainLevel] | None = None
+        self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
@@ -210,33 +237,129 @@ class PermutationGroup:
 
     # -- enumeration --------------------------------------------------------
 
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
-        """All elements, lexicographic by image tuple, if order <= cap."""
+    def element_array(self, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
+        """All elements as a read-only array with one row of images per
+        element, rows in lexicographic order, if order <= cap.
+
+        The closure is grown breadth-first from the identity: the frontier
+        rows x are multiplied on the left by every generator g at once, as
+        ``g[x]``, and the products not seen before form the next frontier.
+        """
         order = self.order()
         if order > cap:
             raise SizeLimitError(
                 f"group order {order} exceeds enumeration cap {cap}"
             )
+        if self._rows is None:
+            gens = np.array(
+                [g.images for g in self.generators], dtype=_image_dtype(self.degree)
+            ).reshape(len(self.generators), self.degree)
+            frontier = np.arange(self.degree, dtype=gens.dtype)[None, :]
+            seen = set(_row_keys(frontier))
+            blocks = [frontier]
+            while len(frontier):
+                products = gens[:, frontier].reshape(-1, self.degree)
+                fresh = []
+                for i, key in enumerate(_row_keys(products)):
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(i)
+                frontier = products[fresh]
+                blocks.append(frontier)
+            rows = np.concatenate(blocks)
+            rows = rows[_lex_order(rows)]
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
+
+    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
+        """All elements, lexicographic by image tuple, if order <= cap."""
+        rows = self.element_array(cap)
         if self._elements is None:
-            found = {Permutation.identity(self.degree)}
-            frontier = list(found)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = g * x
-                        if y not in found:
-                            found.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            self._elements = tuple(sorted(found))
+            self._elements = tuple(
+                [Permutation._trusted(tuple(row.tolist())) for row in rows]
+            )
         return list(self._elements)
 
 
+class _RowTable:
+    """Distinct permutations of one degree, sorted lexicographically and
+    stacked as the rows of an integer array, with each row's index looked
+    up by its bytes."""
+
+    __slots__ = ("perms", "rows", "_index")
+
+    def __init__(self, elements: Iterable[Permutation], degree: int | None = None):
+        perms = list(dict.fromkeys(elements))
+        if degree is None:
+            degree = perms[0].degree if perms else 1
+        for s in perms:
+            if s.degree != degree:
+                raise ValueError(f"degree mismatch: {s.degree} vs {degree}")
+        rows = np.array(
+            [s.images for s in perms], dtype=_image_dtype(degree)
+        ).reshape(len(perms), degree)
+        order = _lex_order(rows)
+        self.perms = [perms[i] for i in order]
+        self.rows = rows[order]
+        self._index = {key: i for i, key in enumerate(_row_keys(self.rows))}
+
+    def find(self, rows: np.ndarray) -> np.ndarray | None:
+        """The index of each given row, or None if any row is missing."""
+        keys = _row_keys(rows.astype(self.rows.dtype, copy=False))
+        found = np.fromiter(
+            map(self._index.get, keys, itertools.repeat(-1)),
+            dtype=np.intp,
+            count=len(keys),
+        )
+        return None if (found < 0).any() else found
+
+
+def _inverse_closed(table: _RowTable) -> bool:
+    # argsort of a row of images is the row of the inverse's images.
+    return table.find(np.argsort(table.rows, axis=1)) is not None
+
+
+def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
+    """The smallest index in the component of each of range(size), for the
+    graph with an edge i -- move[i] for every move (each a permutation of
+    range(size)).
+
+    Min-label propagation along both directions of every edge, with
+    pointer jumping: a label is always an index in the same component.
+    """
+    label = np.arange(size)
+    while True:
+        new = label.copy()
+        for move in moves:
+            np.minimum(new, label[move], out=new)
+            new[move] = np.minimum(new[move], label)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _double_coset_split(table: _RowTable, h: PermutationGroup) -> list[Permutation]:
+    moves = []
+    for g in h.generators:
+        g_row = np.array(g.images, dtype=table.rows.dtype)
+        for product in (g_row[table.rows], table.rows[:, g_row]):
+            found = table.find(product)
+            if found is None:
+                raise StructureError(
+                    "set is not a union of full double cosets of the subgroup"
+                )
+            moves.append(found)
+    label = _component_minima(len(table.perms), moves)
+    return [table.perms[i] for i in np.flatnonzero(label == np.arange(len(label)))]
+
+
 def is_inverse_closed(elements: Iterable[Permutation]) -> bool:
-    """True iff the set contains the inverse of each of its elements."""
-    pool = set(elements)
-    return all(s.inverse() in pool for s in pool)
+    """True iff the set contains the inverse of each of its elements.
+
+    The elements must share one degree."""
+    return _inverse_closed(_RowTable(elements))
 
 
 def double_coset(
@@ -272,28 +395,13 @@ def double_coset_representatives(
     Returns the lexicographically smallest element of each double coset,
     in increasing order.  Raises StructureError if the set is not a union
     of full H-double cosets.
+
+    The set is a union of full H-double cosets exactly when it is closed
+    under multiplication by each generator of H on either side; the
+    double cosets are then the components of the graph those products
+    draw on the set.
     """
-    remaining = set(elements)
-    for s in remaining:
-        if s.degree != h.degree:
-            raise ValueError(f"degree mismatch: {s.degree} vs {h.degree}")
-    total = len(remaining)
-    reps: list[Permutation] = []
-    while remaining:
-        a = min(remaining)
-        try:
-            coset = double_coset(h, a, cap=total)
-        except SizeLimitError:
-            raise StructureError(
-                "set is not a union of full double cosets of the subgroup"
-            ) from None
-        if not coset <= remaining:
-            raise StructureError(
-                "set is not a union of full double cosets of the subgroup"
-            )
-        remaining -= coset
-        reps.append(a)
-    return reps
+    return _double_coset_split(_RowTable(elements, h.degree), h)
 
 
 class ConnectionSet:
@@ -308,21 +416,22 @@ class ConnectionSet:
     __slots__ = ("degree", "elements", "subgroup", "representatives", "_pool")
 
     def __init__(self, elements: Iterable[Permutation], subgroup: PermutationGroup):
-        elems = tuple(sorted(set(elements)))
+        elems = list(dict.fromkeys(elements))
         for s in elems:
             if s.degree != subgroup.degree:
                 raise ValueError(
                     f"element degree {s.degree} does not match subgroup degree "
                     f"{subgroup.degree}"
                 )
+        table = _RowTable(elems, subgroup.degree)
         self.degree = subgroup.degree
-        self.elements = elems
+        self.elements = tuple(table.perms)
         self.subgroup = subgroup
         self._pool = frozenset(elems)
-        if not is_inverse_closed(self._pool):
+        if not _inverse_closed(table):
             raise StructureError("connection set is not inverse-closed")
         try:
-            reps = double_coset_representatives(self._pool, subgroup)
+            reps = _double_coset_split(table, subgroup)
         except StructureError:
             raise StructureError(
                 "connection set is not bi-invariant under the subgroup"

@@ -86,7 +86,7 @@ def uniform_distribution(n: int) -> np.ndarray:
 
 def indicator(elements: Iterable[Permutation]) -> GroupFunction:
     """The characteristic function of a set of permutations."""
-    perms = tuple(sorted(set(elements)))
+    perms = tuple(sorted(dict.fromkeys(elements)))
     if not perms:
         raise ValueError("empty set")
     return GroupFunction(perms, np.ones(len(perms)))
@@ -95,7 +95,7 @@ def indicator(elements: Iterable[Permutation]) -> GroupFunction:
 def uniform_on(elements: Iterable[Permutation]) -> GroupFunction:
     """The uniform probability distribution on a set of permutations;
     its norm is 1/sqrt(set size)."""
-    perms = tuple(sorted(set(elements)))
+    perms = tuple(sorted(dict.fromkeys(elements)))
     if not perms:
         raise ValueError("empty set")
     return GroupFunction(perms, np.full(len(perms), 1.0 / len(perms)))

@@ -2,6 +2,12 @@
 
 Composition follows the left-action convention used throughout the
 package: (g * h)(x) = g(h(x)).
+
+Validation happens at the input boundary: ``Permutation(images)`` checks
+that the images form a bijection, while products and inverses of
+permutations that are already valid are built without re-checking.
+Code that handles many elements at once (group enumeration, connection
+sets, double cosets) holds them as rows of an integer array instead.
 """
 
 from __future__ import annotations
@@ -28,6 +34,15 @@ class Permutation:
             seen[x] = 1
         self.images = imgs
         self._inv: Permutation | None = None
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """A permutation from an image tuple already known to be a
+        bijection of 0..len-1; the bijection is not re-checked."""
+        p = object.__new__(cls)
+        p.images = images
+        p._inv = None
+        return p
 
     @classmethod
     def identity(cls, degree: int) -> Permutation:
@@ -65,7 +80,7 @@ class Permutation:
                 f"degree mismatch: {self.degree} vs {other.degree}"
             )
         g = self.images
-        return Permutation(tuple(g[x] for x in other.images))
+        return Permutation._trusted(tuple([g[x] for x in other.images]))
 
     def inverse(self) -> Permutation:
         if self._inv is None:
@@ -73,7 +88,7 @@ class Permutation:
             inv = [0] * len(imgs)
             for x, y in enumerate(imgs):
                 inv[y] = x
-            p = Permutation(inv)
+            p = Permutation._trusted(tuple(inv))
             p._inv = self
             self._inv = p
         return self._inv

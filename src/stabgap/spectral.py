@@ -77,15 +77,15 @@ class BipartiteAdjacency:
 
 def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     """Assemble the matrix as the sum of the permutation matrices of the
-    connection elements."""
+    connection elements, counting the cells (x, s(x)) over all elements s
+    and vertices x in one pass."""
     if connection.degree != n:
         raise ValueError(
             f"connection degree {connection.degree} does not match size {n}"
         )
-    a = np.zeros((n, n), dtype=np.int64)
-    rows = np.arange(n)
-    for s in connection:
-        a[rows, list(s.images)] += 1
+    images = np.array([s.images for s in connection], dtype=np.int64)
+    cells = (np.arange(n) * n + images.reshape(len(connection), n)).ravel()
+    a = np.bincount(cells, minlength=n * n).reshape(n, n)
     return BipartiteAdjacency(a, s_size=len(connection))
 
 

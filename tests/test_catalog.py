@@ -1,7 +1,7 @@
 import pytest
 
 from stabgap.casefile import realize_case
-from stabgap.catalog import FAMILY_NAMES, builtin_cases
+from stabgap.catalog import FAMILY_NAMES, _complete, _kneser, builtin_cases
 from stabgap.graphs import preserves_edges
 
 
@@ -95,3 +95,18 @@ def test_family_constant_is_exported():
         "hypercube-translation",
         "cayley-small",
     }
+
+
+@pytest.mark.parametrize(
+    "spec, n, k, stabilizer_order, s_size",
+    [(_kneser(8, 3), 56, 10, 720, 7200), (_complete(8), 8, 7, 5040, 35280)],
+    ids=["kneser-8-3", "complete-8"],
+)
+def test_group_ladder_case_structure(spec, n, k, stabilizer_order, s_size):
+    case = realize_case(spec)
+    assert case.graph.n == n
+    assert case.valency == k
+    assert case.group.order() == 40320
+    assert case.stabilizer.order() == stabilizer_order
+    assert len(case.connection) == s_size
+    assert len(case.connection.representatives) == 1

@@ -1,7 +1,8 @@
 import itertools
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from stabgap.errors import SizeLimitError, StructureError
 from stabgap.groups import (
@@ -98,6 +99,9 @@ def test_elements_s3():
     assert len(els) == 6
     assert els == sorted(els)
     assert els[0].is_identity()
+    rows = s3().element_array(cap=10)
+    assert rows.dtype == np.uint8 and not rows.flags.writeable
+    assert [tuple(r) for r in rows.tolist()] == [g.images for g in els]
 
 
 def test_elements_pair_action_matches_brute_force():
@@ -158,6 +162,36 @@ def test_orbit_stabilizer_identity_random(gen_images):
 def test_order_matches_closure_count_random(gen_images):
     group = PermutationGroup(4, [Permutation(p) for p in gen_images])
     assert group.order() == len(group.elements())
+
+
+def brute_closure(degree, gens):
+    """The group generated by gens, closed under products one by one."""
+    found = {Permutation.identity(degree)}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if y not in found:
+                    found.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([4, 5]).flatmap(
+        lambda d: st.lists(st.permutations(list(range(d))), min_size=0, max_size=3)
+    )
+)
+def test_elements_match_brute_force_closure_random(gen_images):
+    degree = len(gen_images[0]) if gen_images else 4
+    gens = [Permutation(p) for p in gen_images]
+    assert PermutationGroup(degree, gens).elements() == sorted(
+        brute_closure(degree, gens)
+    )
 
 
 # -- double cosets ---------------------------------------------------------
@@ -302,3 +336,42 @@ def test_connection_set_keeps_its_double_coset_split():
     conn = ConnectionSet(s, stab)
     assert conn.representatives == tuple(double_coset_representatives(s, stab))
     assert len(conn.representatives) == 2
+
+
+s4_images = st.permutations(list(range(4)))
+
+
+def brute_double_coset(h_elements, s):
+    return frozenset(a * s * b for a in h_elements for b in h_elements)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(s4_images, min_size=0, max_size=2),
+    st.lists(s4_images, min_size=0, max_size=4),
+)
+def test_double_coset_split_matches_brute_force_random(h_images, seeds):
+    h_gens = [Permutation(p) for p in h_images]
+    h = PermutationGroup(4, h_gens)
+    h_elements = brute_closure(4, h_gens)
+    cosets = {brute_double_coset(h_elements, Permutation(p)) for p in seeds}
+    union = set().union(*cosets)
+    assert double_coset_representatives(union, h) == sorted(min(c) for c in cosets)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(s4_images, min_size=1, max_size=2),
+    st.lists(s4_images, min_size=1, max_size=3),
+)
+def test_double_coset_split_rejects_any_missing_element_random(h_images, seeds):
+    h_gens = [Permutation(p) for p in h_images]
+    h_elements = brute_closure(4, h_gens)
+    assume(len(h_elements) > 1)
+    h = PermutationGroup(4, h_gens)
+    union = set().union(
+        *(brute_double_coset(h_elements, Permutation(p)) for p in seeds)
+    )
+    for dropped in union:
+        with pytest.raises(StructureError, match="not a union of full double cosets"):
+            double_coset_representatives(union - {dropped}, h)

@@ -32,6 +32,8 @@ def test_degree_mismatch_raises():
 
 def test_rejects_non_bijections():
     with pytest.raises(ValueError):
+        Permutation([0, 0])
+    with pytest.raises(ValueError):
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Permutation([0, 1, 3])
@@ -71,3 +73,15 @@ def test_inverse_round_trip(p):
     g = Permutation(p)
     assert g.inverse().inverse() == g
     assert all(g.inverse()(g(x)) == x for x in range(5))
+
+
+@given(perm_images, perm_images)
+def test_products_and_inverses_equal_validated_permutations(p, q):
+    a, b = Permutation(p), Permutation(q)
+    assert a * b == Permutation([p[x] for x in q])
+    assert (a * b).images == tuple(p[x] for x in q)
+    inverse = [0] * len(p)
+    for x, y in enumerate(p):
+        inverse[y] = x
+    assert a.inverse() == Permutation(inverse)
+    assert a.inverse().images == tuple(inverse)
