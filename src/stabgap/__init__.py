@@ -73,69 +73,4 @@ from .pipeline import (
     case_seed,
 )
 
-__all__ = [
-    "AnalyzeOptions",
-    "BipartiteAdjacency",
-    "BoundReport",
-    "CSV_COLUMNS",
-    "CaseAnalysisError",
-    "CaseOptions",
-    "CaseParseError",
-    "CaseReport",
-    "CaseSpec",
-    "CatalogResult",
-    "CauchySchwarzResult",
-    "ChainDiagnostics",
-    "ConnectionSet",
-    "ConvergenceError",
-    "CosetGraphSpec",
-    "DEFAULT_ELEMENT_CAP",
-    "DENSE_SIZE_CAP",
-    "FAMILY_NAMES",
-    "GroupFunction",
-    "LocalActionReport",
-    "NormIdentityReport",
-    "Permutation",
-    "PermutationGroup",
-    "ReconstructionReport",
-    "SabidussiResult",
-    "SimpleGraph",
-    "SizeLimitError",
-    "SpectralSummary",
-    "StructureError",
-    "TransitiveCase",
-    "analyze_case",
-    "analyze_many",
-    "bound_report",
-    "build_bipartite",
-    "build_coset_graph",
-    "builtin_cases",
-    "case_seed",
-    "cauchy_schwarz_step",
-    "convolution_matches_matrix",
-    "double_coset",
-    "double_coset_representatives",
-    "evaluate_chain",
-    "extract_connection_set",
-    "indicator",
-    "is_inverse_closed",
-    "lambda1_power_iteration",
-    "lambda2_power_iteration",
-    "load_case",
-    "local_action",
-    "make_transitive_case",
-    "norm_identity_trials",
-    "parse_case",
-    "point_mass",
-    "preserves_edges",
-    "realize_case",
-    "reconstruction_report",
-    "sabidussi_isomorphism",
-    "singular_values",
-    "top_value_matches_degree",
-    "uniform_distribution",
-    "uniform_on",
-    "zero_sum_contraction_ok",
-]
-
 __version__ = "0.1.0"

@@ -44,8 +44,8 @@ _OPTION_KEYS = {"tol": float, "seed": int, "max_vertices": int, "max_group_order
 
 @dataclass(frozen=True)
 class CaseOptions:
-    """Per-document option overrides (absent entries fall back to the
-    command line and then to package defaults)."""
+    """Per-document option overrides.  Explicit command-line flags win
+    over them; absent entries fall back to package defaults."""
 
     tol: float | None = None
     seed: int | None = None

@@ -38,10 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="analyze a single case document")
     analyze.add_argument("--input", required=True, help="path to a JSON case document")
-    analyze.add_argument("--tol", type=float, default=None)
-    analyze.add_argument("--seed", type=int, default=None)
-    analyze.add_argument("--max-vertices", type=int, default=None)
-    analyze.add_argument("--max-group-order", type=int, default=None)
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
     analyze.add_argument(
         "--dump-matrix",
@@ -56,25 +52,25 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated families, or 'all' ({', '.join(FAMILY_NAMES)})",
     )
     catalog.add_argument("--out", required=True, help="path of the CSV report")
-    catalog.add_argument("--tol", type=float, default=None)
-    catalog.add_argument("--seed", type=int, default=None)
-    catalog.add_argument("--max-vertices", type=int, default=None)
-    catalog.add_argument("--max-group-order", type=int, default=None)
+    for command in (analyze, catalog):
+        for key, kind in _OPTION_KEYS.items():
+            command.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
     return parser
 
 
-def _options_from_args(args: argparse.Namespace) -> AnalyzeOptions:
-    overrides = {
+def _flags(args: argparse.Namespace) -> dict:
+    """The option flags given explicitly on the command line."""
+    return {
         key: getattr(args, key)
         for key in _OPTION_KEYS
         if getattr(args, key) is not None
     }
-    return replace(AnalyzeOptions(), **overrides) if overrides else AnalyzeOptions()
 
 
 def _run_analyze(args: argparse.Namespace) -> int:
     spec = load_case(args.input)
-    report = analyze_case(spec, _options_from_args(args), dump_matrix=args.dump_matrix)
+    spec = replace(spec, options=replace(spec.options, **_flags(args)))
+    report = analyze_case(spec, dump_matrix=args.dump_matrix)
     if args.format == "json":
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     else:
@@ -90,13 +86,16 @@ def _parse_families(raw: str) -> list[str] | None:
     raw = raw.strip()
     if raw == "all":
         return None
-    return [part.strip() for part in raw.split(",") if part.strip()]
+    families = [part.strip() for part in raw.split(",") if part.strip()]
+    if not families:
+        raise ValueError("no families selected")
+    return families
 
 
 def _run_catalog(args: argparse.Namespace) -> int:
     families = _parse_families(args.families)
     specs = builtin_cases(families)
-    result = analyze_many(specs, _options_from_args(args))
+    result = analyze_many(specs, replace(AnalyzeOptions(), **_flags(args)))
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

@@ -152,10 +152,9 @@ def extract_connection_set(
     Inverse-closed and bi-invariant under the vertex stabilizer; these
     invariants are validated on construction rather than trusted.
     """
-    elements = group.elements(cap)
-    images = group.element_array(cap)[:, vertex]
-    chosen = np.flatnonzero(np.isin(images, graph.neighbors(vertex)))
-    return ConnectionSet([elements[i] for i in chosen], group.stabilizer(vertex))
+    rows = group.element_array(cap)
+    mask = np.isin(rows[:, vertex], graph.neighbors(vertex))
+    return ConnectionSet(rows[mask], group.stabilizer(vertex))
 
 
 def make_transitive_case(
@@ -191,7 +190,7 @@ def make_transitive_case(
             f"|S| = {len(connection)} differs from k*|G_v| = "
             f"{valency * stab.order()}"
         )
-    image = {s(base_vertex) for s in connection}
+    image = set(connection.rows[:, base_vertex].tolist())
     if image != set(graph.neighbors(base_vertex)):
         raise StructureError("S({v}) differs from the neighborhood of v")
     return TransitiveCase(group, graph, base_vertex, connection, stab, valency)

@@ -6,17 +6,18 @@ deterministic: orbits are grown breadth-first with the generators in their
 given order, chains pick the smallest moved point as the next base point,
 and element lists are returned in lexicographic order of image tuples.
 
-Permutations are validated once, where they enter as ``Permutation``
-objects.  Element sets (the enumerated group, connection sets, the sets
-split into double cosets) are held as rows of an integer array of
-images, composed a whole array at a time by fancy indexing, and looked
-up by the bytes of each row.
+Element sets (the enumerated group, connection sets, the sets split into
+double cosets, the supports of group functions) are held as rows of an
+integer array of images, converted into that layout by ``_image_rows``
+alone, composed a whole array at a time by fancy indexing, and looked up
+by the bytes of each row.  ``Permutation`` objects are built from rows
+only where a caller asks for them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .perms import Permutation
 
 #: Default cap on explicit element enumeration.
 DEFAULT_ELEMENT_CAP = 10**6
+
+#: An element set as ``Permutation`` objects or as rows of images.
+_Elements = Union[Iterable[Permutation], np.ndarray]
 
 
 def _image_dtype(degree: int) -> np.dtype:
@@ -42,6 +46,46 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
 def _lex_order(rows: np.ndarray) -> np.ndarray:
     """The row order that sorts rows lexicographically, first column first."""
     return np.lexsort(rows.T[::-1])
+
+
+def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
+    """Element images as the rows of a new array in the smallest unsigned
+    dtype for the degree, in the order given.  ``Permutation`` objects
+    were checked when built, so only their shared degree is checked; a
+    2-D integer array must hold a permutation of 0..degree-1 in each row.
+    The degree defaults to the first element's (1 for none) or the width.
+    """
+    if isinstance(elements, np.ndarray):
+        if elements.ndim != 2 or not np.issubdtype(elements.dtype, np.integer):
+            raise ValueError("element rows must be a 2-D integer array")
+        if degree not in (None, elements.shape[1]):
+            raise ValueError(f"degree mismatch: {elements.shape[1]} vs {degree}")
+        images, degree = elements, elements.shape[1]
+        # kind="stable" is a radix sort on the small unsigned dtypes.
+        if not (np.sort(images, axis=1, kind="stable") == np.arange(degree)).all():
+            raise ValueError(f"element rows are not permutations of 0..{degree - 1}")
+    else:
+        images = [g.images for g in elements]
+        if degree is None:
+            degree = len(images[0]) if images else 1
+        for x in images:
+            if len(x) != degree:
+                raise ValueError(f"degree mismatch: {len(x)} vs {degree}")
+    return np.array(images, dtype=_image_dtype(degree)).reshape(-1, degree)
+
+
+def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows, in lexicographic order."""
+    rows = rows[_lex_order(rows)]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
+    """One ``Permutation`` per row, in row order, converted one row at a
+    time; the rows are known to be permutations and are not re-checked."""
+    return tuple([Permutation._trusted(tuple(row.tolist())) for row in rows])
 
 
 def _transversal(
@@ -276,32 +320,19 @@ class PermutationGroup:
         """All elements, lexicographic by image tuple, if order <= cap."""
         rows = self.element_array(cap)
         if self._elements is None:
-            self._elements = tuple(
-                [Permutation._trusted(tuple(row.tolist())) for row in rows]
-            )
+            self._elements = _permutations(rows)
         return list(self._elements)
 
 
 class _RowTable:
-    """Distinct permutations of one degree, sorted lexicographically and
-    stacked as the rows of an integer array, with each row's index looked
-    up by its bytes."""
+    """Distinct permutations of one degree as the rows of an integer array,
+    sorted lexicographically, with each row's index looked up by its bytes."""
 
-    __slots__ = ("perms", "rows", "_index")
+    __slots__ = ("rows", "_index")
 
-    def __init__(self, elements: Iterable[Permutation], degree: int | None = None):
-        perms = list(dict.fromkeys(elements))
-        if degree is None:
-            degree = perms[0].degree if perms else 1
-        for s in perms:
-            if s.degree != degree:
-                raise ValueError(f"degree mismatch: {s.degree} vs {degree}")
-        rows = np.array(
-            [s.images for s in perms], dtype=_image_dtype(degree)
-        ).reshape(len(perms), degree)
-        order = _lex_order(rows)
-        self.perms = [perms[i] for i in order]
-        self.rows = rows[order]
+    def __init__(self, elements: _Elements, degree: int | None = None):
+        self.rows = _sorted_distinct(_image_rows(elements, degree))
+        self.rows.setflags(write=False)
         self._index = {key: i for i, key in enumerate(_row_keys(self.rows))}
 
     def find(self, rows: np.ndarray) -> np.ndarray | None:
@@ -317,7 +348,7 @@ class _RowTable:
 
 def _inverse_closed(table: _RowTable) -> bool:
     # argsort of a row of images is the row of the inverse's images.
-    return table.find(np.argsort(table.rows, axis=1)) is not None
+    return table.find(np.argsort(table.rows, axis=1, kind="stable")) is not None
 
 
 def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
@@ -351,11 +382,11 @@ def _double_coset_split(table: _RowTable, h: PermutationGroup) -> list[Permutati
                     "set is not a union of full double cosets of the subgroup"
                 )
             moves.append(found)
-    label = _component_minima(len(table.perms), moves)
-    return [table.perms[i] for i in np.flatnonzero(label == np.arange(len(label)))]
+    label = _component_minima(len(table.rows), moves)
+    return list(_permutations(table.rows[label == np.arange(len(label))]))
 
 
-def is_inverse_closed(elements: Iterable[Permutation]) -> bool:
+def is_inverse_closed(elements: _Elements) -> bool:
     """True iff the set contains the inverse of each of its elements.
 
     The elements must share one degree."""
@@ -388,7 +419,7 @@ def double_coset(
 
 
 def double_coset_representatives(
-    elements: Iterable[Permutation], h: PermutationGroup
+    elements: _Elements, h: PermutationGroup
 ) -> list[Permutation]:
     """Split an H-bi-invariant set into its double cosets.
 
@@ -407,27 +438,24 @@ def double_coset_representatives(
 class ConnectionSet:
     """An inverse-closed union of H-double cosets driving a coset graph.
 
-    Elements are held in lexicographic order.  Inverse closure is checked
-    on construction, and H-bi-invariance is decided by splitting the set
-    into its H-double cosets; the split is kept as ``representatives``
-    (the smallest element of each double coset, in increasing order).
+    The elements, ``Permutation`` objects or image rows, are held as the
+    read-only ``rows``, distinct and in lexicographic order; ``elements``
+    builds them as ``Permutation`` objects on first use.  Inverse closure
+    is checked on construction, and H-bi-invariance is decided by
+    splitting the set into its H-double cosets; the split is kept as
+    ``representatives`` (the smallest element of each double coset, in
+    increasing order).
     """
 
-    __slots__ = ("degree", "elements", "subgroup", "representatives", "_pool")
+    __slots__ = ("degree", "subgroup", "rows", "representatives", "_table", "_elements")
 
-    def __init__(self, elements: Iterable[Permutation], subgroup: PermutationGroup):
-        elems = list(dict.fromkeys(elements))
-        for s in elems:
-            if s.degree != subgroup.degree:
-                raise ValueError(
-                    f"element degree {s.degree} does not match subgroup degree "
-                    f"{subgroup.degree}"
-                )
-        table = _RowTable(elems, subgroup.degree)
+    def __init__(self, elements: _Elements, subgroup: PermutationGroup):
+        table = _RowTable(elements, subgroup.degree)
         self.degree = subgroup.degree
-        self.elements = tuple(table.perms)
         self.subgroup = subgroup
-        self._pool = frozenset(elems)
+        self.rows = table.rows
+        self._table = table
+        self._elements: tuple[Permutation, ...] | None = None
         if not _inverse_closed(table):
             raise StructureError("connection set is not inverse-closed")
         try:
@@ -438,14 +466,22 @@ class ConnectionSet:
             ) from None
         self.representatives = tuple(reps)
 
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = _permutations(self.rows)
+        return self._elements
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, g: object) -> bool:
-        return g in self._pool
+        if not isinstance(g, Permutation) or g.degree != self.degree:
+            return False
+        return self._table.find(np.array([g.images])) is not None
 
     def __repr__(self) -> str:
-        return f"ConnectionSet(degree={self.degree}, size={len(self.elements)})"
+        return f"ConnectionSet(degree={self.degree}, size={len(self)})"

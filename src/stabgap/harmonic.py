@@ -3,7 +3,8 @@
 A group function is a finitely supported real function on permutations;
 convolving it with a vertex function v gives the vertex function
 x -> sum_g mu(g) v(g^-1(x)), evaluated by direct summation over the
-support.  This module also supplies the standard distributions (point
+support, held as rows of images like every element set of the group
+layer.  This module also supplies the standard distributions (point
 mass, uniform, indicator of a set, uniform on a set) and randomized
 checks that the convolution operator agrees with the bipartite matrix
 and satisfies the shift/centering/scaling norm identities.
@@ -12,53 +13,66 @@ and satisfies the shift/centering/scaling norm identities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
+from .groups import (
+    ConnectionSet, _Elements, _image_rows, _permutations, _sorted_distinct,
+)
 from .perms import Permutation
 from .spectral import BipartiteAdjacency
 
 
 class GroupFunction:
-    """A real function on permutations with finite, distinct support."""
+    """A real function on permutations with finite, distinct support.
 
-    __slots__ = ("degree", "perms", "weights", "_inverse_rows")
+    The support, given as ``Permutation`` objects or as image rows, is
+    held as read-only ``rows`` in the order given (the order fixes the
+    float sums); ``perms`` builds it as ``Permutation`` objects.
+    """
 
-    def __init__(self, perms: Sequence[Permutation], weights):
-        perms = tuple(perms)
-        if not perms:
+    __slots__ = ("degree", "rows", "weights", "_inverse_rows")
+
+    def __init__(self, perms: _Elements, weights):
+        rows = _image_rows(perms)
+        if not len(rows):
             raise ValueError("support must be nonempty")
-        degree = perms[0].degree
-        for g in perms:
-            if g.degree != degree:
-                raise ValueError("support permutations must share a degree")
-        if len(set(perms)) != len(perms):
+        if len(_sorted_distinct(rows)) != len(rows):
             raise ValueError("support permutations must be distinct")
+        self._fill(rows, weights)
+
+    @classmethod
+    def _trusted(cls, rows: np.ndarray, weights) -> GroupFunction:
+        """A group function on rows known to be distinct permutations."""
+        mu = object.__new__(cls)
+        mu._fill(rows, weights)
+        return mu
+
+    def _fill(self, rows: np.ndarray, weights) -> None:
         w = np.asarray(weights, dtype=float)
-        if w.shape != (len(perms),):
+        if w.shape != (len(rows),):
             raise ValueError(
-                f"expected {len(perms)} weights, got shape {w.shape}"
+                f"expected {len(rows)} weights, got shape {w.shape}"
             )
-        self.degree = degree
-        self.perms = perms
+        rows.setflags(write=False)
+        self.degree = rows.shape[1]
+        self.rows = rows
         self.weights = w
         self.weights.setflags(write=False)
-        self._inverse_rows: np.ndarray | None = None
+        # Row i holds the images of the inverse of support permutation i;
+        # argsort of a permutation's image array is exactly its inverse
+        # (kind="stable" is a radix sort on the small unsigned dtypes).
+        self._inverse_rows = np.argsort(rows, axis=1, kind="stable")
+
+    @property
+    def perms(self) -> tuple[Permutation, ...]:
+        return _permutations(self.rows)
 
     def mass(self) -> float:
         return float(self.weights.sum())
 
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.weights**2)))
-
-    def _rows(self) -> np.ndarray:
-        # Row i holds the images of the inverse of support permutation i;
-        # argsort of a permutation's image array is exactly its inverse.
-        if self._inverse_rows is None:
-            images = np.array([g.images for g in self.perms], dtype=np.intp)
-            self._inverse_rows = np.argsort(images, axis=1)
-        return self._inverse_rows
 
     def convolve(self, values) -> np.ndarray:
         """(mu * v)(x) = sum_g mu(g) v(g^-1(x)), summed over the support."""
@@ -67,7 +81,7 @@ class GroupFunction:
             raise ValueError(
                 f"expected a vector of length {self.degree}, got shape {v.shape}"
             )
-        return self.weights @ v[self._rows()]
+        return self.weights @ v[self._inverse_rows]
 
 
 def point_mass(vertex: int, n: int) -> np.ndarray:
@@ -84,21 +98,28 @@ def uniform_distribution(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def indicator(elements: Iterable[Permutation]) -> GroupFunction:
-    """The characteristic function of a set of permutations."""
-    perms = tuple(sorted(dict.fromkeys(elements)))
-    if not perms:
+def _support(elements: _Elements) -> np.ndarray:
+    """A connection set's rows as they are, else the distinct rows, sorted."""
+    if isinstance(elements, ConnectionSet):
+        rows = elements.rows
+    else:
+        rows = _sorted_distinct(_image_rows(elements))
+    if not len(rows):
         raise ValueError("empty set")
-    return GroupFunction(perms, np.ones(len(perms)))
+    return rows
 
 
-def uniform_on(elements: Iterable[Permutation]) -> GroupFunction:
+def indicator(elements: _Elements) -> GroupFunction:
+    """The characteristic function of a set of permutations."""
+    rows = _support(elements)
+    return GroupFunction._trusted(rows, np.ones(len(rows)))
+
+
+def uniform_on(elements: _Elements) -> GroupFunction:
     """The uniform probability distribution on a set of permutations;
     its norm is 1/sqrt(set size)."""
-    perms = tuple(sorted(dict.fromkeys(elements)))
-    if not perms:
-        raise ValueError("empty set")
-    return GroupFunction(perms, np.full(len(perms), 1.0 / len(perms)))
+    rows = _support(elements)
+    return GroupFunction._trusted(rows, np.full(len(rows), 1.0 / len(rows)))
 
 
 def convolution_matches_matrix(
@@ -166,24 +187,24 @@ def _scaled_gap(lhs: float, rhs: float) -> float:
 
 def norm_identity_trials(
     n: int,
-    group_elements: Sequence[Permutation],
+    group_elements: _Elements,
     trials: int,
     rng: np.random.Generator,
     tol: float = 1e-12,
     max_support: int = 24,
 ) -> NormIdentityReport:
     """Randomized check of the four norm identities, with the group-side
-    distribution supported on random subsets of the supplied elements.
+    distribution supported on random subsets of the supplied elements
+    (``Permutation`` objects or image rows, such as ``element_array()``).
 
     Each identity is evaluated by two independent numerical routes and
     the deviation is scaled to the operand magnitudes.
     """
-    elements = list(group_elements)
-    if not elements:
+    rows = _image_rows(group_elements, n)
+    if not len(rows):
         raise ValueError("need at least one group element")
-    for g in elements:
-        if g.degree != n:
-            raise ValueError("group elements must act on the vertex set")
+    if len(_sorted_distinct(rows)) != len(rows):
+        raise ValueError("group elements must be distinct")
     uniform = uniform_distribution(n)
     dev_shift = dev_center = dev_conv = dev_scale = 0.0
     for _ in range(trials):
@@ -201,11 +222,11 @@ def norm_identity_trials(
         rhs = float(np.sum(p**2)) - 1.0 / n
         dev_center = max(dev_center, _scaled_gap(lhs, rhs))
 
-        size = int(rng.integers(1, min(len(elements), max_support) + 1))
-        chosen = rng.choice(len(elements), size=size, replace=False)
+        size = int(rng.integers(1, min(len(rows), max_support) + 1))
+        chosen = rng.choice(len(rows), size=size, replace=False)
         weights = rng.random(size) + 1e-9
         weights /= weights.sum()
-        q = GroupFunction([elements[i] for i in chosen], weights)
+        q = GroupFunction._trusted(rows[chosen], weights)
         qp = q.convolve(p)
         for sign in (1.0, -1.0):
             lhs = float(np.linalg.norm(q.convolve(p + sign * uniform)))

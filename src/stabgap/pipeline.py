@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -90,12 +90,12 @@ class AnalyzeOptions:
     max_vertices: int = 4000
     max_group_order: int = 1_000_000
     dense_cap: int = DENSE_SIZE_CAP
-    matrix_trials: int = 100
-    identity_trials: int = 1000
-    contraction_trials: int = 100
-    reconstruction_cap: int = 200
-    power_tol: float = 1e-12
-    power_max_iter: int = 200_000
+    matrix_trials: ClassVar[int] = 100
+    identity_trials: ClassVar[int] = 1000
+    contraction_trials: ClassVar[int] = 100
+    reconstruction_cap: ClassVar[int] = 200
+    power_tol: ClassVar[float] = 1e-12
+    power_max_iter: ClassVar[int] = 200_000
 
     def with_case_options(self, case_options) -> AnalyzeOptions:
         """Apply per-document option overrides."""
@@ -310,7 +310,7 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     )
     identity_report = norm_identity_trials(
         n,
-        case.group.elements(options.max_group_order),
+        case.group.element_array(options.max_group_order),
         options.identity_trials,
         rng,
     )

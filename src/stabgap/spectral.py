@@ -83,8 +83,8 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
         raise ValueError(
             f"connection degree {connection.degree} does not match size {n}"
         )
-    images = np.array([s.images for s in connection], dtype=np.int64)
-    cells = (np.arange(n) * n + images.reshape(len(connection), n)).ravel()
+    # x*n + s(x) is formed in int64, never in the rows' small dtype.
+    cells = (np.arange(n) * n + connection.rows.astype(np.int64)).ravel()
     a = np.bincount(cells, minlength=n * n).reshape(n, n)
     return BipartiteAdjacency(a, s_size=len(connection))
 

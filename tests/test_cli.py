@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from stabgap.cli import main
-from stabgap.pipeline import CSV_COLUMNS
+from stabgap.pipeline import CSV_COLUMNS, case_seed
 
 CATALOG_SEED0 = Path(__file__).parent / "data" / "catalog-seed0.csv"
 
@@ -45,6 +45,16 @@ def test_analyze_json_output(triangle_file, capsys):
     assert doc["name"] == "triangle"
     assert doc["normative_ok"] is True
     assert doc["singular_values"] == pytest.approx([4.0, 2.0, 0.0], abs=1e-9)
+
+
+def test_analyze_flags_win_over_document_options(tmp_path, capsys):
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({**TRIANGLE_DOC, "options": {"seed": 7}}))
+    assert main(["analyze", "--input", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == case_seed(7, "triangle")
+    args = ["analyze", "--input", str(path), "--format", "json", "--seed", "3"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == case_seed(3, "triangle")
 
 
 def test_analyze_dump_matrix(triangle_file, capsys):
@@ -103,11 +113,13 @@ def test_catalog_complete_family(tmp_path, capsys):
     assert "5 cases: 5 passed" in summary
 
 
-def test_catalog_empty_families(tmp_path):
+def test_catalog_empty_families(tmp_path, capsys):
     out_path = tmp_path / "empty.csv"
-    code = main(["catalog", "--families", "", "--out", str(out_path)])
-    assert code == 0
-    assert out_path.read_text().splitlines() == [",".join(CSV_COLUMNS)]
+    for families in ("", ",", " , "):
+        code = main(["catalog", "--families", families, "--out", str(out_path)])
+        assert code == 1
+        assert "no families selected" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 def test_catalog_unknown_family(tmp_path, capsys):

@@ -375,3 +375,64 @@ def test_double_coset_split_rejects_any_missing_element_random(h_images, seeds):
     for dropped in union:
         with pytest.raises(StructureError, match="not a union of full double cosets"):
             double_coset_representatives(union - {dropped}, h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(s4_images, min_size=0, max_size=2),
+    st.lists(s4_images, min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, rnd):
+    h_gens = [Permutation(p) for p in h_images]
+    h = PermutationGroup(4, h_gens)
+    h_elements = brute_closure(4, h_gens)
+    s = set()
+    for p in seeds:
+        a = Permutation(p)
+        s |= brute_double_coset(h_elements, a)
+        s |= brute_double_coset(h_elements, a.inverse())
+    shuffled = sorted(s)
+    rnd.shuffle(shuffled)
+    from_perms = ConnectionSet(s, h)
+    from_rows = ConnectionSet(np.array([g.images for g in shuffled]), h)
+    assert np.array_equal(from_rows.rows, from_perms.rows)
+    assert not from_rows.rows.flags.writeable
+    assert from_rows.elements == from_perms.elements == tuple(sorted(s))
+    assert from_rows.representatives == from_perms.representatives
+    for p in itertools.permutations(range(4)):
+        g = Permutation(p)
+        assert (g in from_rows) == (g in from_perms) == (g in s)
+
+
+def test_element_rows_are_checked():
+    h = h12()
+    good = np.array([[1, 0, 2], [2, 1, 0]])
+    assert ConnectionSet(good, PermutationGroup.trivial(3)).rows.tolist() == [
+        [1, 0, 2],
+        [2, 1, 0],
+    ]
+    for bad in (
+        np.array([[1, 0, 2], [1, 1, 0]]),  # not a bijection
+        np.array([[1, 0, 3], [2, 1, 0]]),  # image out of range
+        np.array([[-1, 0, 2]]),  # negative image
+        np.array([[1, 0, 2, 3]]),  # wrong width
+        np.array([1, 0, 2]),  # not 2-D
+    ):
+        with pytest.raises(ValueError):
+            ConnectionSet(bad, h)
+        with pytest.raises(ValueError):
+            double_coset_representatives(bad, h)
+    with pytest.raises(ValueError):
+        is_inverse_closed(np.array([[0, 0]]))
+    assert is_inverse_closed(good)
+
+
+def test_connection_set_membership_wrong_degree_or_type_is_false():
+    conn = ConnectionSet(double_coset(h12(), Permutation([1, 0, 2])), h12())
+    assert Permutation([1, 0, 2]) in conn
+    assert Permutation([1, 0, 2, 3]) not in conn
+    assert Permutation([1, 0]) not in conn
+    assert (1, 0, 2) not in conn
+    assert [1, 0, 2] not in conn
+    assert "102" not in conn

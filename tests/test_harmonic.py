@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgap.harmonic import (
     GroupFunction,
@@ -191,3 +192,58 @@ def test_convolution_shift_identity_uniform_case():
         lhs = np.linalg.norm(q.convolve(u + sign * u))
         rhs = np.linalg.norm(q.convolve(u) + sign * u)
         assert abs(lhs - rhs) <= 1e-15
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.permutations(list(range(4))), min_size=1, max_size=24, unique_by=tuple),
+    st.integers(0, 2**32 - 1),
+)
+def test_group_function_from_rows_matches_permutations_random(images, seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.standard_normal(len(images))
+    f = rng.standard_normal(4)
+    from_perms = GroupFunction([Permutation(p) for p in images], weights)
+    from_rows = GroupFunction(np.array(images), weights)
+    assert from_rows.perms == from_perms.perms
+    assert [g.images for g in from_rows.perms] == [tuple(p) for p in images]
+    assert not from_rows.rows.flags.writeable
+    assert from_rows.convolve(f).tobytes() == from_perms.convolve(f).tobytes()
+
+
+def test_group_function_rows_are_checked():
+    with pytest.raises(ValueError, match="distinct"):
+        GroupFunction(np.array([[1, 0, 2], [1, 0, 2]]), [1, 1])
+    with pytest.raises(ValueError, match="nonempty"):
+        GroupFunction(np.zeros((0, 3), dtype=int), [])
+    with pytest.raises(ValueError):
+        GroupFunction(np.array([[1, 1, 2]]), [1])
+    with pytest.raises(ValueError):
+        GroupFunction([Permutation([1, 0]), Permutation([0, 2, 1])], [1, 1])
+
+
+def test_indicator_over_rows_and_permutations_agree():
+    group = s3()
+    rows = group.element_array()
+    chi = indicator(rows[::-1])
+    assert np.array_equal(chi.rows, rows)
+    assert chi.perms == indicator(group.elements()).perms
+    assert uniform_on(rows).perms == tuple(group.elements())
+    case = triangle_case()
+    assert indicator(case.connection).rows is case.connection.rows
+
+
+def test_norm_identity_trials_rows_match_permutations():
+    for case in [triangle_case(), petersen_case()]:
+        reports = [
+            norm_identity_trials(
+                case.graph.n, elements, 200, np.random.default_rng(29)
+            )
+            for elements in (case.group.element_array(), case.group.elements())
+        ]
+        assert reports[0] == reports[1]
+    with pytest.raises(ValueError, match="distinct"):
+        twice = [Permutation.identity(3)] * 2
+        norm_identity_trials(3, twice, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        norm_identity_trials(4, s3().element_array(), 1, np.random.default_rng(0))

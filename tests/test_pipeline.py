@@ -4,6 +4,7 @@ import pytest
 
 from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
+from stabgap.groups import ConnectionSet, PermutationGroup
 from stabgap.pipeline import (
     AnalyzeOptions,
     CaseAnalysisError,
@@ -136,3 +137,17 @@ def test_double_coset_count_is_the_connection_split():
     for spec, report in zip(specs, result.reports):
         case = realize_case(spec)
         assert report.n_double_cosets == len(case.connection.representatives)
+
+
+def test_analysis_never_builds_element_objects(monkeypatch):
+    # Every per-case consumer of G and S reads image rows; Permutation
+    # objects for all of G or S are built only on request.
+    specs = builtin_cases()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("element objects built during analysis")
+
+    monkeypatch.setattr(PermutationGroup, "elements", refuse)
+    monkeypatch.setattr(ConnectionSet, "elements", property(refuse))
+    for spec in specs:
+        analyze_case(spec)
