@@ -19,6 +19,7 @@ from .groups import (
     ConnectionSet,
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
+    _image_rows,
     double_coset,
     is_inverse_closed,
 )
@@ -337,18 +338,29 @@ class SabidussiResult:
 
 def sabidussi_isomorphism(case: TransitiveCase) -> SabidussiResult:
     """Check that xG_v -> x(v) is an isomorphism between the coset graph
-    on (group, stabilizer, connection set) and the case's graph."""
-    transversal = case.group.transversal(case.base_vertex)
-    if len(transversal) != case.graph.n:
-        return SabidussiResult(False, (case.base_vertex, case.base_vertex))
-    vertices = sorted(transversal)
-    inverses = {w: transversal[w].inverse() for w in vertices}
-    for a, w1 in enumerate(vertices):
-        inv = inverses[w1]
-        for w2 in vertices[a + 1 :]:
-            coset_edge = (inv * transversal[w2]) in case.connection
-            if coset_edge != case.graph.has_edge(w1, w2):
-                return SabidussiResult(False, (w1, w2))
+    on (group, stabilizer, connection set) and the case's graph.
+
+    With u_w sending v to w, w1 < w2 are coset-adjacent when u_w1^-1 u_w2 is
+    in S.  That element lies in u_z G_v for z = u_w1^-1(w2), and S is a union
+    of G_v double cosets, so it is in S exactly when u_z is: the adjacency is
+    one gather from the n transversal rows' membership.
+    """
+    n, v, connection = case.graph.n, case.base_vertex, case.connection
+    if not all(h in connection.subgroup for h in case.stabilizer.generators):
+        raise StructureError("connection set is not split over the stabilizer")
+    transversal = case.group.transversal(v)
+    if len(transversal) != n:
+        return SabidussiResult(False, (v, v))
+    t = _image_rows([transversal[w] for w in range(n)], n)
+    t_inv = np.empty_like(t)
+    t_inv[np.arange(n)[:, None], t] = np.arange(n, dtype=t.dtype)
+    adjacency = np.zeros((n, n), dtype=bool)
+    u, w = np.array(case.graph.edges(), dtype=np.intp).reshape(-1, 2).T
+    adjacency[u, w] = adjacency[w, u] = True
+    coset_adjacency = connection.contains_rows(t)[t_inv]
+    mismatch = np.flatnonzero(np.triu(coset_adjacency != adjacency, 1))
+    if len(mismatch):
+        return SabidussiResult(False, divmod(int(mismatch[0]), n))
     return SabidussiResult(True)
 
 

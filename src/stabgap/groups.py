@@ -9,14 +9,14 @@ and element lists are returned in lexicographic order of image tuples.
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets, the supports of group functions) are held as rows of an
 integer array of images, converted into that layout by ``_image_rows``
-alone, composed a whole array at a time by fancy indexing, and looked up
-by the bytes of each row.  ``Permutation`` objects are built from rows
-only where a caller asks for them.
+alone, composed a whole array at a time by fancy indexing, and sorted,
+deduplicated and looked up through ``_row_view``, whose values sort as the
+rows do.  ``Permutation`` objects are built from rows only where a caller
+asks for them.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -36,16 +36,12 @@ def _image_dtype(degree: int) -> np.dtype:
     return np.min_scalar_type(max(degree - 1, 0))
 
 
-def _row_keys(rows: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a 2-D array, in C order."""
-    data = rows.tobytes()
-    width = rows.shape[1] * rows.itemsize
-    return [data[i : i + width] for i in range(0, len(data), width)]
-
-
-def _lex_order(rows: np.ndarray) -> np.ndarray:
-    """The row order that sorts rows lexicographically, first column first."""
-    return np.lexsort(rows.T[::-1])
+def _row_view(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one void value over its big-endian
+    images, so that the values' byte order is the rows' lexicographic
+    order whatever the row dtype."""
+    rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
 
 
 def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
@@ -76,10 +72,7 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, in lexicographic order."""
-    rows = rows[_lex_order(rows)]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[keep]
+    return rows[np.unique(_row_view(rows), return_index=True)[1]]
 
 
 def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
@@ -285,9 +278,10 @@ class PermutationGroup:
         """All elements as a read-only array with one row of images per
         element, rows in lexicographic order, if order <= cap.
 
-        The closure is grown breadth-first from the identity: the frontier
-        rows x are multiplied on the left by every generator g at once, as
-        ``g[x]``, and the products not seen before form the next frontier.
+        Each element is u_0 * u_1 * ... * u_last for exactly one choice of
+        u_i in the transversal of chain level i: deepest level first, each
+        level's transversal rows ``reps`` compose with all rows so far at
+        once, as ``reps[:, rows]``.
         """
         order = self.order()
         if order > cap:
@@ -295,23 +289,11 @@ class PermutationGroup:
                 f"group order {order} exceeds enumeration cap {cap}"
             )
         if self._rows is None:
-            gens = np.array(
-                [g.images for g in self.generators], dtype=_image_dtype(self.degree)
-            ).reshape(len(self.generators), self.degree)
-            frontier = np.arange(self.degree, dtype=gens.dtype)[None, :]
-            seen = set(_row_keys(frontier))
-            blocks = [frontier]
-            while len(frontier):
-                products = gens[:, frontier].reshape(-1, self.degree)
-                fresh = []
-                for i, key in enumerate(_row_keys(products)):
-                    if key not in seen:
-                        seen.add(key)
-                        fresh.append(i)
-                frontier = products[fresh]
-                blocks.append(frontier)
-            rows = np.concatenate(blocks)
-            rows = rows[_lex_order(rows)]
+            rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
+            for level in reversed(self._stabilizer_chain()):
+                reps = _image_rows(level.transversal.values(), self.degree)
+                rows = reps[:, rows].reshape(-1, self.degree)
+            rows = rows[np.argsort(_row_view(rows))]
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
@@ -326,29 +308,28 @@ class PermutationGroup:
 
 class _RowTable:
     """Distinct permutations of one degree as the rows of an integer array,
-    sorted lexicographically, with each row's index looked up by its bytes."""
+    sorted lexicographically, looked up by binary search on their view."""
 
-    __slots__ = ("rows", "_index")
+    __slots__ = ("rows", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
         self.rows = _sorted_distinct(_image_rows(elements, degree))
         self.rows.setflags(write=False)
-        self._index = {key: i for i, key in enumerate(_row_keys(self.rows))}
+        self._view = _row_view(self.rows)
 
-    def find(self, rows: np.ndarray) -> np.ndarray | None:
-        """The index of each given row, or None if any row is missing."""
-        keys = _row_keys(rows.astype(self.rows.dtype, copy=False))
-        found = np.fromiter(
-            map(self._index.get, keys, itertools.repeat(-1)),
-            dtype=np.intp,
-            count=len(keys),
-        )
-        return None if (found < 0).any() else found
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each given row, or -1 where the row is missing."""
+        view = _row_view(rows.astype(self.rows.dtype, copy=False))
+        at = np.searchsorted(self._view, view)
+        hit = at < len(self._view)
+        hit[hit] = self._view[at[hit]] == view[hit]
+        return np.where(hit, at, -1)
 
 
 def _inverse_closed(table: _RowTable) -> bool:
     # argsort of a row of images is the row of the inverse's images.
-    return table.find(np.argsort(table.rows, axis=1, kind="stable")) is not None
+    inverses = np.argsort(table.rows, axis=1, kind="stable")
+    return bool((table.find(inverses) >= 0).all())
 
 
 def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
@@ -377,7 +358,7 @@ def _double_coset_split(table: _RowTable, h: PermutationGroup) -> list[Permutati
         g_row = np.array(g.images, dtype=table.rows.dtype)
         for product in (g_row[table.rows], table.rows[:, g_row]):
             found = table.find(product)
-            if found is None:
+            if (found < 0).any():
                 raise StructureError(
                     "set is not a union of full double cosets of the subgroup"
                 )
@@ -481,7 +462,11 @@ class ConnectionSet:
     def __contains__(self, g: object) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
-        return self._table.find(np.array([g.images])) is not None
+        return bool(self.contains_rows(np.array([g.images]))[0])
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row of images, of the set's degree, is in the set."""
+        return self._table.find(rows) >= 0
 
     def __repr__(self) -> str:
         return f"ConnectionSet(degree={self.degree}, size={len(self)})"

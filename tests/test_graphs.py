@@ -1,7 +1,11 @@
 import itertools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from stabgap.casefile import realize_case
+from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
 from stabgap.graphs import (
     CosetGraphSpec,
@@ -14,6 +18,7 @@ from stabgap.graphs import (
     sabidussi_isomorphism,
 )
 from stabgap.groups import (
+    ConnectionSet,
     PermutationGroup,
     double_coset,
     double_coset_representatives,
@@ -221,24 +226,59 @@ def test_sabidussi_triangle_and_petersen():
 
 
 def test_sabidussi_detects_corrupted_connection_set():
-    case = make_transitive_case(dihedral(5), cycle_graph(5))
-    reps = double_coset_representatives(
-        set(case.connection.elements), case.stabilizer
-    )
-    assert len(reps) >= 1
-    dropped = double_coset(case.stabilizer, reps[0])
-    remaining = set(case.connection.elements) - dropped
-    if remaining:
-        result = sabidussi_isomorphism(case.with_connection(frozenset(remaining)))
-        assert not result
-        assert result.violation is not None
+    # A valid connection set of another orbital: S = {g : g(0) in {2, 4}}
+    # draws the distance-2 graph of C6, which differs from C6 at (0, 1).
+    case = make_transitive_case(dihedral(6), cycle_graph(6))
+    rows = case.group.element_array()
+    other = ConnectionSet(rows[np.isin(rows[:, 0], (2, 4))], case.stabilizer)
+    assert len(other.representatives) == 1
+    result = sabidussi_isomorphism(case.with_connection(other))
+    assert not result.ok
+    assert result.violation == (0, 1)
 
 
 def test_sabidussi_reports_first_violation_pair():
-    case = make_transitive_case(cyclic(4), cycle_graph(4))
-    result = sabidussi_isomorphism(case.with_connection(frozenset()))
+    # The cycle 0-1-2-4-3-5-0 is not the coset graph C6; scanning pairs
+    # w1 < w2 in order, the first disagreement is the coset edge {2, 3}.
+    case = make_transitive_case(dihedral(6), cycle_graph(6))
+    other = SimpleGraph(6, [(0, 1), (1, 2), (2, 4), (4, 3), (3, 5), (5, 0)])
+    result = sabidussi_isomorphism(replace(case, graph=other))
     assert not result.ok
-    assert result.violation == (0, 1)
+    assert result.violation == (2, 3)
+
+
+def pairwise_sabidussi_violation(case):
+    """The first pair w1 < w2 where u_w1^-1 u_w2 in S disagrees with the
+    graph, tested one Permutation product at a time."""
+    t = case.group.transversal(case.base_vertex)
+    for w1, w2 in itertools.combinations(range(case.graph.n), 2):
+        in_s = (t[w1].inverse() * t[w2]) in case.connection
+        if in_s != case.graph.has_edge(w1, w2):
+            return (w1, w2)
+    return None
+
+
+def test_sabidussi_gather_matches_pairwise_products():
+    cases = [realize_case(spec) for spec in builtin_cases()]
+    for n in (6, 8):
+        case = make_transitive_case(dihedral(n), cycle_graph(n))
+        rows = case.group.element_array()
+        for far in range(2, n // 2 + 1):
+            orbital = np.isin(rows[:, 0], (far, n - far))
+            cases.append(
+                case.with_connection(ConnectionSet(rows[orbital], case.stabilizer))
+            )
+    for case in cases:
+        assert sabidussi_isomorphism(case).violation == pairwise_sabidussi_violation(
+            case
+        )
+
+
+def test_sabidussi_requires_a_split_over_the_stabilizer():
+    case = make_transitive_case(dihedral(6), cycle_graph(6))
+    unsplit = ConnectionSet(case.connection.rows, PermutationGroup.trivial(6))
+    with pytest.raises(StructureError, match="stabilizer"):
+        sabidussi_isomorphism(case.with_connection(unsplit))
 
 
 # -- local action ------------------------------------------------------------------

@@ -8,6 +8,8 @@ from stabgap.errors import SizeLimitError, StructureError
 from stabgap.groups import (
     ConnectionSet,
     PermutationGroup,
+    _RowTable,
+    _sorted_distinct,
     double_coset,
     double_coset_representatives,
     is_inverse_closed,
@@ -160,8 +162,46 @@ def test_orbit_stabilizer_identity_random(gen_images):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.permutations(list(range(4))), min_size=1, max_size=3))
 def test_order_matches_closure_count_random(gen_images):
-    group = PermutationGroup(4, [Permutation(p) for p in gen_images])
-    assert group.order() == len(group.elements())
+    gens = [Permutation(p) for p in gen_images]
+    assert PermutationGroup(4, gens).order() == len(brute_closure(4, gens))
+
+
+def test_empty_connection_set_has_no_members():
+    empty = ConnectionSet([], c4())
+    assert len(empty) == 0
+    assert empty.representatives == ()
+    assert Permutation.identity(4) not in empty
+    assert Permutation([1, 2, 3, 0]) not in empty
+
+
+def test_row_order_and_lookup_at_two_byte_degree():
+    # Degree 300 needs uint16 rows; a little-endian row view would put
+    # the rotation by 256 before the rotation by 1.
+    degree = 300
+    rotation = Permutation([(i + 1) % degree for i in range(degree)])
+    group = PermutationGroup(degree, [rotation])
+    rows = group.element_array()
+    assert rows.dtype == np.uint16
+    tuples = [tuple(r) for r in rows.tolist()]
+    assert tuples == sorted(tuples) and len(set(tuples)) == degree
+    assert tuples[0] == tuple(range(degree))
+
+    shuffled = np.random.default_rng(0).permutation(np.concatenate([rows, rows]))
+    assert [tuple(r) for r in _sorted_distinct(shuffled).tolist()] == tuples
+
+    connection = ConnectionSet(rows[:0:-1], PermutationGroup.trivial(degree))
+    assert [tuple(r) for r in connection.rows.tolist()] == tuples[1:]
+    assert len(connection.representatives) == degree - 1
+
+    table = _RowTable(rows[::-1])
+    assert table.find(rows).tolist() == list(range(degree))
+    swap = Permutation([1, 0] + list(range(2, degree)))
+    missing = np.array([swap.images, rows[7]])
+    assert table.find(missing).tolist() == [-1, 7]
+    assert swap not in connection and Permutation.identity(degree) not in connection
+    assert rotation in connection
+    empty = _RowTable(rows[:0])
+    assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
 
 
 def brute_closure(degree, gens):

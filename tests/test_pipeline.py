@@ -141,7 +141,9 @@ def test_double_coset_count_is_the_connection_split():
 
 def test_analysis_never_builds_element_objects(monkeypatch):
     # Every per-case consumer of G and S reads image rows; Permutation
-    # objects for all of G or S are built only on request.
+    # objects for all of G or S are built only on request, and the
+    # Sabidussi check looks up all its rows at once instead of testing
+    # membership one element at a time.
     specs = builtin_cases()
 
     def refuse(*args, **kwargs):
@@ -149,5 +151,6 @@ def test_analysis_never_builds_element_objects(monkeypatch):
 
     monkeypatch.setattr(PermutationGroup, "elements", refuse)
     monkeypatch.setattr(ConnectionSet, "elements", property(refuse))
+    monkeypatch.setattr(ConnectionSet, "__contains__", refuse)
     for spec in specs:
         analyze_case(spec)
