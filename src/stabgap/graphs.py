@@ -5,6 +5,12 @@ by automorphisms with a single vertex orbit, the base vertex, the point
 stabilizer, and the extracted connection set (the elements sending the
 base vertex into its neighborhood, always an inverse-closed union of
 stabilizer double cosets).
+
+A coset graph is built on the ambient group's image rows, so the group's
+order counts against the element cap: the left cosets xH are the
+components of right multiplication by H's generators on those rows.
+Vertex 0 is H, and the other cosets are numbered breadth-first from it
+under the group's generators in their given order.
 """
 
 from __future__ import annotations
@@ -19,9 +25,9 @@ from .groups import (
     ConnectionSet,
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
+    _RowTable,
+    _component_minima,
     _image_rows,
-    double_coset,
-    is_inverse_closed,
 )
 from .perms import Permutation
 
@@ -210,59 +216,6 @@ class CosetGraphSpec:
     representatives: tuple[Permutation, ...]
 
 
-class _CosetTable:
-    """Left cosets of H in G, discovered breadth-first from the identity.
-
-    Cosets are keyed by the (H-invariant) images of H's point orbits, so
-    locating the coset of a product is a bucket scan plus membership tests.
-    """
-
-    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, cap: int):
-        self.group = group
-        self.subgroup = subgroup
-        self.cap = cap
-        self._orbits = self._point_orbits(subgroup)
-        self.reps: list[Permutation] = []
-        self._buckets: dict[tuple, list[int]] = {}
-        self._add(Permutation.identity(group.degree))
-        queue = [0]
-        while queue:
-            i = queue.pop(0)
-            for g in group.generators:
-                candidate = g * self.reps[i]
-                if self.locate(candidate) is None:
-                    queue.append(self._add(candidate))
-
-    @staticmethod
-    def _point_orbits(subgroup: PermutationGroup) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        orbits = []
-        for p in range(subgroup.degree):
-            if p in seen:
-                continue
-            orbit = sorted(subgroup.orbit(p))
-            seen.update(orbit)
-            orbits.append(tuple(orbit))
-        return tuple(orbits)
-
-    def _key(self, x: Permutation) -> tuple:
-        return tuple(frozenset(x(p) for p in orbit) for orbit in self._orbits)
-
-    def _add(self, x: Permutation) -> int:
-        if len(self.reps) >= self.cap:
-            raise SizeLimitError(f"coset enumeration exceeds cap {self.cap}")
-        index = len(self.reps)
-        self.reps.append(x)
-        self._buckets.setdefault(self._key(x), []).append(index)
-        return index
-
-    def locate(self, x: Permutation) -> int | None:
-        for j in self._buckets.get(self._key(x), ()):
-            if (self.reps[j].inverse() * x) in self.subgroup:
-                return j
-        return None
-
-
 def build_coset_graph(
     spec: CosetGraphSpec,
     max_cosets: int = 4000,
@@ -270,7 +223,16 @@ def build_coset_graph(
 ) -> tuple[SimpleGraph, TransitiveCase]:
     """Construct the coset graph: vertices are left cosets xH of the
     subgroup, with an edge {xH, yH} exactly when the inverse-product
-    x^-1 y lies in the connection set.
+    x^-1 y lies in the connection set, the union of the double cosets
+    HaH of the representatives a.
+
+    The group is enumerated as image rows, so its order counts against
+    ``element_cap``, and the cosets are the components of right
+    multiplication by H's generators on those rows.  Vertex 0 is H; the
+    other cosets are numbered breadth-first from it under the group's
+    generators in their given order.  H's neighbors are the orbits of
+    the representatives' cosets under H, and every other coset's
+    neighbors are its BFS parent's, moved by the generator between them.
 
     The left-multiplication action of the group is attached (as the
     induced permutation group on the cosets) and is vertex-transitive.
@@ -281,41 +243,64 @@ def build_coset_graph(
     for h in subgroup.generators:
         if h not in group:
             raise StructureError("subgroup is not contained in the group")
-    connection: set[Permutation] = set()
-    for rep in spec.representatives:
-        if rep in subgroup:
-            raise StructureError(
-                "connection set would contain the identity's double coset"
-            )
-        connection |= double_coset(subgroup, rep, cap=element_cap)
-    if not connection:
+    reps = _image_rows(spec.representatives, group.degree)
+    for i, rep in enumerate(spec.representatives):
+        if rep not in group:
+            raise StructureError(f"connection representative {i} is not in the group")
+    if not len(reps):
         raise StructureError("empty connection set")
-    if not is_inverse_closed(connection):
-        raise StructureError("connection set is not inverse-closed")
 
-    table = _CosetTable(group, subgroup, cap=max_cosets)
-    n = len(table.reps)
+    rows = group.element_array(element_cap)
+    table = _RowTable(rows)
+    h_rows = _image_rows(subgroup.generators, group.degree)
+    label = _component_minima(len(rows), [table.find(rows[:, h]) for h in h_rows])
+    minima = np.flatnonzero(label == np.arange(len(rows)))
+    n = len(minima)
+    if n > max_cosets:
+        raise SizeLimitError(f"coset enumeration exceeds cap {max_cosets}")
     if n * subgroup.order() != group.order():
         raise StructureError("coset count disagrees with the subgroup index")
+    # Each row's coset, numbered by the cosets' smallest rows: the
+    # identity is row 0, so H is coset 0.
+    coset = np.searchsorted(minima, label)
+    starts = coset[table.find(reps)]
+    if (starts == 0).any():
+        raise StructureError(
+            "connection set would contain the identity's double coset"
+        )
 
-    edges = []
-    for i in range(n):
-        inv = table.reps[i].inverse()
-        for j in range(i + 1, n):
-            if (inv * table.reps[j]) in connection:
-                edges.append((i, j))
-    graph = SimpleGraph(n, edges)
+    def induced(gen_rows: np.ndarray) -> list[np.ndarray]:
+        return [coset[table.find(g[rows[minima]])] for g in gen_rows]
 
-    induced_gens = []
-    for g in group.generators:
-        images = []
-        for rep in table.reps:
-            j = table.locate(g * rep)
-            assert j is not None
-            images.append(j)
-        induced_gens.append(Permutation(images))
-    induced = PermutationGroup(n, induced_gens)
-    case = make_transitive_case(induced, graph, base_vertex=0, cap=element_cap)
+    moves = induced(_image_rows(group.generators, group.degree))
+    targets = [move.tolist() for move in moves]
+    order, parent, via = [0], [0], [0]
+    position = [-1] * n
+    position[0] = 0
+    for k, c in enumerate(order):
+        for i, target in enumerate(targets):
+            d = target[c]
+            if position[d] < 0:
+                position[d] = len(order)
+                order.append(d)
+                parent.append(k)
+                via.append(i)
+    # From here on cosets carry their breadth-first numbers.
+    position = np.array(position)
+    coset, minima, starts = position[coset], minima[order], position[starts]
+    moves = [position[move[order]] for move in moves]
+    orbit = _component_minima(n, induced(h_rows))
+    neighbors = np.tile(np.flatnonzero(np.isin(orbit, orbit[starts])), (n, 1))
+    for j in range(1, n):
+        neighbors[j] = moves[via[j]][neighbors[parent[j]]]
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[np.arange(n)[:, None], neighbors] = True
+    if not np.array_equal(adjacency, adjacency.T):
+        raise StructureError("connection set is not inverse-closed")
+    graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)).tolist())
+
+    induced_group = PermutationGroup(n, [Permutation(m.tolist()) for m in moves])
+    case = make_transitive_case(induced_group, graph, base_vertex=0, cap=element_cap)
     return graph, case
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgap.casefile import realize_case
 from stabgap.catalog import builtin_cases
@@ -215,6 +216,116 @@ def test_coset_graph_round_trip_recovers_decomposition():
         set(cayley.connection.elements), cayley.stabilizer
     )
     assert len(recovered) == 2
+
+
+def test_coset_graph_rejects_representative_outside_group():
+    r = Permutation([1, 2, 3, 0])
+    swap = Permutation([1, 0, 2, 3])
+    trivial = PermutationGroup.trivial(4)
+    with pytest.raises(StructureError, match="representative 2 is not in the group"):
+        build_coset_graph(CosetGraphSpec(cyclic(4), trivial, (r, r.inverse(), swap)))
+    with pytest.raises(StructureError, match="representative 0 is not in the group"):
+        build_coset_graph(CosetGraphSpec(cyclic(4), trivial, (swap,)))
+
+
+def test_coset_graph_dihedral_150_is_two_cycles():
+    r = Permutation([(i + 1) % 150 for i in range(150)])
+    spec = CosetGraphSpec(
+        dihedral(150), PermutationGroup.trivial(150), (r, r.inverse())
+    )
+    graph, case = build_coset_graph(spec)
+    assert graph.n == 300 and graph.edge_count == 300
+    assert case.valency == 2 and graph.is_regular()
+    assert case.stabilizer.order() == 1
+    # A 2-regular graph is a disjoint union of cycles; find their sizes.
+    seen: set[int] = set()
+    sizes = []
+    for v in range(graph.n):
+        if v not in seen:
+            component, frontier = {v}, [v]
+            while frontier:
+                frontier = [
+                    w for u in frontier for w in graph.neighbors(u) if w not in component
+                ]
+                component.update(frontier)
+            seen |= component
+            sizes.append(len(component))
+    assert sizes == [150, 150]
+
+
+def test_coset_graph_klein_four_group_in_s6():
+    s6 = PermutationGroup(
+        6, [Permutation.from_cycles(6, (0, 1)), Permutation.from_cycles(6, range(6))]
+    )
+    klein = PermutationGroup(
+        6,
+        [
+            Permutation.from_cycles(6, (0, 1), (2, 3)),
+            Permutation.from_cycles(6, (0, 2), (1, 3)),
+        ],
+    )
+    reps = (Permutation.from_cycles(6, (0, 4)), Permutation.from_cycles(6, (4, 5)))
+    graph, case = build_coset_graph(CosetGraphSpec(s6, klein, reps))
+    assert graph.n == 180
+    assert graph.n * klein.order() == s6.order() == case.group.order()
+    assert graph.is_regular()
+
+
+def _reference_coset_graph(group, subgroup, reps):
+    """The coset graph by Permutation products: the coset of x is the set
+    {x*h}, cosets are found breadth-first from H, and {xH, yH} is an edge
+    when x^-1 y lies in the union of the double cosets HaH.  Returns the
+    expected StructureError message, or the edges and induced generators."""
+    h = subgroup.elements()
+    identity = Permutation.identity(group.degree)
+
+    def coset(x):
+        return frozenset(x * y for y in h)
+
+    if any(coset(a) == coset(identity) for a in reps):
+        return "identity's double coset"
+    s = {x * a * y for a in reps for x in h for y in h}
+    if any(x.inverse() not in s for x in s):
+        return "not inverse-closed"
+    xs, index = [identity], {coset(identity): 0}
+    for x in xs:
+        for g in group.generators:
+            if coset(g * x) not in index:
+                index[coset(g * x)] = len(xs)
+                xs.append(g * x)
+    n = len(xs)
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if xs[i].inverse() * xs[j] in s
+    ]
+    induced = PermutationGroup(
+        n, [Permutation([index[coset(g * x)] for x in xs]) for g in group.generators]
+    )
+    return edges, [g.images for g in induced.generators]
+
+
+_S4_PERMS = st.permutations(list(range(4))).map(Permutation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_S4_PERMS, min_size=1, max_size=2),
+    st.lists(_S4_PERMS, min_size=1, max_size=3),
+)
+def test_coset_graph_matches_pairwise_reference(subgroup_gens, reps):
+    s4 = PermutationGroup(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
+    subgroup = PermutationGroup(4, subgroup_gens)
+    expected = _reference_coset_graph(s4, subgroup, reps)
+    spec = CosetGraphSpec(s4, subgroup, tuple(reps))
+    if isinstance(expected, str):
+        with pytest.raises(StructureError, match=expected):
+            build_coset_graph(spec)
+        return
+    graph, case = build_coset_graph(spec)
+    assert graph.edges() == expected[0]
+    assert [g.images for g in case.group.generators] == expected[1]
 
 
 # -- canonical isomorphism -------------------------------------------------------
