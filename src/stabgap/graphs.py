@@ -251,7 +251,7 @@ def build_coset_graph(
         raise StructureError("empty connection set")
 
     rows = group.element_array(element_cap)
-    table = _RowTable(rows)
+    table = _RowTable._sorted(rows)
     h_rows = _image_rows(subgroup.generators, group.degree)
     label = _component_minima(len(rows), [table.find(rows[:, h]) for h in h_rows])
     minima = np.flatnonzero(label == np.arange(len(rows)))

@@ -168,11 +168,25 @@ class PermutationGroup:
         return len(self.orbit(0)) == self.degree
 
     def stabilizer(self, point: int) -> PermutationGroup:
-        """The point stabilizer, generated by Schreier generators.
+        """The point stabilizer.
+
+        At the first base point of the group's stabilizer chain it is the
+        group at the chain's second level: generated by the strong
+        generators of the deeper levels, which are its chain (shared, not
+        rebuilt).  At any other point it is generated by the Schreier
+        generators of the point's transversal.
 
         Satisfies the orbit-stabilizer identity
         order(self) == len(orbit(point)) * order(stabilizer(point)).
         """
+        chain = self._stabilizer_chain()
+        if chain and chain[0].basepoint == point:
+            deeper = chain[1:]
+            stab = PermutationGroup(
+                self.degree, [g for level in deeper for g in level.gens]
+            )
+            stab._chain = deeper
+            return stab
         t = self.transversal(point)
         gens: list[Permutation] = []
         seen: set[Permutation] = set()
@@ -313,9 +327,22 @@ class _RowTable:
     __slots__ = ("rows", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
-        self.rows = _sorted_distinct(_image_rows(elements, degree))
-        self.rows.setflags(write=False)
-        self._view = _row_view(self.rows)
+        rows = _sorted_distinct(_image_rows(elements, degree))
+        rows.setflags(write=False)
+        self._fill(rows)
+
+    @classmethod
+    def _sorted(cls, rows: np.ndarray) -> _RowTable:
+        """A table over read-only rows known to be distinct permutations in
+        lexicographic order, such as a group's ``element_array()``; they
+        are neither re-checked nor copied."""
+        table = object.__new__(cls)
+        table._fill(rows)
+        return table
+
+    def _fill(self, rows: np.ndarray) -> None:
+        self.rows = rows
+        self._view = _row_view(rows)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The index of each given row, or -1 where the row is missing."""

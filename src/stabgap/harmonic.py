@@ -181,8 +181,57 @@ class NormIdentityReport:
         return self.max_deviation <= self.tol
 
 
-def _scaled_gap(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
+#: Bytes of one block's largest working set: the scatter indices and
+#: values of its convolutions, or the random keys that pick its supports
+#: and their ranks.  The number of trials per block follows from it, so
+#: memory does not grow with the trial count or the group order.
+_BLOCK_BYTES = 1 << 20
+
+
+def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) over a block."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return float((np.abs(lhs - rhs) / scale).max())
+
+
+def _draws_by_keys(count: int, m: int) -> bool:
+    """Whether ``_random_supports`` picks m of count indices by random
+    keys.  Above m * m, a draw with replacement repeats no index with
+    probability above exp(-1/2), so redrawing rows with repeats is cheap."""
+    return count <= m * m
+
+
+def _random_supports(
+    rng: np.random.Generator, count: int, trials: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One random distribution on range(count) per trial: a row of m
+    distinct indices and a row of weights summing to 1 that are positive
+    on the first ``size`` indices and zero past them, for a size drawn
+    from 1..m.
+
+    The indices of a row come in random order, so its first ``size`` are
+    a uniform sample.  They are the m smallest of count random keys, or,
+    for a large count, a draw with replacement in which any row with a
+    repeated index is drawn again.
+    """
+    sizes = rng.integers(1, m + 1, size=trials)
+    if _draws_by_keys(count, m):
+        keys = rng.random((trials, count))
+        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1)
+        chosen = np.take_along_axis(chosen, order, axis=1)
+    else:
+        chosen = rng.integers(count, size=(trials, m))
+        while True:
+            ordered = np.sort(chosen, axis=1)
+            repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+            if not len(repeated):
+                break
+            chosen[repeated] = rng.integers(count, size=(len(repeated), m))
+    weights = rng.random((trials, m)) + 1e-9
+    weights[np.arange(m) >= sizes[:, None]] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    return chosen, weights
 
 
 def norm_identity_trials(
@@ -198,7 +247,13 @@ def norm_identity_trials(
     (``Permutation`` objects or image rows, such as ``element_array()``).
 
     Each identity is evaluated by two independent numerical routes and
-    the deviation is scaled to the operand magnitudes.
+    the deviation is scaled to the operand magnitudes.  The trials are
+    drawn and checked in blocks of whole arrays, as many trials per block
+    as fit ``_BLOCK_BYTES``.  A trial's group-side distribution has
+    between 1 and min(|G|, max_support) distinct support elements, held
+    as one row of ``m = min(|G|, max_support)`` indices whose weights are
+    zero past the support size; convolving by it scatters each weighted
+    value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)).
     """
     rows = _image_rows(group_elements, n)
     if not len(rows):
@@ -206,36 +261,47 @@ def norm_identity_trials(
     if len(_sorted_distinct(rows)) != len(rows):
         raise ValueError("group elements must be distinct")
     uniform = uniform_distribution(n)
+    m = min(len(rows), max_support)
+    # Per trial: m * n scatter indices and values, or |G| random keys and
+    # their ranks where ``_random_supports`` draws by keys; 8 bytes each.
+    keys = len(rows) if _draws_by_keys(len(rows), m) else 0
+    per_trial = 16 * max(m * n, keys)
+    block = max(1, _BLOCK_BYTES // per_trial)
     dev_shift = dev_center = dev_conv = dev_scale = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal(n)
-        f -= f.mean()
-        p = rng.random(n) + 1e-9
-        p /= p.sum()
-        c = abs(float(rng.standard_normal()))
+    for done in range(0, trials, block):
+        b = min(block, trials - done)
+        f = rng.standard_normal((b, n))
+        f -= f.mean(axis=1, keepdims=True)
+        p = rng.random((b, n)) + 1e-9
+        p /= p.sum(axis=1, keepdims=True)
+        c = np.abs(rng.standard_normal(b))
 
-        lhs = float(np.sum((f + uniform) ** 2))
-        rhs = float(np.sum(f**2)) + 1.0 / n
-        dev_shift = max(dev_shift, _scaled_gap(lhs, rhs))
+        lhs = np.sum((f + uniform) ** 2, axis=1)
+        rhs = np.sum(f**2, axis=1) + 1.0 / n
+        dev_shift = max(dev_shift, _scaled_gaps(lhs, rhs))
 
-        lhs = float(np.sum((p - uniform) ** 2))
-        rhs = float(np.sum(p**2)) - 1.0 / n
-        dev_center = max(dev_center, _scaled_gap(lhs, rhs))
+        lhs = np.sum((p - uniform) ** 2, axis=1)
+        rhs = np.sum(p**2, axis=1) - 1.0 / n
+        dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
 
-        size = int(rng.integers(1, min(len(rows), max_support) + 1))
-        chosen = rng.choice(len(rows), size=size, replace=False)
-        weights = rng.random(size) + 1e-9
-        weights /= weights.sum()
-        q = GroupFunction._trusted(rows[chosen], weights)
-        qp = q.convolve(p)
+        chosen, weights = _random_supports(rng, len(rows), b, m)
+        # Trial t's image of y under its j-th support element, offset into
+        # trial t's own stretch of the flattened (b, n) output.
+        targets = (rows[chosen] + (n * np.arange(b))[:, None, None]).ravel()
+
+        def convolve(v: np.ndarray) -> np.ndarray:
+            spread = (weights[:, :, None] * v[:, None, :]).ravel()
+            return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
+
+        qp = convolve(p)
         for sign in (1.0, -1.0):
-            lhs = float(np.linalg.norm(q.convolve(p + sign * uniform)))
-            rhs = float(np.linalg.norm(qp + sign * uniform))
-            dev_conv = max(dev_conv, _scaled_gap(lhs, rhs))
+            lhs = np.linalg.norm(convolve(p + sign * uniform), axis=1)
+            rhs = np.linalg.norm(qp + sign * uniform, axis=1)
+            dev_conv = max(dev_conv, _scaled_gaps(lhs, rhs))
 
-        lhs = float(np.linalg.norm(c * p))
-        rhs = c * float(np.linalg.norm(p))
-        dev_scale = max(dev_scale, _scaled_gap(lhs, rhs))
+        lhs = np.linalg.norm(c[:, None] * p, axis=1)
+        rhs = c * np.linalg.norm(p, axis=1)
+        dev_scale = max(dev_scale, _scaled_gaps(lhs, rhs))
     return NormIdentityReport(
         trials=trials,
         max_shift_deviation=dev_shift,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stabgap.casefile import realize_case
+from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
 from stabgap.groups import (
     ConnectionSet,
@@ -151,6 +153,21 @@ def test_orbit_stabilizer_identity():
         assert len(group.orbit(p)) * group.stabilizer(p).order() == group.order()
 
 
+@pytest.mark.parametrize("spec", builtin_cases(), ids=lambda spec: spec.name)
+def test_stabilizer_of_every_catalog_case(spec):
+    # The base vertex and the chain's first base point: where they differ
+    # (the Kneser and Johnson cases) both routes of ``stabilizer`` run.
+    group = realize_case(spec).group
+    rows = group.element_array()
+    for point in {0, group._stabilizer_chain()[0].basepoint}:
+        stab = group.stabilizer(point)
+        assert len(group.orbit(point)) * stab.order() == group.order()
+        assert all(g(point) == point for g in stab.generators)
+        fixing = rows[rows[:, point] == point]
+        assert stab.order() == len(fixing)
+        assert np.array_equal(stab.element_array(), fixing)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.permutations(list(range(5))), min_size=1, max_size=3))
 def test_orbit_stabilizer_identity_random(gen_images):
@@ -202,6 +219,12 @@ def test_row_order_and_lookup_at_two_byte_degree():
     assert rotation in connection
     empty = _RowTable(rows[:0])
     assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
+
+    # A group's own sorted rows make a table without a copy.
+    own = _RowTable._sorted(rows)
+    assert own.rows is rows
+    assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
+    assert own.find(missing).tolist() == [-1, 7]
 
 
 def brute_closure(degree, gens):

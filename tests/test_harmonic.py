@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabgap import harmonic
+from stabgap.groups import PermutationGroup
 from stabgap.harmonic import (
     GroupFunction,
     convolution_matches_matrix,
@@ -247,3 +249,100 @@ def test_norm_identity_trials_rows_match_permutations():
         norm_identity_trials(3, twice, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         norm_identity_trials(4, s3().element_array(), 1, np.random.default_rng(0))
+
+
+def s6():
+    return PermutationGroup(
+        6, [Permutation([1, 0, 2, 3, 4, 5]), Permutation([1, 2, 3, 4, 5, 0])]
+    )
+
+
+def assert_supports_valid(chosen, weights, count, m):
+    assert chosen.shape == weights.shape == (len(chosen), m)
+    assert ((0 <= chosen) & (chosen < count)).all()
+    ordered = np.sort(chosen, axis=1)
+    assert (ordered[:, 1:] != ordered[:, :-1]).all()
+    sizes = np.count_nonzero(weights, axis=1)
+    assert ((1 <= sizes) & (sizes <= min(count, m))).all()
+    # The support is a prefix of the row: positive weights, then zeros.
+    assert (weights[np.arange(m) < sizes[:, None]] > 0).all()
+    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+# |G| = 1, |G| below max_support, at the largest key draw (24 * 24), and
+# above it, where rows are drawn with replacement and redrawn.
+@pytest.mark.parametrize("count", [1, 5, 24, 576, 577, 40320])
+def test_random_supports_are_distinct_and_sized(count):
+    m = min(count, 24)
+    chosen, weights = harmonic._random_supports(
+        np.random.default_rng(count), count, 500, m
+    )
+    assert_supports_valid(chosen, weights, count, m)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.arange(3)[None, :],
+        s3().element_array(),
+        s6().element_array(),
+    ],
+    ids=["order-1", "order-6", "order-720"],
+)
+def test_norm_identity_trials_in_uneven_blocks(monkeypatch, rows):
+    # A budget of a few trials per block, and a trial count that is not
+    # a multiple of the block size: every trial is drawn once, in full
+    # blocks but the last, and every support is distinct and sized.
+    n, count = rows.shape[1], len(rows)
+    m = min(count, 24)
+    monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 7 * 16 * max(m * n, count))
+    draws = []
+    random_supports = harmonic._random_supports
+
+    def recording(*args):
+        draws.append(random_supports(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(harmonic, "_random_supports", recording)
+    report = norm_identity_trials(n, rows, 51, np.random.default_rng(31))
+    assert report.ok and report.trials == 51
+    blocks = [len(chosen) for chosen, _ in draws]
+    assert 51 % blocks[0] and len(blocks) == -(-51 // blocks[0]) > 1
+    assert blocks == [blocks[0]] * (len(blocks) - 1) + [51 % blocks[0]]
+    for chosen, weights in draws:
+        assert_supports_valid(chosen, weights, count, m)
+
+
+def test_norm_identity_zero_trials():
+    report = norm_identity_trials(3, s3().element_array(), 0, np.random.default_rng(0))
+    assert report.trials == 0
+    assert report.max_deviation == 0.0 and report.ok
+
+
+def test_norm_identity_trials_build_no_element_objects(monkeypatch):
+    # The trials draw and convolve whole blocks of rows; no per-trial
+    # GroupFunction or Permutation is built.
+    case = petersen_case()
+    rows = case.group.element_array()
+    built = []
+
+    def count(name, original):
+        def counting(*args, **kwargs):
+            built.append(name)
+            return original(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(
+        GroupFunction, "_trusted",
+        classmethod(count("GroupFunction", GroupFunction._trusted.__func__)),
+    )
+    monkeypatch.setattr(
+        Permutation, "_trusted",
+        classmethod(count("Permutation", Permutation._trusted.__func__)),
+    )
+    monkeypatch.setattr(
+        Permutation, "__init__", count("Permutation", Permutation.__init__)
+    )
+    report = norm_identity_trials(case.graph.n, rows, 1000, np.random.default_rng(37))
+    assert report.ok
+    assert built == []
