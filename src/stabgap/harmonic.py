@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (
-    ConnectionSet, _Elements, _image_rows, _permutations, _sorted_distinct,
+    DEFAULT_ELEMENT_CAP,
+    ConnectionSet,
+    PermutationGroup,
+    _Elements,
+    _image_rows,
+    _permutations,
+    _sorted_distinct,
 )
 from .perms import Permutation
 from .spectral import BipartiteAdjacency
@@ -83,6 +89,19 @@ class GroupFunction:
             )
         return self.weights @ v[self._inverse_rows]
 
+    def operator(self) -> np.ndarray:
+        """The n x n matrix K of convolving by mu, so that K @ v is
+        ``convolve(v)``: K[x, y] = sum_g mu(g) [g^-1(x) = y].
+
+        One scatter of every support element's weight to the cells
+        (x, g^-1(x)); exact for integer weights such as ``indicator``'s.
+        """
+        n = self.degree
+        # x*n + g^-1(x) is formed in int64, never in the rows' small dtype.
+        cells = (np.arange(n) * n + self._inverse_rows.astype(np.int64)).ravel()
+        spread = np.repeat(self.weights, n)
+        return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
+
 
 def point_mass(vertex: int, n: int) -> np.ndarray:
     if not 0 <= vertex < n:
@@ -132,26 +151,36 @@ def convolution_matches_matrix(
     """Check that convolving by the indicator of the connection set is
     exactly the linear map of the bipartite matrix.
 
-    The matrix applies through its transpose (summing the matrix column
-    at the output vertex), which coincides with the plain product by
-    symmetry.  Integer inputs must match exactly; real inputs within
-    rel_tol scaled to the operand magnitude.
+    The indicator's operator K (``GroupFunction.operator``) is built
+    once and applied to ``trials`` integer probes and ``trials`` real
+    probes, each set drawn as one block with the rows in the order of
+    one-at-a-time draws.  The matrix applies through its transpose
+    (probe rows times the matrix), which coincides with the plain product
+    by symmetry.  Integer probes must match exactly; each real probe
+    within rel_tol scaled to its operands' magnitude.  Both blocks are
+    drawn whatever the verdict, so the generator's state afterwards does
+    not depend on it.
     """
     chi = indicator(connection)
-    transposed = adjacency.float_matrix.T
     n = adjacency.n
-    for _ in range(trials):
-        f = rng.integers(-9, 10, size=n).astype(float)
-        if not np.array_equal(chi.convolve(f), transposed @ f):
-            return False
-    for _ in range(trials):
-        f = rng.standard_normal(n)
-        lhs = chi.convolve(f)
-        rhs = transposed @ f
-        scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        if float(np.abs(lhs - rhs).max()) > rel_tol * scale:
-            return False
-    return True
+    if chi.degree != n:
+        raise ValueError(
+            f"connection degree {chi.degree} does not match matrix size {n}"
+        )
+    integer = rng.integers(-9, 10, size=(trials, n)).astype(float)
+    real = rng.standard_normal((trials, n))
+    if not trials:
+        return True
+    kernel_t = chi.operator().T
+    matrix = adjacency.float_matrix
+    if not np.array_equal(integer @ kernel_t, integer @ matrix):
+        return False
+    lhs = real @ kernel_t
+    rhs = real @ matrix
+    scale = np.maximum(
+        1.0, np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
+    )
+    return bool((np.abs(lhs - rhs).max(axis=1) <= rel_tol * scale).all())
 
 
 @dataclass(frozen=True)
@@ -236,15 +265,17 @@ def _random_supports(
 
 def norm_identity_trials(
     n: int,
-    group_elements: _Elements,
+    group_elements: _Elements | PermutationGroup,
     trials: int,
     rng: np.random.Generator,
     tol: float = 1e-12,
     max_support: int = 24,
+    element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> NormIdentityReport:
     """Randomized check of the four norm identities, with the group-side
-    distribution supported on random subsets of the supplied elements
-    (``Permutation`` objects or image rows, such as ``element_array()``).
+    distribution supported on random subsets of the supplied elements:
+    ``Permutation`` objects or image rows, which are checked, or a group,
+    whose ``element_array(element_cap)`` is read as it is.
 
     Each identity is evaluated by two independent numerical routes and
     the deviation is scaled to the operand magnitudes.  The trials are
@@ -255,11 +286,16 @@ def norm_identity_trials(
     zero past the support size; convolving by it scatters each weighted
     value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)).
     """
-    rows = _image_rows(group_elements, n)
-    if not len(rows):
-        raise ValueError("need at least one group element")
-    if len(_sorted_distinct(rows)) != len(rows):
-        raise ValueError("group elements must be distinct")
+    if isinstance(group_elements, PermutationGroup):
+        if group_elements.degree != n:
+            raise ValueError(f"degree mismatch: {group_elements.degree} vs {n}")
+        rows = group_elements.element_array(element_cap)
+    else:
+        rows = _image_rows(group_elements, n)
+        if not len(rows):
+            raise ValueError("need at least one group element")
+        if len(_sorted_distinct(rows)) != len(rows):
+            raise ValueError("group elements must be distinct")
     uniform = uniform_distribution(n)
     m = min(len(rows), max_support)
     # Per trial: m * n scatter indices and values, or |G| random keys and

@@ -310,9 +310,10 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     )
     identity_report = norm_identity_trials(
         n,
-        case.group.element_array(options.max_group_order),
+        case.group,
         options.identity_trials,
         rng,
+        element_cap=options.max_group_order,
     )
     cauchy = cauchy_schwarz_step(case)
     chain = evaluate_chain(case, adjacency, lambda2)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stabgap import harmonic
+from stabgap.errors import SizeLimitError
 from stabgap.groups import PermutationGroup
 from stabgap.harmonic import (
     GroupFunction,
@@ -14,7 +15,7 @@ from stabgap.harmonic import (
     uniform_on,
 )
 from stabgap.perms import Permutation
-from stabgap.spectral import build_bipartite
+from stabgap.spectral import BipartiteAdjacency, build_bipartite
 
 from cases import petersen_case, s3, triangle_case
 
@@ -131,6 +132,7 @@ def test_matrix_consistency_point_mass_triangle():
     pv = point_mass(0, 3)
     assert np.array_equal(chi.convolve(pv), adj.matrix.T.astype(float) @ pv)
     assert chi.convolve(pv).tolist() == [0.0, 2.0, 2.0]
+    assert np.array_equal(chi.operator(), adj.matrix.T)
 
 
 def test_matrix_consistency_all_ones_gives_regular_degree():
@@ -158,6 +160,56 @@ def test_matrix_consistency_detects_wrong_matrix():
     wrong = build_bipartite(rotation_case.connection, 3)
     rng = np.random.default_rng(19)
     assert not convolution_matches_matrix(case.connection, wrong, 20, rng)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100])
+@pytest.mark.parametrize("make_case", [triangle_case, petersen_case])
+def test_matrix_consistency_draws_probe_blocks(make_case, trials):
+    # The probes come from the same stream as one-at-a-time draws: all
+    # integer vectors, then all normal vectors.  What follows (the
+    # lemma-4 trials in the pipeline) starts where they end, whatever
+    # the verdict.
+    case = make_case()
+    n = case.graph.n
+    right = build_bipartite(case.connection, n)
+    wrong = BipartiteAdjacency(right.matrix + np.eye(n, dtype=np.int64))
+    for adj, verdict in ((right, True), (wrong, False)):
+        rng = np.random.default_rng(trials)
+        assert convolution_matches_matrix(case.connection, adj, trials, rng) is verdict
+        expected = np.random.default_rng(trials)
+        for _ in range(trials):
+            expected.integers(-9, 10, size=n)
+        for _ in range(trials):
+            expected.standard_normal(n)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random() == expected.random()
+
+
+def test_matrix_consistency_convolves_no_vector(monkeypatch):
+    # eq2 applies the indicator's operator to whole probe blocks; it
+    # never convolves one vector at a time.
+    calls = []
+    convolve = GroupFunction.convolve
+
+    def counting(self, values):
+        calls.append(1)
+        return convolve(self, values)
+
+    monkeypatch.setattr(GroupFunction, "convolve", counting)
+    case = petersen_case()
+    adj = build_bipartite(case.connection, case.graph.n)
+    assert convolution_matches_matrix(case.connection, adj, 10, np.random.default_rng(0))
+    assert not calls
+
+
+def test_matrix_consistency_zero_trials_and_degree_mismatch():
+    triangle, petersen = triangle_case(), petersen_case()
+    adj = build_bipartite(petersen.connection, petersen.graph.n)
+    rng = np.random.default_rng(0)
+    assert convolution_matches_matrix(petersen.connection, adj, 0, rng)
+    for trials in (0, 5):
+        with pytest.raises(ValueError, match="degree"):
+            convolution_matches_matrix(triangle.connection, adj, trials, rng)
 
 
 # -- norm identities -----------------------------------------------------------
@@ -211,6 +263,15 @@ def test_group_function_from_rows_matches_permutations_random(images, seed):
     assert [g.images for g in from_rows.perms] == [tuple(p) for p in images]
     assert not from_rows.rows.flags.writeable
     assert from_rows.convolve(f).tobytes() == from_perms.convolve(f).tobytes()
+    # The operator applies the same sum, in another order.
+    conv = from_rows.convolve(f)
+    via_operator = from_rows.operator() @ f
+    scale = max(1.0, np.abs(conv).max(), np.abs(via_operator).max())
+    assert np.abs(via_operator - conv).max() <= 1e-12 * scale
+    # An indicator's operator is exact on integer vectors.
+    chi = indicator(np.array(images))
+    v = rng.integers(-9, 10, size=4).astype(float)
+    assert np.array_equal(chi.operator() @ v, chi.convolve(v))
 
 
 def test_group_function_rows_are_checked():
@@ -241,14 +302,41 @@ def test_norm_identity_trials_rows_match_permutations():
             norm_identity_trials(
                 case.graph.n, elements, 200, np.random.default_rng(29)
             )
-            for elements in (case.group.element_array(), case.group.elements())
+            for elements in (
+                case.group.element_array(),
+                case.group.elements(),
+                case.group,
+            )
         ]
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
     with pytest.raises(ValueError, match="distinct"):
         twice = [Permutation.identity(3)] * 2
         norm_identity_trials(3, twice, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         norm_identity_trials(4, s3().element_array(), 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="degree"):
+        norm_identity_trials(4, s3(), 1, np.random.default_rng(0))
+    with pytest.raises(SizeLimitError):
+        norm_identity_trials(3, s3(), 1, np.random.default_rng(0), element_cap=5)
+
+
+def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
+    # A group's element_array() is distinct and sorted by construction,
+    # so it is neither re-checked nor copied; outside rows still are.
+    def refuse(*args, **kwargs):
+        raise AssertionError("group rows re-checked")
+
+    monkeypatch.setattr(harmonic, "_image_rows", refuse)
+    monkeypatch.setattr(harmonic, "_sorted_distinct", refuse)
+    case = petersen_case()
+    report = norm_identity_trials(
+        case.graph.n, case.group, 50, np.random.default_rng(0)
+    )
+    assert report.ok and report.trials == 50
+    with pytest.raises(AssertionError, match="re-checked"):
+        norm_identity_trials(
+            case.graph.n, case.group.element_array(), 1, np.random.default_rng(0)
+        )
 
 
 def s6():
