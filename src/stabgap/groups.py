@@ -13,6 +13,12 @@ alone, composed a whole array at a time by fancy indexing, and sorted,
 deduplicated and looked up through ``_row_view``, whose values sort as the
 rows do.  ``Permutation`` objects are built from rows only where a caller
 asks for them.
+
+A connection set finds its elements' inverses once, as the argsort of its
+rows, and keeps them as ``ConnectionSet.inverse_rows``.  Its H-double-coset
+split then looks up right products only: with S = S^-1 and S*h inside S
+for each generator h, h*s = (s^-1 * h^-1)^-1 is in S too, and the left
+moves are read off the right ones through the inverses.
 """
 
 from __future__ import annotations
@@ -353,10 +359,11 @@ class _RowTable:
         return np.where(hit, at, -1)
 
 
-def _inverse_closed(table: _RowTable) -> bool:
-    # argsort of a row of images is the row of the inverse's images.
-    inverses = np.argsort(table.rows, axis=1, kind="stable")
-    return bool((table.find(inverses) >= 0).all())
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """Row i holds the images of the inverse of row i: argsort of a row of
+    images is its inverse (kind="stable" is a radix sort on the small
+    unsigned dtypes)."""
+    return np.argsort(rows, axis=1, kind="stable")
 
 
 def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
@@ -379,17 +386,37 @@ def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
         label = new
 
 
-def _double_coset_split(table: _RowTable, h: PermutationGroup) -> list[Permutation]:
+def _double_coset_split(
+    table: _RowTable, h: PermutationGroup, inverse: np.ndarray | None = None
+) -> list[Permutation]:
+    """The smallest element of each H-double coset of the table's set, in
+    increasing order; StructureError unless the set is a union of them.
+
+    ``inverse``, the index of each element's inverse, is given only for an
+    inverse-closed set.  Then closure under right products by the
+    generators is the whole check: h*s = (s^-1 * h^-1)^-1 lies in the set
+    for every h in H.  The right move s -> s*h read through the inverses
+    is s -> h^-1 * s, whose edges are those of left multiplication, so no
+    left product is looked up.  Without ``inverse`` both sides are.
+    """
+
+    def move(products: np.ndarray) -> np.ndarray:
+        found = table.find(products)
+        if (found < 0).any():
+            raise StructureError(
+                "set is not a union of full double cosets of the subgroup"
+            )
+        return found
+
     moves = []
     for g in h.generators:
         g_row = np.array(g.images, dtype=table.rows.dtype)
-        for product in (g_row[table.rows], table.rows[:, g_row]):
-            found = table.find(product)
-            if (found < 0).any():
-                raise StructureError(
-                    "set is not a union of full double cosets of the subgroup"
-                )
-            moves.append(found)
+        right = move(table.rows[:, g_row])
+        if inverse is None:
+            left = move(g_row[table.rows])
+        else:
+            left = inverse[right[inverse]]
+        moves += [left, right]
     label = _component_minima(len(table.rows), moves)
     return list(_permutations(table.rows[label == np.arange(len(label))]))
 
@@ -398,7 +425,8 @@ def is_inverse_closed(elements: _Elements) -> bool:
     """True iff the set contains the inverse of each of its elements.
 
     The elements must share one degree."""
-    return _inverse_closed(_RowTable(elements))
+    table = _RowTable(elements)
+    return bool((table.find(_inverse_rows(table.rows)) >= 0).all())
 
 
 def double_coset(
@@ -438,9 +466,12 @@ def double_coset_representatives(
     The set is a union of full H-double cosets exactly when it is closed
     under multiplication by each generator of H on either side; the
     double cosets are then the components of the graph those products
-    draw on the set.
+    draw on the set.  For an inverse-closed set only the right products
+    are looked up (see ``_double_coset_split``).
     """
-    return _double_coset_split(_RowTable(elements, h.degree), h)
+    table = _RowTable(elements, h.degree)
+    inverse = table.find(_inverse_rows(table.rows))
+    return _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)
 
 
 class ConnectionSet:
@@ -448,14 +479,29 @@ class ConnectionSet:
 
     The elements, ``Permutation`` objects or image rows, are held as the
     read-only ``rows``, distinct and in lexicographic order; ``elements``
-    builds them as ``Permutation`` objects on first use.  Inverse closure
-    is checked on construction, and H-bi-invariance is decided by
-    splitting the set into its H-double cosets; the split is kept as
+    builds them as ``Permutation`` objects on first use.
+
+    Inverse closure is checked on construction, by one pass that finds
+    every element's inverse; the inverses' images are kept as the
+    read-only ``inverse_rows`` (row i is the inverse of row i, int64,
+    8*|S|*n bytes), which group functions on the set read instead of
+    computing them again.  H-bi-invariance is then decided by splitting
+    the set into its H-double cosets with right products only: S*h
+    inside S for each generator h, together with S = S^-1, puts
+    h*s = (s^-1 * h^-1)^-1 in S as well.  The split is kept as
     ``representatives`` (the smallest element of each double coset, in
     increasing order).
     """
 
-    __slots__ = ("degree", "subgroup", "rows", "representatives", "_table", "_elements")
+    __slots__ = (
+        "degree",
+        "subgroup",
+        "rows",
+        "inverse_rows",
+        "representatives",
+        "_table",
+        "_elements",
+    )
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
         table = _RowTable(elements, subgroup.degree)
@@ -464,10 +510,14 @@ class ConnectionSet:
         self.rows = table.rows
         self._table = table
         self._elements: tuple[Permutation, ...] | None = None
-        if not _inverse_closed(table):
+        inverse_rows = _inverse_rows(table.rows)
+        inverse = table.find(inverse_rows)
+        if (inverse < 0).any():
             raise StructureError("connection set is not inverse-closed")
+        inverse_rows.setflags(write=False)
+        self.inverse_rows = inverse_rows
         try:
-            reps = _double_coset_split(table, subgroup)
+            reps = _double_coset_split(table, subgroup, inverse)
         except StructureError:
             raise StructureError(
                 "connection set is not bi-invariant under the subgroup"

@@ -22,6 +22,7 @@ from .groups import (
     PermutationGroup,
     _Elements,
     _image_rows,
+    _inverse_rows,
     _permutations,
     _sorted_distinct,
 )
@@ -48,13 +49,18 @@ class GroupFunction:
         self._fill(rows, weights)
 
     @classmethod
-    def _trusted(cls, rows: np.ndarray, weights) -> GroupFunction:
-        """A group function on rows known to be distinct permutations."""
+    def _trusted(
+        cls, rows: np.ndarray, weights, inverse_rows: np.ndarray | None = None
+    ) -> GroupFunction:
+        """A group function on rows known to be distinct permutations,
+        with their inverses' rows if those are known already."""
         mu = object.__new__(cls)
-        mu._fill(rows, weights)
+        mu._fill(rows, weights, inverse_rows)
         return mu
 
-    def _fill(self, rows: np.ndarray, weights) -> None:
+    def _fill(
+        self, rows: np.ndarray, weights, inverse_rows: np.ndarray | None = None
+    ) -> None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(rows),):
             raise ValueError(
@@ -65,10 +71,10 @@ class GroupFunction:
         self.rows = rows
         self.weights = w
         self.weights.setflags(write=False)
-        # Row i holds the images of the inverse of support permutation i;
-        # argsort of a permutation's image array is exactly its inverse
-        # (kind="stable" is a radix sort on the small unsigned dtypes).
-        self._inverse_rows = np.argsort(rows, axis=1, kind="stable")
+        # Row i holds the images of the inverse of support permutation i.
+        self._inverse_rows = (
+            _inverse_rows(rows) if inverse_rows is None else inverse_rows
+        )
 
     @property
     def perms(self) -> tuple[Permutation, ...]:
@@ -117,28 +123,33 @@ def uniform_distribution(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _support(elements: _Elements) -> np.ndarray:
-    """A connection set's rows as they are, else the distinct rows, sorted."""
+def _support(elements: _Elements) -> tuple[np.ndarray, np.ndarray | None]:
+    """A connection set's rows and inverse rows as they are, else the
+    distinct rows, sorted, whose inverses are not known yet."""
     if isinstance(elements, ConnectionSet):
-        rows = elements.rows
+        rows, inverse_rows = elements.rows, elements.inverse_rows
     else:
-        rows = _sorted_distinct(_image_rows(elements))
+        rows, inverse_rows = _sorted_distinct(_image_rows(elements)), None
     if not len(rows):
         raise ValueError("empty set")
-    return rows
+    return rows, inverse_rows
 
 
 def indicator(elements: _Elements) -> GroupFunction:
-    """The characteristic function of a set of permutations."""
-    rows = _support(elements)
-    return GroupFunction._trusted(rows, np.ones(len(rows)))
+    """The characteristic function of a set of permutations.  On a
+    ``ConnectionSet`` it shares the set's rows and ``inverse_rows``."""
+    rows, inverse_rows = _support(elements)
+    return GroupFunction._trusted(rows, np.ones(len(rows)), inverse_rows)
 
 
 def uniform_on(elements: _Elements) -> GroupFunction:
     """The uniform probability distribution on a set of permutations;
-    its norm is 1/sqrt(set size)."""
-    rows = _support(elements)
-    return GroupFunction._trusted(rows, np.full(len(rows), 1.0 / len(rows)))
+    its norm is 1/sqrt(set size).  On a ``ConnectionSet`` it shares the
+    set's rows and ``inverse_rows``."""
+    rows, inverse_rows = _support(elements)
+    return GroupFunction._trusted(
+        rows, np.full(len(rows), 1.0 / len(rows)), inverse_rows
+    )
 
 
 def convolution_matches_matrix(
@@ -284,7 +295,8 @@ def norm_identity_trials(
     between 1 and min(|G|, max_support) distinct support elements, held
     as one row of ``m = min(|G|, max_support)`` indices whose weights are
     zero past the support size; convolving by it scatters each weighted
-    value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)).
+    value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)), for
+    the drawn support elements only.
     """
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
@@ -298,8 +310,9 @@ def norm_identity_trials(
             raise ValueError("group elements must be distinct")
     uniform = uniform_distribution(n)
     m = min(len(rows), max_support)
-    # Per trial: m * n scatter indices and values, or |G| random keys and
-    # their ranks where ``_random_supports`` draws by keys; 8 bytes each.
+    # Per trial: at most m * n scatter indices and values, or |G| random
+    # keys and their ranks where ``_random_supports`` draws by keys; 8
+    # bytes each.
     keys = len(rows) if _draws_by_keys(len(rows), m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
@@ -321,12 +334,16 @@ def norm_identity_trials(
         dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
 
         chosen, weights = _random_supports(rng, len(rows), b, m)
+        # The drawn support entries (t, j), row-major: the zero weights
+        # past each support size would only add +-0.0 to the sums.
+        trial, j = np.nonzero(weights)
+        drawn = weights[trial, j]
         # Trial t's image of y under its j-th support element, offset into
         # trial t's own stretch of the flattened (b, n) output.
-        targets = (rows[chosen] + (n * np.arange(b))[:, None, None]).ravel()
+        targets = (rows[chosen[trial, j]] + (n * trial)[:, None]).ravel()
 
         def convolve(v: np.ndarray) -> np.ndarray:
-            spread = (weights[:, :, None] * v[:, None, :]).ravel()
+            spread = (drawn[:, None] * v[trial]).ravel()
             return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
 
         qp = convolve(p)

@@ -466,6 +466,62 @@ def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, r
     for p in itertools.permutations(range(4)):
         g = Permutation(p)
         assert (g in from_rows) == (g in from_perms) == (g in s)
+    # Dropping any one element: right closure plus inverse closure reject
+    # exactly the sets that are not inverse-closed unions of double
+    # cosets, a dropped involution (still inverse-closed) included.
+    for x in s:
+        rest = s - {x}
+        valid = all(t.inverse() in rest for t in rest) and all(
+            a * t * b in rest for t in rest for a in h_elements for b in h_elements
+        )
+        if valid:
+            assert ConnectionSet(rest, h).elements == tuple(sorted(rest))
+        else:
+            with pytest.raises(StructureError):
+                ConnectionSet(rest, h)
+
+
+def test_connection_set_looks_up_right_products_only(monkeypatch):
+    # One lookup of the inverses, then one of S*h per generator h of the
+    # stabilizer; h*S follows from S*h and S = S^-1 and is never looked up.
+    group, pairs, idx = pair_action_s5()
+    stab = group.stabilizer(idx[(0, 1)])
+    gens = len(stab.generators)
+    assert gens >= 2
+    rows = group.element_array()
+    s = rows[rows[:, idx[(0, 1)]] != idx[(0, 1)]]
+    calls = []
+    find = _RowTable.find
+
+    def counting(self, products):
+        calls.append(len(products))
+        return find(self, products)
+
+    monkeypatch.setattr(_RowTable, "find", counting)
+    conn = ConnectionSet(s, stab)
+    assert calls == [len(s)] * (1 + gens)
+    assert len(conn.representatives) == 2
+
+    calls.clear()
+    assert double_coset_representatives(s, stab) == list(conn.representatives)
+    assert len(calls) == 1 + gens
+    # A double coset that is not inverse-closed has its left products
+    # looked up too: H = <(3 4)> commutes with the 3-cycle a.
+    a, t = Permutation([1, 2, 0, 3, 4]), Permutation([0, 1, 2, 4, 3])
+    calls.clear()
+    assert double_coset_representatives({a, a * t}, PermutationGroup(5, [t])) == [a]
+    assert len(calls) == 1 + 2
+
+
+def test_connection_set_keeps_its_inverse_rows():
+    group, pairs, idx = pair_action_s5()
+    stab = group.stabilizer(idx[(0, 1)])
+    rows = group.element_array()
+    conn = ConnectionSet(rows[rows[:, idx[(0, 1)]] != idx[(0, 1)]], stab)
+    assert np.array_equal(conn.inverse_rows, np.argsort(conn.rows, axis=1))
+    assert not conn.inverse_rows.flags.writeable
+    inverses = conn.contains_rows(conn.inverse_rows)
+    assert inverses.all() and len(inverses) == len(conn)
 
 
 def test_element_rows_are_checked():

@@ -434,3 +434,14 @@ def test_norm_identity_trials_build_no_element_objects(monkeypatch):
     report = norm_identity_trials(case.graph.n, rows, 1000, np.random.default_rng(37))
     assert report.ok
     assert built == []
+
+
+def test_group_functions_on_a_connection_set_share_its_inverse_rows():
+    for case in [triangle_case(), petersen_case()]:
+        conn = case.connection
+        inverse_rows = np.argsort(conn.rows, axis=1)
+        for mu in (indicator(conn), uniform_on(conn)):
+            assert mu._inverse_rows is conn.inverse_rows
+            assert np.array_equal(mu._inverse_rows, inverse_rows)
+        # Other supports still find their inverses themselves.
+        assert np.array_equal(indicator(conn.rows)._inverse_rows, inverse_rows)
