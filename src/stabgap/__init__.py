@@ -12,7 +12,6 @@ from .groups import (
     ConnectionSet,
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
-    double_coset,
     double_coset_representatives,
     is_inverse_closed,
 )

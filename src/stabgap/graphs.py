@@ -28,6 +28,7 @@ from .groups import (
     _RowTable,
     _component_minima,
     _image_rows,
+    _inverse_rows,
 )
 from .perms import Permutation
 
@@ -333,12 +334,11 @@ def sabidussi_isomorphism(case: TransitiveCase) -> SabidussiResult:
     n, v, connection = case.graph.n, case.base_vertex, case.connection
     if not all(h in connection.subgroup for h in case.stabilizer.generators):
         raise StructureError("connection set is not split over the stabilizer")
-    transversal = case.group.transversal(v)
-    if len(transversal) != n:
+    t = case.group.transversal(v)
+    if len(t) != n:
         return SabidussiResult(False, (v, v))
-    t = _image_rows([transversal[w] for w in range(n)], n)
-    t_inv = np.empty_like(t)
-    t_inv[np.arange(n)[:, None], t] = np.arange(n, dtype=t.dtype)
+    t = t[np.argsort(t[:, v])]
+    t_inv = _inverse_rows(t)
     adjacency = np.zeros((n, n), dtype=bool)
     u, w = np.array(case.graph.edges(), dtype=np.intp).reshape(-1, 2).T
     adjacency[u, w] = adjacency[w, u] = True
@@ -418,12 +418,8 @@ def local_action(case: TransitiveCase) -> LocalActionReport:
         ],
     ) if k else PermutationGroup.trivial(1)
 
-    seen: set[int] = set()
-    orbit_count = 0
-    for i in range(k):
-        if i not in seen:
-            orbit_count += 1
-            seen.update(induced.orbit(i))
+    orbits = _component_minima(k, _image_rows(induced.generators, induced.degree))
+    orbit_count = int((orbits == np.arange(k)).sum())
     locally_transitive = orbit_count == 1
 
     block_system = None

@@ -14,6 +14,14 @@ deduplicated and looked up through ``_row_view``, whose values sort as the
 rows do.  ``Permutation`` objects are built from rows only where a caller
 asks for them.
 
+The stabilizer chain is held in the same layout (Seress, *Permutation
+Group Algorithms*, 2003): each level keeps its strong generators, its
+transversal and the transversal's inverses as rows.  One breadth-first
+routine (``_transversal``) grows every orbit and transversal, one batched
+``_sift`` strips rows through the chain, and ``_schreier`` forms a whole
+level's Schreier generators at once; ``element_array`` composes the
+levels' transversal rows.
+
 A connection set finds its elements' inverses once, as the argsort of its
 rows, and keeps them as ``ConnectionSet.inverse_rows``.  Its H-double-coset
 split then looks up right products only: with S = S^-1 and S*h inside S
@@ -87,38 +95,96 @@ def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
     return tuple([Permutation._trusted(tuple(row.tolist())) for row in rows])
 
 
-def _transversal(
-    point: int, degree: int, gens: Sequence[Permutation]
-) -> dict[int, Permutation]:
-    """Map q -> u_q with u_q(point) = q, grown breadth-first with the
-    generators in their given order."""
-    t = {point: Permutation.identity(degree)}
-    queue = [point]
-    while queue:
-        p = queue.pop(0)
-        rep = t[p]
-        for g in gens:
-            q = g(p)
-            if q not in t:
-                t[q] = g * rep
-                queue.append(q)
-    return t
+def _inverse_rows(rows: np.ndarray) -> np.ndarray:
+    """Row i holds the images of the inverse of row i: argsort of a row of
+    images is its inverse (kind="stable" is a radix sort on the small
+    unsigned dtypes)."""
+    return np.argsort(rows, axis=1, kind="stable")
+
+
+def _transversal(point: int, gen_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transversal of the point's orbit under the generator rows:
+    ``reps``, one row u_q with u_q(point) = q per orbit point q, and
+    ``index``, the row of u_q at q (-1 off the orbit).
+
+    The orbit is grown breadth-first with the generators in their given
+    order, u_q = g * u_p for the first generator g that reaches q.  The
+    breadth-first tree (each point's parent and generator) is walked on
+    Python ints; the rows are then composed one layer at a time, so the
+    work is one gather per layer, not one product per point."""
+    degree = gen_rows.shape[1]
+    images = gen_rows.tolist()
+    index = [-1] * degree
+    index[point] = 0
+    orbit, parent, via = [point], [0], [0]
+    layers = [0, 1]
+    while layers[-2] < layers[-1]:
+        for at in range(layers[-2], layers[-1]):
+            for i, g in enumerate(images):
+                q = g[orbit[at]]
+                if index[q] < 0:
+                    index[q] = len(orbit)
+                    orbit.append(q)
+                    parent.append(at)
+                    via.append(i)
+        layers.append(len(orbit))
+    parent, via = np.array(parent), np.array(via)
+    reps = np.empty((len(orbit), degree), dtype=gen_rows.dtype)
+    reps[0] = np.arange(degree)
+    for a, b in zip(layers[1:], layers[2:]):
+        reps[a:b] = gen_rows[via[a:b, None], reps[parent[a:b]]]
+    return reps, np.array(index)
 
 
 class _ChainLevel:
     """One level of a stabilizer chain: a base point, the strong generators
-    assigned to this level (they fix all earlier base points and move this
-    one), and a transversal for the base point's orbit under the group at
-    this level."""
+    assigned to this level as rows (they fix all earlier base points and
+    move this one), and the transversal of the base point's orbit under
+    the group at this level: its ``reps`` and ``index`` (see
+    ``_transversal``) and the reps' inverses."""
 
-    __slots__ = ("basepoint", "gens", "transversal")
+    __slots__ = ("basepoint", "gens", "reps", "index", "inverse")
 
-    def __init__(self, basepoint: int, degree: int):
+    def __init__(self, basepoint: int, gen_rows: np.ndarray):
         self.basepoint = basepoint
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {
-            basepoint: Permutation.identity(degree)
-        }
+        self.gens = gen_rows[:0]
+        self.span(gen_rows)
+
+    def span(self, gen_rows: np.ndarray) -> None:
+        """Set the transversal to the base point's orbit under gen_rows."""
+        self.reps, self.index = _transversal(self.basepoint, gen_rows)
+        self.inverse = _inverse_rows(self.reps).astype(self.reps.dtype)
+
+
+def _sift(
+    levels: Sequence[_ChainLevel], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strip each row through the levels: the residues, and each row's
+    first failing level (len(levels) for a row that passes them all)."""
+    rows = rows.copy()
+    at = np.full(len(rows), len(levels))
+    live = np.arange(len(rows))
+    for i, level in enumerate(levels):
+        pos = level.index[rows[live, level.basepoint]]
+        at[live[pos < 0]] = i
+        live, pos = live[pos >= 0], pos[pos >= 0]
+        rows[live] = level.inverse[pos[:, None], rows[live]]
+    return rows, at
+
+
+def _schreier(level: _ChainLevel, gen_rows: np.ndarray) -> np.ndarray:
+    """The Schreier generators u_{s(q)}^-1 * s * u_q of the level's
+    transversal, one row for each orbit point q in increasing order and,
+    within it, each generator row s in order."""
+    u = level.reps[level.index[level.index >= 0]]
+    su = gen_rows[:, u].swapaxes(0, 1)
+    back = level.index[su[..., level.basepoint]]
+    return level.inverse[back[..., None], su].reshape(-1, u.shape[1])
+
+
+def _moved(rows: np.ndarray) -> np.ndarray:
+    """Whether each row moves some point (is not the identity)."""
+    return (rows != np.arange(rows.shape[1])).any(axis=1)
 
 
 class PermutationGroup:
@@ -132,20 +198,30 @@ class PermutationGroup:
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         if degree < 1:
             raise ValueError("degree must be positive")
-        gens: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for g in generators:
+        gens = list(generators)
+        for g in gens:
             if not isinstance(g, Permutation):
                 raise TypeError(f"generator {g!r} is not a Permutation")
             if g.degree != degree:
                 raise ValueError(
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
-            if not g.is_identity() and g not in seen:
-                gens.append(g)
-                seen.add(g)
+        self._init(degree, _image_rows(gens, degree))
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> PermutationGroup:
+        """The group generated by rows known to be permutations."""
+        group = object.__new__(cls)
+        group._init(rows.shape[1], rows)
+        return group
+
+    def _init(self, degree: int, rows: np.ndarray) -> None:
+        # Identity rows are dropped and repeats keep their first place.
+        rows = rows[_moved(rows)]
+        rows = rows[np.sort(np.unique(_row_view(rows), return_index=True)[1])]
         self.degree = degree
-        self.generators: tuple[Permutation, ...] = tuple(gens)
+        self._gen_rows = rows
+        self.generators: tuple[Permutation, ...] = _permutations(rows)
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
@@ -162,13 +238,15 @@ class PermutationGroup:
 
     def orbit(self, point: int) -> set[int]:
         """The orbit of a point under the group."""
-        return set(self.transversal(point))
+        return set(self.transversal(point)[:, point].tolist())
 
-    def transversal(self, point: int) -> dict[int, Permutation]:
-        """Map q -> u_q with u_q(point) = q, grown breadth-first."""
+    def transversal(self, point: int) -> np.ndarray:
+        """The transversal of the point's orbit as rows of images: one row
+        u_q with u_q(point) = q per orbit point q, in the breadth-first
+        order the orbit is grown in (generators in their given order)."""
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        return _transversal(point, self.degree, self.generators)
+        return _transversal(point, self._gen_rows)[0]
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
@@ -188,90 +266,56 @@ class PermutationGroup:
         chain = self._stabilizer_chain()
         if chain and chain[0].basepoint == point:
             deeper = chain[1:]
-            stab = PermutationGroup(
-                self.degree, [g for level in deeper for g in level.gens]
+            stab = PermutationGroup._of_rows(
+                np.vstack([self._gen_rows[:0]] + [level.gens for level in deeper])
             )
             stab._chain = deeper
             return stab
-        t = self.transversal(point)
-        gens: list[Permutation] = []
-        seen: set[Permutation] = set()
-        for q in sorted(t):
-            u_q = t[q]
-            for g in self.generators:
-                u_gq = t[g(q)]
-                schreier = u_gq.inverse() * (g * u_q)
-                if not schreier.is_identity() and schreier not in seen:
-                    gens.append(schreier)
-                    seen.add(schreier)
-        return PermutationGroup(self.degree, gens)
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} out of range for degree {self.degree}")
+        level = _ChainLevel(point, self._gen_rows)
+        return PermutationGroup._of_rows(_schreier(level, self._gen_rows))
 
     # -- stabilizer chain ---------------------------------------------------
-
-    def _sift(self, levels: list[_ChainLevel], g: Permutation) -> tuple[Permutation, int]:
-        """Strip g through the chain; return (residue, first failing level)."""
-        for i, level in enumerate(levels):
-            image = g(level.basepoint)
-            rep = level.transversal.get(image)
-            if rep is None:
-                return g, i
-            g = rep.inverse() * g
-        return g, len(levels)
 
     def _build_chain(self) -> list[_ChainLevel]:
         levels: list[_ChainLevel] = []
 
-        def effective_gens(i: int) -> list[Permutation]:
+        def effective_gens(i: int) -> np.ndarray:
             # The group at level i is generated by the strong generators
             # assigned to level i and to every deeper level.
-            gens: list[Permutation] = []
-            for level in levels[i:]:
-                gens.extend(level.gens)
-            return gens
+            return np.vstack([level.gens for level in levels[i:]])
 
-        def add_at(g: Permutation, j: int) -> None:
+        def add_first_moved(rows: np.ndarray, deeper: int) -> bool:
+            """Sift the rows through the levels from ``deeper`` on; add the
+            first residue that is not the identity, as a strong generator
+            of the level where it failed, and report whether one was."""
+            residues, at = _sift(levels[deeper:], rows)
+            moved = np.flatnonzero(_moved(residues))
+            if not len(moved):
+                return False
+            g, j = residues[moved[0]], deeper + int(at[moved[0]])
             if j == len(levels):
-                basepoint = min(p for p in range(self.degree) if g(p) != p)
-                levels.append(_ChainLevel(basepoint, self.degree))
-            levels[j].gens.append(g)
+                basepoint = int(np.flatnonzero(g != np.arange(self.degree))[0])
+                levels.append(_ChainLevel(basepoint, self._gen_rows[:0]))
+            levels[j].gens = np.vstack([levels[j].gens, g])
             for i in range(j + 1):
-                levels[i].transversal = _transversal(
-                    levels[i].basepoint, self.degree, effective_gens(i)
-                )
+                levels[i].span(effective_gens(i))
+            return True
 
-        for g in self.generators:
-            residue, at = self._sift(levels, g)
-            if not residue.is_identity():
-                add_at(residue, at)
+        for g in self._gen_rows:
+            add_first_moved(g[None, :], 0)
 
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; on a
         # violation, assign the residue to the level where sifting failed
-        # and rescan.
-        done = False
-        while not done:
-            done = True
-            for i in range(len(levels) - 1, -1, -1):
-                level = levels[i]
-                gens = effective_gens(i)
-                violation = None
-                for q in sorted(level.transversal):
-                    u_q = level.transversal[q]
-                    for s in gens:
-                        u_sq = level.transversal[s(q)]
-                        schreier = u_sq.inverse() * (s * u_q)
-                        if schreier.is_identity():
-                            continue
-                        residue, at = self._sift(levels[i + 1 :], schreier)
-                        if not residue.is_identity():
-                            violation = (residue, i + 1 + at)
-                            break
-                    if violation is not None:
-                        break
-                if violation is not None:
-                    add_at(*violation)
-                    done = False
-                    break
+        # and rescan from the bottom.
+        i = len(levels) - 1
+        while i >= 0:
+            if add_first_moved(_schreier(levels[i], effective_gens(i)), i + 1):
+                i = len(levels) - 1
+            else:
+                i -= 1
         return levels
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:
@@ -283,14 +327,15 @@ class PermutationGroup:
         """Exact group order (product of orbit sizes along the chain)."""
         n = 1
         for level in self._stabilizer_chain():
-            n *= len(level.transversal)
+            n *= len(level.reps)
         return n
 
     def __contains__(self, g: object) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
-        residue, _ = self._sift(self._stabilizer_chain(), g)
-        return residue.is_identity()
+        row = np.array([g.images], dtype=self._gen_rows.dtype)
+        residue, _ = _sift(self._stabilizer_chain(), row)
+        return not _moved(residue)[0]
 
     # -- enumeration --------------------------------------------------------
 
@@ -311,8 +356,7 @@ class PermutationGroup:
         if self._rows is None:
             rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
             for level in reversed(self._stabilizer_chain()):
-                reps = _image_rows(level.transversal.values(), self.degree)
-                rows = reps[:, rows].reshape(-1, self.degree)
+                rows = level.reps[:, rows].reshape(-1, self.degree)
             rows = rows[np.argsort(_row_view(rows))]
             rows.setflags(write=False)
             self._rows = rows
@@ -357,13 +401,6 @@ class _RowTable:
         hit = at < len(self._view)
         hit[hit] = self._view[at[hit]] == view[hit]
         return np.where(hit, at, -1)
-
-
-def _inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """Row i holds the images of the inverse of row i: argsort of a row of
-    images is its inverse (kind="stable" is a radix sort on the small
-    unsigned dtypes)."""
-    return np.argsort(rows, axis=1, kind="stable")
 
 
 def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
@@ -427,31 +464,6 @@ def is_inverse_closed(elements: _Elements) -> bool:
     The elements must share one degree."""
     table = _RowTable(elements)
     return bool((table.find(_inverse_rows(table.rows)) >= 0).all())
-
-
-def double_coset(
-    h: PermutationGroup, a: Permutation, cap: int = DEFAULT_ELEMENT_CAP
-) -> set[Permutation]:
-    """The double coset HaH, grown by closing {a} under the generators of H
-    on both sides.  Never materializes the ambient group."""
-    if a.degree != h.degree:
-        raise ValueError(f"degree mismatch: {a.degree} vs {h.degree}")
-    found = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in h.generators:
-                for y in (g * x, x * g):
-                    if y not in found:
-                        if len(found) >= cap:
-                            raise SizeLimitError(
-                                f"double coset exceeds cap {cap}"
-                            )
-                        found.add(y)
-                        nxt.append(y)
-        frontier = nxt
-    return found
 
 
 def double_coset_representatives(

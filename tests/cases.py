@@ -2,8 +2,9 @@
 
 import itertools
 
+from stabgap.errors import SizeLimitError
 from stabgap.graphs import SimpleGraph, make_transitive_case
-from stabgap.groups import PermutationGroup
+from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
 from stabgap.perms import Permutation
 
 
@@ -66,3 +67,24 @@ def octahedron_case():
         ],
     )
     return make_transitive_case(group, SimpleGraph(6, edges))
+
+
+def double_coset(h, a, cap=DEFAULT_ELEMENT_CAP):
+    """The double coset HaH, grown by closing {a} under the generators of H
+    on both sides: the brute-force reference for the double-coset split."""
+    if a.degree != h.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {h.degree}")
+    found = {a}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in h.generators:
+                for y in (g * x, x * g):
+                    if y not in found:
+                        if len(found) >= cap:
+                            raise SizeLimitError(f"double coset exceeds cap {cap}")
+                        found.add(y)
+                        nxt.append(y)
+        frontier = nxt
+    return found

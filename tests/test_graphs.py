@@ -21,7 +21,6 @@ from stabgap.graphs import (
 from stabgap.groups import (
     ConnectionSet,
     PermutationGroup,
-    double_coset,
     double_coset_representatives,
 )
 from stabgap.perms import Permutation
@@ -30,6 +29,7 @@ from cases import (
     cycle_graph,
     cyclic,
     dihedral,
+    double_coset,
     petersen_case,
     s3,
     triangle,
@@ -360,10 +360,12 @@ def test_sabidussi_reports_first_violation_pair():
 
 def pairwise_sabidussi_violation(case):
     """The first pair w1 < w2 where u_w1^-1 u_w2 in S disagrees with the
-    graph, tested one Permutation product at a time."""
+    graph, tested one product of transversal rows at a time."""
     t = case.group.transversal(case.base_vertex)
+    t = {u[case.base_vertex]: u for u in t.tolist()}
     for w1, w2 in itertools.combinations(range(case.graph.n), 2):
-        in_s = (t[w1].inverse() * t[w2]) in case.connection
+        u_w1_inverse = np.argsort(t[w1])
+        in_s = case.connection.contains_rows(u_w1_inverse[t[w2]][None, :])[0]
         if in_s != case.graph.has_edge(w1, w2):
             return (w1, w2)
     return None

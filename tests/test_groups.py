@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from stabgap import catalog
 from stabgap.casefile import realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
@@ -12,11 +13,12 @@ from stabgap.groups import (
     PermutationGroup,
     _RowTable,
     _sorted_distinct,
-    double_coset,
     double_coset_representatives,
     is_inverse_closed,
 )
 from stabgap.perms import Permutation
+
+from cases import double_coset
 
 
 def s3():
@@ -255,6 +257,190 @@ def test_elements_match_brute_force_closure_random(gen_images):
     assert PermutationGroup(degree, gens).elements() == sorted(
         brute_closure(degree, gens)
     )
+
+
+# -- the stabilizer chain against a Permutation reference --------------------
+
+
+class RefLevel:
+    """A chain level holding Permutation objects: the reference layout."""
+
+    def __init__(self, basepoint, degree):
+        self.basepoint = basepoint
+        self.gens = []
+        self.transversal = {basepoint: Permutation.identity(degree)}
+
+
+def ref_transversal(point, degree, gens):
+    """Map q -> u_q with u_q(point) = q, grown breadth-first with the
+    generators in their given order."""
+    t = {point: Permutation.identity(degree)}
+    queue = [point]
+    while queue:
+        p = queue.pop(0)
+        rep = t[p]
+        for g in gens:
+            q = g(p)
+            if q not in t:
+                t[q] = g * rep
+                queue.append(q)
+    return t
+
+
+def ref_sift(levels, g):
+    """Strip g through the chain; return (residue, first failing level)."""
+    for i, level in enumerate(levels):
+        image = g(level.basepoint)
+        rep = level.transversal.get(image)
+        if rep is None:
+            return g, i
+        g = rep.inverse() * g
+    return g, len(levels)
+
+
+def ref_build_chain(degree, generators):
+    """The stabilizer chain built one Permutation product at a time."""
+    levels = []
+
+    def effective_gens(i):
+        gens = []
+        for level in levels[i:]:
+            gens.extend(level.gens)
+        return gens
+
+    def add_at(g, j):
+        if j == len(levels):
+            basepoint = min(p for p in range(degree) if g(p) != p)
+            levels.append(RefLevel(basepoint, degree))
+        levels[j].gens.append(g)
+        for i in range(j + 1):
+            levels[i].transversal = ref_transversal(
+                levels[i].basepoint, degree, effective_gens(i)
+            )
+
+    for g in generators:
+        residue, at = ref_sift(levels, g)
+        if not residue.is_identity():
+            add_at(residue, at)
+
+    done = False
+    while not done:
+        done = True
+        for i in range(len(levels) - 1, -1, -1):
+            level = levels[i]
+            gens = effective_gens(i)
+            violation = None
+            for q in sorted(level.transversal):
+                u_q = level.transversal[q]
+                for s in gens:
+                    u_sq = level.transversal[s(q)]
+                    schreier = u_sq.inverse() * (s * u_q)
+                    if schreier.is_identity():
+                        continue
+                    residue, at = ref_sift(levels[i + 1 :], schreier)
+                    if not residue.is_identity():
+                        violation = (residue, i + 1 + at)
+                        break
+                if violation is not None:
+                    break
+            if violation is not None:
+                add_at(*violation)
+                done = False
+                break
+    return levels
+
+
+def ref_schreier_generators(group, point):
+    """The distinct non-identity Schreier generators of the point's
+    transversal, q ascending and the group's generators in order."""
+    t = ref_transversal(point, group.degree, group.generators)
+    gens, seen = [], set()
+    for q in sorted(t):
+        u_q = t[q]
+        for g in group.generators:
+            schreier = t[g(q)].inverse() * (g * u_q)
+            if not schreier.is_identity() and schreier not in seen:
+                gens.append(schreier)
+                seen.add(schreier)
+    return gens
+
+
+def assert_chain_matches_reference(group, points=None):
+    """The same chain as the reference, and at each of the points (all by
+    default) the same transversal and, off the chain's first base point,
+    the same stabilizer generators."""
+    ref = ref_build_chain(group.degree, group.generators)
+    chain = group._stabilizer_chain()
+    assert [level.basepoint for level in chain] == [level.basepoint for level in ref]
+    for level, ref_level in zip(chain, ref):
+        assert level.gens.tolist() == [list(g.images) for g in ref_level.gens]
+        assert level.reps.tolist() == [
+            list(u.images) for u in ref_level.transversal.values()
+        ]
+        orbit = list(ref_level.transversal)
+        assert level.index[orbit].tolist() == list(range(len(orbit)))
+        assert (level.index >= 0).sum() == len(orbit)
+    for point in range(group.degree) if points is None else points:
+        if not chain or chain[0].basepoint != point:
+            assert group.stabilizer(point).generators == tuple(
+                ref_schreier_generators(group, point)
+            )
+        assert group.transversal(point).tolist() == [
+            list(u.images)
+            for u in ref_transversal(point, group.degree, group.generators).values()
+        ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_chain_matches_permutation_reference(spec):
+    assert_chain_matches_reference(realize_case(spec).group)
+
+
+def test_chain_matches_permutation_reference_deep_cyclic_orbit():
+    # One generator, one orbit 600 breadth-first layers deep.
+    assert_chain_matches_reference(
+        PermutationGroup(600, [Permutation([(i + 1) % 600 for i in range(600)])]),
+        points=(0, 1, 599),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 6]).flatmap(
+        lambda d: st.lists(st.permutations(list(range(d))), min_size=1, max_size=3)
+    )
+)
+def test_chain_matches_permutation_reference_random(gen_images):
+    degree = len(gen_images[0])
+    assert_chain_matches_reference(
+        PermutationGroup(degree, [Permutation(p) for p in gen_images])
+    )
+
+
+def test_chain_paths_form_no_permutation_products(monkeypatch):
+    group, pairs, idx = pair_action_s5()
+    inside, outside = group.generators[0], Permutation([1, 0] + list(range(2, 10)))
+    calls = []
+    for name in ("__mul__", "inverse", "is_identity"):
+        original = getattr(Permutation, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(Permutation, name, counting)
+    assert group.order() == 120
+    first = group._stabilizer_chain()[0].basepoint
+    other = idx[(2, 3)]
+    assert other != first
+    assert group.stabilizer(first).order() == 12
+    assert group.stabilizer(other).order() == 12
+    assert inside in group and outside not in group
+    assert calls == []
 
 
 # -- double cosets ---------------------------------------------------------
