@@ -10,7 +10,9 @@ A coset graph is built on the ambient group's image rows, so the group's
 order counts against the element cap: the left cosets xH are the
 components of right multiplication by H's generators on those rows.
 Vertex 0 is H, and the other cosets are numbered breadth-first from it
-under the group's generators in their given order.
+under the group's generators in their given order, by the group layer's
+transversal search, which carries H's neighbors to every coset.  The
+graph layer reads generator rows, not ``Permutation`` objects.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .groups import (
     _component_minima,
     _image_rows,
     _inverse_rows,
+    _transversal,
 )
 from .perms import Permutation
 
@@ -127,11 +130,9 @@ def preserves_edges(group: PermutationGroup, graph: SimpleGraph) -> bool:
         raise ValueError(
             f"group degree {group.degree} does not match vertex count {graph.n}"
         )
-    for g in group.generators:
-        for u, v in graph.edges():
-            if not graph.has_edge(g(u), g(v)):
-                return False
-    return True
+    edges = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2)
+    moved = group._gen_rows[:, edges].reshape(-1, 2).tolist()
+    return all(graph.has_edge(u, v) for u, v in moved)
 
 
 @dataclass(frozen=True)
@@ -233,7 +234,7 @@ def build_coset_graph(
     other cosets are numbered breadth-first from it under the group's
     generators in their given order.  H's neighbors are the orbits of
     the representatives' cosets under H, and every other coset's
-    neighbors are its BFS parent's, moved by the generator between them.
+    neighbors are H's, moved by the breadth-first path to it (one gather).
 
     The left-multiplication action of the group is attached (as the
     induced permutation group on the cosets) and is vertex-transitive.
@@ -253,7 +254,7 @@ def build_coset_graph(
 
     rows = group.element_array(element_cap)
     table = _RowTable._sorted(rows)
-    h_rows = _image_rows(subgroup.generators, group.degree)
+    h_rows = subgroup._gen_rows
     label = _component_minima(len(rows), [table.find(rows[:, h]) for h in h_rows])
     minima = np.flatnonzero(label == np.arange(len(rows)))
     n = len(minima)
@@ -270,37 +271,26 @@ def build_coset_graph(
             "connection set would contain the identity's double coset"
         )
 
-    def induced(gen_rows: np.ndarray) -> list[np.ndarray]:
-        return [coset[table.find(g[rows[minima]])] for g in gen_rows]
+    def induced(gen_rows: np.ndarray) -> np.ndarray:
+        products = gen_rows[:, rows[minima]].reshape(-1, group.degree)
+        return coset[table.find(products)].reshape(len(gen_rows), n)
 
-    moves = induced(_image_rows(group.generators, group.degree))
-    targets = [move.tolist() for move in moves]
-    order, parent, via = [0], [0], [0]
-    position = [-1] * n
-    position[0] = 0
-    for k, c in enumerate(order):
-        for i, target in enumerate(targets):
-            d = target[c]
-            if position[d] < 0:
-                position[d] = len(order)
-                order.append(d)
-                parent.append(k)
-                via.append(i)
-    # From here on cosets carry their breadth-first numbers.
-    position = np.array(position)
-    coset, minima, starts = position[coset], minima[order], position[starts]
-    moves = [position[move[order]] for move in moves]
+    moves = induced(group._gen_rows)
     orbit = _component_minima(n, induced(h_rows))
-    neighbors = np.tile(np.flatnonzero(np.isin(orbit, orbit[starts])), (n, 1))
-    for j in range(1, n):
-        neighbors[j] = moves[via[j]][neighbors[parent[j]]]
+    first = np.flatnonzero(np.isin(orbit, orbit[starts]))
+    # Row j of neighbors is u(first) for the breadth-first path u from H to
+    # the j-th coset reached; position[c] is the coset c's breadth-first
+    # number, which every coset carries from here on.
+    neighbors, position = _transversal(0, moves, first)
+    neighbors = position[neighbors]
+    moves = position[moves[:, np.argsort(position)]]
     adjacency = np.zeros((n, n), dtype=bool)
     adjacency[np.arange(n)[:, None], neighbors] = True
     if not np.array_equal(adjacency, adjacency.T):
         raise StructureError("connection set is not inverse-closed")
     graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)).tolist())
 
-    induced_group = PermutationGroup(n, [Permutation(m.tolist()) for m in moves])
+    induced_group = PermutationGroup._of_rows(_image_rows(moves))
     case = make_transitive_case(induced_group, graph, base_vertex=0, cap=element_cap)
     return graph, case
 
@@ -363,10 +353,10 @@ class LocalActionReport:
 
 
 def _finest_congruence(
-    gens: Sequence[Permutation], k: int, a: int, b: int
+    gens: Sequence[Sequence[int]], k: int, a: int, b: int
 ) -> list[list[int]]:
     """Finest G-congruence on {0..k-1} merging a and b (union-find closure
-    over merged pairs: x ~ y forces g(x) ~ g(y) for every generator)."""
+    over merged pairs: x ~ y forces g[x] ~ g[y] for every image row g)."""
     parent = list(range(k))
 
     def find(x: int) -> int:
@@ -389,7 +379,7 @@ def _finest_congruence(
     while stack:
         x, y = stack.pop()
         for g in gens:
-            gx, gy = g(x), g(y)
+            gx, gy = g[x], g[y]
             if union(gx, gy):
                 stack.append((gx, gy))
 
@@ -402,40 +392,33 @@ def _finest_congruence(
 def local_action(case: TransitiveCase) -> LocalActionReport:
     """Restrict the stabilizer to the base neighborhood and classify it.
 
-    Locally transitive means one orbit; when transitive, the classical
-    minimal-block closure over each point pair decides primitivity, and
-    the first nontrivial block system found is reported (on the actual
-    neighbor vertices).
+    The restriction is one gather of the stabilizer's rows at the
+    neighbors.  Locally transitive means one orbit; when transitive, the
+    classical minimal-block closure over each point pair decides
+    primitivity, and the first nontrivial block system found is reported
+    (on the actual neighbor vertices).
     """
-    neighborhood = case.graph.neighbors(case.base_vertex)
+    neighborhood = list(case.graph.neighbors(case.base_vertex))
     k = len(neighborhood)
-    position = {w: i for i, w in enumerate(neighborhood)}
-    induced = PermutationGroup(
-        k,
-        [
-            Permutation([position[g(w)] for w in neighborhood])
-            for g in case.stabilizer.generators
-        ],
-    ) if k else PermutationGroup.trivial(1)
+    position = np.full(case.graph.n, -1)
+    position[neighborhood] = np.arange(k)
+    induced = position[case.stabilizer._gen_rows[:, neighborhood]]
+    if (induced < 0).any():
+        raise StructureError("stabilizer moves a neighbor out of the neighborhood")
 
-    orbits = _component_minima(k, _image_rows(induced.generators, induced.degree))
+    orbits = _component_minima(k, induced)
     orbit_count = int((orbits == np.arange(k)).sum())
-    locally_transitive = orbit_count == 1
-
+    locally_transitive = locally_primitive = orbit_count == 1
     block_system = None
-    locally_primitive = False
-    if locally_transitive:
-        locally_primitive = True
-        gens = induced.generators
-        for b in range(1, k):
-            blocks = _finest_congruence(gens, k, 0, b)
-            size = len(blocks[0])
-            if 1 < size < k:
-                block_system = tuple(
-                    tuple(neighborhood[i] for i in block) for block in blocks
-                )
-                locally_primitive = False
-                break
+    gens = induced.tolist()
+    for b in range(1, k if locally_transitive else 1):
+        blocks = _finest_congruence(gens, k, 0, b)
+        if 1 < len(blocks[0]) < k:
+            block_system = tuple(
+                tuple(neighborhood[i] for i in block) for block in blocks
+            )
+            locally_primitive = False
+            break
     return LocalActionReport(
         orbit_count, locally_transitive, block_system, locally_primitive
     )

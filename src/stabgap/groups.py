@@ -2,25 +2,26 @@
 
 Orbits, point stabilizers via Schreier generators, exact orders, bounded
 element enumeration, and double-coset machinery.  Every operation is
-deterministic: orbits are grown breadth-first with the generators in their
-given order, chains pick the smallest moved point as the next base point,
-and element lists are returned in lexicographic order of image tuples.
+deterministic: transversals are grown breadth-first with the generators
+in their given order, chains pick the smallest moved point as the next
+base point, and element lists are in lexicographic order of image tuples.
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets, the supports of group functions) are held as rows of an
 integer array of images, converted into that layout by ``_image_rows``
 alone, composed a whole array at a time by fancy indexing, and sorted,
 deduplicated and looked up through ``_row_view``, whose values sort as the
-rows do.  ``Permutation`` objects are built from rows only where a caller
-asks for them.
+rows do.  A group's generators are rows too (``_gen_rows``), which the
+chain, the orbits and the graph layer read; ``Permutation`` objects are
+built from rows for ``generators`` and where a caller asks for elements.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
 Group Algorithms*, 2003): each level keeps its strong generators, its
 transversal and the transversal's inverses as rows.  One breadth-first
-routine (``_transversal``) grows every orbit and transversal, one batched
-``_sift`` strips rows through the chain, and ``_schreier`` forms a whole
-level's Schreier generators at once; ``element_array`` composes the
-levels' transversal rows.
+routine (``_transversal``) grows every transversal, the chain's and the
+coset graph's, one batched ``_sift`` strips rows through the chain, and
+``_schreier`` forms a level's Schreier generators a block of orbit points
+at a time.  Orbits are component labels (``_component_minima``).
 
 A connection set finds its elements' inverses once, as the argsort of its
 rows, and keeps them as ``ConnectionSet.inverse_rows``.  Its H-double-coset
@@ -40,6 +41,11 @@ from .perms import Permutation
 
 #: Default cap on explicit element enumeration.
 DEFAULT_ELEMENT_CAP = 10**6
+
+#: Images per block of Schreier generators formed and sifted at once by
+#: the chain's fixpoint scan (about 2 MiB of uint16 images, plus NumPy's
+#: intp index temporaries).
+_SCHREIER_BLOCK = 1 << 20
 
 #: An element set as ``Permutation`` objects or as rows of images.
 _Elements = Union[Iterable[Permutation], np.ndarray]
@@ -102,10 +108,13 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     return np.argsort(rows, axis=1, kind="stable")
 
 
-def _transversal(point: int, gen_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _transversal(
+    point: int, gen_rows: np.ndarray, first: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The transversal of the point's orbit under the generator rows:
     ``reps``, one row u_q with u_q(point) = q per orbit point q, and
-    ``index``, the row of u_q at q (-1 off the orbit).
+    ``index``, the row of u_q at q (-1 off the orbit).  Given ``first``, a
+    row of points, ``reps`` holds u_q(first) in place of u_q.
 
     The orbit is grown breadth-first with the generators in their given
     order, u_q = g * u_p for the first generator g that reaches q.  The
@@ -129,8 +138,9 @@ def _transversal(point: int, gen_rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
                     via.append(i)
         layers.append(len(orbit))
     parent, via = np.array(parent), np.array(via)
-    reps = np.empty((len(orbit), degree), dtype=gen_rows.dtype)
-    reps[0] = np.arange(degree)
+    first = np.arange(degree) if first is None else first
+    reps = np.empty((len(orbit), len(first)), dtype=gen_rows.dtype)
+    reps[0] = first
     for a, b in zip(layers[1:], layers[2:]):
         reps[a:b] = gen_rows[via[a:b, None], reps[parent[a:b]]]
     return reps, np.array(index)
@@ -172,11 +182,13 @@ def _sift(
     return rows, at
 
 
-def _schreier(level: _ChainLevel, gen_rows: np.ndarray) -> np.ndarray:
+def _schreier(
+    level: _ChainLevel, gen_rows: np.ndarray, at: slice = slice(None)
+) -> np.ndarray:
     """The Schreier generators u_{s(q)}^-1 * s * u_q of the level's
-    transversal, one row for each orbit point q in increasing order and,
-    within it, each generator row s in order."""
-    u = level.reps[level.index[level.index >= 0]]
+    transversal, one row for each orbit point q in increasing order (the
+    slice ``at`` of them) and, within it, each generator row s in order."""
+    u = level.reps[level.index[level.index >= 0][at]]
     su = gen_rows[:, u].swapaxes(0, 1)
     back = level.index[su[..., level.basepoint]]
     return level.inverse[back[..., None], su].reshape(-1, u.shape[1])
@@ -236,20 +248,24 @@ class PermutationGroup:
 
     # -- orbits and transversals -------------------------------------------
 
+    def _point(self, point: int) -> int:
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} out of range for degree {self.degree}")
+        return point
+
     def orbit(self, point: int) -> set[int]:
         """The orbit of a point under the group."""
-        return set(self.transversal(point)[:, point].tolist())
+        label = _component_minima(self.degree, self._gen_rows)
+        return set(np.flatnonzero(label == label[self._point(point)]).tolist())
 
     def transversal(self, point: int) -> np.ndarray:
         """The transversal of the point's orbit as rows of images: one row
         u_q with u_q(point) = q per orbit point q, in the breadth-first
         order the orbit is grown in (generators in their given order)."""
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
-        return _transversal(point, self._gen_rows)[0]
+        return _transversal(self._point(point), self._gen_rows)[0]
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return not _component_minima(self.degree, self._gen_rows).any()
 
     def stabilizer(self, point: int) -> PermutationGroup:
         """The point stabilizer.
@@ -271,9 +287,7 @@ class PermutationGroup:
             )
             stab._chain = deeper
             return stab
-        if not 0 <= point < self.degree:
-            raise ValueError(f"point {point} out of range for degree {self.degree}")
-        level = _ChainLevel(point, self._gen_rows)
+        level = _ChainLevel(self._point(point), self._gen_rows)
         return PermutationGroup._of_rows(_schreier(level, self._gen_rows))
 
     # -- stabilizer chain ---------------------------------------------------
@@ -309,13 +323,18 @@ class PermutationGroup:
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; on a
         # violation, assign the residue to the level where sifting failed
-        # and rescan from the bottom.
+        # and rescan from the bottom.  A level's Schreier generators are
+        # formed a block of orbit points at a time, q ascending, up to the
+        # first block that adds a residue: the whole batch's first.
         i = len(levels) - 1
         while i >= 0:
-            if add_first_moved(_schreier(levels[i], effective_gens(i)), i + 1):
-                i = len(levels) - 1
-            else:
-                i -= 1
+            gens = effective_gens(i)
+            step = max(1, _SCHREIER_BLOCK // gens.size)
+            blocks = (slice(a, a + step) for a in range(0, len(levels[i].reps), step))
+            found = any(
+                add_first_moved(_schreier(levels[i], gens, at), i + 1) for at in blocks
+            )
+            i = len(levels) - 1 if found else i - 1
         return levels
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:
@@ -446,8 +465,7 @@ def _double_coset_split(
         return found
 
     moves = []
-    for g in h.generators:
-        g_row = np.array(g.images, dtype=table.rows.dtype)
+    for g_row in h._gen_rows:
         right = move(table.rows[:, g_row])
         if inverse is None:
             left = move(g_row[table.rows])

@@ -12,6 +12,7 @@ name, so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Sequence
 
@@ -96,6 +97,11 @@ class AnalyzeOptions:
     reconstruction_cap: ClassVar[int] = 200
     power_tol: ClassVar[float] = 1e-12
     power_max_iter: ClassVar[int] = 200_000
+
+    def __post_init__(self) -> None:
+        # Every check tol governs passes at inf and fails at NaN or below 0.
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
 
     def with_case_options(self, case_options) -> AnalyzeOptions:
         """Apply per-document option overrides."""

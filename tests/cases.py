@@ -3,7 +3,7 @@
 import itertools
 
 from stabgap.errors import SizeLimitError
-from stabgap.graphs import SimpleGraph, make_transitive_case
+from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
 from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
 from stabgap.perms import Permutation
 
@@ -88,3 +88,66 @@ def double_coset(h, a, cap=DEFAULT_ELEMENT_CAP):
                         nxt.append(y)
         frontier = nxt
     return found
+
+
+def _reference_finest_congruence(gens, k, a, b):
+    """Finest congruence on {0..k-1} merging a and b under the Permutation
+    generators (union-find closure over merged pairs)."""
+    parent = list(range(k))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        return True
+
+    union(a, b)
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        for g in gens:
+            gx, gy = g(x), g(y)
+            if union(gx, gy):
+                stack.append((gx, gy))
+    blocks = {}
+    for x in range(k):
+        blocks.setdefault(find(x), []).append(x)
+    return sorted(blocks.values())
+
+
+def reference_local_action(case):
+    """The local action by Permutation objects: each stabilizer generator
+    restricted to the base neighborhood through a dict of positions, orbits
+    grown point by point, and the first nontrivial finest congruence
+    merging 0 with some b as the block system: the reference for
+    ``graphs.local_action``."""
+    neighborhood = case.graph.neighbors(case.base_vertex)
+    k = len(neighborhood)
+    position = {w: i for i, w in enumerate(neighborhood)}
+    gens = [
+        Permutation([position[g(w)] for w in neighborhood])
+        for g in case.stabilizer.generators
+    ]
+    orbits = set()
+    for x in range(k):
+        orbit, frontier = {x}, [x]
+        while frontier:
+            frontier = [g(y) for y in frontier for g in gens if g(y) not in orbit]
+            orbit.update(frontier)
+        orbits.add(frozenset(orbit))
+    transitive = len(orbits) == 1
+    for b in range(1, k if transitive else 1):
+        blocks = _reference_finest_congruence(gens, k, 0, b)
+        if 1 < len(blocks[0]) < k:
+            system = tuple(tuple(neighborhood[i] for i in block) for block in blocks)
+            return LocalActionReport(len(orbits), True, system, False)
+    return LocalActionReport(len(orbits), transitive, None, transitive)

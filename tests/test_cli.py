@@ -102,6 +102,26 @@ def test_analyze_group_order_cap(triangle_file, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_flag_is_operational_error(tol, triangle_file, tmp_path, capsys):
+    out_path = tmp_path / "report.csv"
+    for argv in (
+        ["catalog", "--families", "complete", "--out", str(out_path)],
+        ["analyze", "--input", triangle_file],
+    ):
+        assert main(argv + ["--tol", tol]) == 1
+        assert "tol must be a finite number >= 0" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_bad_tol_in_document_is_operational_error(tmp_path, capsys):
+    path = tmp_path / "nan-tol.json"
+    path.write_text(json.dumps({**TRIANGLE_DOC, "options": {"tol": float("nan")}}))
+    assert "NaN" in path.read_text()
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert "tol must be a finite number >= 0, got nan" in capsys.readouterr().err
+
+
 def test_catalog_complete_family(tmp_path, capsys):
     out_path = tmp_path / "report.csv"
     code = main(["catalog", "--families", "complete", "--out", str(out_path)])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -31,6 +32,7 @@ from cases import (
     dihedral,
     double_coset,
     petersen_case,
+    reference_local_action,
     s3,
     triangle,
 )
@@ -306,19 +308,28 @@ def _reference_coset_graph(group, subgroup, reps):
     return edges, [g.images for g in induced.generators]
 
 
-_S4_PERMS = st.permutations(list(range(4))).map(Permutation)
+def _symmetric(degree):
+    transposition = Permutation.from_cycles(degree, (0, 1))
+    return PermutationGroup(
+        degree, [transposition, Permutation.from_cycles(degree, range(degree))]
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(_S4_PERMS, min_size=1, max_size=2),
-    st.lists(_S4_PERMS, min_size=1, max_size=3),
+    st.sampled_from([_symmetric(4), _symmetric(5), dihedral(12)]).flatmap(
+        lambda group: st.tuples(
+            st.just(group),
+            st.lists(st.sampled_from(group.elements()), min_size=0, max_size=2),
+            st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
+        )
+    )
 )
-def test_coset_graph_matches_pairwise_reference(subgroup_gens, reps):
-    s4 = PermutationGroup(4, [Permutation([1, 0, 2, 3]), Permutation([1, 2, 3, 0])])
-    subgroup = PermutationGroup(4, subgroup_gens)
-    expected = _reference_coset_graph(s4, subgroup, reps)
-    spec = CosetGraphSpec(s4, subgroup, tuple(reps))
+def test_coset_graph_matches_pairwise_reference(drawn):
+    group, subgroup_gens, reps = drawn
+    subgroup = PermutationGroup(group.degree, subgroup_gens)
+    expected = _reference_coset_graph(group, subgroup, reps)
+    spec = CosetGraphSpec(group, subgroup, tuple(reps))
     if isinstance(expected, str):
         with pytest.raises(StructureError, match=expected):
             build_coset_graph(spec)
@@ -326,6 +337,7 @@ def test_coset_graph_matches_pairwise_reference(subgroup_gens, reps):
     graph, case = build_coset_graph(spec)
     assert graph.edges() == expected[0]
     assert [g.images for g in case.group.generators] == expected[1]
+    assert local_action(case) == reference_local_action(case)
 
 
 # -- canonical isomorphism -------------------------------------------------------
@@ -456,6 +468,61 @@ def test_local_action_valency_one():
     assert report.locally_transitive
     assert report.locally_primitive
     assert report.block_system is None
+
+
+def test_local_action_matches_permutation_reference():
+    cases = [realize_case(spec) for spec in builtin_cases()]
+    cases += [
+        make_transitive_case(dihedral(6), cycle_graph(6)),
+        make_transitive_case(cyclic(4), cycle_graph(4)),
+        petersen_case(),
+    ]
+    for case in cases:
+        assert local_action(case) == reference_local_action(case)
+
+
+def test_local_action_rejects_a_stabilizer_leaving_the_neighborhood():
+    # (1 2) fixes the base vertex 0 of C6 but moves its neighbor 1 to 2.
+    case = make_transitive_case(dihedral(6), cycle_graph(6))
+    swap = PermutationGroup(6, [Permutation.from_cycles(6, (1, 2))])
+    with pytest.raises(StructureError, match="neighborhood"):
+        local_action(replace(case, stabilizer=swap))
+
+
+def _record_calls(monkeypatch, cls, calls):
+    """Append the name of every method or classmethod of cls to calls
+    whenever it runs."""
+    for name, attr in list(vars(cls).items()):
+        if isinstance(attr, classmethod):
+            func, wrap = attr.__func__, classmethod
+        elif inspect.isfunction(attr):
+            func, wrap = attr, (lambda f: f)
+        else:
+            continue
+
+        def recording(*args, _name=name, _func=func, **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrap(recording))
+
+
+def test_coset_graph_and_local_action_read_rows(monkeypatch):
+    # S4 over a subgroup of order 2: 12 cosets, a nontrivial stabilizer.
+    h = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
+    spec = CosetGraphSpec(_symmetric(4), h, (Permutation([2, 1, 0, 3]),))
+    calls = []
+    with monkeypatch.context() as patch:
+        _record_calls(patch, Permutation, calls)
+        graph, case = build_coset_graph(spec)
+    assert graph.n == 12 and case.stabilizer.order() == 2
+    assert "__init__" not in calls
+    calls.clear()
+    _record_calls(monkeypatch, Permutation, calls)
+    _record_calls(monkeypatch, PermutationGroup, calls)
+    report = local_action(case)
+    assert report.orbit_count == len(case.connection.representatives)
+    assert calls == []
 
 
 def test_local_transitivity_agrees_with_double_coset_count():

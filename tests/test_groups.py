@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from stabgap import catalog
+from stabgap import catalog, groups
 from stabgap.casefile import realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
@@ -385,10 +385,13 @@ def assert_chain_matches_reference(group, points=None):
             assert group.stabilizer(point).generators == tuple(
                 ref_schreier_generators(group, point)
             )
-        assert group.transversal(point).tolist() == [
+        transversal = group.transversal(point)
+        assert transversal.tolist() == [
             list(u.images)
             for u in ref_transversal(point, group.degree, group.generators).values()
         ]
+        assert group.orbit(point) == set(transversal[:, point].tolist())
+    assert group.is_transitive() == (len(group.transversal(0)) == group.degree)
 
 
 @pytest.mark.parametrize(
@@ -419,6 +422,42 @@ def test_chain_matches_permutation_reference_random(gen_images):
     assert_chain_matches_reference(
         PermutationGroup(degree, [Permutation(p) for p in gen_images])
     )
+
+
+def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatch):
+    # One orbit point per block: the fixpoint scan sifts each level's
+    # Schreier generators in many blocks and must still add the residues
+    # the one-batch scan adds.
+    blocks = []
+
+    def recording(level, gen_rows, at=slice(None)):
+        blocks.append(at)
+        return schreier(level, gen_rows, at)
+
+    schreier = groups._schreier
+    monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
+    monkeypatch.setattr(groups, "_schreier", recording)
+    catalog_groups = [realize_case(spec).group for spec in builtin_cases()]
+    for group in catalog_groups + [pair_action_s5()[0]]:
+        blocks.clear()
+        group._chain = None
+        assert_chain_matches_reference(group, points=(0, 1))
+        assert slice(0, 1) in blocks and len(blocks) > len(group._stabilizer_chain())
+
+
+def test_orbits_compose_no_transversal(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("orbits composed a transversal")
+
+    monkeypatch.setattr(groups, "_transversal", forbidden)
+    group = pair_action_s5()[0]
+    assert group.is_transitive()
+    assert group.orbit(3) == set(range(10))
+    intransitive = PermutationGroup(5, [Permutation([1, 0, 2, 4, 3])])
+    assert not intransitive.is_transitive()
+    assert [intransitive.orbit(p) for p in (0, 2, 4)] == [{0, 1}, {2}, {3, 4}]
+    with pytest.raises(ValueError, match="out of range"):
+        intransitive.orbit(5)
 
 
 def test_chain_paths_form_no_permutation_products(monkeypatch):

@@ -88,6 +88,16 @@ def test_document_options_override_defaults():
     assert report.seed == case_seed(5, "triangle")
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+def test_options_reject_a_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        AnalyzeOptions(tol=tol)
+    doc = {**json.loads(TRIANGLE_DOC), "options": {"tol": tol}}
+    with pytest.raises(ValueError, match="tol"):
+        analyze_case(parse_case(json.dumps(doc)))
+    assert AnalyzeOptions(tol=0.0).tol == 0.0
+
+
 def test_non_transitive_action_reports_case_name():
     doc = {
         "name": "stuck",
