@@ -156,14 +156,15 @@ def extract_connection_set(
     vertex: int,
     cap: int = DEFAULT_ELEMENT_CAP,
 ) -> ConnectionSet:
-    """The set {g in G : g(vertex) is a neighbor of vertex}.
+    """The set {g in G : g(vertex) is a neighbor of vertex}, built from
+    the vertex stabilizer's left cosets (``ConnectionSet.of_point``), so
+    only the stabilizer is enumerated; the group's order still counts
+    against ``cap``.
 
     Inverse-closed and bi-invariant under the vertex stabilizer; these
     invariants are validated on construction rather than trusted.
     """
-    rows = group.element_array(cap)
-    mask = np.isin(rows[:, vertex], graph.neighbors(vertex))
-    return ConnectionSet(rows[mask], group.stabilizer(vertex))
+    return ConnectionSet.of_point(group, vertex, graph.neighbors(vertex), cap)
 
 
 def make_transitive_case(

@@ -23,11 +23,15 @@ coset graph's, one batched ``_sift`` strips rows through the chain, and
 ``_schreier`` forms a level's Schreier generators a block of orbit points
 at a time.  Orbits are component labels (``_component_minima``).
 
-A connection set finds its elements' inverses once, as the argsort of its
-rows, and keeps them as ``ConnectionSet.inverse_rows``.  Its H-double-coset
-split then looks up right products only: with S = S^-1 and S*h inside S
-for each generator h, h*s = (s^-1 * h^-1)^-1 is in S too, and the left
-moves are read off the right ones through the inverses.
+A connection set finds its elements' inverses once, by one scatter into
+the rows' dtype, and keeps them as ``ConnectionSet.inverse_rows``.  Given
+as elements, its H-double-coset split looks up right products only: with
+S = S^-1 and S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1 is
+in S too, and the left moves are read off the right ones through the
+inverses.  Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is
+built from Sabidussi's decomposition into the left cosets u_w*G_p, w in T,
+so the group itself is never enumerated, and its G_p-double cosets are
+read off G_p's orbits on T.
 """
 
 from __future__ import annotations
@@ -102,10 +106,12 @@ def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
 
 
 def _inverse_rows(rows: np.ndarray) -> np.ndarray:
-    """Row i holds the images of the inverse of row i: argsort of a row of
-    images is its inverse (kind="stable" is a radix sort on the small
-    unsigned dtypes)."""
-    return np.argsort(rows, axis=1, kind="stable")
+    """Row i holds the images of the inverse of row i, in the rows' dtype:
+    one scatter, inverse[i, row_i[x]] = x."""
+    m, degree = rows.shape
+    inverse = np.empty_like(rows)
+    inverse[np.arange(m)[:, None], rows] = np.arange(degree, dtype=rows.dtype)
+    return inverse
 
 
 def _transversal(
@@ -163,7 +169,7 @@ class _ChainLevel:
     def span(self, gen_rows: np.ndarray) -> None:
         """Set the transversal to the base point's orbit under gen_rows."""
         self.reps, self.index = _transversal(self.basepoint, gen_rows)
-        self.inverse = _inverse_rows(self.reps).astype(self.reps.dtype)
+        self.inverse = _inverse_rows(self.reps)
 
 
 def _sift(
@@ -194,9 +200,23 @@ def _schreier(
     return level.inverse[back[..., None], su].reshape(-1, u.shape[1])
 
 
+def _schreier_blocks(level: _ChainLevel, gen_rows: np.ndarray):
+    """The level's Schreier generators in the order ``_schreier`` forms
+    them, in blocks of orbit points of about ``_SCHREIER_BLOCK`` images."""
+    step = max(1, _SCHREIER_BLOCK // max(gen_rows.size, 1))
+    for a in range(0, len(level.reps), step):
+        yield _schreier(level, gen_rows, slice(a, a + step))
+
+
 def _moved(rows: np.ndarray) -> np.ndarray:
     """Whether each row moves some point (is not the identity)."""
     return (rows != np.arange(rows.shape[1])).any(axis=1)
+
+
+def _distinct_moved(rows: np.ndarray) -> np.ndarray:
+    """The rows that are not the identity, each once, at its first place."""
+    rows = rows[_moved(rows)]
+    return rows[np.sort(np.unique(_row_view(rows), return_index=True)[1])]
 
 
 class PermutationGroup:
@@ -228,9 +248,7 @@ class PermutationGroup:
         return group
 
     def _init(self, degree: int, rows: np.ndarray) -> None:
-        # Identity rows are dropped and repeats keep their first place.
-        rows = rows[_moved(rows)]
-        rows = rows[np.sort(np.unique(_row_view(rows), return_index=True)[1])]
+        rows = _distinct_moved(rows)
         self.degree = degree
         self._gen_rows = rows
         self.generators: tuple[Permutation, ...] = _permutations(rows)
@@ -274,7 +292,8 @@ class PermutationGroup:
         group at the chain's second level: generated by the strong
         generators of the deeper levels, which are its chain (shared, not
         rebuilt).  At any other point it is generated by the Schreier
-        generators of the point's transversal.
+        generators of the point's transversal, formed in blocks that each
+        drop their identity rows and repeats.
 
         Satisfies the orbit-stabilizer identity
         order(self) == len(orbit(point)) * order(stabilizer(point)).
@@ -288,7 +307,10 @@ class PermutationGroup:
             stab._chain = deeper
             return stab
         level = _ChainLevel(self._point(point), self._gen_rows)
-        return PermutationGroup._of_rows(_schreier(level, self._gen_rows))
+        blocks = _schreier_blocks(level, self._gen_rows)
+        return PermutationGroup._of_rows(
+            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for b in blocks])
+        )
 
     # -- stabilizer chain ---------------------------------------------------
 
@@ -328,12 +350,8 @@ class PermutationGroup:
         # first block that adds a residue: the whole batch's first.
         i = len(levels) - 1
         while i >= 0:
-            gens = effective_gens(i)
-            step = max(1, _SCHREIER_BLOCK // gens.size)
-            blocks = (slice(a, a + step) for a in range(0, len(levels[i].reps), step))
-            found = any(
-                add_first_moved(_schreier(levels[i], gens, at), i + 1) for at in blocks
-            )
+            blocks = _schreier_blocks(levels[i], effective_gens(i))
+            found = any(add_first_moved(block, i + 1) for block in blocks)
             i = len(levels) - 1 if found else i - 1
         return levels
 
@@ -348,6 +366,14 @@ class PermutationGroup:
         for level in self._stabilizer_chain():
             n *= len(level.reps)
         return n
+
+    def _check_order(self, cap: int) -> None:
+        """SizeLimitError unless the group's order is at most cap."""
+        order = self.order()
+        if order > cap:
+            raise SizeLimitError(
+                f"group order {order} exceeds enumeration cap {cap}"
+            )
 
     def __contains__(self, g: object) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
@@ -367,11 +393,7 @@ class PermutationGroup:
         level's transversal rows ``reps`` compose with all rows so far at
         once, as ``reps[:, rows]``.
         """
-        order = self.order()
-        if order > cap:
-            raise SizeLimitError(
-                f"group order {order} exceeds enumeration cap {cap}"
-            )
+        self._check_order(cap)
         if self._rows is None:
             rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
             for level in reversed(self._stabilizer_chain()):
@@ -504,23 +526,28 @@ def double_coset_representatives(
     return _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)
 
 
+_NOT_BI_INVARIANT = "connection set is not bi-invariant under the subgroup"
+
+
 class ConnectionSet:
     """An inverse-closed union of H-double cosets driving a coset graph.
 
-    The elements, ``Permutation`` objects or image rows, are held as the
-    read-only ``rows``, distinct and in lexicographic order; ``elements``
-    builds them as ``Permutation`` objects on first use.
+    The elements are held as the read-only ``rows``, distinct and in
+    lexicographic order; ``elements`` builds them as ``Permutation``
+    objects on first use.  ``representatives`` holds the smallest element
+    of each H-double coset, in increasing order.
 
     Inverse closure is checked on construction, by one pass that finds
     every element's inverse; the inverses' images are kept as the
-    read-only ``inverse_rows`` (row i is the inverse of row i, int64,
-    8*|S|*n bytes), which group functions on the set read instead of
-    computing them again.  H-bi-invariance is then decided by splitting
-    the set into its H-double cosets with right products only: S*h
-    inside S for each generator h, together with S = S^-1, puts
-    h*s = (s^-1 * h^-1)^-1 in S as well.  The split is kept as
-    ``representatives`` (the smallest element of each double coset, in
-    increasing order).
+    read-only ``inverse_rows`` (row i is the inverse of row i, in the
+    rows' dtype), which group functions on the set read instead of
+    computing them again.
+
+    Built from elements (``Permutation`` objects or image rows),
+    H-bi-invariance is decided by splitting the set into its H-double
+    cosets with right products only: S*h inside S for each generator h,
+    together with S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well.
+    ``of_point`` builds {g in G : g(p) in T} from cosets instead.
     """
 
     __slots__ = (
@@ -535,6 +562,57 @@ class ConnectionSet:
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
         table = _RowTable(elements, subgroup.degree)
+        inverse = self._fill(table, subgroup)
+        try:
+            reps = _double_coset_split(table, subgroup, inverse)
+        except StructureError:
+            raise StructureError(_NOT_BI_INVARIANT) from None
+        self.representatives = tuple(reps)
+
+    @classmethod
+    def of_point(
+        cls,
+        group: PermutationGroup,
+        point: int,
+        targets: Sequence[int],
+        cap: int = DEFAULT_ELEMENT_CAP,
+    ) -> ConnectionSet:
+        """The set {g in G : g(point) in targets}, over H = G_point, built
+        from cosets of H without enumerating G: SizeLimitError if the
+        group's order exceeds cap, as for ``element_array(cap)``.
+
+        By Sabidussi's decomposition the set is the disjoint union of the
+        left cosets u_w*H, for w in targets within the point's orbit and
+        u_w the transversal row sending the point to w, so its rows are
+        the products u_w*h over H's elements h.  It is closed under right
+        products by H by construction, and under left products exactly
+        when H maps those targets into themselves, which is checked, as is
+        inverse closure.  Its H-double coset through g is
+        {g' : g'(point) in H.g(point)}, so the double cosets are H's orbits
+        on the targets.
+        """
+        group._check_order(cap)
+        subgroup = group.stabilizer(point)
+        t = group.transversal(point)
+        t = t[np.isin(t[:, point], list(targets))]
+        inside = np.zeros(group.degree, dtype=bool)
+        inside[t[:, point]] = True
+        if not inside[subgroup._gen_rows[:, inside]].all():
+            raise StructureError(_NOT_BI_INVARIANT)
+        rows = t[:, subgroup.element_array(cap)].reshape(-1, group.degree)
+        rows = rows[np.argsort(_row_view(rows))]
+        rows.setflags(write=False)
+        connection = object.__new__(cls)
+        connection._fill(_RowTable._sorted(rows), subgroup)
+        orbit = _component_minima(group.degree, subgroup._gen_rows)[rows[:, point]]
+        first = np.sort(np.unique(orbit, return_index=True)[1])
+        connection.representatives = _permutations(rows[first])
+        return connection
+
+    def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> np.ndarray:
+        """Hold the table's rows over the subgroup and find their inverses:
+        the index of each row's inverse.  StructureError unless the rows
+        are inverse-closed."""
         self.degree = subgroup.degree
         self.subgroup = subgroup
         self.rows = table.rows
@@ -546,13 +624,7 @@ class ConnectionSet:
             raise StructureError("connection set is not inverse-closed")
         inverse_rows.setflags(write=False)
         self.inverse_rows = inverse_rows
-        try:
-            reps = _double_coset_split(table, subgroup, inverse)
-        except StructureError:
-            raise StructureError(
-                "connection set is not bi-invariant under the subgroup"
-            ) from None
-        self.representatives = tuple(reps)
+        return inverse
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stabgap import catalog
 from stabgap.casefile import realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
@@ -145,6 +146,63 @@ def test_make_case_rejects_bad_actions():
 def test_extract_respects_group_cap():
     with pytest.raises(SizeLimitError):
         extract_connection_set(s3(), triangle(), 0, cap=4)
+
+
+def assert_extraction_matches_masked_group(group, graph, vertex):
+    """The connection set built from the stabilizer's cosets equals the
+    one masked out of the enumerated group and split generically."""
+    conn = extract_connection_set(group, graph, vertex)
+    rows = group.element_array()
+    masked = rows[np.isin(rows[:, vertex], graph.neighbors(vertex))]
+    reference = ConnectionSet(masked, group.stabilizer(vertex))
+    assert conn.rows.dtype == reference.rows.dtype
+    assert np.array_equal(conn.rows, reference.rows)
+    assert not conn.rows.flags.writeable and not conn.inverse_rows.flags.writeable
+    assert conn.inverse_rows.dtype == reference.inverse_rows.dtype
+    assert np.array_equal(conn.inverse_rows, reference.inverse_rows)
+    assert conn.representatives == reference.representatives
+    assert conn.subgroup.generators == reference.subgroup.generators
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_extraction_matches_masked_group_on_catalog_cases(spec):
+    case = realize_case(spec)
+    for vertex in {case.base_vertex, case.graph.n - 1}:
+        assert_extraction_matches_masked_group(case.group, case.graph, vertex)
+
+
+def test_extraction_matches_masked_group_off_the_first_base_point():
+    case = petersen_case()
+    assert case.group._stabilizer_chain()[0].basepoint not in (3, 7)
+    for vertex in (3, 7):
+        assert_extraction_matches_masked_group(case.group, case.graph, vertex)
+        moved = make_transitive_case(case.group, case.graph, base_vertex=vertex)
+        assert len(moved.connection) == 36
+        assert sabidussi_isomorphism(moved)
+
+
+def test_extraction_enumerates_the_stabilizer_only(monkeypatch):
+    case = petersen_case()
+    group = PermutationGroup(case.graph.n, case.group.generators)
+    enumerated = []
+    element_array = PermutationGroup.element_array
+
+    def recording(self, *args, **kwargs):
+        enumerated.append(self)
+        return element_array(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "element_array", recording)
+    subgroups = [
+        extract_connection_set(group, case.graph, vertex).subgroup
+        for vertex in (0, 7)
+    ]
+    assert len(enumerated) == 2
+    assert all(a is b for a, b in zip(enumerated, subgroups))
+    assert group._rows is None
 
 
 # -- coset graphs ---------------------------------------------------------------
@@ -315,16 +373,21 @@ def _symmetric(degree):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from([_symmetric(4), _symmetric(5), dihedral(12)]).flatmap(
-        lambda group: st.tuples(
-            st.just(group),
-            st.lists(st.sampled_from(group.elements()), min_size=0, max_size=2),
-            st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
-        )
+#: An ambient group with subgroup generators and connection
+#: representatives drawn from its elements.
+coset_graph_data = st.sampled_from(
+    [_symmetric(4), _symmetric(5), dihedral(12)]
+).flatmap(
+    lambda group: st.tuples(
+        st.just(group),
+        st.lists(st.sampled_from(group.elements()), min_size=0, max_size=2),
+        st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
     )
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_graph_data)
 def test_coset_graph_matches_pairwise_reference(drawn):
     group, subgroup_gens, reps = drawn
     subgroup = PermutationGroup(group.degree, subgroup_gens)
@@ -338,6 +401,19 @@ def test_coset_graph_matches_pairwise_reference(drawn):
     assert graph.edges() == expected[0]
     assert [g.images for g in case.group.generators] == expected[1]
     assert local_action(case) == reference_local_action(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_graph_data)
+def test_coset_graph_extraction_matches_masked_group(drawn):
+    group, subgroup_gens, reps = drawn
+    subgroup = PermutationGroup(group.degree, subgroup_gens)
+    try:
+        graph, case = build_coset_graph(CosetGraphSpec(group, subgroup, tuple(reps)))
+    except StructureError:
+        return
+    for vertex in {0, graph.n - 1}:
+        assert_extraction_matches_masked_group(case.group, graph, vertex)
 
 
 # -- canonical isomorphism -------------------------------------------------------

@@ -12,6 +12,8 @@ from stabgap.groups import (
     ConnectionSet,
     PermutationGroup,
     _RowTable,
+    _image_dtype,
+    _inverse_rows,
     _sorted_distinct,
     double_coset_representatives,
     is_inverse_closed,
@@ -445,6 +447,46 @@ def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatc
         assert slice(0, 1) in blocks and len(blocks) > len(group._stabilizer_chain())
 
 
+def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatch):
+    # Each block drops its own identity rows and repeats; the generator
+    # rows must be those of one batch over the whole transversal.
+    blocks = []
+
+    def recording(level, gen_rows, at=slice(None)):
+        blocks.append(at)
+        return schreier(level, gen_rows, at)
+
+    schreier = groups._schreier
+    monkeypatch.setattr(groups, "_schreier", recording)
+    catalog_groups = [realize_case(spec).group for spec in builtin_cases()]
+    for group in catalog_groups + [pair_action_s5()[0]]:
+        first = group._stabilizer_chain()[0].basepoint
+        point = group.degree - 1 if first != group.degree - 1 else first - 1
+        monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1 << 62)
+        blocks.clear()
+        batch = group.stabilizer(point)._gen_rows
+        assert len(blocks) == 1
+        monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
+        blocks.clear()
+        blocked = group.stabilizer(point)._gen_rows
+        assert len(blocks) == len(group.orbit(point))
+        assert blocked.dtype == batch.dtype
+        assert blocked.tolist() == batch.tolist()
+
+
+@pytest.mark.parametrize("degree", [1, 7, 256, 300])
+def test_inverse_rows_scatter_matches_argsort(degree):
+    rng = np.random.default_rng(degree)
+    images = np.argsort(rng.random((50, degree)), axis=1)
+    for dtype in (_image_dtype(degree), np.int64):
+        rows = images.astype(dtype)
+        inverse = _inverse_rows(rows)
+        assert inverse.dtype == rows.dtype
+        assert np.array_equal(inverse, np.argsort(rows, axis=1))
+    assert _image_dtype(300) == np.uint16
+    assert _inverse_rows(images[:0].astype(np.uint8)).shape == (0, degree)
+
+
 def test_orbits_compose_no_transversal(monkeypatch):
     def forbidden(*args):
         raise AssertionError("orbits composed a transversal")
@@ -747,6 +789,29 @@ def test_connection_set_keeps_its_inverse_rows():
     assert not conn.inverse_rows.flags.writeable
     inverses = conn.contains_rows(conn.inverse_rows)
     assert inverses.all() and len(inverses) == len(conn)
+
+
+def test_connection_set_of_point_validates_its_targets():
+    # G_0 = <(1 2)> moves the target 1 to 2: not a union of double cosets.
+    with pytest.raises(StructureError, match="bi-invariant"):
+        ConnectionSet.of_point(s3(), 0, [1])
+    # Z_4 is regular and {g : g(0) = 1} = {r} misses r^-1.
+    with pytest.raises(StructureError, match="inverse-closed"):
+        ConnectionSet.of_point(c4(), 0, [1])
+    conn = ConnectionSet.of_point(c4(), 0, [1, 3])
+    assert conn.rows.tolist() == [[1, 2, 3, 0], [3, 0, 1, 2]]
+    assert conn.representatives == conn.elements
+    # Targets off the point's orbit are not in the set.
+    two_orbits = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
+    assert ConnectionSet.of_point(two_orbits, 0, [1, 2]).rows.tolist() == [[1, 0, 2, 3]]
+
+
+def test_connection_set_of_point_caps_the_group_order():
+    with pytest.raises(SizeLimitError, match="group order 6 exceeds enumeration cap 5"):
+        ConnectionSet.of_point(s3(), 0, [1, 2], cap=5)
+    with pytest.raises(SizeLimitError, match="group order 6 exceeds enumeration cap 5"):
+        s3().element_array(cap=5)
+    assert len(ConnectionSet.of_point(s3(), 0, [1, 2], cap=6)) == 4
 
 
 def test_element_rows_are_checked():
