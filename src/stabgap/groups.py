@@ -9,11 +9,17 @@ base point, and element lists are in lexicographic order of image tuples.
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets, the supports of group functions) are held as rows of an
 integer array of images, converted into that layout by ``_image_rows``
-alone, composed a whole array at a time by fancy indexing, and sorted,
-deduplicated and looked up through ``_row_view``, whose values sort as the
-rows do.  A group's generators are rows too (``_gen_rows``), which the
-chain, the orbits and the graph layer read; ``Permutation`` objects are
-built from rows for ``generators`` and where a caller asks for elements.
+alone and composed a whole array at a time by fancy indexing.  They are
+indexed by one ``uint64`` key per row, its first eight bytes of
+big-endian images (``_row_keys``): ``_lex_order`` sorts and deduplicates
+rows by their keys, and a ``_RowTable`` looks rows up by binary search on
+its sorted keys.  Only rows that share a key and differ are compared
+whole, through ``_row_view``, whose values sort as the rows do, so every
+order and lookup is that of whole rows.
+
+A group's generators are rows too (``_gen_rows``), which the chain, the
+orbits and the graph layer read; ``Permutation`` objects are built from
+rows for ``generators`` and where a caller asks for elements.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
 Group Algorithms*, 2003): each level keeps its strong generators, its
@@ -51,6 +57,10 @@ DEFAULT_ELEMENT_CAP = 10**6
 #: intp index temporaries).
 _SCHREIER_BLOCK = 1 << 20
 
+#: Images per block of rows compared or re-sorted at once where their
+#: sort keys tie.
+_COMPARE_BLOCK = 1 << 20
+
 #: An element set as ``Permutation`` objects or as rows of images.
 _Elements = Union[Iterable[Permutation], np.ndarray]
 
@@ -63,9 +73,83 @@ def _image_dtype(degree: int) -> np.dtype:
 def _row_view(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one void value over its big-endian
     images, so that the values' byte order is the rows' lexicographic
-    order whatever the row dtype."""
+    order whatever the row dtype.  Read only where rows share a key and
+    differ, to break the tie."""
     rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
+
+
+def _key_width(rows: np.ndarray) -> int:
+    """The number of leading images a row's key holds: eight bytes' worth."""
+    return 8 // rows.itemsize
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row's first eight bytes of big-endian images (the whole row
+    when it is shorter, zero-padded) as one ``uint64``, so that the keys'
+    order is the rows' lexicographic order on those images.  The rows must
+    be unsigned.
+
+    The images are written straight into the keys' lanes: in a
+    little-endian key the last lane is the most significant, so the first
+    image goes there."""
+    n = len(rows)
+    keys = np.zeros(n, dtype="<u8")
+    lanes = keys.view(rows.dtype.newbyteorder("<")).reshape(n, _key_width(rows))
+    lanes = lanes[:, ::-1]
+    span = min(rows.shape[1], lanes.shape[1])
+    lanes[:, :span] = rows[:, :span]
+    return keys
+
+
+def _equal_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether rows[a[i]] equals rows[b[i]], for each i, compared a block
+    of about ``_COMPARE_BLOCK`` images at a time."""
+    equal = np.ones(len(a), dtype=bool)
+    step = max(1, _COMPARE_BLOCK // max(rows.shape[1], 1))
+    for i in range(0, len(a), step):
+        equal[i : i + step] = (rows[a[i : i + step]] == rows[b[i : i + step]]).all(1)
+    return equal
+
+
+def _lex_order(rows: np.ndarray, distinct: bool = False) -> np.ndarray:
+    """The stable lexicographic argsort of unsigned 2-D rows, or with
+    ``distinct`` its first index of each distinct row.
+
+    The rows are sorted by their keys (``_row_keys``).  Rows that share a
+    key are compared on the images past it: a run of equal keys over
+    identical rows is a duplicate, and only a run that holds two
+    different rows is re-sorted, by whole-row void values."""
+    keys = _row_keys(rows)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    tie = np.flatnonzero(keys[1:] == keys[:-1])
+    if not len(tie):
+        return order
+    rest = rows[:, _key_width(rows) :]
+    equal = _equal_rows(rest, order[tie], order[tie + 1])
+    if not equal.all():
+        # The positions of the runs to re-sort, cut at run starts into
+        # blocks of about ``_COMPARE_BLOCK`` images.  Whole-row order keeps
+        # the runs in key order, and a stable sort keeps identical rows in
+        # index order.
+        run = np.concatenate([[0], np.cumsum(keys[1:] != keys[:-1])])
+        differ = np.zeros(run[-1] + 1, dtype=bool)
+        differ[run[tie[~equal]]] = True
+        at = np.flatnonzero(differ[run])
+        first = np.flatnonzero(np.diff(run[at], prepend=-1))
+        step = max(1, _COMPARE_BLOCK // rows.shape[1])
+        cuts = first[np.unique(first // step, return_index=True)[1]]
+        for a, b in zip(cuts, np.append(cuts[1:], len(at))):
+            block = order[at[a:b]]
+            order[at[a:b]] = block[np.argsort(_row_view(rows[block]), kind="stable")]
+        if distinct:
+            equal = _equal_rows(rest, order[tie], order[tie + 1])
+    if distinct:
+        keep = np.ones(len(order), dtype=bool)
+        keep[tie[equal] + 1] = False
+        order = order[keep]
+    return order
 
 
 def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
@@ -96,7 +180,7 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, in lexicographic order."""
-    return rows[np.unique(_row_view(rows), return_index=True)[1]]
+    return rows[_lex_order(rows, distinct=True)]
 
 
 def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
@@ -216,7 +300,7 @@ def _moved(rows: np.ndarray) -> np.ndarray:
 def _distinct_moved(rows: np.ndarray) -> np.ndarray:
     """The rows that are not the identity, each once, at its first place."""
     rows = rows[_moved(rows)]
-    return rows[np.sort(np.unique(_row_view(rows), return_index=True)[1])]
+    return rows[np.sort(_lex_order(rows, distinct=True))]
 
 
 class PermutationGroup:
@@ -398,7 +482,7 @@ class PermutationGroup:
             rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
             for level in reversed(self._stabilizer_chain()):
                 rows = level.reps[:, rows].reshape(-1, self.degree)
-            rows = rows[np.argsort(_row_view(rows))]
+            rows = rows[_lex_order(rows)]
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
@@ -413,9 +497,15 @@ class PermutationGroup:
 
 class _RowTable:
     """Distinct permutations of one degree as the rows of an integer array,
-    sorted lexicographically, looked up by binary search on their view."""
+    sorted lexicographically, looked up by binary search on their keys.
 
-    __slots__ = ("rows", "_view")
+    The table keeps its rows' sorted keys (``_row_keys``).  A query is
+    found by ``searchsorted`` on them and confirmed on the images past
+    the key.  Where two table rows share a key, a query with that key
+    takes a binary search on whole-row void values instead; the table
+    views its rows that way only if it has such a tie."""
+
+    __slots__ = ("rows", "_keys", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
         rows = _sorted_distinct(_image_rows(elements, degree))
@@ -433,14 +523,37 @@ class _RowTable:
 
     def _fill(self, rows: np.ndarray) -> None:
         self.rows = rows
-        self._view = _row_view(rows)
+        self._keys = _row_keys(rows)
+        tied = (self._keys[1:] == self._keys[:-1]).any()
+        self._view = _row_view(rows) if tied else None
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """The index of each given row, or -1 where the row is missing."""
-        view = _row_view(rows.astype(self.rows.dtype, copy=False))
-        at = np.searchsorted(self._view, view)
-        hit = at < len(self._view)
-        hit[hit] = self._view[at[hit]] == view[hit]
+        """The index of each given row, or -1 where the row is missing.
+
+        Matches are confirmed on the rows as given, so a row with an image
+        outside 0..degree-1 is missing.  ValueError unless the rows form a
+        2-D array with one column per point."""
+        rows = np.asarray(rows)
+        n, degree = self.rows.shape
+        if rows.ndim != 2 or rows.shape[1] != degree:
+            raise ValueError(
+                f"query rows must be a 2-D array of width {degree} (the degree), "
+                f"not of shape {rows.shape}"
+            )
+        if not n:
+            return np.full(len(rows), -1)
+        query = rows.astype(self.rows.dtype, copy=False)
+        keys = _row_keys(query)
+        at = np.searchsorted(self._keys, keys)
+        if self._view is not None:
+            # ``at`` is the first row with the query's key, if any.
+            tied = (at + 1 < n) & (self._keys[np.minimum(at + 1, n - 1)] == keys)
+            at[tied] = np.searchsorted(self._view, _row_view(query[tied]))
+        at = np.minimum(at, n - 1)
+        hit = self._keys[at] == keys
+        # A cast query's key may have wrapped: confirm it whole.
+        cols = slice(_key_width(query), None) if query is rows else slice(None)
+        hit[hit] = (self.rows[at[hit], cols] == rows[hit, cols]).all(axis=1)
         return np.where(hit, at, -1)
 
 
@@ -600,7 +713,7 @@ class ConnectionSet:
         if not inside[subgroup._gen_rows[:, inside]].all():
             raise StructureError(_NOT_BI_INVARIANT)
         rows = t[:, subgroup.element_array(cap)].reshape(-1, group.degree)
-        rows = rows[np.argsort(_row_view(rows))]
+        rows = rows[_lex_order(rows)]
         rows.setflags(write=False)
         connection = object.__new__(cls)
         connection._fill(_RowTable._sorted(rows), subgroup)
@@ -644,7 +757,9 @@ class ConnectionSet:
         return bool(self.contains_rows(np.array([g.images]))[0])
 
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Whether each row of images, of the set's degree, is in the set."""
+        """Whether each row of images, of the set's degree, is in the set:
+        a row with an image outside 0..degree-1 is not.  ValueError unless
+        the rows form a 2-D array of the set's width."""
         return self._table.find(rows) >= 0
 
     def __repr__(self) -> str:

@@ -19,6 +19,7 @@ from stabgap.groups import (
     is_inverse_closed,
 )
 from stabgap.perms import Permutation
+from stabgap.pipeline import analyze_case
 
 from cases import double_coset
 
@@ -229,6 +230,152 @@ def test_row_order_and_lookup_at_two_byte_degree():
     assert own.rows is rows
     assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
     assert own.find(missing).tolist() == [-1, 7]
+
+
+def test_lookup_confirms_uncast_queries():
+    r = Permutation([1, 2, 3, 0])
+    connection = ConnectionSet([r, r.inverse()], PermutationGroup.trivial(4))
+    # 256 and -256 wrap onto 0 in the rows' uint8 dtype, making r.
+    for image in (256, -256, 4, -1):
+        query = np.array([[1, 2, 3, image]])
+        assert connection.contains_rows(query).tolist() == [False]
+    table = connection._table
+    queries = np.array([[1, 2, 3, 0], [257, 2, 3, 0], [3, 0, 1, 2], [3, 0, 1, 2 - 512]])
+    assert table.find(queries).tolist() == [0, -1, 1, -1]
+    for bad in (np.array([1, 2, 3, 0]), np.array([[1, 2, 3]]), np.zeros((1, 1, 4))):
+        with pytest.raises(ValueError, match="width 4"):
+            table.find(bad)
+        with pytest.raises(ValueError, match="width 4"):
+            connection.contains_rows(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+@pytest.mark.parametrize("width", [3, 12])
+def test_key_order_of_empty_and_one_row_sets(dtype, width):
+    row = np.arange(width, dtype=dtype)[::-1][None, :]
+    for rows in (row[:0], row):
+        assert groups._lex_order(rows).tolist() == list(range(len(rows)))
+        assert np.array_equal(_sorted_distinct(rows), rows)
+        assert np.array_equal(groups._distinct_moved(rows), rows)
+        table = _RowTable._sorted(rows)
+        queries = np.concatenate([row, row[:, ::-1], row + 1]).astype(np.int64)
+        assert table.find(queries).tolist() == [len(rows) - 1, -1, -1]
+
+
+@st.composite
+def key_rows(draw):
+    """Rows of uint8 or uint16 images, some wider and some narrower than a
+    key, with repeated rows and, sometimes, one shared leading key."""
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16])))
+    width = draw(st.integers(1, 12))
+    top = int(np.iinfo(dtype).max)
+    row = st.lists(st.sampled_from([0, 1, 2, top]), min_size=width, max_size=width)
+    rows = np.array(draw(st.lists(row, max_size=10)), dtype=dtype).reshape(-1, width)
+    if len(rows):
+        again = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+        rows = np.concatenate([rows, rows[again]])
+        if draw(st.booleans()):
+            rows[:, : 8 // dtype.itemsize] = rows[0, : 8 // dtype.itemsize]
+    return rows
+
+
+@settings(max_examples=50, deadline=None)
+@given(key_rows(), st.data())
+def test_key_order_and_lookup_match_python(rows, data):
+    tuples = [tuple(row) for row in rows.tolist()]
+    n, width = rows.shape
+    by_row = sorted(range(n), key=lambda i: tuples[i])
+    assert groups._lex_order(rows).tolist() == by_row
+    first = {}
+    for i in by_row:
+        first.setdefault(tuples[i], i)
+    assert groups._lex_order(rows, distinct=True).tolist() == list(first.values())
+    distinct = sorted(set(tuples))
+    assert [tuple(row) for row in _sorted_distinct(rows).tolist()] == distinct
+    identity = tuple(range(width))
+    moved = list(dict.fromkeys(t for t in tuples if t != identity))
+    assert [tuple(row) for row in groups._distinct_moved(rows).tolist()] == moved
+
+    table = _RowTable._sorted(_sorted_distinct(rows))
+    index = {t: i for i, t in enumerate(distinct)}
+    top = int(np.iinfo(rows.dtype).max)
+    value = st.sampled_from([0, 1, 2, 3, top])
+    drawn = data.draw(st.lists(st.tuples(*[value] * width), max_size=6))
+    queries = distinct + drawn
+    # Images outside the dtype's range, equal to a member's after a cast.
+    for t in distinct[:3]:
+        column = data.draw(st.integers(0, width - 1))
+        queries.append(t[:column] + (t[column] + top + 1,) + t[column + 1 :])
+        queries.append(t[:column] + (t[column] - top - 1,) + t[column + 1 :])
+    found = table.find(np.array(queries, dtype=np.int64).reshape(-1, width))
+    assert found.tolist() == [index.get(q, -1) for q in queries]
+    if queries:
+        own = np.array(queries[: len(distinct)], dtype=rows.dtype).reshape(-1, width)
+        assert table.find(own).tolist() == list(range(len(distinct)))
+
+
+def s4_on_last_points(degree):
+    """S_4 acting on the last 4 of the degree's points: every element has
+    the same images on the first degree - 4 points, so rows share keys."""
+    fixed = list(range(degree - 4))
+    a, b, c, d = range(degree - 4, degree)
+    return PermutationGroup(
+        degree, [Permutation(fixed + [b, a, c, d]), Permutation(fixed + [b, c, d, a])]
+    )
+
+
+@pytest.mark.parametrize("degree", [12, 300])
+def test_tied_keys_keep_whole_row_order(degree, monkeypatch):
+    views = []
+    row_view = groups._row_view
+
+    def counting(rows):
+        views.append(len(rows))
+        return row_view(rows)
+
+    monkeypatch.setattr(groups, "_row_view", counting)
+    group = s4_on_last_points(degree)
+    rows = group.element_array()
+    keys = groups._row_keys(rows)
+    assert len(set(keys.tolist())) == 1
+    assert views
+    tuples = [tuple(row) for row in rows.tolist()]
+    brute = brute_closure(degree, group.generators)
+    assert tuples == sorted(p.images for p in brute)
+
+    point = degree - 4
+    h = group.stabilizer(point)
+    s = [g for g in brute if g(point) != point]
+    reps = sorted({min(double_coset(h, g)) for g in s})
+    connection = ConnectionSet(np.array([g.images for g in s]), h)
+    assert connection.rows.tolist() == [list(t) for t in tuples if t[point] != point]
+    assert list(connection.representatives) == reps
+    assert double_coset_representatives(s, h) == reps
+    assert is_inverse_closed(s)
+    cycle = Permutation(list(range(point)) + [point + 1, point + 2, point + 3, point])
+    assert not is_inverse_closed([g for g in s if g != cycle])
+    of_point = ConnectionSet.of_point(group, point, range(point + 1, degree))
+    assert np.array_equal(of_point.rows, connection.rows)
+    assert list(of_point.representatives) == reps
+    assert connection.contains_rows(connection.inverse_rows).all()
+    assert not connection.contains_rows(rows[:1]).any()
+
+
+def test_johnson_connection_set_keeps_whole_row_order():
+    # Johnson(8, 4) acts on 70 points and its rows tie on their first 8.
+    case = realize_case(catalog._johnson(8, 4))
+    rows, v = case.connection.rows, case.base_vertex
+    keys = groups._row_keys(rows)
+    assert len(set(keys.tolist())) < len(rows)
+    tuples = [tuple(row) for row in rows.tolist()]
+    assert tuples == sorted(set(tuples))
+    orbit = {q: min(case.stabilizer.orbit(q)) for q in {t[v] for t in tuples}}
+    reps, seen = [], set()
+    for t in tuples:
+        if orbit[t[v]] not in seen:
+            seen.add(orbit[t[v]])
+            reps.append(t)
+    assert [g.images for g in case.connection.representatives] == reps
 
 
 def brute_closure(degree, gens):
@@ -521,6 +668,24 @@ def test_chain_paths_form_no_permutation_products(monkeypatch):
     assert group.stabilizer(first).order() == 12
     assert group.stabilizer(other).order() == 12
     assert inside in group and outside not in group
+    assert calls == []
+
+
+def test_benchmark_cases_sort_and_look_up_by_keys_alone(monkeypatch):
+    # No set these cases build has two different rows with one key, so no
+    # sort, deduplication or lookup falls back to whole-row void values.
+    calls = []
+    row_view = groups._row_view
+
+    def counting(rows):
+        calls.append(rows.shape)
+        return row_view(rows)
+
+    monkeypatch.setattr(groups, "_row_view", counting)
+    specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+    assert len(specs) == 26
+    for spec in specs:
+        analyze_case(spec)
     assert calls == []
 
 
