@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import get_args, get_type_hints
 
 from .errors import SizeLimitError
 from .graphs import (
@@ -39,9 +40,6 @@ class CaseParseError(ValueError):
     """A case document failed to parse or validate."""
 
 
-_OPTION_KEYS = {"tol": float, "seed": int, "max_vertices": int, "max_group_order": int}
-
-
 @dataclass(frozen=True)
 class CaseOptions:
     """Per-document option overrides.  Explicit command-line flags win
@@ -51,6 +49,15 @@ class CaseOptions:
     seed: int | None = None
     max_vertices: int | None = None
     max_group_order: int | None = None
+
+
+#: Option name -> value type, read off ``CaseOptions``' ``X | None`` fields;
+#: the document parser, the command-line flags and ``AnalyzeOptions``'
+#: overrides all iterate this table.
+_OPTION_KEYS = {
+    name: next(kind for kind in get_args(hint) if kind is not type(None))
+    for name, hint in get_type_hints(CaseOptions).items()
+}
 
 
 @dataclass(frozen=True)

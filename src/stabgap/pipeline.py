@@ -2,8 +2,8 @@
 
 The pipeline realizes the case, decomposes the connection set into
 double cosets, classifies the local action, checks the canonical coset
-isomorphism, builds the bipartite matrix, computes its spectrum by two
-routes, runs the randomized convolution and norm-identity checks, and
+isomorphism, builds the bipartite matrix, computes its spectrum densely
+and its second singular value again by power iteration, runs the randomized convolution and norm-identity checks, and
 evaluates the inequality chain and the stabilizer bounds.  Randomness
 is drawn from a per-case seed derived from the base seed and the case
 name, so identical inputs produce byte-identical reports.
@@ -19,7 +19,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .casefile import _OPTION_KEYS, CaseSpec, realize_case
-from .errors import SizeLimitError
 from .graphs import local_action, sabidussi_isomorphism
 from .harmonic import (
     NormIdentityReport,
@@ -29,7 +28,6 @@ from .harmonic import (
 from .spectral import (
     DENSE_SIZE_CAP,
     build_bipartite,
-    lambda1_power_iteration,
     lambda2_power_iteration,
     reconstruction_report,
     singular_values,
@@ -88,9 +86,10 @@ class CaseAnalysisError(RuntimeError):
 class AnalyzeOptions:
     tol: float = 1e-9
     seed: int = 0
-    max_vertices: int = 4000
+    max_vertices: int = DENSE_SIZE_CAP
     max_group_order: int = 1_000_000
-    dense_cap: int = DENSE_SIZE_CAP
+    # Read by the benchmark's traced copy of the pipeline only.
+    dense_cap: ClassVar[int] = DENSE_SIZE_CAP
     matrix_trials: ClassVar[int] = 100
     identity_trials: ClassVar[int] = 1000
     contraction_trials: ClassVar[int] = 100
@@ -102,6 +101,12 @@ class AnalyzeOptions:
         # Every check tol governs passes at inf and fails at NaN or below 0.
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        # Every case is solved densely, so no larger case can finish.
+        if self.max_vertices > DENSE_SIZE_CAP:
+            raise ValueError(
+                f"max_vertices must be at most the dense eigensolve cap "
+                f"{DENSE_SIZE_CAP}, got {self.max_vertices}"
+            )
 
     def with_case_options(self, case_options) -> AnalyzeOptions:
         """Apply per-document option overrides."""
@@ -249,10 +254,6 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
         element_cap=options.max_group_order,
     )
     group_order = case.group.order()
-    if group_order > options.max_group_order:
-        raise SizeLimitError(
-            f"group order {group_order} exceeds cap {options.max_group_order}"
-        )
     n = case.graph.n
     k = case.valency
     stabilizer_order = case.stabilizer.order()
@@ -263,49 +264,26 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     sabidussi_ok = bool(sabidussi_isomorphism(case))
 
     adjacency = build_bipartite(case.connection, n)
-    power_seed = case_seed(seed, "power")
-    if n <= options.dense_cap:
-        summary = singular_values(adjacency)
-        lambda1 = summary.lambda1
-        lambda2 = summary.lambda2
-        spectrum = tuple(float(x) for x in summary.values)
-        recon = (
-            reconstruction_report(summary, adjacency)
-            if n <= options.reconstruction_cap
-            else None
-        )
-        top_value_ok = top_value_matches_degree(summary, adjacency, rel_tol=options.tol)
-        power_lambda2 = lambda2_power_iteration(
-            adjacency,
-            tol=options.power_tol,
-            max_iter=options.power_max_iter,
-            seed=power_seed,
-        )
-        power_gap = abs(power_lambda2 - lambda2) / max(1.0, lambda2)
-    else:
-        lambda1 = lambda1_power_iteration(
-            adjacency,
-            tol=options.power_tol,
-            max_iter=options.power_max_iter,
-            seed=power_seed,
-        )
-        lambda2 = lambda2_power_iteration(
-            adjacency,
-            tol=options.power_tol,
-            max_iter=options.power_max_iter,
-            seed=power_seed,
-        )
-        spectrum = ()
-        recon = None
-        expected = float(adjacency.s_size)
-        top_value_ok = abs(lambda1 - expected) <= options.tol * max(1.0, expected)
-        power_lambda2 = lambda2
-        power_gap = 0.0
-
+    summary = singular_values(adjacency)
+    lambda1 = summary.lambda1
+    lambda2 = summary.lambda2
+    recon = (
+        reconstruction_report(summary, adjacency)
+        if n <= options.reconstruction_cap
+        else None
+    )
     reconstruction_ok = recon is None or (
         recon.residual <= RECONSTRUCTION_TOL
         and recon.orthonormality_defect <= RECONSTRUCTION_TOL
     )
+    top_value_ok = top_value_matches_degree(summary, adjacency, rel_tol=options.tol)
+    power_lambda2 = lambda2_power_iteration(
+        adjacency,
+        tol=options.power_tol,
+        max_iter=options.power_max_iter,
+        seed=case_seed(seed, "power"),
+    )
+    power_gap = abs(power_lambda2 - lambda2) / max(1.0, lambda2)
     contraction = zero_sum_contraction_ok(
         adjacency, lambda2, options.contraction_trials, rng
     )
@@ -362,7 +340,7 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
         orthonormality_defect=None if recon is None else recon.orthonormality_defect,
         cs_value=cauchy.value,
         cs_equality=cauchy.equality,
-        singular_spectrum=spectrum,
+        singular_spectrum=tuple(float(x) for x in summary.values),
         chain=chain,
         identity_report=identity_report,
         matrix_dump=adjacency.dump() if dump_matrix else None,

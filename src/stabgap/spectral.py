@@ -3,10 +3,11 @@
 The matrix of the bipartite double of a connection set S counts, for
 vertices x and y, the elements of S sending x to y.  Since S is
 inverse-closed the matrix is symmetric, so its singular values are the
-absolute values of its eigenvalues; the dense path diagonalizes with
-LAPACK's symmetric eigensolver (``numpy.linalg.eigh``), and a deflated
-power iteration provides an independent route to the second singular
-value.
+absolute values of its eigenvalues, and one dense eigendecomposition
+(LAPACK's ``numpy.linalg.eigh``) gives every singular value and, in one
+family of eigenvectors, both singular vector families.  A deflated power
+iteration provides an independent route to the second singular value,
+and random zero-sum vectors check the contraction that value bounds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from .errors import ConvergenceError, SizeLimitError, StructureError
 from .groups import ConnectionSet
 
-#: Largest size for which the dense eigensolve is attempted by default.
+#: Largest size the dense eigensolve accepts, and so the largest
+#: ``max_vertices`` an analysis accepts.
 DENSE_SIZE_CAP = 4000
 
 
@@ -91,16 +93,21 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Singular values in non-increasing order with optional vector pairs.
+    """The spectrum of the symmetric matrix, ordered by absolute value.
 
-    For repeated values the individual vector pairs are an arbitrary
-    orthonormal completion; only spans and residuals are meaningful.
+    ``eigenvalues`` are signed, in non-increasing order of absolute value
+    (ties keep the solver's ascending order); ``values``, their absolute
+    values, are the singular values.  Column i of ``vectors`` is a unit
+    eigenvector of ``eigenvalues[i]``: it is the right singular vector of
+    ``values[i]``, and its product with the eigenvalue's sign the left
+    one, so one family serves both.  For repeated values the vectors are
+    an arbitrary orthonormal completion; only spans and residuals are
+    meaningful.
     """
 
+    eigenvalues: np.ndarray
     values: np.ndarray
-    left_vectors: np.ndarray | None
-    right_vectors: np.ndarray | None
-    method: str
+    vectors: np.ndarray
 
     @property
     def lambda1(self) -> float:
@@ -111,57 +118,48 @@ class SpectralSummary:
         return float(self.values[1]) if self.values.size > 1 else 0.0
 
 
-def singular_values(
-    adjacency: BipartiteAdjacency,
-    keep_vectors: bool = True,
-    size_cap: int = DENSE_SIZE_CAP,
-) -> SpectralSummary:
-    """Dense singular value decomposition of the (symmetric) matrix.
+def singular_values(adjacency: BipartiteAdjacency) -> SpectralSummary:
+    """Dense eigendecomposition of the (symmetric) matrix, ordered by
+    absolute value.
 
-    Singular values are the absolute eigenvalues; the left vector of a
-    negative eigenvalue is the negated eigenvector.  A LAPACK failure to
-    converge raises ``numpy.linalg.LinAlgError``.
+    Sizes above ``DENSE_SIZE_CAP`` raise ``SizeLimitError``.  A LAPACK
+    failure to converge raises ``numpy.linalg.LinAlgError``.
     """
     n = adjacency.n
-    if n > size_cap:
-        raise SizeLimitError(f"size {n} exceeds dense eigensolve cap {size_cap}")
+    if n > DENSE_SIZE_CAP:
+        raise SizeLimitError(
+            f"size {n} exceeds dense eigensolve cap {DENSE_SIZE_CAP}"
+        )
     w, vecs = np.linalg.eigh(adjacency.float_matrix)
-    lam = np.abs(w)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    right = vecs[:, order]
-    signs = np.where(w[order] < 0.0, -1.0, 1.0)
-    left = right * signs
-    return SpectralSummary(
-        values=lam,
-        left_vectors=left if keep_vectors else None,
-        right_vectors=right if keep_vectors else None,
-        method="dense-eigen",
-    )
+    order = np.argsort(-np.abs(w), kind="stable")
+    eigenvalues = w[order]
+    return SpectralSummary(eigenvalues, np.abs(eigenvalues), vecs[:, order])
 
 
-def lambda1_power_iteration(
+def _power_iteration(
     adjacency: BipartiteAdjacency,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-    seed: int = 0,
+    x: np.ndarray,
+    zero_sum: bool,
+    tol: float,
+    max_iter: int,
 ) -> float:
-    """Top singular value by plain power iteration on the squared matrix.
+    """Power iteration on the squared matrix from the start vector x.
 
-    Used when the matrix is past the dense cap; for these regular
-    matrices the all-ones direction carries the top value, so no
-    deflation is needed."""
-    n = adjacency.n
+    Each step estimates the singular value as ``||A x||`` and moves x to
+    ``A(A x)``, projected onto the zero-sum subspace when ``zero_sum``,
+    normalized.  It stops when consecutive estimates agree within tol,
+    or when the image vanishes.
+    """
     a = adjacency.float_matrix
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n) + 1.0
-    x /= float(np.linalg.norm(x))
+    x = x / float(np.linalg.norm(x))
     previous = None
     estimate = 0.0
     for _ in range(max_iter):
         y = a @ x
         estimate = float(np.linalg.norm(y))
         z = a @ y
+        if zero_sum:
+            z -= z.mean()
         norm = float(np.linalg.norm(z))
         if norm <= 1e-300:
             return estimate
@@ -173,6 +171,22 @@ def lambda1_power_iteration(
         f"power iteration did not converge in {max_iter} iterations",
         last_estimate=estimate,
     )
+
+
+def lambda1_power_iteration(
+    adjacency: BipartiteAdjacency,
+    tol: float = 1e-12,
+    max_iter: int = 100_000,
+    seed: int = 0,
+) -> float:
+    """Top singular value by power iteration on the squared matrix.
+
+    For these regular matrices the all-ones direction carries the top
+    value, so the start vector is a random one shifted towards it and no
+    deflation is needed."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(adjacency.n) + 1.0
+    return _power_iteration(adjacency, x, False, tol, max_iter)
 
 
 def lambda2_power_iteration(
@@ -186,40 +200,18 @@ def lambda2_power_iteration(
 
     The all-ones vector is the top singular vector of a regular matrix,
     so projecting it out each step makes the iteration converge to the
-    second singular value; the estimate sequence is non-decreasing, and
-    the iteration stops when consecutive estimates agree within tol.
+    second singular value; the estimate sequence is non-decreasing.
     """
     n = adjacency.n
     if n == 1:
         return 0.0
-    a = adjacency.float_matrix
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
     x -= x.mean()
-    norm = float(np.linalg.norm(x))
-    while norm < 1e-12:
+    while float(np.linalg.norm(x)) < 1e-12:
         x = rng.standard_normal(n)
         x -= x.mean()
-        norm = float(np.linalg.norm(x))
-    x /= norm
-    previous = None
-    estimate = 0.0
-    for _ in range(max_iter):
-        y = a @ x
-        estimate = float(np.linalg.norm(y))
-        z = a @ y
-        z -= z.mean()
-        norm = float(np.linalg.norm(z))
-        if norm <= 1e-300:
-            return estimate
-        x = z / norm
-        if previous is not None and abs(estimate - previous) <= tol * max(1.0, estimate):
-            return estimate
-        previous = estimate
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last_estimate=estimate,
-    )
+    return _power_iteration(adjacency, x, True, tol, max_iter)
 
 
 def top_value_matches_degree(
@@ -241,19 +233,17 @@ class ReconstructionReport:
 def reconstruction_report(
     summary: SpectralSummary, adjacency: BipartiteAdjacency
 ) -> ReconstructionReport:
-    """Relative Frobenius residual of the rank-sum reconstruction plus the
-    worst orthonormality defect of the vector families."""
-    if summary.left_vectors is None or summary.right_vectors is None:
-        raise ValueError("singular vectors were not retained")
-    recon = (summary.left_vectors * summary.values) @ summary.right_vectors.T
-    denom = float(np.linalg.norm(adjacency.float_matrix))
-    diff = float(np.linalg.norm(recon - adjacency.float_matrix))
+    """Relative Frobenius residual of the reconstruction V diag(eigenvalues)
+    V^T, which is the singular-value rank sum, plus the orthonormality
+    defect of the eigenvectors (the left singular family's is the same
+    number, since it differs from them by column signs only)."""
+    a = adjacency.float_matrix
+    v = summary.vectors
+    recon = (v * summary.eigenvalues) @ v.T
+    denom = float(np.linalg.norm(a))
+    diff = float(np.linalg.norm(recon - a))
     residual = diff / denom if denom > 0.0 else diff
-    eye = np.eye(adjacency.n)
-    defect = max(
-        float(np.abs(summary.right_vectors.T @ summary.right_vectors - eye).max()),
-        float(np.abs(summary.left_vectors.T @ summary.left_vectors - eye).max()),
-    )
+    defect = float(np.abs(v.T @ v - np.eye(adjacency.n)).max())
     return ReconstructionReport(residual, defect)
 
 
@@ -264,15 +254,14 @@ def zero_sum_contraction_ok(
     rng: np.random.Generator,
     slack: float = 1e-9,
 ) -> bool:
-    """Check ||A f|| <= lambda2 ||f|| (1 + slack) on random zero-sum f."""
-    a = adjacency.float_matrix
-    n = adjacency.n
-    for _ in range(trials):
-        f = rng.standard_normal(n)
-        f -= f.mean()
-        nf = float(np.linalg.norm(f))
-        if nf == 0.0:
-            continue
-        if float(np.linalg.norm(a @ f)) > lambda2 * nf * (1.0 + slack):
-            return False
-    return True
+    """Check ||A f|| <= lambda2 ||f|| (1 + slack) on random zero-sum f.
+
+    The trials are drawn as one (trials, n) block, whose rows are the
+    draws of n normals one trial at a time would give; every trial is
+    drawn, whatever the verdict."""
+    f = rng.standard_normal((trials, adjacency.n))
+    f -= f.mean(axis=1, keepdims=True)
+    # The matrix is symmetric, so row i of f A is the image A f_i.
+    image = np.linalg.norm(f @ adjacency.float_matrix, axis=1)
+    bound = lambda2 * np.linalg.norm(f, axis=1) * (1.0 + slack)
+    return not (image > bound).any()

@@ -2,7 +2,9 @@
 
 import itertools
 
-from stabgap.errors import SizeLimitError
+import numpy as np
+
+from stabgap.errors import ConvergenceError, SizeLimitError
 from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
 from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
 from stabgap.perms import Permutation
@@ -151,3 +153,108 @@ def reference_local_action(case):
             system = tuple(tuple(neighborhood[i] for i in block) for block in blocks)
             return LocalActionReport(len(orbits), True, system, False)
     return LocalActionReport(len(orbits), transitive, None, transitive)
+
+
+# -- spectral references: the one-family, one-loop, block code in
+# ``stabgap.spectral`` must reproduce these bit for bit -----------------------
+
+
+def reference_lambda1_power_iteration(adjacency, tol=1e-12, max_iter=100_000, seed=0):
+    """Top singular value by power iteration on the squared matrix, from a
+    random start shifted towards the all-ones vector."""
+    n = adjacency.n
+    a = adjacency.float_matrix
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1.0
+    x /= float(np.linalg.norm(x))
+    previous = None
+    estimate = 0.0
+    for _ in range(max_iter):
+        y = a @ x
+        estimate = float(np.linalg.norm(y))
+        z = a @ y
+        norm = float(np.linalg.norm(z))
+        if norm <= 1e-300:
+            return estimate
+        x = z / norm
+        if previous is not None and abs(estimate - previous) <= tol * max(1.0, estimate):
+            return estimate
+        previous = estimate
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations",
+        last_estimate=estimate,
+    )
+
+
+def reference_lambda2_power_iteration(adjacency, tol=1e-12, max_iter=100_000, seed=0):
+    """Second singular value by power iteration on the squared matrix,
+    projecting out the all-ones vector each step."""
+    n = adjacency.n
+    if n == 1:
+        return 0.0
+    a = adjacency.float_matrix
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x -= x.mean()
+    norm = float(np.linalg.norm(x))
+    while norm < 1e-12:
+        x = rng.standard_normal(n)
+        x -= x.mean()
+        norm = float(np.linalg.norm(x))
+    x /= norm
+    previous = None
+    estimate = 0.0
+    for _ in range(max_iter):
+        y = a @ x
+        estimate = float(np.linalg.norm(y))
+        z = a @ y
+        z -= z.mean()
+        norm = float(np.linalg.norm(z))
+        if norm <= 1e-300:
+            return estimate
+        x = z / norm
+        if previous is not None and abs(estimate - previous) <= tol * max(1.0, estimate):
+            return estimate
+        previous = estimate
+    raise ConvergenceError(
+        f"power iteration did not converge in {max_iter} iterations",
+        last_estimate=estimate,
+    )
+
+
+def reference_reconstruction(adjacency):
+    """(residual, defect) of the two-family singular value decomposition:
+    left vectors are the eigenvectors times their eigenvalues' signs, and
+    the defect is the worse of the two families'."""
+    w, vecs = np.linalg.eigh(adjacency.float_matrix)
+    lam = np.abs(w)
+    order = np.argsort(-lam, kind="stable")
+    lam = lam[order]
+    right = vecs[:, order]
+    left = right * np.where(w[order] < 0.0, -1.0, 1.0)
+    recon = (left * lam) @ right.T
+    denom = float(np.linalg.norm(adjacency.float_matrix))
+    diff = float(np.linalg.norm(recon - adjacency.float_matrix))
+    residual = diff / denom if denom > 0.0 else diff
+    eye = np.eye(adjacency.n)
+    defect = max(
+        float(np.abs(right.T @ right - eye).max()),
+        float(np.abs(left.T @ left - eye).max()),
+    )
+    return residual, defect
+
+
+def reference_zero_sum_contraction_ok(adjacency, lambda2, trials, rng, slack=1e-9):
+    """The zero-sum contraction, one trial at a time, stopping at the first
+    violation."""
+    a = adjacency.float_matrix
+    n = adjacency.n
+    for _ in range(trials):
+        f = rng.standard_normal(n)
+        f -= f.mean()
+        nf = float(np.linalg.norm(f))
+        if nf == 0.0:
+            continue
+        if float(np.linalg.norm(a @ f)) > lambda2 * nf * (1.0 + slack):
+            return False
+    return True

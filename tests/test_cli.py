@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from stabgap.cli import main
-from stabgap.pipeline import CSV_COLUMNS, case_seed
+from stabgap.casefile import _OPTION_KEYS, CaseOptions
+from stabgap.cli import build_parser, main
+from stabgap.pipeline import CSV_COLUMNS, AnalyzeOptions, case_seed
 
 CATALOG_SEED0 = Path(__file__).parent / "data" / "catalog-seed0.csv"
 
@@ -120,6 +122,48 @@ def test_bad_tol_in_document_is_operational_error(tmp_path, capsys):
     assert "NaN" in path.read_text()
     assert main(["analyze", "--input", str(path)]) == 1
     assert "tol must be a finite number >= 0, got nan" in capsys.readouterr().err
+
+
+def test_max_vertices_beyond_the_dense_cap_is_operational_error(
+    triangle_file, tmp_path, capsys
+):
+    out_path = tmp_path / "report.csv"
+    catalog = ["catalog", "--families", "complete", "--out", str(out_path)]
+    assert main(catalog + ["--max-vertices", "4001"]) == 1
+    assert "max_vertices must be at most the dense eigensolve cap 4000" in (
+        capsys.readouterr().err
+    )
+    assert not out_path.exists()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({**TRIANGLE_DOC, "options": {"max_vertices": 4001}}))
+    assert main(["analyze", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "max_vertices" in err and "4000, got 4001" in err
+    # the cap itself is accepted
+    assert main(catalog + ["--max-vertices", "4000"]) == 0
+    path.write_text(json.dumps({**TRIANGLE_DOC, "options": {"max_vertices": 4000}}))
+    assert main(["analyze", "--input", str(path)]) == 0
+
+
+def test_one_option_table():
+    # AnalyzeOptions' settable fields, the document options, the option
+    # table and both commands' option flags name the same options.
+    options = {f.name for f in fields(CaseOptions)}
+    assert options == {"tol", "seed", "max_vertices", "max_group_order"}
+    assert {f.name for f in fields(AnalyzeOptions) if f.init} == options
+    assert set(_OPTION_KEYS) == options
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if action.dest == "command"
+    )
+    own_flags = {
+        "analyze": {"help", "input", "format", "dump_matrix"},
+        "catalog": {"help", "families", "out"},
+    }
+    for command, own in own_flags.items():
+        dests = {action.dest for action in commands[command]._actions}
+        assert dests - own == options, command
 
 
 def test_catalog_complete_family(tmp_path, capsys):

@@ -115,13 +115,14 @@ def test_group_order_cap_enforced():
         analyze_case(triangle_spec(), options)
 
 
-def test_beyond_dense_cap_uses_power_iteration_only():
-    report = analyze_case(triangle_spec(), AnalyzeOptions(dense_cap=2))
-    assert report.singular_spectrum == ()
-    assert report.svd_residual is None
-    assert abs(report.lambda1 - 4.0) <= 1e-8
-    assert abs(report.lambda2 - 2.0) <= 1e-8
-    assert report.normative_ok
+def test_options_reject_max_vertices_beyond_the_dense_cap():
+    with pytest.raises(ValueError, match="max_vertices .*cap 4000, got 4001"):
+        AnalyzeOptions(max_vertices=4001)
+    doc = {**json.loads(TRIANGLE_DOC), "options": {"max_vertices": 4001}}
+    with pytest.raises(ValueError, match="max_vertices .*4000"):
+        analyze_case(parse_case(json.dumps(doc)))
+    assert AnalyzeOptions(max_vertices=4000).max_vertices == 4000
+    assert AnalyzeOptions().max_vertices == 4000
 
 
 def test_analyze_many_keeps_order_and_collects_errors():

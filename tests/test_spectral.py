@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from stabgap import catalog, spectral
+from stabgap.casefile import realize_case
 from stabgap.errors import ConvergenceError, SizeLimitError, StructureError
 from stabgap.graphs import make_transitive_case
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
+    lambda1_power_iteration,
     lambda2_power_iteration,
     reconstruction_report,
     singular_values,
@@ -13,10 +16,16 @@ from stabgap.spectral import (
     zero_sum_contraction_ok,
 )
 
-from cases import cycle_graph, cyclic, petersen_case
-
-
-from cases import triangle_case
+from cases import (
+    cycle_graph,
+    cyclic,
+    petersen_case,
+    reference_lambda1_power_iteration,
+    reference_lambda2_power_iteration,
+    reference_reconstruction,
+    reference_zero_sum_contraction_ok,
+    triangle_case,
+)
 
 
 def triangle_adjacency():
@@ -86,7 +95,7 @@ def test_triangle_singular_values_golden():
     adj = triangle_adjacency()
     summary = singular_values(adj)
     assert np.allclose(summary.values, [4.0, 2.0, 0.0], atol=1e-9)
-    assert summary.method == "dense-eigen"
+    assert np.allclose(summary.eigenvalues, [4.0, -2.0, 0.0], atol=1e-9)
     assert reconstruction_report(summary, adj).residual <= 1e-12
 
 
@@ -130,9 +139,10 @@ def test_singular_values_against_lapack_oracle():
         assert np.allclose(summary.values, oracle, atol=1e-9)
 
 
-def test_dense_cap_enforced():
-    with pytest.raises(SizeLimitError):
-        singular_values(triangle_adjacency(), size_cap=2)
+def test_dense_cap_enforced(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_SIZE_CAP", 2)
+    with pytest.raises(SizeLimitError, match="size 3 exceeds dense eigensolve cap 2"):
+        singular_values(triangle_adjacency())
 
 
 def test_top_value_matches_degree():
@@ -161,13 +171,6 @@ def test_reconstruction_swap_matrix_tight():
     adj = BipartiteAdjacency(np.array([[0, 1], [1, 0]]))
     report = reconstruction_report(singular_values(adj), adj)
     assert report.residual <= 1e-12
-
-
-def test_reconstruction_requires_vectors():
-    adj = triangle_adjacency()
-    summary = singular_values(adj, keep_vectors=False)
-    with pytest.raises(ValueError, match="vectors"):
-        reconstruction_report(summary, adj)
 
 
 # -- second singular value via power iteration -----------------------------------
@@ -203,3 +206,99 @@ def test_contraction_on_zero_sum_vectors():
         assert zero_sum_contraction_ok(adj, lam2, 100, rng)
         # with a zero bound any nonzero image is a violation
         assert not zero_sum_contraction_ok(adj, 0.0, 100, rng)
+
+
+# -- exactness against the two-loop, two-family, one-trial-at-a-time references --
+
+
+@pytest.fixture(scope="module")
+def reference_matrices():
+    """The 24 catalog matrices, Petersen's, and cycle-dihedral-200's (the
+    largest a reconstruction check reads, and a slow-gap power iteration)."""
+    specs = catalog.builtin_cases() + [catalog._cycle_dihedral(200)]
+    matrices = {}
+    for spec in specs:
+        case = realize_case(spec)
+        matrices[spec.name] = build_bipartite(case.connection, case.graph.n)
+    matrices["petersen"] = build_bipartite(petersen_case().connection, 10)
+    return matrices
+
+
+def _outcome(power_iteration, adj, **kwargs):
+    try:
+        return "value", power_iteration(adj, **kwargs)
+    except ConvergenceError as e:
+        return "error", e.last_estimate
+
+
+@pytest.mark.parametrize(
+    "ours, reference",
+    [
+        (lambda1_power_iteration, reference_lambda1_power_iteration),
+        (lambda2_power_iteration, reference_lambda2_power_iteration),
+    ],
+)
+def test_power_iterations_match_the_two_loop_reference(
+    reference_matrices, ours, reference
+):
+    for name, adj in reference_matrices.items():
+        seeds = (0, 1, 2) if name == "cycle-dihedral-200" else (0, 7)
+        for seed in seeds:
+            got = _outcome(ours, adj, seed=seed)
+            assert got == _outcome(reference, adj, seed=seed), (name, seed)
+            assert got[0] == "value", (name, seed)
+        # the loop's non-convergence path carries the same last estimate
+        got = _outcome(ours, adj, max_iter=2)
+        assert got == _outcome(reference, adj, max_iter=2), name
+
+
+def test_reconstruction_matches_the_two_family_reference(reference_matrices):
+    for name, adj in reference_matrices.items():
+        report = reconstruction_report(singular_values(adj), adj)
+        residual, defect = reference_reconstruction(adj)
+        assert report.residual == residual, name
+        assert report.orthonormality_defect == defect, name
+
+
+def test_contraction_matches_the_one_trial_reference(reference_matrices):
+    for name, adj in reference_matrices.items():
+        lam2 = singular_values(adj).lambda2
+        for seed in (0, 1):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            verdict = zero_sum_contraction_ok(adj, lam2, 100, ours)
+            assert verdict == reference_zero_sum_contraction_ok(
+                adj, lam2, 100, reference
+            ), (name, seed)
+            assert verdict, (name, seed)
+            assert ours.random() == reference.random(), (name, seed)
+
+
+def test_contraction_trials_are_the_one_at_a_time_draws(reference_matrices):
+    # A bound just above the worst ratio of the one-at-a-time draws passes
+    # and one just below it fails, so the block's rows are those draws.
+    adj = reference_matrices["petersen"]
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(10):
+            f = rng.standard_normal(adj.n)
+            f -= f.mean()
+            worst = max(worst, np.linalg.norm(adj.apply(f)) / np.linalg.norm(f))
+        for factor, verdict in ((1 + 1e-6, True), (1 - 1e-6, False)):
+            rng = np.random.default_rng(seed)
+            assert zero_sum_contraction_ok(adj, worst * factor, 10, rng) is verdict
+
+
+def test_failing_contraction_draws_every_trial(reference_matrices):
+    # The one behaviour change from checking one trial at a time: a
+    # failing verdict still draws all trials * n normals.
+    adj = reference_matrices["petersen"]
+    rng = np.random.default_rng(3)
+    assert not zero_sum_contraction_ok(adj, 0.0, 100, rng)
+    drawn = np.random.default_rng(3)
+    drawn.standard_normal(100 * adj.n)
+    assert rng.random() == drawn.random()
+    stopped = np.random.default_rng(3)
+    assert not reference_zero_sum_contraction_ok(adj, 0.0, 100, stopped)
+    assert stopped.random() != drawn.random()
