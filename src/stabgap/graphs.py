@@ -27,7 +27,6 @@ from .groups import (
     ConnectionSet,
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
-    _RowTable,
     _component_minima,
     _image_rows,
     _inverse_rows,
@@ -253,8 +252,8 @@ def build_coset_graph(
     if not len(reps):
         raise StructureError("empty connection set")
 
-    rows = group.element_array(element_cap)
-    table = _RowTable._sorted(rows)
+    table = group._element_table(element_cap)
+    rows = table.rows
     h_rows = subgroup._gen_rows
     label = _component_minima(len(rows), [table.find(rows[:, h]) for h in h_rows])
     minima = np.flatnonzero(label == np.arange(len(rows)))

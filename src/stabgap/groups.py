@@ -3,8 +3,12 @@
 Orbits, point stabilizers via Schreier generators, exact orders, bounded
 element enumeration, and double-coset machinery.  Every operation is
 deterministic: transversals are grown breadth-first with the generators
-in their given order, chains pick the smallest moved point as the next
-base point, and element lists are in lexicographic order of image tuples.
+in their given order, a chain's next base point is the smallest point
+moved by the first row that sifts through all its levels so far without
+becoming the identity (the generators in their given order, then the
+Schreier generators of the fixpoint scan), so the base need not be
+0, 1, 2, ..., and element lists are in lexicographic order of image
+tuples.
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets, the supports of group functions) are held as rows of an
@@ -112,20 +116,23 @@ def _equal_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return equal
 
 
-def _lex_order(rows: np.ndarray, distinct: bool = False) -> np.ndarray:
+def _lex_order(
+    rows: np.ndarray, distinct: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """The stable lexicographic argsort of unsigned 2-D rows, or with
-    ``distinct`` its first index of each distinct row.
+    ``distinct`` its first index of each distinct row; and the keys
+    (``_row_keys``) of the rows it orders, in that order.
 
-    The rows are sorted by their keys (``_row_keys``).  Rows that share a
-    key are compared on the images past it: a run of equal keys over
-    identical rows is a duplicate, and only a run that holds two
-    different rows is re-sorted, by whole-row void values."""
+    The rows are sorted by their keys.  Rows that share a key are compared
+    on the images past it: a run of equal keys over identical rows is a
+    duplicate, and only a run that holds two different rows is re-sorted,
+    by whole-row void values, which leaves the sorted keys as they are."""
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     tie = np.flatnonzero(keys[1:] == keys[:-1])
     if not len(tie):
-        return order
+        return order, keys
     rest = rows[:, _key_width(rows) :]
     equal = _equal_rows(rest, order[tie], order[tie + 1])
     if not equal.all():
@@ -148,8 +155,8 @@ def _lex_order(rows: np.ndarray, distinct: bool = False) -> np.ndarray:
     if distinct:
         keep = np.ones(len(order), dtype=bool)
         keep[tie[equal] + 1] = False
-        order = order[keep]
-    return order
+        order, keys = order[keep], keys[keep]
+    return order, keys
 
 
 def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
@@ -180,7 +187,7 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, in lexicographic order."""
-    return rows[_lex_order(rows, distinct=True)]
+    return rows[_lex_order(rows, distinct=True)[0]]
 
 
 def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
@@ -300,15 +307,19 @@ def _moved(rows: np.ndarray) -> np.ndarray:
 def _distinct_moved(rows: np.ndarray) -> np.ndarray:
     """The rows that are not the identity, each once, at its first place."""
     rows = rows[_moved(rows)]
-    return rows[np.sort(_lex_order(rows, distinct=True))]
+    return rows[np.sort(_lex_order(rows, distinct=True)[0])]
 
 
 class PermutationGroup:
     """A group of permutations of {0, ..., degree-1} given by generators.
 
-    The stabilizer chain (base order 0, 1, 2, ...: each level uses the
-    smallest point moved by the group at that level) and the element list
-    are built lazily, once, and cached.
+    The stabilizer chain and the element list are built lazily, once, and
+    cached.  A new chain level is opened by the first residue that sifts
+    through every existing level without becoming the identity (the
+    generators are sifted in their given order, then the Schreier
+    generators), and its base point is the smallest point that residue
+    moves.  So the base follows the generators, not the points' order: a
+    level's base point need not be the smallest point its group moves.
     """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
@@ -338,6 +349,7 @@ class PermutationGroup:
         self.generators: tuple[Permutation, ...] = _permutations(rows)
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
@@ -482,10 +494,15 @@ class PermutationGroup:
             rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
             for level in reversed(self._stabilizer_chain()):
                 rows = level.reps[:, rows].reshape(-1, self.degree)
-            rows = rows[_lex_order(rows)]
+            order, self._keys = _lex_order(rows)
+            rows = rows[order]
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
+
+    def _element_table(self, cap: int = DEFAULT_ELEMENT_CAP) -> _RowTable:
+        """``element_array(cap)`` as a table, on the keys it was sorted by."""
+        return _RowTable._sorted(self.element_array(cap), self._keys)
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
         """All elements, lexicographic by image tuple, if order <= cap."""
@@ -508,22 +525,25 @@ class _RowTable:
     __slots__ = ("rows", "_keys", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
-        rows = _sorted_distinct(_image_rows(elements, degree))
+        rows = _image_rows(elements, degree)
+        order, keys = _lex_order(rows, distinct=True)
+        rows = rows[order]
         rows.setflags(write=False)
-        self._fill(rows)
+        self._fill(rows, keys)
 
     @classmethod
-    def _sorted(cls, rows: np.ndarray) -> _RowTable:
+    def _sorted(cls, rows: np.ndarray, keys: np.ndarray) -> _RowTable:
         """A table over read-only rows known to be distinct permutations in
-        lexicographic order, such as a group's ``element_array()``; they
-        are neither re-checked nor copied."""
+        lexicographic order, such as a group's ``element_array()``, and
+        their keys, as ``_lex_order`` returns them; neither is re-checked
+        nor copied."""
         table = object.__new__(cls)
-        table._fill(rows)
+        table._fill(rows, keys)
         return table
 
-    def _fill(self, rows: np.ndarray) -> None:
+    def _fill(self, rows: np.ndarray, keys: np.ndarray) -> None:
         self.rows = rows
-        self._keys = _row_keys(rows)
+        self._keys = keys
         tied = (self._keys[1:] == self._keys[:-1]).any()
         self._view = _row_view(rows) if tied else None
 
@@ -713,10 +733,11 @@ class ConnectionSet:
         if not inside[subgroup._gen_rows[:, inside]].all():
             raise StructureError(_NOT_BI_INVARIANT)
         rows = t[:, subgroup.element_array(cap)].reshape(-1, group.degree)
-        rows = rows[_lex_order(rows)]
+        order, keys = _lex_order(rows)
+        rows = rows[order]
         rows.setflags(write=False)
         connection = object.__new__(cls)
-        connection._fill(_RowTable._sorted(rows), subgroup)
+        connection._fill(_RowTable._sorted(rows, keys), subgroup)
         orbit = _component_minima(group.degree, subgroup._gen_rows)[rows[:, point]]
         first = np.sort(np.unique(orbit, return_index=True)[1])
         connection.representatives = _permutations(rows[first])

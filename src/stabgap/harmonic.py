@@ -99,14 +99,16 @@ class GroupFunction:
         """The n x n matrix K of convolving by mu, so that K @ v is
         ``convolve(v)``: K[x, y] = sum_g mu(g) [g^-1(x) = y].
 
-        One scatter of every support element's weight to the cells
-        (x, g^-1(x)); exact for integer weights such as ``indicator``'s.
+        Row x is one ``bincount`` of the weights over column x of the
+        inverse rows, the points g^-1(x), so each cell sums its weights in
+        support order and no (support size) x n array is formed; exact for
+        integer weights such as ``indicator``'s.
         """
         n = self.degree
-        # x*n + g^-1(x) is formed in int64, never in the rows' small dtype.
-        cells = (np.arange(n) * n + self._inverse_rows.astype(np.int64)).ravel()
-        spread = np.repeat(self.weights, n)
-        return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
+        kernel = np.empty((n, n))
+        for x in range(n):
+            kernel[x] = np.bincount(self._inverse_rows[:, x], self.weights, minlength=n)
+        return kernel
 
 
 def point_mass(vertex: int, n: int) -> np.ndarray:
@@ -162,7 +164,11 @@ def convolution_matches_matrix(
     """Check that convolving by the indicator of the connection set is
     exactly the linear map of the bipartite matrix.
 
-    The indicator's operator K (``GroupFunction.operator``) is built
+    The two sides are two routes to one matrix.  The indicator's operator
+    K (``GroupFunction.operator``) sums over every element of the set,
+    while ``spectral.build_bipartite`` assembles the matrix from the
+    subgroup's orbit counts and one element per left coset, so a wrong
+    coset split, orbit labelling or multiplicity shows here.  K is built
     once and applied to ``trials`` integer probes and ``trials`` real
     probes, each set drawn as one block with the rows in the order of
     one-at-a-time draws.  The matrix applies through its transpose

@@ -236,9 +236,11 @@ def analyze_case(
     options: AnalyzeOptions = AnalyzeOptions(),
     dump_matrix: bool = False,
 ) -> CaseReport:
-    """Run the full pipeline on one case."""
-    options = options.with_case_options(spec.options)
+    """Run the full pipeline on one case.  Any failure, a document option
+    that ``AnalyzeOptions`` rejects included, is raised as a
+    ``CaseAnalysisError`` naming the case."""
     try:
+        options = options.with_case_options(spec.options)
         return _analyze(spec, options, dump_matrix)
     except Exception as e:  # noqa: BLE001 - re-tagged with the case name
         raise CaseAnalysisError(spec.name, e) from e

@@ -1,13 +1,15 @@
 """The bipartite multigraph matrix and its singular values.
 
 The matrix of the bipartite double of a connection set S counts, for
-vertices x and y, the elements of S sending x to y.  Since S is
-inverse-closed the matrix is symmetric, so its singular values are the
-absolute values of its eigenvalues, and one dense eigendecomposition
-(LAPACK's ``numpy.linalg.eigh``) gives every singular value and, in one
-family of eigenvectors, both singular vector families.  A deflated power
-iteration provides an independent route to the second singular value,
-and random zero-sum vectors check the contraction that value bounds.
+vertices x and y, the elements of S sending x to y; it is assembled from
+the orbits of S's subgroup and one element of S per left coset, not from
+every element.  Since S is inverse-closed the matrix is symmetric, so
+its singular values are the absolute values of its eigenvalues, and one
+dense eigendecomposition (LAPACK's ``numpy.linalg.eigh``) gives every
+singular value and, in one family of eigenvectors, both singular vector
+families.  A deflated power iteration provides an independent route to
+the second singular value, and random zero-sum vectors check the
+contraction that value bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SizeLimitError, StructureError
-from .groups import ConnectionSet
+from .groups import ConnectionSet, _component_minima, _inverse_rows
 
 #: Largest size the dense eigensolve accepts, and so the largest
 #: ``max_vertices`` an analysis accepts.
@@ -77,17 +79,54 @@ class BipartiteAdjacency:
         return f"BipartiteAdjacency(n={self.n}, s_size={self.s_size})"
 
 
+def _left_coset_rows(connection: ConnectionSet, order: int) -> np.ndarray:
+    """One row of the connection set per left coset s*H of its subgroup H,
+    of the given order.
+
+    Every element of s*H sends a point p fixed by H to s(p), so the
+    classes of equal images of p are unions of left cosets, and exactly
+    the cosets when there are |S| / |H| of them.  The first row of each
+    class is taken, for the first fixed point whose images split the set
+    that way; StructureError if none does."""
+    rows = connection.rows
+    gens = connection.subgroup._gen_rows
+    fixed = (gens == np.arange(connection.degree)).all(axis=0)
+    for p in np.flatnonzero(fixed):
+        first = np.unique(rows[:, p], return_index=True)[1]
+        if len(first) * order == len(rows):
+            return rows[first]
+    raise StructureError(
+        "no point fixed by the subgroup splits the connection set into its "
+        "left cosets"
+    )
+
+
 def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
-    """Assemble the matrix as the sum of the permutation matrices of the
-    connection elements, counting the cells (x, s(x)) over all elements s
-    and vertices x in one pass."""
+    """Assemble the matrix from the subgroup's orbit counts.
+
+    The connection set S is the union of k left cosets u_w*H of its
+    subgroup H, and the h in H with h(x) = z number |H| / |x^H| when z is
+    in x's H-orbit x^H, and none otherwise.  So the elements sending x to
+    y number A[x, y] = sum_w [u_w^-1(y) in x^H] * |H| / |x^H|: an r x n
+    matrix counting, for each of H's r orbits O and each y, the w with
+    u_w^-1(y) in O (one ``bincount`` over k*n cells), whose rows are
+    gathered into A and scaled.  Only one row of S per coset is read
+    (``_left_coset_rows``), and H's orbits are component labels over its
+    generator rows.  No |S|*n array is formed.
+    """
     if connection.degree != n:
         raise ValueError(
             f"connection degree {connection.degree} does not match size {n}"
         )
-    # x*n + s(x) is formed in int64, never in the rows' small dtype.
-    cells = (np.arange(n) * n + connection.rows.astype(np.int64)).ravel()
-    a = np.bincount(cells, minlength=n * n).reshape(n, n)
+    subgroup = connection.subgroup
+    order = subgroup.order()
+    inverse = _inverse_rows(_left_coset_rows(connection, order))
+    label = _component_minima(n, subgroup._gen_rows)
+    orbit, size = np.unique(label, return_inverse=True, return_counts=True)[1:]
+    # orbit(u_w^-1(y))*n + y, formed in int64 (``orbit`` is intp).
+    cells = (orbit[inverse] * n + np.arange(n)).ravel()
+    counts = np.bincount(cells, minlength=len(size) * n).reshape(-1, n)
+    a = counts[orbit] * (order // size)[orbit, None]
     return BipartiteAdjacency(a, s_size=len(connection))
 
 

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from stabgap.errors import ConvergenceError, SizeLimitError
 from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
@@ -30,6 +31,26 @@ def dihedral(n):
     rot = Permutation([(i + 1) % n for i in range(n)])
     refl = Permutation([(-i) % n for i in range(n)])
     return PermutationGroup(n, [rot, refl])
+
+
+def symmetric(degree):
+    transposition = Permutation.from_cycles(degree, (0, 1))
+    return PermutationGroup(
+        degree, [transposition, Permutation.from_cycles(degree, range(degree))]
+    )
+
+
+#: An ambient group with subgroup generators and connection
+#: representatives drawn from its elements.
+coset_graph_data = st.sampled_from(
+    [symmetric(4), symmetric(5), dihedral(12)]
+).flatmap(
+    lambda group: st.tuples(
+        st.just(group),
+        st.lists(st.sampled_from(group.elements()), min_size=0, max_size=2),
+        st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
+    )
+)
 
 
 def triangle_case():
@@ -153,6 +174,28 @@ def reference_local_action(case):
             system = tuple(tuple(neighborhood[i] for i in block) for block in blocks)
             return LocalActionReport(len(orbits), True, system, False)
     return LocalActionReport(len(orbits), transitive, None, transitive)
+
+
+# -- matrix references: ``spectral.build_bipartite`` builds the matrix from
+# the subgroup's orbit counts, and ``GroupFunction.operator`` one row at a
+# time; both must reproduce these scatters over every element exactly -------
+
+
+def reference_bipartite(connection, n):
+    """The bipartite matrix as the sum of the permutation matrices of all
+    of S: one count of the cells (x, s(x)) over every element s and vertex
+    x."""
+    cells = (np.arange(n) * n + connection.rows.astype(np.int64)).ravel()
+    return np.bincount(cells, minlength=n * n).reshape(n, n)
+
+
+def reference_operator(mu):
+    """The convolution operator of a group function as one scatter of every
+    support element's weight to the cells (x, g^-1(x))."""
+    n = mu.degree
+    cells = (np.arange(n) * n + mu._inverse_rows.astype(np.int64)).ravel()
+    spread = np.repeat(mu.weights, n)
+    return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
 
 
 # -- spectral references: the one-family, one-loop, block code in

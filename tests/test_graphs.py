@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from stabgap import catalog
 from stabgap.casefile import realize_case
@@ -28,6 +28,7 @@ from stabgap.groups import (
 from stabgap.perms import Permutation
 
 from cases import (
+    coset_graph_data,
     cycle_graph,
     cyclic,
     dihedral,
@@ -35,6 +36,7 @@ from cases import (
     petersen_case,
     reference_local_action,
     s3,
+    symmetric,
     triangle,
 )
 
@@ -366,26 +368,6 @@ def _reference_coset_graph(group, subgroup, reps):
     return edges, [g.images for g in induced.generators]
 
 
-def _symmetric(degree):
-    transposition = Permutation.from_cycles(degree, (0, 1))
-    return PermutationGroup(
-        degree, [transposition, Permutation.from_cycles(degree, range(degree))]
-    )
-
-
-#: An ambient group with subgroup generators and connection
-#: representatives drawn from its elements.
-coset_graph_data = st.sampled_from(
-    [_symmetric(4), _symmetric(5), dihedral(12)]
-).flatmap(
-    lambda group: st.tuples(
-        st.just(group),
-        st.lists(st.sampled_from(group.elements()), min_size=0, max_size=2),
-        st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
-    )
-)
-
-
 @settings(max_examples=60, deadline=None)
 @given(coset_graph_data)
 def test_coset_graph_matches_pairwise_reference(drawn):
@@ -586,7 +568,7 @@ def _record_calls(monkeypatch, cls, calls):
 def test_coset_graph_and_local_action_read_rows(monkeypatch):
     # S4 over a subgroup of order 2: 12 cosets, a nontrivial stabilizer.
     h = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
-    spec = CosetGraphSpec(_symmetric(4), h, (Permutation([2, 1, 0, 3]),))
+    spec = CosetGraphSpec(symmetric(4), h, (Permutation([2, 1, 0, 3]),))
     calls = []
     with monkeypatch.context() as patch:
         _record_calls(patch, Permutation, calls)

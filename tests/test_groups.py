@@ -226,7 +226,7 @@ def test_row_order_and_lookup_at_two_byte_degree():
     assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
 
     # A group's own sorted rows make a table without a copy.
-    own = _RowTable._sorted(rows)
+    own = _RowTable._sorted(rows, groups._row_keys(rows))
     assert own.rows is rows
     assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
     assert own.find(missing).tolist() == [-1, 7]
@@ -254,10 +254,12 @@ def test_lookup_confirms_uncast_queries():
 def test_key_order_of_empty_and_one_row_sets(dtype, width):
     row = np.arange(width, dtype=dtype)[::-1][None, :]
     for rows in (row[:0], row):
-        assert groups._lex_order(rows).tolist() == list(range(len(rows)))
+        order, keys = groups._lex_order(rows)
+        assert order.tolist() == list(range(len(rows)))
+        assert np.array_equal(keys, groups._row_keys(rows))
         assert np.array_equal(_sorted_distinct(rows), rows)
         assert np.array_equal(groups._distinct_moved(rows), rows)
-        table = _RowTable._sorted(rows)
+        table = _RowTable._sorted(rows, keys)
         queries = np.concatenate([row, row[:, ::-1], row + 1]).astype(np.int64)
         assert table.find(queries).tolist() == [len(rows) - 1, -1, -1]
 
@@ -285,18 +287,23 @@ def test_key_order_and_lookup_match_python(rows, data):
     tuples = [tuple(row) for row in rows.tolist()]
     n, width = rows.shape
     by_row = sorted(range(n), key=lambda i: tuples[i])
-    assert groups._lex_order(rows).tolist() == by_row
+    # The keys handed back are those of the rows in the order returned.
+    order, keys = groups._lex_order(rows)
+    assert order.tolist() == by_row
+    assert np.array_equal(keys, groups._row_keys(rows[order]))
     first = {}
     for i in by_row:
         first.setdefault(tuples[i], i)
-    assert groups._lex_order(rows, distinct=True).tolist() == list(first.values())
+    order, keys = groups._lex_order(rows, distinct=True)
+    assert order.tolist() == list(first.values())
+    assert np.array_equal(keys, groups._row_keys(rows[order]))
     distinct = sorted(set(tuples))
     assert [tuple(row) for row in _sorted_distinct(rows).tolist()] == distinct
     identity = tuple(range(width))
     moved = list(dict.fromkeys(t for t in tuples if t != identity))
     assert [tuple(row) for row in groups._distinct_moved(rows).tolist()] == moved
 
-    table = _RowTable._sorted(_sorted_distinct(rows))
+    table = _RowTable._sorted(rows[order], keys)
     index = {t: i for i, t in enumerate(distinct)}
     top = int(np.iinfo(rows.dtype).max)
     value = st.sampled_from([0, 1, 2, 3, top])
@@ -312,6 +319,15 @@ def test_key_order_and_lookup_match_python(rows, data):
     if queries:
         own = np.array(queries[: len(distinct)], dtype=rows.dtype).reshape(-1, width)
         assert table.find(own).tolist() == list(range(len(distinct)))
+
+
+def test_chain_base_follows_the_generators():
+    # Each level's base point is the smallest point moved by the residue
+    # that opened it, not the smallest point the level's group moves.
+    bases = {"kneser-8-3": [6, 1, 0, 2, 3, 4], "complete-8": [0, 1, 2, 6, 5, 4, 3]}
+    for spec in (catalog._kneser(8, 3), catalog._complete(8)):
+        chain = realize_case(spec).group._stabilizer_chain()
+        assert [level.basepoint for level in chain] == bases[spec.name]
 
 
 def s4_on_last_points(degree):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabgap import harmonic
+from stabgap import catalog, harmonic
+from stabgap.casefile import realize_case
 from stabgap.errors import SizeLimitError
 from stabgap.groups import PermutationGroup
 from stabgap.harmonic import (
@@ -15,9 +16,14 @@ from stabgap.harmonic import (
     uniform_on,
 )
 from stabgap.perms import Permutation
-from stabgap.spectral import BipartiteAdjacency, build_bipartite
+from stabgap.spectral import (
+    BipartiteAdjacency,
+    build_bipartite,
+    singular_values,
+    top_value_matches_degree,
+)
 
-from cases import petersen_case, s3, triangle_case
+from cases import petersen_case, reference_operator, s3, triangle_case
 
 
 def test_convolve_indicator_with_point_mass_triangle():
@@ -160,6 +166,33 @@ def test_matrix_consistency_detects_wrong_matrix():
     wrong = build_bipartite(rotation_case.connection, 3)
     rng = np.random.default_rng(19)
     assert not convolution_matches_matrix(case.connection, wrong, 20, rng)
+
+
+def test_eq2_rejects_an_orbit_count_matrix_with_the_factor_off():
+    # With the multiplicity |G_v|/|x^G_v| doubled the matrix is still
+    # symmetric and regular, and its top value still its row sum: only the
+    # explicit-S route of eq2 can tell.
+    for spec in catalog.builtin_cases():
+        case = realize_case(spec)
+        right = build_bipartite(case.connection, case.graph.n)
+        doubled = BipartiteAdjacency(2 * right.matrix)
+        assert top_value_matches_degree(singular_values(doubled), doubled)
+        rng = np.random.default_rng(23)
+        assert convolution_matches_matrix(case.connection, right, 5, rng)
+        assert not convolution_matches_matrix(case.connection, doubled, 5, rng)
+
+
+def test_operator_matches_the_one_scatter_reference_bit_for_bit():
+    # Each cell sums its weights in support order, as one scatter of all
+    # of them does, so arbitrary float weights give the same bits.
+    rng = np.random.default_rng(29)
+    specs = catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+    for spec in specs:
+        connection = realize_case(spec).connection
+        mu = GroupFunction(connection.rows, rng.standard_normal(len(connection)))
+        assert np.array_equal(mu.operator(), reference_operator(mu))
+        chi = indicator(connection)
+        assert np.array_equal(chi.operator(), reference_operator(chi))
 
 
 @pytest.mark.parametrize("trials", [1, 7, 100])

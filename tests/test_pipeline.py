@@ -93,8 +93,9 @@ def test_options_reject_a_bad_tol(tol):
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         AnalyzeOptions(tol=tol)
     doc = {**json.loads(TRIANGLE_DOC), "options": {"tol": tol}}
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(CaseAnalysisError, match="case 'triangle': tol") as caught:
         analyze_case(parse_case(json.dumps(doc)))
+    assert isinstance(caught.value.cause, ValueError)
     assert AnalyzeOptions(tol=0.0).tol == 0.0
 
 
@@ -119,7 +120,7 @@ def test_options_reject_max_vertices_beyond_the_dense_cap():
     with pytest.raises(ValueError, match="max_vertices .*cap 4000, got 4001"):
         AnalyzeOptions(max_vertices=4001)
     doc = {**json.loads(TRIANGLE_DOC), "options": {"max_vertices": 4001}}
-    with pytest.raises(ValueError, match="max_vertices .*4000"):
+    with pytest.raises(CaseAnalysisError, match="triangle.*max_vertices .*4000"):
         analyze_case(parse_case(json.dumps(doc)))
     assert AnalyzeOptions(max_vertices=4000).max_vertices == 4000
     assert AnalyzeOptions().max_vertices == 4000
@@ -139,6 +140,16 @@ def test_analyze_many_keeps_order_and_collects_errors():
     assert len(result.errors) == 1
     assert result.errors[0][0] == "broken"
     assert not result.all_normative_ok
+
+
+def test_analyze_many_records_a_bad_document_option_and_goes_on():
+    good = triangle_spec()
+    doc = {**json.loads(TRIANGLE_DOC), "name": "too-big"}
+    doc["options"] = {"max_vertices": 4001}
+    result = analyze_many([good, parse_case(json.dumps(doc)), good])
+    assert [r.name for r in result.reports] == ["triangle", "triangle"]
+    assert [name for name, _ in result.errors] == ["too-big"]
+    assert "case 'too-big': max_vertices" in result.errors[0][1]
 
 
 def test_double_coset_count_is_the_connection_split():

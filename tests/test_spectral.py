@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from stabgap import catalog, spectral
 from stabgap.casefile import realize_case
 from stabgap.errors import ConvergenceError, SizeLimitError, StructureError
-from stabgap.graphs import make_transitive_case
+from stabgap.graphs import CosetGraphSpec, build_coset_graph, make_transitive_case
+from stabgap.groups import ConnectionSet, PermutationGroup
+from stabgap.harmonic import indicator
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
@@ -17,13 +22,17 @@ from stabgap.spectral import (
 )
 
 from cases import (
+    coset_graph_data,
     cycle_graph,
     cyclic,
+    double_coset,
     petersen_case,
+    reference_bipartite,
     reference_lambda1_power_iteration,
     reference_lambda2_power_iteration,
     reference_reconstruction,
     reference_zero_sum_contraction_ok,
+    s3,
     triangle_case,
 )
 
@@ -72,6 +81,78 @@ def test_base_vertex_row_is_stabilizer_order_on_neighbors():
         for w in range(case.graph.n):
             expected = m if case.graph.has_edge(v, w) else 0
             assert row[w] == expected
+
+
+def test_orbit_count_matrix_matches_explicit_reference():
+    specs = catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+    for spec in specs:
+        case = realize_case(spec)
+        n = case.graph.n
+        adj = build_bipartite(case.connection, n)
+        assert np.array_equal(adj.matrix, reference_bipartite(case.connection, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coset_graph_data)
+def test_orbit_count_matrix_matches_explicit_reference_on_random_sets(drawn):
+    group, subgroup_gens, reps = drawn
+    subgroup = PermutationGroup(group.degree, subgroup_gens)
+    # On the coset graph, over the stabilizer of vertex 0.
+    try:
+        graph, case = build_coset_graph(CosetGraphSpec(group, subgroup, tuple(reps)))
+    except StructureError:
+        pass
+    else:
+        adj = build_bipartite(case.connection, graph.n)
+        assert np.array_equal(adj.matrix, reference_bipartite(case.connection, graph.n))
+    # On the group's own points, for S = the union of the H a^(+-1) H: the
+    # matrix is assembled exactly when some point fixed by H has |S| / |H|
+    # distinct images under S.
+    elements = set()
+    for a in reps:
+        elements |= double_coset(subgroup, a) | double_coset(subgroup, a.inverse())
+    connection = ConnectionSet(elements, subgroup)
+    gens = subgroup.generators
+    fixed = [p for p in range(group.degree) if all(h(p) == p for h in gens)]
+    m = subgroup.order()
+    if any(len({s(p) for s in elements}) * m == len(elements) for p in fixed):
+        adj = build_bipartite(connection, group.degree)
+        assert np.array_equal(adj.matrix, reference_bipartite(connection, group.degree))
+    else:
+        with pytest.raises(StructureError, match="left cosets"):
+            build_bipartite(connection, group.degree)
+
+
+def test_set_with_no_splitting_fixed_point_is_refused():
+    # The trivial subgroup fixes every point, but no point has six distinct
+    # images under all of S_3; S_3 itself fixes no point.
+    elements = s3().elements()
+    for subgroup in (PermutationGroup.trivial(3), s3()):
+        connection = ConnectionSet(elements, subgroup)
+        with pytest.raises(StructureError, match="left cosets"):
+            build_bipartite(connection, 3)
+
+
+def test_assembly_forms_no_connection_sized_array():
+    # |S| * n bytes is S's rows themselves on kneser-8-3 (7200 x 56 uint8);
+    # an |S| x n scatter of int64 cells takes eight times that.
+    case = realize_case(catalog._kneser(8, 3))
+    connection, n = case.connection, case.graph.n
+    budget = len(connection) * n
+    builds = (
+        lambda: build_bipartite(connection, n),
+        lambda: indicator(connection).operator(),
+    )
+    for build in builds:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            build()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
 
 def test_adjacency_rejects_asymmetric_and_negative():
