@@ -27,21 +27,27 @@ rows for ``generators`` and where a caller asks for elements.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
 Group Algorithms*, 2003): each level keeps its strong generators, its
-transversal and the transversal's inverses as rows.  One breadth-first
-routine (``_transversal``) grows every transversal, the chain's and the
-coset graph's, one batched ``_sift`` strips rows through the chain, and
-``_schreier`` forms a level's Schreier generators a block of orbit points
-at a time.  Orbits are component labels (``_component_minima``).
+transversal and the transversal's inverses as rows, the last two computed
+when first read.  One breadth-first routine (``_transversal``) grows
+every transversal, the chain's and the coset graph's, one batched
+``_sift`` strips rows through the chain, and ``_schreier`` forms a
+level's Schreier generators a block of orbit points at a time.  Orbits
+are component labels (``_component_minima``).
 
-A connection set finds its elements' inverses once, by one scatter into
-the rows' dtype, and keeps them as ``ConnectionSet.inverse_rows``.  Given
-as elements, its H-double-coset split looks up right products only: with
-S = S^-1 and S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1 is
-in S too, and the left moves are read off the right ones through the
-inverses.  Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is
-built from Sabidussi's decomposition into the left cosets u_w*G_p, w in T,
-so the group itself is never enumerated, and its G_p-double cosets are
-read off G_p's orbits on T.
+A connection set S keeps its indicator operator, the n x n count
+K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
+per column; every convolution by a function constant on S reads it.
+Given as elements, S finds its elements' inverses once, by one scatter
+into the rows' dtype, and looks them up to decide inverse closure; its
+H-double-coset split looks up right products only: with S = S^-1 and
+S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1 is in S too,
+and the left moves are read off the right ones through the inverses.
+Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is built from
+Sabidussi's decomposition into the left cosets u_w*G_p, w in T, so the
+group itself is never enumerated; its G_p-double cosets are read off
+G_p's orbits on T, and inverse closure off the k transversal rows u_w:
+S = S^-1 exactly when every u_w^-1(p) lies in T.  Its inverse rows
+(``ConnectionSet.inverse_rows``) are computed only when first read.
 """
 
 from __future__ import annotations
@@ -205,6 +211,18 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     return inverse
 
 
+def _operator(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """The n x n float matrix K[x, y] = sum of the weights (1 each without
+    them) of the rows r with r[y] = x: column y is one ``bincount`` over
+    column y of the rows, so each cell sums in row order and no
+    (number of rows) x n array is formed."""
+    n = rows.shape[1]
+    kernel = np.empty((n, n))
+    for y in range(n):
+        kernel[:, y] = np.bincount(rows[:, y], weights, minlength=n)
+    return kernel
+
+
 def _transversal(
     point: int, gen_rows: np.ndarray, first: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -248,9 +266,13 @@ class _ChainLevel:
     assigned to this level as rows (they fix all earlier base points and
     move this one), and the transversal of the base point's orbit under
     the group at this level: its ``reps`` and ``index`` (see
-    ``_transversal``) and the reps' inverses."""
+    ``_transversal``) and the reps' inverses.
 
-    __slots__ = ("basepoint", "gens", "reps", "index", "inverse")
+    The transversal and its inverses are computed when first read, from
+    the generator rows the level last spanned, so a level that is spanned
+    again before it is read grows its orbit once."""
+
+    __slots__ = ("basepoint", "gens", "_span", "_reps", "_index", "_inverse")
 
     def __init__(self, basepoint: int, gen_rows: np.ndarray):
         self.basepoint = basepoint
@@ -259,8 +281,28 @@ class _ChainLevel:
 
     def span(self, gen_rows: np.ndarray) -> None:
         """Set the transversal to the base point's orbit under gen_rows."""
-        self.reps, self.index = _transversal(self.basepoint, gen_rows)
-        self.inverse = _inverse_rows(self.reps)
+        self._span = gen_rows
+        self._reps = self._index = self._inverse = None
+
+    def _grow(self) -> None:
+        if self._reps is None:
+            self._reps, self._index = _transversal(self.basepoint, self._span)
+
+    @property
+    def reps(self) -> np.ndarray:
+        self._grow()
+        return self._reps
+
+    @property
+    def index(self) -> np.ndarray:
+        self._grow()
+        return self._index
+
+    @property
+    def inverse(self) -> np.ndarray:
+        if self._inverse is None:
+            self._inverse = _inverse_rows(self.reps)
+        return self._inverse
 
 
 def _sift(
@@ -660,6 +702,7 @@ def double_coset_representatives(
 
 
 _NOT_BI_INVARIANT = "connection set is not bi-invariant under the subgroup"
+_NOT_INVERSE_CLOSED = "connection set is not inverse-closed"
 
 
 class ConnectionSet:
@@ -670,32 +713,43 @@ class ConnectionSet:
     objects on first use.  ``representatives`` holds the smallest element
     of each H-double coset, in increasing order.
 
-    Inverse closure is checked on construction, by one pass that finds
-    every element's inverse; the inverses' images are kept as the
-    read-only ``inverse_rows`` (row i is the inverse of row i, in the
-    rows' dtype), which group functions on the set read instead of
-    computing them again.
+    Inverse closure is checked on construction.  The read-only
+    ``inverse_rows`` (row i is the inverse of row i, in the rows' dtype)
+    are computed on first read, or kept from that check where it found
+    them; group functions on the set read them instead of computing them
+    again.  The set's indicator operator (``operator``), the n x n count
+    K[x, y] = #{s in S : s(y) = x}, is built on first use and kept: every
+    convolution by a function that is constant on S reads it.
 
-    Built from elements (``Permutation`` objects or image rows),
-    H-bi-invariance is decided by splitting the set into its H-double
-    cosets with right products only: S*h inside S for each generator h,
-    together with S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well.
-    ``of_point`` builds {g in G : g(p) in T} from cosets instead.
+    Built from elements (``Permutation`` objects or image rows), inverse
+    closure is decided by looking up every element's inverse, and
+    H-bi-invariance by splitting the set into its H-double cosets with
+    right products only: S*h inside S for each generator h, together with
+    S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well.  ``of_point``
+    builds {g in G : g(p) in T} from cosets instead, and decides both on
+    its transversal rows.
     """
 
     __slots__ = (
         "degree",
         "subgroup",
         "rows",
-        "inverse_rows",
         "representatives",
         "_table",
         "_elements",
+        "_inverse_rows",
+        "_operator",
     )
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
         table = _RowTable(elements, subgroup.degree)
-        inverse = self._fill(table, subgroup)
+        self._fill(table, subgroup)
+        inverse_rows = _inverse_rows(table.rows)
+        inverse = table.find(inverse_rows)
+        if (inverse < 0).any():
+            raise StructureError(_NOT_INVERSE_CLOSED)
+        inverse_rows.setflags(write=False)
+        self._inverse_rows = inverse_rows
         try:
             reps = _double_coset_split(table, subgroup, inverse)
         except StructureError:
@@ -719,8 +773,12 @@ class ConnectionSet:
         u_w the transversal row sending the point to w, so its rows are
         the products u_w*h over H's elements h.  It is closed under right
         products by H by construction, and under left products exactly
-        when H maps those targets into themselves, which is checked, as is
-        inverse closure.  Its H-double coset through g is
+        when H maps those targets into themselves, which is checked.  Then
+        H maps the other points into themselves too, so the inverse
+        (u_w*h)^-1 sends the point to h^-1(u_w^-1(point)), a target exactly
+        when u_w^-1(point) is: the set is inverse-closed exactly when every
+        u_w^-1(point) is a target, which is checked on the k transversal
+        rows, not on the set's.  Its H-double coset through g is
         {g' : g'(point) in H.g(point)}, so the double cosets are H's orbits
         on the targets.
         """
@@ -732,6 +790,9 @@ class ConnectionSet:
         inside[t[:, point]] = True
         if not inside[subgroup._gen_rows[:, inside]].all():
             raise StructureError(_NOT_BI_INVARIANT)
+        # u_w^-1(point) is the place where row u_w holds the point.
+        if not inside[np.argmax(t == point, axis=1)].all():
+            raise StructureError(_NOT_INVERSE_CLOSED)
         rows = t[:, subgroup.element_array(cap)].reshape(-1, group.degree)
         order, keys = _lex_order(rows)
         rows = rows[order]
@@ -743,22 +804,41 @@ class ConnectionSet:
         connection.representatives = _permutations(rows[first])
         return connection
 
-    def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> np.ndarray:
-        """Hold the table's rows over the subgroup and find their inverses:
-        the index of each row's inverse.  StructureError unless the rows
-        are inverse-closed."""
+    def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> None:
+        """Hold the table's rows over the subgroup; the inverse rows and
+        the operator are not known yet."""
         self.degree = subgroup.degree
         self.subgroup = subgroup
         self.rows = table.rows
         self._table = table
         self._elements: tuple[Permutation, ...] | None = None
-        inverse_rows = _inverse_rows(table.rows)
-        inverse = table.find(inverse_rows)
-        if (inverse < 0).any():
-            raise StructureError("connection set is not inverse-closed")
-        inverse_rows.setflags(write=False)
-        self.inverse_rows = inverse_rows
-        return inverse
+        self._inverse_rows: np.ndarray | None = None
+        self._operator: np.ndarray | None = None
+
+    @property
+    def inverse_rows(self) -> np.ndarray:
+        """Row i holds the images of the inverse of row i, in the rows'
+        dtype (read-only; computed on first read)."""
+        if self._inverse_rows is None:
+            inverse_rows = _inverse_rows(self.rows)
+            inverse_rows.setflags(write=False)
+            self._inverse_rows = inverse_rows
+        return self._inverse_rows
+
+    def operator(self) -> np.ndarray:
+        """The read-only n x n float matrix K of convolving by the set's
+        indicator, K[x, y] = #{s in S : s(y) = x}, so that (K @ v)(x) =
+        sum_s v(s^-1(x)); built on first use and kept.
+
+        Column y is one ``bincount`` of the images s(y), column y of the
+        rows (``_operator``), so no inverse rows and no |S| x n array are
+        formed.  The counts are exact, and the same as every sum over S's
+        elements of unit weights, in any order."""
+        if self._operator is None:
+            kernel = _operator(self.rows)
+            kernel.setflags(write=False)
+            self._operator = kernel
+        return self._operator
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

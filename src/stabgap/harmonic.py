@@ -4,7 +4,9 @@ A group function is a finitely supported real function on permutations;
 convolving it with a vertex function v gives the vertex function
 x -> sum_g mu(g) v(g^-1(x)), evaluated by direct summation over the
 support, held as rows of images like every element set of the group
-layer.  This module also supplies the standard distributions (point
+layer.  Its n x n operator is summed over the support too, one column
+per vertex; a connection set's indicator reads the operator the set
+keeps.  This module also supplies the standard distributions (point
 mass, uniform, indicator of a set, uniform on a set) and randomized
 checks that the convolution operator agrees with the bipartite matrix
 and satisfies the shift/centering/scaling norm identities.
@@ -23,6 +25,7 @@ from .groups import (
     _Elements,
     _image_rows,
     _inverse_rows,
+    _operator,
     _permutations,
     _sorted_distinct,
 )
@@ -35,10 +38,20 @@ class GroupFunction:
 
     The support, given as ``Permutation`` objects or as image rows, is
     held as read-only ``rows`` in the order given (the order fixes the
-    float sums); ``perms`` builds it as ``Permutation`` objects.
+    float sums); ``perms`` builds it as ``Permutation`` objects.  A
+    function built on a ``ConnectionSet`` (``indicator``, ``uniform_on``)
+    keeps the set: ``convolve`` reads the set's inverse rows, and the
+    indicator's ``operator`` is the set's kept operator.
     """
 
-    __slots__ = ("degree", "rows", "weights", "_inverse_rows")
+    __slots__ = (
+        "degree",
+        "rows",
+        "weights",
+        "_inverse_rows",
+        "_connection",
+        "_counts",
+    )
 
     def __init__(self, perms: _Elements, weights):
         rows = _image_rows(perms)
@@ -50,16 +63,25 @@ class GroupFunction:
 
     @classmethod
     def _trusted(
-        cls, rows: np.ndarray, weights, inverse_rows: np.ndarray | None = None
+        cls,
+        rows: np.ndarray,
+        weights,
+        connection: ConnectionSet | None = None,
+        counts: bool = False,
     ) -> GroupFunction:
-        """A group function on rows known to be distinct permutations,
-        with their inverses' rows if those are known already."""
+        """A group function on rows known to be distinct permutations: the
+        rows of ``connection`` when one is given, and with ``counts`` its
+        indicator."""
         mu = object.__new__(cls)
-        mu._fill(rows, weights, inverse_rows)
+        mu._fill(rows, weights, connection, counts)
         return mu
 
     def _fill(
-        self, rows: np.ndarray, weights, inverse_rows: np.ndarray | None = None
+        self,
+        rows: np.ndarray,
+        weights,
+        connection: ConnectionSet | None = None,
+        counts: bool = False,
     ) -> None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(rows),):
@@ -71,10 +93,9 @@ class GroupFunction:
         self.rows = rows
         self.weights = w
         self.weights.setflags(write=False)
-        # Row i holds the images of the inverse of support permutation i.
-        self._inverse_rows = (
-            _inverse_rows(rows) if inverse_rows is None else inverse_rows
-        )
+        self._inverse_rows: np.ndarray | None = None
+        self._connection = connection
+        self._counts = counts
 
     @property
     def perms(self) -> tuple[Permutation, ...]:
@@ -87,28 +108,37 @@ class GroupFunction:
         return float(np.sqrt(np.sum(self.weights**2)))
 
     def convolve(self, values) -> np.ndarray:
-        """(mu * v)(x) = sum_g mu(g) v(g^-1(x)), summed over the support."""
+        """(mu * v)(x) = sum_g mu(g) v(g^-1(x)), summed over the support.
+
+        The first call finds the support's inverse rows (row i holds the
+        images of the inverse of support permutation i), or reads the
+        connection set's."""
         v = np.asarray(values, dtype=float)
         if v.shape != (self.degree,):
             raise ValueError(
                 f"expected a vector of length {self.degree}, got shape {v.shape}"
             )
+        if self._inverse_rows is None:
+            self._inverse_rows = (
+                _inverse_rows(self.rows)
+                if self._connection is None
+                else self._connection.inverse_rows
+            )
         return self.weights @ v[self._inverse_rows]
 
     def operator(self) -> np.ndarray:
         """The n x n matrix K of convolving by mu, so that K @ v is
-        ``convolve(v)``: K[x, y] = sum_g mu(g) [g^-1(x) = y].
+        ``convolve(v)``: K[x, y] = sum_g mu(g) [g(y) = x].
 
-        Row x is one ``bincount`` of the weights over column x of the
-        inverse rows, the points g^-1(x), so each cell sums its weights in
-        support order and no (support size) x n array is formed; exact for
-        integer weights such as ``indicator``'s.
+        Column y is one ``bincount`` of the weights over column y of the
+        rows, the points g(y), so each cell sums its weights in support
+        order, needs no inverse rows, and no (support size) x n array is
+        formed; exact for integer weights.  A connection set's indicator
+        reads the set's kept ``ConnectionSet.operator``, the same counts.
         """
-        n = self.degree
-        kernel = np.empty((n, n))
-        for x in range(n):
-            kernel[x] = np.bincount(self._inverse_rows[:, x], self.weights, minlength=n)
-        return kernel
+        if self._counts:
+            return self._connection.operator()
+        return _operator(self.rows, self.weights)
 
 
 def point_mass(vertex: int, n: int) -> np.ndarray:
@@ -125,32 +155,35 @@ def uniform_distribution(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _support(elements: _Elements) -> tuple[np.ndarray, np.ndarray | None]:
-    """A connection set's rows and inverse rows as they are, else the
-    distinct rows, sorted, whose inverses are not known yet."""
+def _support(elements: _Elements) -> tuple[np.ndarray, ConnectionSet | None]:
+    """A connection set's rows as they are, with the set, else the
+    distinct rows, sorted."""
     if isinstance(elements, ConnectionSet):
-        rows, inverse_rows = elements.rows, elements.inverse_rows
+        rows, connection = elements.rows, elements
     else:
-        rows, inverse_rows = _sorted_distinct(_image_rows(elements)), None
+        rows, connection = _sorted_distinct(_image_rows(elements)), None
     if not len(rows):
         raise ValueError("empty set")
-    return rows, inverse_rows
+    return rows, connection
 
 
 def indicator(elements: _Elements) -> GroupFunction:
     """The characteristic function of a set of permutations.  On a
-    ``ConnectionSet`` it shares the set's rows and ``inverse_rows``."""
-    rows, inverse_rows = _support(elements)
-    return GroupFunction._trusted(rows, np.ones(len(rows)), inverse_rows)
+    ``ConnectionSet`` it shares the set's rows, ``inverse_rows`` and
+    ``operator``."""
+    rows, connection = _support(elements)
+    return GroupFunction._trusted(
+        rows, np.ones(len(rows)), connection, counts=connection is not None
+    )
 
 
 def uniform_on(elements: _Elements) -> GroupFunction:
     """The uniform probability distribution on a set of permutations;
     its norm is 1/sqrt(set size).  On a ``ConnectionSet`` it shares the
     set's rows and ``inverse_rows``."""
-    rows, inverse_rows = _support(elements)
+    rows, connection = _support(elements)
     return GroupFunction._trusted(
-        rows, np.full(len(rows), 1.0 / len(rows)), inverse_rows
+        rows, np.full(len(rows), 1.0 / len(rows)), connection
     )
 
 

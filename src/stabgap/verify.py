@@ -5,10 +5,16 @@ size |S| = k*m on n vertices, the chain runs from 1/k through the norm
 of the convolved point mass to lambda2^2/|S|^2 + 1/n.  Every line is
 computed numerically from first principles (convolutions and norms,
 never algebraic simplification); consecutive equalities must agree to
-working precision.  A strict inequality holds only when its two sides
-are not equal to working precision, so an exact tie is never decided by
-the last bit of a float.  The derived disjunction is: either the graph
-is small (n < 2k) or m^2 < 2*lambda2^2/k.
+working precision.  Every convolution is by a function constant on the
+connection set S, so it is a product with S's indicator operator
+``ConnectionSet.operator`` (divided by |S| for the uniform distribution
+p_S), built once per set; the operator itself is still summed over S's
+elements, with no algebraic shortcut.  The matrix line ||A f|| reads the
+bipartite matrix, assembled by another route.  A strict inequality holds
+only when its two sides are not equal to working precision, so an exact
+tie is never decided by the last bit of a float.  The derived
+disjunction is: either the graph is small (n < 2k) or
+m^2 < 2*lambda2^2/k.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 
 from .errors import StructureError
 from .graphs import TransitiveCase
-from .harmonic import indicator, point_mass, uniform_distribution, uniform_on
+from .harmonic import point_mass, uniform_distribution
 from .spectral import BipartiteAdjacency
 
 IDENTITY_TOL = 1e-12
@@ -50,11 +56,14 @@ def cauchy_schwarz_step(
 ) -> CauchySchwarzResult:
     """Evaluate ||p_S * p_v||^2 and compare it against 1/k.
 
-    The convolution is supported exactly on the base neighborhood; any
-    mass elsewhere is a structural failure, not a tolerance matter.
+    p_S * p_v is the product of S's operator with the point mass, divided
+    by |S|.  It is supported exactly on the base neighborhood; any mass
+    elsewhere is a structural failure, not a tolerance matter (cells off
+    it hold exact zeros).
     """
     n = case.graph.n
-    conv = uniform_on(case.connection).convolve(point_mass(case.base_vertex, n))
+    kernel = case.connection.operator()
+    conv = kernel @ point_mass(case.base_vertex, n) / len(case.connection)
     off_support = conv.copy()
     off_support[list(case.graph.neighbors(case.base_vertex))] = 0.0
     if float(np.abs(off_support).max()) != 0.0:
@@ -109,19 +118,27 @@ def evaluate_chain(
     lambda2: float,
     tol: float = IDENTITY_TOL,
 ) -> ChainDiagnostics:
+    """Evaluate each line of the chain for the case.
+
+    The convolutions p_S * p_v, p_S * f and chi_S * f are products with
+    the connection set's operator K (``ConnectionSet.operator``), the
+    first two divided by |S|; K counts S's elements, so the lines are
+    sums over S, read from the one n x n matrix that eq2 also applies.
+    ||A f|| applies the bipartite matrix, assembled from the subgroup's
+    orbit counts, so the last equality compares two routes.
+    """
     n = case.graph.n
     s_size = len(case.connection)
-    p_s = uniform_on(case.connection)
-    chi = indicator(case.connection)
+    kernel = case.connection.operator()
     p_v = point_mass(case.base_vertex, n)
     uniform = uniform_distribution(n)
     f = p_v - uniform
 
-    neighbor_mass = float(np.sum(p_s.convolve(p_v) ** 2))
-    p_s_f = p_s.convolve(f)
+    neighbor_mass = float(np.sum((kernel @ p_v / s_size) ** 2))
+    p_s_f = kernel @ f / s_size
     recentered = float(np.sum((p_s_f + uniform) ** 2))
     split = float(np.sum(p_s_f**2)) + 1.0 / n
-    scaled_convolution = float(np.sum(chi.convolve(f) ** 2)) / s_size**2 + 1.0 / n
+    scaled_convolution = float(np.sum((kernel @ f) ** 2)) / s_size**2 + 1.0 / n
     scaled_matrix = float(np.sum(adjacency.apply(f) ** 2)) / s_size**2 + 1.0 / n
     f_norm_sq = float(np.sum(f**2))
     operator_bound = lambda2**2 * f_norm_sq / s_size**2 + 1.0 / n

@@ -191,9 +191,10 @@ def reference_bipartite(connection, n):
 
 def reference_operator(mu):
     """The convolution operator of a group function as one scatter of every
-    support element's weight to the cells (x, g^-1(x))."""
+    support element's weight to the cells (x, g^-1(x)), with the inverses
+    found by ``argsort``."""
     n = mu.degree
-    cells = (np.arange(n) * n + mu._inverse_rows.astype(np.int64)).ravel()
+    cells = (np.arange(n) * n + np.argsort(mu.rows, axis=1)).ravel()
     spread = np.repeat(mu.weights, n)
     return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
 

@@ -1,14 +1,17 @@
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from stabgap.casefile import _OPTION_KEYS, CaseOptions
+from stabgap.catalog import builtin_cases
 from stabgap.cli import build_parser, main
-from stabgap.pipeline import CSV_COLUMNS, AnalyzeOptions, case_seed
+from stabgap.pipeline import CSV_COLUMNS, AnalyzeOptions, analyze_case, case_seed
 
 CATALOG_SEED0 = Path(__file__).parent / "data" / "catalog-seed0.csv"
+CATALOG_SEED0_JSON = Path(__file__).parent / "data" / "catalog-seed0.json"
 
 TRIANGLE_DOC = {
     "name": "triangle",
@@ -211,6 +214,41 @@ def test_catalog_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == CATALOG_SEED0.read_bytes()
 
 
+def catalog_json_reports() -> list:
+    """The JSON report of every built-in case at seed 0, in catalog order,
+    as ``json.loads`` reads it back."""
+    reports = [analyze_case(spec).to_json_dict() for spec in builtin_cases()]
+    return json.loads(json.dumps(reports, sort_keys=True))
+
+
+def assert_reports_match(fresh, captured, path="reports"):
+    """Equal in every field, floats within 1e-12 (relative or absolute)."""
+    if isinstance(captured, dict):
+        assert sorted(fresh) == sorted(captured), path
+        for key in captured:
+            assert_reports_match(fresh[key], captured[key], f"{path}.{key}")
+    elif isinstance(captured, list):
+        assert len(fresh) == len(captured), path
+        for i, (a, b) in enumerate(zip(fresh, captured)):
+            assert_reports_match(a, b, f"{path}[{i}]")
+    elif isinstance(captured, float):
+        assert isinstance(fresh, float), path
+        assert math.isclose(fresh, captured, rel_tol=1e-12, abs_tol=1e-12), path
+    else:
+        assert type(fresh) is type(captured) and fresh == captured, path
+
+
+def test_catalog_json_matches_the_checked_in_capture():
+    # The JSON carries fields the CSV does not (the chain's lines, the
+    # spectrum, the deviations); the fields of the 24 catalog cases at
+    # seed 0 must match the capture, floats to 1e-12.  Regenerate it with
+    # ``PYTHONPATH=src python tests/test_cli.py`` only for an intended
+    # change of the report.
+    captured = json.loads(CATALOG_SEED0_JSON.read_text())
+    assert len(captured) == 24
+    assert_reports_match(catalog_json_reports(), captured)
+
+
 def test_catalog_seed_changes_rows(tmp_path):
     a = tmp_path / "s0.csv"
     b = tmp_path / "s1.csv"
@@ -222,3 +260,9 @@ def test_catalog_seed_changes_rows(tmp_path):
     rows_a = a.read_text().splitlines()[1]
     rows_b = b.read_text().splitlines()[1]
     assert rows_a.rsplit(",", 1)[1] != rows_b.rsplit(",", 1)[1]
+
+
+if __name__ == "__main__":
+    CATALOG_SEED0_JSON.write_text(
+        json.dumps(catalog_json_reports(), indent=1, sort_keys=True) + "\n"
+    )

@@ -18,10 +18,11 @@ from stabgap.groups import (
     double_coset_representatives,
     is_inverse_closed,
 )
+from stabgap.harmonic import indicator
 from stabgap.perms import Permutation
 from stabgap.pipeline import analyze_case
 
-from cases import double_coset
+from cases import coset_graph_data, cyclic, double_coset, reference_operator
 
 
 def s3():
@@ -985,6 +986,110 @@ def test_connection_set_of_point_validates_its_targets():
     # Targets off the point's orbit are not in the set.
     two_orbits = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
     assert ConnectionSet.of_point(two_orbits, 0, [1, 2]).rows.tolist() == [[1, 0, 2, 3]]
+
+
+def affine_7():
+    """x -> a*x + b mod 7 with a in {1, 2, 4}: the group of order 21."""
+    return PermutationGroup(
+        7,
+        [
+            Permutation([(x + 1) % 7 for x in range(7)]),
+            Permutation([2 * x % 7 for x in range(7)]),
+        ],
+    )
+
+
+def test_of_point_decides_inverse_closure_on_the_transversal():
+    # H = G_0 = {x -> a*x} keeps the squares {1, 2, 4}, so the set is a
+    # union of double cosets; but (x -> a*x + b)^-1 sends 0 to -b/a, a
+    # non-square, since -1 is not a square mod 7.
+    group = affine_7()
+    assert group.order() == 21
+    with pytest.raises(StructureError, match="inverse-closed"):
+        ConnectionSet.of_point(group, 0, [1, 2, 4])
+    rows = group.element_array()
+    masked = rows[np.isin(rows[:, 0], [1, 2, 4])]
+    with pytest.raises(StructureError, match="inverse-closed"):
+        ConnectionSet(masked, group.stabilizer(0))
+    # All non-zero points: the whole of G - H, which is inverse-closed.
+    conn = ConnectionSet.of_point(group, 0, range(1, 7))
+    assert len(conn) == 18
+    assert conn.contains_rows(conn.inverse_rows).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        coset_graph_data.map(lambda data: data[0]),
+        st.sampled_from([affine_7(), cyclic(8), cyclic(9)]),
+    ),
+    st.data(),
+)
+def test_of_point_accepts_exactly_the_inverse_closed_sets(group, data):
+    # For a target set that the point's stabilizer H keeps, the set is a
+    # union of H-double cosets, so both constructions accept it exactly
+    # when it is inverse-closed: of_point on its transversal rows, the
+    # element constructor by looking up every inverse.
+    point = data.draw(st.integers(0, group.degree - 1))
+    h = group.stabilizer(point)
+    label = groups._component_minima(group.degree, h._gen_rows)
+    orbits = sorted(set(label.tolist()))
+    chosen = data.draw(st.lists(st.sampled_from(orbits), min_size=1, unique=True))
+    targets = np.flatnonzero(np.isin(label, chosen)).tolist()
+    rows = group.element_array()
+    masked = rows[np.isin(rows[:, point], targets)]
+    try:
+        reference = ConnectionSet(masked, h)
+    except StructureError as e:
+        assert "inverse-closed" in str(e)
+        with pytest.raises(StructureError, match="inverse-closed"):
+            ConnectionSet.of_point(group, point, targets)
+        return
+    conn = ConnectionSet.of_point(group, point, targets)
+    assert np.array_equal(conn.rows, reference.rows)
+    assert conn.representatives == reference.representatives
+    assert np.array_equal(conn.inverse_rows, reference.inverse_rows)
+
+
+def test_of_point_forms_no_inverse_rows_and_looks_nothing_up(monkeypatch):
+    # Inverse closure is decided on the k transversal rows: no row of the
+    # set is inverted or looked up until a caller asks.
+    inverted, found = [], []
+    inverse_rows, find = groups._inverse_rows, _RowTable.find
+
+    def counted_inverse_rows(rows):
+        inverted.append(len(rows))
+        return inverse_rows(rows)
+
+    def counted_find(table, rows):
+        found.append(len(rows))
+        return find(table, rows)
+
+    monkeypatch.setattr(groups, "_inverse_rows", counted_inverse_rows)
+    monkeypatch.setattr(_RowTable, "find", counted_find)
+    case = realize_case(catalog._kneser(8, 3))
+    conn, k = case.connection, case.valency
+    assert found == []
+    assert max(inverted) < len(conn) and conn._inverse_rows is None
+    assert conn.operator() is conn.operator()
+    assert conn._inverse_rows is None
+    assert np.array_equal(conn.inverse_rows, np.argsort(conn.rows, axis=1))
+    assert conn.inverse_rows is conn.inverse_rows and inverted[-1] == len(conn) > k
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_connection_operator_counts_every_element(spec):
+    # The kept operator equals one scatter over every element of S, and
+    # the indicator's operator is that same matrix.
+    conn = realize_case(spec).connection
+    kernel = conn.operator()
+    assert not kernel.flags.writeable and kernel.dtype == float
+    assert np.array_equal(kernel, reference_operator(indicator(conn)))
+    assert indicator(conn).operator() is kernel
 
 
 def test_connection_set_of_point_caps_the_group_order():

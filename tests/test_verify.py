@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 
+from stabgap import catalog
+from stabgap.casefile import realize_case
 from stabgap.graphs import make_transitive_case
+from stabgap.harmonic import indicator, point_mass, uniform_distribution, uniform_on
 from stabgap.spectral import build_bipartite, singular_values
 from stabgap.verify import bound_report, cauchy_schwarz_step, evaluate_chain
 
@@ -146,3 +150,42 @@ def test_converse_never_fails_on_samples():
         report = bound_report(case, summary.lambda1, summary.lambda2)
         assert report.converse_ok
         assert summary.lambda2 <= summary.lambda1 + 1e-12
+
+
+def test_chain_lines_match_the_direct_convolutions():
+    # The chain reads S's operator; summing over S's inverse rows
+    # (``GroupFunction.convolve``) gives the same lines to rounding.
+    for case in [petersen_case(), realize_case(catalog._kneser(8, 3))]:
+        adj, summary = spectra(case)
+        chain = evaluate_chain(case, adj, summary.lambda2)
+        n, s_size = case.graph.n, len(case.connection)
+        p_v = point_mass(case.base_vertex, n)
+        f = p_v - uniform_distribution(n)
+        p_s, chi = uniform_on(case.connection), indicator(case.connection)
+        lines = {
+            "neighbor_mass": np.sum(p_s.convolve(p_v) ** 2),
+            "split": np.sum(p_s.convolve(f) ** 2) + 1.0 / n,
+            "scaled_convolution": np.sum(chi.convolve(f) ** 2) / s_size**2 + 1.0 / n,
+        }
+        for name, direct in lines.items():
+            assert math.isclose(getattr(chain, name), direct, rel_tol=1e-12)
+        assert cauchy_schwarz_step(case).value == chain.neighbor_mass
+
+
+def test_chain_and_cauchy_schwarz_form_no_connection_sized_array():
+    # |S| * n bytes is S's rows themselves on kneser-8-3 (7200 x 56 uint8).
+    # Both steps read S's n x n operator, built here by n bincounts, where
+    # a convolution over S's inverse rows gathers 8 * |S| * n bytes.
+    case = realize_case(catalog._kneser(8, 3))
+    adj, summary = spectra(case)
+    budget = len(case.connection) * case.graph.n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cauchy_schwarz_step(case)
+        evaluate_chain(case, adj, summary.lambda2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
