@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
     _component_minima,
+    _compose_all,
     _image_rows,
     _inverse_rows,
     _transversal,
@@ -255,7 +256,9 @@ def build_coset_graph(
     table = group._element_table(element_cap)
     rows = table.rows
     h_rows = subgroup._gen_rows
-    label = _component_minima(len(rows), [table.find(rows[:, h]) for h in h_rows])
+    label = _component_minima(
+        len(rows), [table.find(_compose_all(rows, h)) for h in h_rows]
+    )
     minima = np.flatnonzero(label == np.arange(len(rows)))
     n = len(minima)
     if n > max_cosets:
@@ -272,7 +275,8 @@ def build_coset_graph(
         )
 
     def induced(gen_rows: np.ndarray) -> np.ndarray:
-        products = gen_rows[:, rows[minima]].reshape(-1, group.degree)
+        products = _compose_all(gen_rows, rows.take(minima, axis=0))
+        products = products.reshape(-1, group.degree)
         return coset[table.find(products)].reshape(len(gen_rows), n)
 
     moves = induced(group._gen_rows)

@@ -1,19 +1,23 @@
 """Permutation groups with deterministic stabilizer chains.
 
-Orbits, point stabilizers via Schreier generators, exact orders, bounded
-element enumeration, and double-coset machinery.  Every operation is
-deterministic: transversals are grown breadth-first with the generators
-in their given order, a chain's next base point is the smallest point
-moved by the first row that sifts through all its levels so far without
-becoming the identity (the generators in their given order, then the
-Schreier generators of the fixpoint scan), so the base need not be
-0, 1, 2, ..., and element lists are in lexicographic order of image
-tuples.
+Orbits, point stabilizers read off the stabilizer chain, exact orders,
+bounded element enumeration, and double-coset machinery.  Every
+operation is deterministic: transversals are grown breadth-first with
+the generators in their given order, a chain's next base point is the
+smallest point moved by the first row that sifts through all its levels
+so far without becoming the identity (the generators in their given
+order, then the Schreier generators of the fixpoint scan), so the base
+need not be 0, 1, 2, ..., and element lists are in lexicographic order
+of image tuples.
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets, the supports of group functions) are held as rows of an
 integer array of images, converted into that layout by ``_image_rows``
-alone and composed a whole array at a time by fancy indexing.  They are
+alone and composed a whole array at a time by ``take``, not by fancy
+indexing: ``_compose`` composes rows pairwise with rows of a table, as
+one ``take`` from the flattened table, and ``_compose_all`` composes
+every row of a table with every row, as one ``take`` along the table's
+images.  Rows are gathered by ``take`` along the rows too.  They are
 indexed by one ``uint64`` key per row, its first eight bytes of
 big-endian images (``_row_keys``): ``_lex_order`` sorts and deduplicates
 rows by their keys, and a ``_RowTable`` looks rows up by binary search on
@@ -31,8 +35,13 @@ transversal and the transversal's inverses as rows, the last two computed
 when first read.  One breadth-first routine (``_transversal``) grows
 every transversal, the chain's and the coset graph's, one batched
 ``_sift`` strips rows through the chain, and ``_schreier`` forms a
-level's Schreier generators a block of orbit points at a time.  Orbits
-are component labels (``_component_minima``).
+level's Schreier generators a block of orbit points at a time.  The
+chain is built once per group: a point stabilizer in the first base
+point b's orbit takes its chain from the group's, the levels past the
+first conjugated by the transversal row u with u(b) = point, since
+G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
+generators for its stabilizer.  Orbits are component labels
+(``_component_minima``).
 
 A connection set S keeps its indicator operator, the n x n count
 K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
@@ -118,7 +127,9 @@ def _equal_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     equal = np.ones(len(a), dtype=bool)
     step = max(1, _COMPARE_BLOCK // max(rows.shape[1], 1))
     for i in range(0, len(a), step):
-        equal[i : i + step] = (rows[a[i : i + step]] == rows[b[i : i + step]]).all(1)
+        block = slice(i, i + step)
+        left, right = rows.take(a[block], axis=0), rows.take(b[block], axis=0)
+        equal[block] = (left == right).all(1)
     return equal
 
 
@@ -135,7 +146,7 @@ def _lex_order(
     by whole-row void values, which leaves the sorted keys as they are."""
     keys = _row_keys(rows)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
+    keys = keys.take(order)
     tie = np.flatnonzero(keys[1:] == keys[:-1])
     if not len(tie):
         return order, keys
@@ -155,7 +166,8 @@ def _lex_order(
         cuts = first[np.unique(first // step, return_index=True)[1]]
         for a, b in zip(cuts, np.append(cuts[1:], len(at))):
             block = order[at[a:b]]
-            order[at[a:b]] = block[np.argsort(_row_view(rows[block]), kind="stable")]
+            view = _row_view(rows.take(block, axis=0))
+            order[at[a:b]] = block[np.argsort(view, kind="stable")]
         if distinct:
             equal = _equal_rows(rest, order[tie], order[tie + 1])
     if distinct:
@@ -193,7 +205,7 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
 
 def _sorted_distinct(rows: np.ndarray) -> np.ndarray:
     """The distinct rows, in lexicographic order."""
-    return rows[_lex_order(rows, distinct=True)[0]]
+    return rows.take(_lex_order(rows, distinct=True)[0], axis=0)
 
 
 def _permutations(rows: np.ndarray) -> tuple[Permutation, ...]:
@@ -209,6 +221,25 @@ def _inverse_rows(rows: np.ndarray) -> np.ndarray:
     inverse = np.empty_like(rows)
     inverse[np.arange(m)[:, None], rows] = np.arange(degree, dtype=rows.dtype)
     return inverse
+
+
+def _compose(table: np.ndarray, which: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows composed pairwise with table rows: row i of the result is
+    table[which[i]] * rows[i], the images table[which[i], rows[i, x]].
+    ``which`` (an intp array) and ``rows`` broadcast against each other
+    with one more axis on ``which``, the images' own.  One ``take`` from
+    the flat table at which * width + rows: for these shapes it is a few
+    times faster than the fancy index table[which[:, None], rows].
+    """
+    return table.ravel().take(which[..., None] * table.shape[-1] + rows)
+
+
+def _compose_all(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every table row composed with every row: element (i, j) of the
+    result (or j, for a table of one 1-D row) is table[i] * rows[j], the
+    images table[i, rows[j, x]].  One ``take`` along the table's images,
+    a few times faster than the fancy index table[:, rows]."""
+    return table.take(rows, axis=-1)
 
 
 def _operator(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -257,7 +288,7 @@ def _transversal(
     reps = np.empty((len(orbit), len(first)), dtype=gen_rows.dtype)
     reps[0] = first
     for a, b in zip(layers[1:], layers[2:]):
-        reps[a:b] = gen_rows[via[a:b, None], reps[parent[a:b]]]
+        reps[a:b] = _compose(gen_rows, via[a:b], reps.take(parent[a:b], axis=0))
     return reps, np.array(index)
 
 
@@ -304,21 +335,51 @@ class _ChainLevel:
             self._inverse = _inverse_rows(self.reps)
         return self._inverse
 
+    def conjugated(self, u: np.ndarray, u_inverse: np.ndarray) -> _ChainLevel:
+        """This level conjugated by the row u, given with its inverse: the
+        base point u(b), each generator, span, transversal and inverse row
+        x as u * x * u^-1, and the index read through u^-1.
+
+        It is the level ``_transversal`` grows from the conjugated span:
+        the conjugated generators send u(q) to u(g(q)), so the
+        breadth-first search visits u(q) where this level's visits q, by
+        the same generator, and u_q becomes u * u_q * u^-1."""
+
+        def conjugate(rows: np.ndarray) -> np.ndarray:
+            return u.take(_compose_all(rows, u_inverse))
+
+        level = object.__new__(_ChainLevel)
+        level.basepoint = int(u[self.basepoint])
+        level.gens = conjugate(self.gens)
+        level._span = conjugate(self._span)
+        level._reps = conjugate(self.reps)
+        level._index = self.index.take(u_inverse)
+        level._inverse = conjugate(self.inverse)
+        return level
+
 
 def _sift(
     levels: Sequence[_ChainLevel], rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Strip each row through the levels: the residues, and each row's
-    first failing level (len(levels) for a row that passes them all)."""
-    rows = rows.copy()
+    first failing level (len(levels) for a row that passes them all).
+
+    Only the rows still passing are carried from level to level; a row
+    that fails is written to the residues as it stands."""
+    residues = np.empty_like(rows)
     at = np.full(len(rows), len(levels))
     live = np.arange(len(rows))
     for i, level in enumerate(levels):
-        pos = level.index[rows[live, level.basepoint]]
-        at[live[pos < 0]] = i
-        live, pos = live[pos >= 0], pos[pos >= 0]
-        rows[live] = level.inverse[pos[:, None], rows[live]]
-    return rows, at
+        pos = level.index.take(rows[:, level.basepoint])
+        failed = pos < 0
+        if failed.any():
+            residues[live[failed]] = rows[failed]
+            at[live[failed]] = i
+            passed = ~failed
+            live, pos, rows = live[passed], pos[passed], rows[passed]
+        rows = _compose(level.inverse, pos, rows)
+    residues[live] = rows
+    return residues, at
 
 
 def _schreier(
@@ -327,10 +388,10 @@ def _schreier(
     """The Schreier generators u_{s(q)}^-1 * s * u_q of the level's
     transversal, one row for each orbit point q in increasing order (the
     slice ``at`` of them) and, within it, each generator row s in order."""
-    u = level.reps[level.index[level.index >= 0][at]]
-    su = gen_rows[:, u].swapaxes(0, 1)
-    back = level.index[su[..., level.basepoint]]
-    return level.inverse[back[..., None], su].reshape(-1, u.shape[1])
+    u = level.reps.take(level.index[level.index >= 0][at], axis=0)
+    su = _compose_all(gen_rows, u).swapaxes(0, 1)
+    back = level.index.take(su[..., level.basepoint])
+    return _compose(level.inverse, back, su).reshape(-1, u.shape[1])
 
 
 def _schreier_blocks(level: _ChainLevel, gen_rows: np.ndarray):
@@ -349,7 +410,7 @@ def _moved(rows: np.ndarray) -> np.ndarray:
 def _distinct_moved(rows: np.ndarray) -> np.ndarray:
     """The rows that are not the identity, each once, at its first place."""
     rows = rows[_moved(rows)]
-    return rows[np.sort(_lex_order(rows, distinct=True)[0])]
+    return rows.take(np.sort(_lex_order(rows, distinct=True)[0]), axis=0)
 
 
 class PermutationGroup:
@@ -424,27 +485,39 @@ class PermutationGroup:
         return not _component_minima(self.degree, self._gen_rows).any()
 
     def stabilizer(self, point: int) -> PermutationGroup:
-        """The point stabilizer.
+        """The point stabilizer, by one of three routes.
 
-        At the first base point of the group's stabilizer chain it is the
-        group at the chain's second level: generated by the strong
-        generators of the deeper levels, which are its chain (shared, not
-        rebuilt).  At any other point it is generated by the Schreier
-        generators of the point's transversal, formed in blocks that each
-        drop their identity rows and repeats.
+        - At the first base point b of the group's stabilizer chain it is
+          the group at the chain's second level: generated by the strong
+          generators of the deeper levels, which are its chain (shared,
+          not rebuilt).
+        - At another point of b's orbit it is that group conjugated by
+          the first level's transversal row u with u(b) = point, since
+          G_u(b) = u * G_b * u^-1: its generators and its chain are the
+          deeper levels' conjugated (``_ChainLevel.conjugated``), with no
+          Schreier generator formed and no chain built.
+        - At a point outside b's orbit (only an intransitive group has
+          one) it is generated by the Schreier generators of the point's
+          transversal, formed in blocks that each drop their identity
+          rows and repeats; its chain is built when first needed.
 
         Satisfies the orbit-stabilizer identity
         order(self) == len(orbit(point)) * order(stabilizer(point)).
         """
+        self._point(point)
         chain = self._stabilizer_chain()
-        if chain and chain[0].basepoint == point:
+        if chain and chain[0].index[point] >= 0:
             deeper = chain[1:]
+            if point != chain[0].basepoint:
+                at = chain[0].index[point]
+                u, u_inverse = chain[0].reps[at], chain[0].inverse[at]
+                deeper = [level.conjugated(u, u_inverse) for level in deeper]
             stab = PermutationGroup._of_rows(
                 np.vstack([self._gen_rows[:0]] + [level.gens for level in deeper])
             )
             stab._chain = deeper
             return stab
-        level = _ChainLevel(self._point(point), self._gen_rows)
+        level = _ChainLevel(point, self._gen_rows)
         blocks = _schreier_blocks(level, self._gen_rows)
         return PermutationGroup._of_rows(
             np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for b in blocks])
@@ -529,15 +602,15 @@ class PermutationGroup:
         Each element is u_0 * u_1 * ... * u_last for exactly one choice of
         u_i in the transversal of chain level i: deepest level first, each
         level's transversal rows ``reps`` compose with all rows so far at
-        once, as ``reps[:, rows]``.
+        once (``_compose_all``).
         """
         self._check_order(cap)
         if self._rows is None:
             rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
             for level in reversed(self._stabilizer_chain()):
-                rows = level.reps[:, rows].reshape(-1, self.degree)
+                rows = _compose_all(level.reps, rows).reshape(-1, self.degree)
             order, self._keys = _lex_order(rows)
-            rows = rows[order]
+            rows = rows.take(order, axis=0)
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
@@ -569,7 +642,7 @@ class _RowTable:
     def __init__(self, elements: _Elements, degree: int | None = None):
         rows = _image_rows(elements, degree)
         order, keys = _lex_order(rows, distinct=True)
-        rows = rows[order]
+        rows = rows.take(order, axis=0)
         rows.setflags(write=False)
         self._fill(rows, keys)
 
@@ -663,9 +736,9 @@ def _double_coset_split(
 
     moves = []
     for g_row in h._gen_rows:
-        right = move(table.rows[:, g_row])
+        right = move(_compose_all(table.rows, g_row))
         if inverse is None:
-            left = move(g_row[table.rows])
+            left = move(_compose_all(g_row, table.rows))
         else:
             left = inverse[right[inverse]]
         moves += [left, right]
@@ -793,15 +866,15 @@ class ConnectionSet:
         # u_w^-1(point) is the place where row u_w holds the point.
         if not inside[np.argmax(t == point, axis=1)].all():
             raise StructureError(_NOT_INVERSE_CLOSED)
-        rows = t[:, subgroup.element_array(cap)].reshape(-1, group.degree)
+        rows = _compose_all(t, subgroup.element_array(cap)).reshape(-1, group.degree)
         order, keys = _lex_order(rows)
-        rows = rows[order]
+        rows = rows.take(order, axis=0)
         rows.setflags(write=False)
         connection = object.__new__(cls)
         connection._fill(_RowTable._sorted(rows, keys), subgroup)
         orbit = _component_minima(group.degree, subgroup._gen_rows)[rows[:, point]]
         first = np.sort(np.unique(orbit, return_index=True)[1])
-        connection.representatives = _permutations(rows[first])
+        connection.representatives = _permutations(rows.take(first, axis=0))
         return connection
 
     def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> None:

@@ -273,6 +273,12 @@ def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return float((np.abs(lhs - rhs) / scale).max())
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a real 2-D array, summed as
+    ``np.linalg.norm(x, axis=1)`` sums it, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
 def _draws_by_keys(count: int, m: int) -> bool:
     """Whether ``_random_supports`` picks m of count indices by random
     keys.  Above m * m, a draw with replacement repeats no index with
@@ -373,26 +379,29 @@ def norm_identity_trials(
         dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
 
         chosen, weights = _random_supports(rng, len(rows), b, m)
-        # The drawn support entries (t, j), row-major: the zero weights
-        # past each support size would only add +-0.0 to the sums.
-        trial, j = np.nonzero(weights)
-        drawn = weights[trial, j]
-        # Trial t's image of y under its j-th support element, offset into
-        # trial t's own stretch of the flattened (b, n) output.
-        targets = (rows[chosen[trial, j]] + (n * trial)[:, None]).ravel()
+        # The drawn support entries, as flat positions into the (b, m)
+        # weights, row-major: the zero weights past each support size
+        # would only add +-0.0 to the sums.
+        flat = np.flatnonzero(weights)
+        trial = flat // m
+        drawn = weights.take(flat)
+        # Trial t's image of y under each of its support elements, offset
+        # into trial t's own stretch of the flattened (b, n) output.
+        images = rows.take(chosen.take(flat), axis=0)
+        targets = (images + (n * trial)[:, None]).ravel()
 
         def convolve(v: np.ndarray) -> np.ndarray:
-            spread = (drawn[:, None] * v[trial]).ravel()
+            spread = (drawn[:, None] * v.take(trial, axis=0)).ravel()
             return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
 
         qp = convolve(p)
         for sign in (1.0, -1.0):
-            lhs = np.linalg.norm(convolve(p + sign * uniform), axis=1)
-            rhs = np.linalg.norm(qp + sign * uniform, axis=1)
+            lhs = _row_norms(convolve(p + sign * uniform))
+            rhs = _row_norms(qp + sign * uniform)
             dev_conv = max(dev_conv, _scaled_gaps(lhs, rhs))
 
-        lhs = np.linalg.norm(c[:, None] * p, axis=1)
-        rhs = c * np.linalg.norm(p, axis=1)
+        lhs = _row_norms(c[:, None] * p)
+        rhs = c * _row_norms(p)
         dev_scale = max(dev_scale, _scaled_gaps(lhs, rhs))
     return NormIdentityReport(
         trials=trials,

@@ -94,7 +94,7 @@ def _left_coset_rows(connection: ConnectionSet, order: int) -> np.ndarray:
     for p in np.flatnonzero(fixed):
         first = np.unique(rows[:, p], return_index=True)[1]
         if len(first) * order == len(rows):
-            return rows[first]
+            return rows.take(first, axis=0)
     raise StructureError(
         "no point fixed by the subgroup splits the connection set into its "
         "left cosets"

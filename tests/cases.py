@@ -8,6 +8,14 @@ from hypothesis import strategies as st
 from stabgap.errors import ConvergenceError, SizeLimitError
 from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
 from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
+from stabgap.harmonic import (
+    _BLOCK_BYTES,
+    NormIdentityReport,
+    _draws_by_keys,
+    _random_supports,
+    _scaled_gaps,
+    uniform_distribution,
+)
 from stabgap.perms import Permutation
 
 
@@ -197,6 +205,77 @@ def reference_operator(mu):
     cells = (np.arange(n) * n + np.argsort(mu.rows, axis=1)).ravel()
     spread = np.repeat(mu.weights, n)
     return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
+
+
+# -- composition references: ``groups._compose`` and ``groups._compose_all``
+# compose by ``take`` and must equal these fancy indexes exactly ---------------
+
+
+def reference_compose(table, which, rows):
+    """Rows composed pairwise with table rows by fancy indexing: row i is
+    table[which[i]] * rows[i], with ``which`` one axis short of ``rows``."""
+    return table[which[..., None], rows]
+
+
+def reference_compose_all(table, rows):
+    """Every table row composed with every row by fancy indexing."""
+    return table[..., rows]
+
+
+def reference_norm_identity_trials(n, rows, trials, rng, tol=1e-12, max_support=24):
+    """Lemma 4's randomized norm identities over group element rows, block
+    by block as ``harmonic.norm_identity_trials`` draws them, with its
+    trial rows gathered by fancy indexing and its norms taken by
+    ``np.linalg.norm``: ``norm_identity_trials`` must reproduce the report
+    and leave the generator in the same state."""
+    uniform = uniform_distribution(n)
+    m = min(len(rows), max_support)
+    keys = len(rows) if _draws_by_keys(len(rows), m) else 0
+    per_trial = 16 * max(m * n, keys)
+    block = max(1, _BLOCK_BYTES // per_trial)
+    dev_shift = dev_center = dev_conv = dev_scale = 0.0
+    for done in range(0, trials, block):
+        b = min(block, trials - done)
+        f = rng.standard_normal((b, n))
+        f -= f.mean(axis=1, keepdims=True)
+        p = rng.random((b, n)) + 1e-9
+        p /= p.sum(axis=1, keepdims=True)
+        c = np.abs(rng.standard_normal(b))
+
+        lhs = np.sum((f + uniform) ** 2, axis=1)
+        rhs = np.sum(f**2, axis=1) + 1.0 / n
+        dev_shift = max(dev_shift, _scaled_gaps(lhs, rhs))
+
+        lhs = np.sum((p - uniform) ** 2, axis=1)
+        rhs = np.sum(p**2, axis=1) - 1.0 / n
+        dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
+
+        chosen, weights = _random_supports(rng, len(rows), b, m)
+        trial, j = np.nonzero(weights)
+        drawn = weights[trial, j]
+        targets = (rows[chosen[trial, j]] + (n * trial)[:, None]).ravel()
+
+        def convolve(v):
+            spread = (drawn[:, None] * v[trial]).ravel()
+            return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
+
+        qp = convolve(p)
+        for sign in (1.0, -1.0):
+            lhs = np.linalg.norm(convolve(p + sign * uniform), axis=1)
+            rhs = np.linalg.norm(qp + sign * uniform, axis=1)
+            dev_conv = max(dev_conv, _scaled_gaps(lhs, rhs))
+
+        lhs = np.linalg.norm(c[:, None] * p, axis=1)
+        rhs = c * np.linalg.norm(p, axis=1)
+        dev_scale = max(dev_scale, _scaled_gaps(lhs, rhs))
+    return NormIdentityReport(
+        trials=trials,
+        max_shift_deviation=dev_shift,
+        max_centering_deviation=dev_center,
+        max_convolution_deviation=dev_conv,
+        max_scaling_deviation=dev_scale,
+        tol=tol,
+    )
 
 
 # -- spectral references: the one-family, one-loop, block code in

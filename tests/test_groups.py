@@ -22,7 +22,15 @@ from stabgap.harmonic import indicator
 from stabgap.perms import Permutation
 from stabgap.pipeline import analyze_case
 
-from cases import coset_graph_data, cyclic, double_coset, reference_operator
+from cases import (
+    coset_graph_data,
+    cyclic,
+    double_coset,
+    reference_compose,
+    reference_compose_all,
+    reference_operator,
+    symmetric,
+)
 
 
 def s3():
@@ -159,19 +167,125 @@ def test_orbit_stabilizer_identity():
         assert len(group.orbit(p)) * group.stabilizer(p).order() == group.order()
 
 
-@pytest.mark.parametrize("spec", builtin_cases(), ids=lambda spec: spec.name)
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
 def test_stabilizer_of_every_catalog_case(spec):
-    # The base vertex and the chain's first base point: where they differ
-    # (the Kneser and Johnson cases) both routes of ``stabilizer`` run.
+    # Every vertex: the chain's first base point shares the group's chain,
+    # and every other vertex of these transitive actions conjugates it.
     group = realize_case(spec).group
     rows = group.element_array()
-    for point in {0, group._stabilizer_chain()[0].basepoint}:
+    for point in range(group.degree):
         stab = group.stabilizer(point)
         assert len(group.orbit(point)) * stab.order() == group.order()
         assert all(g(point) == point for g in stab.generators)
         fixing = rows[rows[:, point] == point]
         assert stab.order() == len(fixing)
         assert np.array_equal(stab.element_array(), fixing)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3)],
+    ids=lambda spec: spec.name,
+)
+def test_conjugated_levels_are_the_transversals_of_their_spans(spec):
+    # Each conjugated level holds what ``_transversal`` grows from its own
+    # conjugated span, and spans the conjugated generators of its level
+    # and the deeper ones, as a level of a chain built from them would.
+    group = realize_case(spec).group
+    first = group._stabilizer_chain()[0].basepoint
+    for point in range(group.degree):
+        chain = group.stabilizer(point)._stabilizer_chain()
+        for i, level in enumerate(chain):
+            reps, index = groups._transversal(level.basepoint, level._span)
+            assert level.reps.dtype == reps.dtype
+            assert np.array_equal(level.reps, reps)
+            assert np.array_equal(level.index, index)
+            assert np.array_equal(level.inverse, _inverse_rows(reps))
+            spanned = np.vstack([group._gen_rows[:0]] + [lv.gens for lv in chain[i:]])
+            assert np.array_equal(level._span, spanned)
+            assert (level.gens[:, level.basepoint] != level.basepoint).all()
+            fixed = [lv.basepoint for lv in chain[:i]]
+            assert (level._span[:, fixed] == fixed).all()
+        if point == first:
+            assert chain == group._stabilizer_chain()[1:]
+
+
+@st.composite
+def small_groups(draw):
+    """Random generators on 5 to 7 points; about half of the groups keep
+    the points below a random cut apart from the rest, so they are
+    intransitive and have points outside the first base point's orbit."""
+    degree = draw(st.integers(5, 7))
+    cut = draw(st.integers(0, degree - 2))
+    count = draw(st.integers(1, 3))
+    if not cut:
+        images = draw(
+            st.lists(st.permutations(range(degree)), min_size=count, max_size=count)
+        )
+    else:
+        low = st.permutations(range(cut))
+        high = st.permutations(range(cut, degree))
+        images = [draw(low) + draw(high) for _ in range(count)]
+    return PermutationGroup(degree, [Permutation(list(p)) for p in images])
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_groups())
+def test_stabilizer_routes_match_brute_force_random(group):
+    brute = sorted(brute_closure(group.degree, group.generators))
+    chain = group._stabilizer_chain()
+    for point in range(group.degree):
+        stab = group.stabilizer(point)
+        # Only the Schreier route leaves the chain to be built.
+        in_first_orbit = bool(chain) and chain[0].index[point] >= 0
+        assert (stab._chain is not None) == in_first_orbit
+        fixing = [list(g.images) for g in brute if g(point) == point]
+        assert stab.element_array().tolist() == fixing
+        assert stab.order() * len(group.orbit(point)) == len(brute)
+        for g in brute:
+            assert (g in stab) == (g(point) == point)
+
+
+_GUARDED_CASES = [
+    catalog._kneser(5, 2),
+    catalog._kneser(7, 3),
+    catalog._johnson(6, 3),
+    catalog._kneser(8, 3),
+    catalog._complete(8),
+]
+
+
+@pytest.mark.parametrize("spec", _GUARDED_CASES, ids=lambda spec: spec.name)
+def test_realize_builds_one_stabilizer_chain(spec, monkeypatch):
+    # The vertex stabilizer's chain is the group's, conjugated: realizing
+    # a case runs Schreier-Sims once, and the stabilizer at the base
+    # vertex forms no Schreier generator.
+    built = []
+    build_chain = PermutationGroup._build_chain
+
+    def counting(group):
+        built.append(group)
+        return build_chain(group)
+
+    monkeypatch.setattr(PermutationGroup, "_build_chain", counting)
+    case = realize_case(spec)
+    assert built == [case.group]
+    case.stabilizer.order()
+    case.stabilizer.element_array()
+    assert built == [case.group]
+
+    def refuse(*args):
+        raise AssertionError("stabilizer formed Schreier generators")
+
+    monkeypatch.setattr(groups, "_schreier", refuse)
+    for point in (case.base_vertex, case.group._stabilizer_chain()[0].basepoint):
+        stab = case.group.stabilizer(point)
+        assert stab.order() == case.stabilizer.order()
+    assert built == [case.group]
 
 
 @settings(max_examples=40, deadline=None)
@@ -531,10 +645,35 @@ def ref_schreier_generators(group, point):
     return gens
 
 
+def ref_conjugated_tail(ref, point):
+    """The reference chain's levels past the first, conjugated by the first
+    level's transversal element u with u(first base point) = point: for
+    each level its base point, generators and transversal, as
+    ``PermutationGroup.stabilizer`` must give them at a point of the first
+    base point's orbit.  Also the stabilizer's generators: every deeper
+    level's conjugated generators in order, each once."""
+    u = ref[0].transversal[point]
+    u_inv = u.inverse()
+    levels = [
+        (
+            u(level.basepoint),
+            [u * g * u_inv for g in level.gens],
+            [u * r * u_inv for r in level.transversal.values()],
+        )
+        for level in ref[1:]
+    ]
+    gens = []
+    for _, level_gens, _ in levels:
+        gens += [g for g in level_gens if g not in gens]
+    return levels, tuple(gens)
+
+
 def assert_chain_matches_reference(group, points=None):
     """The same chain as the reference, and at each of the points (all by
-    default) the same transversal and, off the chain's first base point,
-    the same stabilizer generators."""
+    default) the same transversal and the same stabilizer generators:
+    in the chain's first orbit, those of the reference chain's tail
+    conjugated into the point's stabilizer, with that chain; off it, the
+    Schreier generators."""
     ref = ref_build_chain(group.degree, group.generators)
     chain = group._stabilizer_chain()
     assert [level.basepoint for level in chain] == [level.basepoint for level in ref]
@@ -547,10 +686,19 @@ def assert_chain_matches_reference(group, points=None):
         assert level.index[orbit].tolist() == list(range(len(orbit)))
         assert (level.index >= 0).sum() == len(orbit)
     for point in range(group.degree) if points is None else points:
-        if not chain or chain[0].basepoint != point:
-            assert group.stabilizer(point).generators == tuple(
-                ref_schreier_generators(group, point)
-            )
+        stab = group.stabilizer(point)
+        if ref and point in ref[0].transversal:
+            levels, gens = ref_conjugated_tail(ref, point)
+            assert stab.generators == gens
+            assert [
+                (level.basepoint, level.gens.tolist(), level.reps.tolist())
+                for level in stab._chain
+            ] == [
+                (b, [list(g.images) for g in g_list], [list(r.images) for r in reps])
+                for b, g_list, reps in levels
+            ]
+        else:
+            assert stab.generators == tuple(ref_schreier_generators(group, point))
         transversal = group.transversal(point)
         assert transversal.tolist() == [
             list(u.images)
@@ -611,9 +759,25 @@ def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatc
         assert slice(0, 1) in blocks and len(blocks) > len(group._stabilizer_chain())
 
 
+def direct_product(*groups_):
+    """The direct product of the groups, each acting on its own block of
+    points, in the order given: an intransitive group whose first chain
+    level lies in the first factor's points."""
+    degree = sum(g.degree for g in groups_)
+    gens, offset = [], 0
+    for g in groups_:
+        for h in g.generators:
+            images = list(range(degree))
+            images[offset : offset + g.degree] = [offset + x for x in h.images]
+            gens.append(Permutation(images))
+        offset += g.degree
+    return PermutationGroup(degree, gens)
+
+
 def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatch):
-    # Each block drops its own identity rows and repeats; the generator
-    # rows must be those of one batch over the whole transversal.
+    # Off the first base point's orbit the stabilizer takes the Schreier
+    # route.  Each block drops its own identity rows and repeats; the
+    # generator rows must be those of one batch over the whole transversal.
     blocks = []
 
     def recording(level, gen_rows, at=slice(None)):
@@ -622,20 +786,63 @@ def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatc
 
     schreier = groups._schreier
     monkeypatch.setattr(groups, "_schreier", recording)
-    catalog_groups = [realize_case(spec).group for spec in builtin_cases()]
-    for group in catalog_groups + [pair_action_s5()[0]]:
-        first = group._stabilizer_chain()[0].basepoint
-        point = group.degree - 1 if first != group.degree - 1 else first - 1
-        monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1 << 62)
-        blocks.clear()
-        batch = group.stabilizer(point)._gen_rows
-        assert len(blocks) == 1
-        monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
-        blocks.clear()
-        blocked = group.stabilizer(point)._gen_rows
-        assert len(blocks) == len(group.orbit(point))
-        assert blocked.dtype == batch.dtype
-        assert blocked.tolist() == batch.tolist()
+    s4 = symmetric(4)
+    pair_s5 = pair_action_s5()[0]
+    cases = [
+        (direct_product(s4, cyclic(5)), (4, 8)),
+        (direct_product(s3(), pair_s5), (3, 12)),
+        (direct_product(cyclic(2), pair_s5, s4), (2, 11, 12, 15)),
+    ]
+    for group, points in cases:
+        chain = group._stabilizer_chain()
+        for point in points:
+            assert chain[0].index[point] < 0
+            monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1 << 62)
+            blocks.clear()
+            batch = group.stabilizer(point)
+            assert len(blocks) == 1
+            monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
+            blocks.clear()
+            blocked = group.stabilizer(point)
+            assert len(blocks) == len(group.orbit(point)) > 1
+            assert blocked._gen_rows.dtype == batch._gen_rows.dtype
+            assert blocked._gen_rows.tolist() == batch._gen_rows.tolist()
+            assert blocked.generators == tuple(ref_schreier_generators(group, point))
+            assert blocked.order() * len(group.orbit(point)) == group.order()
+
+
+@pytest.mark.parametrize("degree", [56, 300])
+def test_compositions_match_fancy_indexing(degree):
+    # Random rows of uint8 (degree 56) and uint16 (degree 300), in both
+    # shapes the group layer composes.
+    rng = np.random.default_rng(degree)
+    dtype = _image_dtype(degree)
+    table = np.argsort(rng.random((30, degree)), axis=1).astype(dtype)
+    rows = np.argsort(rng.random((200, degree)), axis=1).astype(dtype)
+    which = rng.integers(len(table), size=len(rows))
+    pairwise = groups._compose(table, which, rows)
+    assert pairwise.dtype == dtype
+    assert np.array_equal(pairwise, reference_compose(table, which, rows))
+    # As ``_schreier`` broadcasts it: a (points, generators) grid of rows.
+    grid = rows[:40].reshape(8, 5, degree)
+    back = rng.integers(len(table), size=(8, 5))
+    assert np.array_equal(
+        groups._compose(table, back, grid), reference_compose(table, back, grid)
+    )
+    outer = groups._compose_all(table, rows)
+    assert outer.shape == (len(table), len(rows), degree) and outer.dtype == dtype
+    assert np.array_equal(outer, reference_compose_all(table, rows))
+    # One row on either side, as the double-coset split composes them.
+    assert np.array_equal(
+        groups._compose_all(rows, table[0]), reference_compose_all(rows, table[0])
+    )
+    assert np.array_equal(
+        groups._compose_all(table[0], rows), reference_compose_all(table[0], rows)
+    )
+    # The compositions are those of the permutations.
+    g, h = Permutation(table[which[0]].tolist()), Permutation(rows[0].tolist())
+    assert pairwise[0].tolist() == list((g * h).images)
+    assert outer[which[0], 0].tolist() == list((g * h).images)
 
 
 @pytest.mark.parametrize("degree", [1, 7, 256, 300])

@@ -23,7 +23,13 @@ from stabgap.spectral import (
     top_value_matches_degree,
 )
 
-from cases import petersen_case, reference_operator, s3, triangle_case
+from cases import (
+    petersen_case,
+    reference_norm_identity_trials,
+    reference_operator,
+    s3,
+    triangle_case,
+)
 
 
 def test_convolve_indicator_with_point_mass_triangle():
@@ -351,6 +357,24 @@ def test_norm_identity_trials_rows_match_permutations():
         norm_identity_trials(4, s3(), 1, np.random.default_rng(0))
     with pytest.raises(SizeLimitError):
         norm_identity_trials(3, s3(), 1, np.random.default_rng(0), element_cap=5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_norm_identity_trials_match_the_fancy_index_loop(spec):
+    # The same report, to the bit, as the loop that gathers its trial rows
+    # by fancy indexing, and the same random stream after it.
+    case = realize_case(spec)
+    rows = case.group.element_array()
+    for seed in (0, 7):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        report = norm_identity_trials(case.graph.n, case.group, 1000, rng)
+        reference = reference_norm_identity_trials(case.graph.n, rows, 1000, ref_rng)
+        assert report == reference
+        assert rng.random() == ref_rng.random()
 
 
 def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
