@@ -6,13 +6,19 @@ stabilizer, and the extracted connection set (the elements sending the
 base vertex into its neighborhood, always an inverse-closed union of
 stabilizer double cosets).
 
+A graph is one read-only n x n boolean adjacency matrix.  Neighbors,
+degrees and edges are read off it, the automorphism check is one gather
+of it at the images of every directed edge under every generator row,
+and Sabidussi's check compares the coset adjacency with it.
+
 A coset graph is built on the ambient group's image rows, so the group's
 order counts against the element cap: the left cosets xH are the
 components of right multiplication by H's generators on those rows.
 Vertex 0 is H, and the other cosets are numbered breadth-first from it
 under the group's generators in their given order, by the group layer's
 transversal search, which carries H's neighbors to every coset.  The
-graph layer reads generator rows, not ``Permutation`` objects.
+graph layer reads generator rows, not ``Permutation`` objects, and tests
+membership by sifting whole batches of rows through a group's chain.
 """
 
 from __future__ import annotations
@@ -37,102 +43,86 @@ from .perms import Permutation
 
 
 class SimpleGraph:
-    """Undirected simple graph on {0, ..., n-1} with sorted adjacency lists."""
+    """Undirected simple graph on {0, ..., n-1}, held as one read-only
+    n x n boolean ``adjacency`` matrix that every query reads.
 
-    __slots__ = ("n", "_adj", "_edge_set")
+    The edges are checked in the order given: the first item that is not
+    a pair of integer vertices, names a vertex out of range, or is a loop
+    raises.  Repeated edges are merged."""
+
+    __slots__ = ("n", "adjacency")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        adj: list[set[int]] = [set() for _ in range(n)]
-        for edge in edges:
-            u, v = edge
+        if isinstance(edges, np.ndarray):
+            edges = edges.tolist()
+        pairs = []
+        for item in edges:
+            try:
+                u, v = item
+            except (TypeError, ValueError):
+                raise ValueError(f"edge {item!r} is not a pair of vertices") from None
+            if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
+                raise ValueError(f"edge {item!r} has a vertex that is not an integer")
             for x in (u, v):
                 if not 0 <= x < n:
                     raise ValueError(f"vertex {x} out of range for {n} vertices")
             if u == v:
                 raise StructureError(f"loop at vertex {u} not allowed")
-            adj[u].add(v)
-            adj[v].add(u)
+            pairs.append((u, v))
+        u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[u, v] = adjacency[v, u] = True
+        adjacency.setflags(write=False)
         self.n = n
-        self._adj = tuple(tuple(sorted(s)) for s in adj)
-        self._edge_set = frozenset(
-            (u, v) for u in range(n) for v in adj[u] if u < v
-        )
+        self.adjacency = adjacency
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(np.flatnonzero(self.adjacency[v]).tolist())
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(np.count_nonzero(self.adjacency[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
+        return 0 <= min(u, v) and max(u, v) < self.n and bool(self.adjacency[u, v])
 
     def edges(self) -> list[tuple[int, int]]:
-        return sorted(self._edge_set)
+        u, v = np.nonzero(np.triu(self.adjacency, 1))
+        return list(zip(u.tolist(), v.tolist()))
 
     @property
     def edge_count(self) -> int:
-        return len(self._edge_set)
+        return int(np.count_nonzero(self.adjacency)) // 2
 
     def is_regular(self) -> bool:
-        return len({len(a) for a in self._adj}) <= 1
+        degrees = np.count_nonzero(self.adjacency, axis=1)
+        return bool((degrees == degrees[0]).all())
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SimpleGraph)
-            and self.n == other.n
-            and self._edge_set == other._edge_set
+        return isinstance(other, SimpleGraph) and np.array_equal(
+            self.adjacency, other.adjacency
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._edge_set))
+        return hash((self.n, self.adjacency.tobytes()))
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
 
-    def to_edge_text(self) -> str:
-        """Edge-list text: one 'u v' pair per line, 0-based, u < v."""
-        return "\n".join(f"{u} {v}" for u, v in self.edges())
-
-    @classmethod
-    def from_edge_text(cls, text: str, n: int | None = None) -> SimpleGraph:
-        edges = []
-        seen = set()
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ValueError(f"line {lineno}: non-integer vertex in {line!r}") from None
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append((u, v))
-        if n is None:
-            n = max((max(e) for e in edges), default=-1) + 1
-            if n == 0:
-                raise ValueError("empty edge list and no vertex count given")
-        return cls(n, edges)
-
 
 def preserves_edges(group: PermutationGroup, graph: SimpleGraph) -> bool:
     """True iff every generator maps edges to edges (hence acts by
-    automorphisms).  Transitivity is reported separately via orbits."""
+    automorphisms): one gather of the adjacency at the images of every
+    directed edge under every generator row.  Transitivity is reported
+    separately via orbits."""
     if group.degree != graph.n:
         raise ValueError(
             f"group degree {group.degree} does not match vertex count {graph.n}"
         )
-    edges = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2)
-    moved = group._gen_rows[:, edges].reshape(-1, 2).tolist()
-    return all(graph.has_edge(u, v) for u, v in moved)
+    u, w = np.nonzero(graph.adjacency)
+    gens = group._gen_rows
+    return bool(graph.adjacency[gens[:, u], gens[:, w]].all())
 
 
 @dataclass(frozen=True)
@@ -243,13 +233,14 @@ def build_coset_graph(
     group, subgroup = spec.group, spec.subgroup
     if subgroup.degree != group.degree:
         raise ValueError("subgroup degree does not match group degree")
-    for h in subgroup.generators:
-        if h not in group:
-            raise StructureError("subgroup is not contained in the group")
+    if not group._contains_rows(subgroup._gen_rows).all():
+        raise StructureError("subgroup is not contained in the group")
     reps = _image_rows(spec.representatives, group.degree)
-    for i, rep in enumerate(spec.representatives):
-        if rep not in group:
-            raise StructureError(f"connection representative {i} is not in the group")
+    outside = np.flatnonzero(~group._contains_rows(reps))
+    if len(outside):
+        raise StructureError(
+            f"connection representative {outside[0]} is not in the group"
+        )
     if not len(reps):
         raise StructureError("empty connection set")
 
@@ -292,7 +283,7 @@ def build_coset_graph(
     adjacency[np.arange(n)[:, None], neighbors] = True
     if not np.array_equal(adjacency, adjacency.T):
         raise StructureError("connection set is not inverse-closed")
-    graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)).tolist())
+    graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)))
 
     induced_group = PermutationGroup._of_rows(_image_rows(moves))
     case = make_transitive_case(induced_group, graph, base_vertex=0, cap=element_cap)
@@ -326,18 +317,14 @@ def sabidussi_isomorphism(case: TransitiveCase) -> SabidussiResult:
     one gather from the n transversal rows' membership.
     """
     n, v, connection = case.graph.n, case.base_vertex, case.connection
-    if not all(h in connection.subgroup for h in case.stabilizer.generators):
+    if not connection.subgroup._contains_rows(case.stabilizer._gen_rows).all():
         raise StructureError("connection set is not split over the stabilizer")
     t = case.group.transversal(v)
     if len(t) != n:
         return SabidussiResult(False, (v, v))
     t = t[np.argsort(t[:, v])]
-    t_inv = _inverse_rows(t)
-    adjacency = np.zeros((n, n), dtype=bool)
-    u, w = np.array(case.graph.edges(), dtype=np.intp).reshape(-1, 2).T
-    adjacency[u, w] = adjacency[w, u] = True
-    coset_adjacency = connection.contains_rows(t)[t_inv]
-    mismatch = np.flatnonzero(np.triu(coset_adjacency != adjacency, 1))
+    coset_adjacency = connection.contains_rows(t)[_inverse_rows(t)]
+    mismatch = np.flatnonzero(np.triu(coset_adjacency != case.graph.adjacency, 1))
     if len(mismatch):
         return SabidussiResult(False, divmod(int(mismatch[0]), n))
     return SabidussiResult(True)

@@ -26,8 +26,10 @@ whole, through ``_row_view``, whose values sort as the rows do, so every
 order and lookup is that of whole rows.
 
 A group's generators are rows too (``_gen_rows``), which the chain, the
-orbits and the graph layer read; ``Permutation`` objects are built from
-rows for ``generators`` and where a caller asks for elements.
+orbits and the graph layer read, and membership is decided by sifting
+a batch of rows through the chain (``_contains_rows``); ``Permutation``
+objects are built from rows when ``generators`` is read and where a
+caller asks for elements.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
 Group Algorithms*, 2003): each level keeps its strong generators, its
@@ -43,20 +45,21 @@ G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
 generators for its stabilizer.  Orbits are component labels
 (``_component_minima``).
 
-A connection set S keeps its indicator operator, the n x n count
-K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
-per column; every convolution by a function constant on S reads it.
-Given as elements, S finds its elements' inverses once, by one scatter
-into the rows' dtype, and looks them up to decide inverse closure; its
+A connection set S keeps its rows, their lookup table and its indicator
+operator, the n x n count K[x, y] = #{s in S : s(y) = x}, built on first
+use by one ``bincount`` per column; eq2, the chain and the
+Cauchy-Schwarz step read it.  Given as elements, S finds its elements'
+inverses once, by one scatter into the rows' dtype, and looks them up to
+decide inverse closure; the inverse rows are not kept.  Its
 H-double-coset split looks up right products only: with S = S^-1 and
 S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1 is in S too,
 and the left moves are read off the right ones through the inverses.
 Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is built from
 Sabidussi's decomposition into the left cosets u_w*G_p, w in T, so the
-group itself is never enumerated; its G_p-double cosets are read off
-G_p's orbits on T, and inverse closure off the k transversal rows u_w:
-S = S^-1 exactly when every u_w^-1(p) lies in T.  Its inverse rows
-(``ConnectionSet.inverse_rows``) are computed only when first read.
+group itself is never enumerated and no inverse row is formed; its
+G_p-double cosets are read off G_p's orbits on T, and inverse closure
+off the k transversal rows u_w: S = S^-1 exactly when every u_w^-1(p)
+lies in T.
 """
 
 from __future__ import annotations
@@ -446,10 +449,8 @@ class PermutationGroup:
         return group
 
     def _init(self, degree: int, rows: np.ndarray) -> None:
-        rows = _distinct_moved(rows)
         self.degree = degree
-        self._gen_rows = rows
-        self.generators: tuple[Permutation, ...] = _permutations(rows)
+        self._gen_rows = _distinct_moved(rows)
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
         self._keys: np.ndarray | None = None
@@ -458,6 +459,11 @@ class PermutationGroup:
     @classmethod
     def trivial(cls, degree: int) -> PermutationGroup:
         return cls(degree, ())
+
+    @property
+    def generators(self) -> tuple[Permutation, ...]:
+        """The generators as ``Permutation`` objects, built when read."""
+        return _permutations(self._gen_rows)
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"
@@ -589,9 +595,14 @@ class PermutationGroup:
     def __contains__(self, g: object) -> bool:
         if not isinstance(g, Permutation) or g.degree != self.degree:
             return False
-        row = np.array([g.images], dtype=self._gen_rows.dtype)
-        residue, _ = _sift(self._stabilizer_chain(), row)
-        return not _moved(residue)[0]
+        return bool(self._contains_rows(_image_rows([g], self.degree))[0])
+
+    def _contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each row, known to be a permutation of the group's
+        degree, is in the group: it sifts through the chain to the
+        identity.  The whole batch is sifted at once."""
+        residues, _ = _sift(self._stabilizer_chain(), rows)
+        return ~_moved(residues)
 
     # -- enumeration --------------------------------------------------------
 
@@ -786,13 +797,11 @@ class ConnectionSet:
     objects on first use.  ``representatives`` holds the smallest element
     of each H-double coset, in increasing order.
 
-    Inverse closure is checked on construction.  The read-only
-    ``inverse_rows`` (row i is the inverse of row i, in the rows' dtype)
-    are computed on first read, or kept from that check where it found
-    them; group functions on the set read them instead of computing them
-    again.  The set's indicator operator (``operator``), the n x n count
-    K[x, y] = #{s in S : s(y) = x}, is built on first use and kept: every
-    convolution by a function that is constant on S reads it.
+    Inverse closure is checked on construction.  The set's indicator
+    operator (``operator``), the n x n count
+    K[x, y] = #{s in S : s(y) = x}, is built on first use and kept for
+    the pipeline's products with it: eq2, the chain and the
+    Cauchy-Schwarz step.
 
     Built from elements (``Permutation`` objects or image rows), inverse
     closure is decided by looking up every element's inverse, and
@@ -810,19 +819,15 @@ class ConnectionSet:
         "representatives",
         "_table",
         "_elements",
-        "_inverse_rows",
         "_operator",
     )
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
         table = _RowTable(elements, subgroup.degree)
         self._fill(table, subgroup)
-        inverse_rows = _inverse_rows(table.rows)
-        inverse = table.find(inverse_rows)
+        inverse = table.find(_inverse_rows(table.rows))
         if (inverse < 0).any():
             raise StructureError(_NOT_INVERSE_CLOSED)
-        inverse_rows.setflags(write=False)
-        self._inverse_rows = inverse_rows
         try:
             reps = _double_coset_split(table, subgroup, inverse)
         except StructureError:
@@ -878,25 +883,14 @@ class ConnectionSet:
         return connection
 
     def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> None:
-        """Hold the table's rows over the subgroup; the inverse rows and
-        the operator are not known yet."""
+        """Hold the table's rows over the subgroup; the operator is not
+        known yet."""
         self.degree = subgroup.degree
         self.subgroup = subgroup
         self.rows = table.rows
         self._table = table
         self._elements: tuple[Permutation, ...] | None = None
-        self._inverse_rows: np.ndarray | None = None
         self._operator: np.ndarray | None = None
-
-    @property
-    def inverse_rows(self) -> np.ndarray:
-        """Row i holds the images of the inverse of row i, in the rows'
-        dtype (read-only; computed on first read)."""
-        if self._inverse_rows is None:
-            inverse_rows = _inverse_rows(self.rows)
-            inverse_rows.setflags(write=False)
-            self._inverse_rows = inverse_rows
-        return self._inverse_rows
 
     def operator(self) -> np.ndarray:
         """The read-only n x n float matrix K of convolving by the set's

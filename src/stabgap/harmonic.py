@@ -5,11 +5,13 @@ convolving it with a vertex function v gives the vertex function
 x -> sum_g mu(g) v(g^-1(x)), evaluated by direct summation over the
 support, held as rows of images like every element set of the group
 layer.  Its n x n operator is summed over the support too, one column
-per vertex; a connection set's indicator reads the operator the set
-keeps.  This module also supplies the standard distributions (point
-mass, uniform, indicator of a set, uniform on a set) and randomized
-checks that the convolution operator agrees with the bipartite matrix
-and satisfies the shift/centering/scaling norm identities.
+per vertex.  A group function owns its rows, weights and inverse rows;
+one built on a connection set starts from the set's rows and reads
+nothing else of it.  This module also supplies the standard
+distributions (point mass, uniform, indicator of a set, uniform on a
+set) and randomized checks that the convolution operator agrees with
+the bipartite matrix and satisfies the shift/centering/scaling norm
+identities.
 """
 
 from __future__ import annotations
@@ -38,20 +40,12 @@ class GroupFunction:
 
     The support, given as ``Permutation`` objects or as image rows, is
     held as read-only ``rows`` in the order given (the order fixes the
-    float sums); ``perms`` builds it as ``Permutation`` objects.  A
-    function built on a ``ConnectionSet`` (``indicator``, ``uniform_on``)
-    keeps the set: ``convolve`` reads the set's inverse rows, and the
-    indicator's ``operator`` is the set's kept operator.
+    float sums); ``perms`` builds it as ``Permutation`` objects.  The
+    function owns its data: its rows, its weights, and the rows' inverses,
+    found when ``convolve`` first needs them.
     """
 
-    __slots__ = (
-        "degree",
-        "rows",
-        "weights",
-        "_inverse_rows",
-        "_connection",
-        "_counts",
-    )
+    __slots__ = ("degree", "rows", "weights", "_inverse_rows")
 
     def __init__(self, perms: _Elements, weights):
         rows = _image_rows(perms)
@@ -62,27 +56,13 @@ class GroupFunction:
         self._fill(rows, weights)
 
     @classmethod
-    def _trusted(
-        cls,
-        rows: np.ndarray,
-        weights,
-        connection: ConnectionSet | None = None,
-        counts: bool = False,
-    ) -> GroupFunction:
-        """A group function on rows known to be distinct permutations: the
-        rows of ``connection`` when one is given, and with ``counts`` its
-        indicator."""
+    def _trusted(cls, rows: np.ndarray, weights) -> GroupFunction:
+        """A group function on rows known to be distinct permutations."""
         mu = object.__new__(cls)
-        mu._fill(rows, weights, connection, counts)
+        mu._fill(rows, weights)
         return mu
 
-    def _fill(
-        self,
-        rows: np.ndarray,
-        weights,
-        connection: ConnectionSet | None = None,
-        counts: bool = False,
-    ) -> None:
+    def _fill(self, rows: np.ndarray, weights) -> None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (len(rows),):
             raise ValueError(
@@ -94,8 +74,6 @@ class GroupFunction:
         self.weights = w
         self.weights.setflags(write=False)
         self._inverse_rows: np.ndarray | None = None
-        self._connection = connection
-        self._counts = counts
 
     @property
     def perms(self) -> tuple[Permutation, ...]:
@@ -111,19 +89,14 @@ class GroupFunction:
         """(mu * v)(x) = sum_g mu(g) v(g^-1(x)), summed over the support.
 
         The first call finds the support's inverse rows (row i holds the
-        images of the inverse of support permutation i), or reads the
-        connection set's."""
+        images of the inverse of support permutation i) and keeps them."""
         v = np.asarray(values, dtype=float)
         if v.shape != (self.degree,):
             raise ValueError(
                 f"expected a vector of length {self.degree}, got shape {v.shape}"
             )
         if self._inverse_rows is None:
-            self._inverse_rows = (
-                _inverse_rows(self.rows)
-                if self._connection is None
-                else self._connection.inverse_rows
-            )
+            self._inverse_rows = _inverse_rows(self.rows)
         return self.weights @ v[self._inverse_rows]
 
     def operator(self) -> np.ndarray:
@@ -133,11 +106,8 @@ class GroupFunction:
         Column y is one ``bincount`` of the weights over column y of the
         rows, the points g(y), so each cell sums its weights in support
         order, needs no inverse rows, and no (support size) x n array is
-        formed; exact for integer weights.  A connection set's indicator
-        reads the set's kept ``ConnectionSet.operator``, the same counts.
+        formed; exact for integer weights.
         """
-        if self._counts:
-            return self._connection.operator()
         return _operator(self.rows, self.weights)
 
 
@@ -155,40 +125,35 @@ def uniform_distribution(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def _support(elements: _Elements) -> tuple[np.ndarray, ConnectionSet | None]:
-    """A connection set's rows as they are, with the set, else the
-    distinct rows, sorted."""
+def _support(elements: _Elements) -> np.ndarray:
+    """A connection set's rows as they are, else the distinct rows,
+    sorted."""
     if isinstance(elements, ConnectionSet):
-        rows, connection = elements.rows, elements
+        rows = elements.rows
     else:
-        rows, connection = _sorted_distinct(_image_rows(elements)), None
+        rows = _sorted_distinct(_image_rows(elements))
     if not len(rows):
         raise ValueError("empty set")
-    return rows, connection
+    return rows
 
 
 def indicator(elements: _Elements) -> GroupFunction:
-    """The characteristic function of a set of permutations.  On a
-    ``ConnectionSet`` it shares the set's rows, ``inverse_rows`` and
-    ``operator``."""
-    rows, connection = _support(elements)
-    return GroupFunction._trusted(
-        rows, np.ones(len(rows)), connection, counts=connection is not None
-    )
+    """The characteristic function of a set of permutations; on a
+    ``ConnectionSet`` its support is the set's rows."""
+    rows = _support(elements)
+    return GroupFunction._trusted(rows, np.ones(len(rows)))
 
 
 def uniform_on(elements: _Elements) -> GroupFunction:
     """The uniform probability distribution on a set of permutations;
-    its norm is 1/sqrt(set size).  On a ``ConnectionSet`` it shares the
-    set's rows and ``inverse_rows``."""
-    rows, connection = _support(elements)
-    return GroupFunction._trusted(
-        rows, np.full(len(rows), 1.0 / len(rows)), connection
-    )
+    its norm is 1/sqrt(set size).  On a ``ConnectionSet`` its support is
+    the set's rows."""
+    rows = _support(elements)
+    return GroupFunction._trusted(rows, np.full(len(rows), 1.0 / len(rows)))
 
 
 def convolution_matches_matrix(
-    connection,
+    connection: ConnectionSet,
     adjacency: BipartiteAdjacency,
     trials: int,
     rng: np.random.Generator,
@@ -198,7 +163,7 @@ def convolution_matches_matrix(
     exactly the linear map of the bipartite matrix.
 
     The two sides are two routes to one matrix.  The indicator's operator
-    K (``GroupFunction.operator``) sums over every element of the set,
+    K (``ConnectionSet.operator``) sums over every element of the set,
     while ``spectral.build_bipartite`` assembles the matrix from the
     subgroup's orbit counts and one element per left coset, so a wrong
     coset split, orbit labelling or multiplicity shows here.  K is built
@@ -211,17 +176,16 @@ def convolution_matches_matrix(
     drawn whatever the verdict, so the generator's state afterwards does
     not depend on it.
     """
-    chi = indicator(connection)
     n = adjacency.n
-    if chi.degree != n:
+    if connection.degree != n:
         raise ValueError(
-            f"connection degree {chi.degree} does not match matrix size {n}"
+            f"connection degree {connection.degree} does not match matrix size {n}"
         )
     integer = rng.integers(-9, 10, size=(trials, n)).astype(float)
     real = rng.standard_normal((trials, n))
     if not trials:
         return True
-    kernel_t = chi.operator().T
+    kernel_t = connection.operator().T
     matrix = adjacency.float_matrix
     if not np.array_equal(integer @ kernel_t, integer @ matrix):
         return False

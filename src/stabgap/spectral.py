@@ -30,13 +30,14 @@ class BipartiteAdjacency:
     """Symmetric nonnegative integer matrix with constant row sums.
 
     Row x, column y holds the number of connection elements mapping x to
-    y.  Symmetry (forced by inverse closure) and regularity of row and
-    column sums are validated on construction, not trusted.  A read-only
-    float64 copy, ``float_matrix``, is the operator every numerical
-    routine applies.
+    y.  Integer entries, symmetry (forced by inverse closure) and
+    regularity of row and column sums are validated on construction, not
+    trusted.  The matrix is held once, as the read-only float64
+    ``float_matrix`` that every numerical routine applies; counts below
+    2**53 are exact in it.  ``matrix`` converts it to int64 when read.
     """
 
-    __slots__ = ("matrix", "float_matrix", "s_size")
+    __slots__ = ("float_matrix", "s_size")
 
     def __init__(self, matrix, s_size: int | None = None):
         m = np.asarray(matrix)
@@ -44,7 +45,7 @@ class BipartiteAdjacency:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if not np.issubdtype(m.dtype, np.integer):
             raise ValueError("entries must be integers")
-        m = m.astype(np.int64)
+        m = m.astype(np.int64, copy=False)
         if (m < 0).any():
             raise StructureError("entries must be nonnegative")
         if (m != m.T).any():
@@ -57,16 +58,19 @@ class BipartiteAdjacency:
             raise StructureError(
                 f"row sums {degree} differ from connection size {s_size}"
             )
-        m.setflags(write=False)
         f = m.astype(float)
         f.setflags(write=False)
-        self.matrix = m
         self.float_matrix = f
         self.s_size = degree
 
     @property
+    def matrix(self) -> np.ndarray:
+        """The counts as a new int64 array."""
+        return self.float_matrix.astype(np.int64)
+
+    @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.float_matrix.shape[0]
 
     def apply(self, values) -> np.ndarray:
         return self.float_matrix @ np.asarray(values, dtype=float)

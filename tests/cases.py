@@ -184,6 +184,57 @@ def reference_local_action(case):
     return LocalActionReport(len(orbits), transitive, None, transitive)
 
 
+# -- graph references: ``graphs.SimpleGraph`` is one adjacency matrix and
+# ``graphs.preserves_edges`` one gather of it; both must answer as the
+# set-based graph and its edge-by-edge check do ----------------------------
+
+
+class ReferenceGraph:
+    """An undirected simple graph held as sorted neighbor tuples and a
+    frozenset of edges (u, v) with u < v."""
+
+    def __init__(self, n, edges=()):
+        adj = [set() for _ in range(n)]
+        for u, v in edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        self.n = n
+        self._adj = tuple(tuple(sorted(s)) for s in adj)
+        self._edge_set = frozenset(
+            (u, v) for u in range(n) for v in adj[u] if u < v
+        )
+
+    def neighbors(self, v):
+        return self._adj[v]
+
+    def degree(self, v):
+        return len(self._adj[v])
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self._edge_set
+
+    def edges(self):
+        return sorted(self._edge_set)
+
+    @property
+    def edge_count(self):
+        return len(self._edge_set)
+
+    def is_regular(self):
+        return len({len(a) for a in self._adj}) <= 1
+
+    def __eq__(self, other):
+        return self.n == other.n and self._edge_set == other._edge_set
+
+
+def reference_preserves_edges(gen_rows, graph):
+    """Whether every generator row maps each edge of the reference graph to
+    an edge, checked one moved edge at a time."""
+    edges = np.array(graph.edges(), dtype=np.intp).reshape(-1, 2)
+    moved = gen_rows[:, edges].reshape(-1, 2).tolist()
+    return all(graph.has_edge(u, v) for u, v in moved)
+
+
 # -- matrix references: ``spectral.build_bipartite`` builds the matrix from
 # the subgroup's orbit counts, and ``GroupFunction.operator`` one row at a
 # time; both must reproduce these scatters over every element exactly -------

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from stabgap import catalog
 from stabgap.casefile import realize_case
@@ -23,11 +23,13 @@ from stabgap.graphs import (
 from stabgap.groups import (
     ConnectionSet,
     PermutationGroup,
+    _inverse_rows,
     double_coset_representatives,
 )
 from stabgap.perms import Permutation
 
 from cases import (
+    ReferenceGraph,
     coset_graph_data,
     cycle_graph,
     cyclic,
@@ -35,6 +37,7 @@ from cases import (
     double_coset,
     petersen_case,
     reference_local_action,
+    reference_preserves_edges,
     s3,
     symmetric,
     triangle,
@@ -61,18 +64,76 @@ def test_graph_rejects_loops_and_bad_vertices():
         SimpleGraph(2, [(0, 2)])
 
 
-def test_edge_text_round_trip():
-    g = cycle_graph(5)
-    text = g.to_edge_text()
-    assert text.splitlines()[0] == "0 1"
-    assert SimpleGraph.from_edge_text(text) == g
+@pytest.mark.parametrize(
+    "edges, match",
+    [
+        ([(0.5, 1)], r"edge \(0\.5, 1\) has a vertex that is not an integer"),
+        ([("0", 1)], r"edge \('0', 1\) has a vertex that is not an integer"),
+        ([(0, 1, 2)], r"edge \(0, 1, 2\) is not a pair of vertices"),
+        ([(0, 1), 2], r"edge 2 is not a pair of vertices"),
+        ([(0,)], r"edge \(0,\) is not a pair of vertices"),
+    ],
+    ids=["float-vertex", "string-vertex", "triple", "scalar", "single"],
+)
+def test_graph_rejects_malformed_edges_by_name(edges, match):
+    with pytest.raises(ValueError, match=match):
+        SimpleGraph(3, edges)
 
 
-def test_edge_text_rejects_duplicates_and_junk():
-    with pytest.raises(ValueError, match="duplicate"):
-        SimpleGraph.from_edge_text("0 1\n1 0\n")
-    with pytest.raises(ValueError, match="expected"):
-        SimpleGraph.from_edge_text("0 1 2\n")
+def test_graph_first_bad_edge_decides_the_error():
+    with pytest.raises(StructureError, match="loop at vertex 0"):
+        SimpleGraph(3, [(0, 0), (0, 5)])
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        SimpleGraph(3, [(0, 5), (0, 0)])
+    with pytest.raises(ValueError, match="vertex 5 out of range"):
+        SimpleGraph(3, [(1, 2), (0, 5), (0.5, 1)])
+    with pytest.raises(ValueError, match="not an integer"):
+        SimpleGraph(3, [(1, 2), (0.5, 1), (0, 5)])
+    with pytest.raises(ValueError, match="not a pair"):
+        SimpleGraph(3, [(0, 1, 2), (0, 0)])
+
+
+def test_graph_is_one_read_only_adjacency_matrix():
+    g = SimpleGraph(4, np.array([[0, 1], [1, 2], [2, 1], [3, 0]]))
+    assert type(g).__slots__ == ("n", "adjacency")
+    assert g.adjacency.dtype == bool and not g.adjacency.flags.writeable
+    assert np.array_equal(g.adjacency, g.adjacency.T)
+    assert g.edges() == [(0, 1), (0, 3), (1, 2)] and g.edge_count == 3
+    assert g == SimpleGraph(4, [(1, 0), (2, 1), (0, 3)])
+    assert hash(g) == hash(SimpleGraph(4, [(1, 0), (2, 1), (0, 3)]))
+    assert g != SimpleGraph(5, g.edges())
+    assert not g.has_edge(-1, 0) and not g.has_edge(0, 4)
+
+
+@st.composite
+def graphs_and_generators(draw):
+    """A random edge set on 1 to 9 vertices, in random order and with
+    repeats, and 1 to 3 random generator rows on those vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return n, edges, gens
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_and_generators())
+def test_graph_queries_match_the_set_based_reference(data):
+    n, edges, gens = data
+    graph, reference = SimpleGraph(n, edges), ReferenceGraph(n, edges)
+    for v in range(n):
+        assert graph.neighbors(v) == reference.neighbors(v)
+        assert graph.degree(v) == reference.degree(v)
+        for w in range(n):
+            assert graph.has_edge(v, w) == reference.has_edge(v, w)
+    assert graph.edges() == reference.edges()
+    assert graph.edge_count == reference.edge_count
+    assert graph.is_regular() == reference.is_regular()
+    other = SimpleGraph(n, edges[1:])
+    assert (graph == other) == (reference == ReferenceGraph(n, edges[1:]))
+    group = PermutationGroup(n, [Permutation(list(g)) for g in gens])
+    rows = np.array(gens, dtype=np.intp).reshape(-1, n)
+    assert preserves_edges(group, graph) == reference_preserves_edges(rows, reference)
 
 
 # -- action verification -------------------------------------------------------
@@ -159,9 +220,11 @@ def assert_extraction_matches_masked_group(group, graph, vertex):
     reference = ConnectionSet(masked, group.stabilizer(vertex))
     assert conn.rows.dtype == reference.rows.dtype
     assert np.array_equal(conn.rows, reference.rows)
-    assert not conn.rows.flags.writeable and not conn.inverse_rows.flags.writeable
-    assert conn.inverse_rows.dtype == reference.inverse_rows.dtype
-    assert np.array_equal(conn.inverse_rows, reference.inverse_rows)
+    assert not conn.rows.flags.writeable
+    inverse, reference_inverse = _inverse_rows(conn.rows), _inverse_rows(reference.rows)
+    assert inverse.dtype == reference_inverse.dtype
+    assert np.array_equal(inverse, reference_inverse)
+    assert conn.contains_rows(inverse).all()
     assert conn.representatives == reference.representatives
     assert conn.subgroup.generators == reference.subgroup.generators
 
@@ -278,6 +341,13 @@ def test_coset_graph_round_trip_recovers_decomposition():
         set(cayley.connection.elements), cayley.stabilizer
     )
     assert len(recovered) == 2
+
+
+def test_coset_graph_rejects_subgroup_outside_group():
+    swap = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
+    r = Permutation([1, 2, 3, 0])
+    with pytest.raises(StructureError, match="subgroup is not contained"):
+        build_coset_graph(CosetGraphSpec(cyclic(4), swap, (r, r.inverse())))
 
 
 def test_coset_graph_rejects_representative_outside_group():

@@ -493,17 +493,3 @@ def test_norm_identity_trials_build_no_element_objects(monkeypatch):
     assert built == []
 
 
-def test_group_functions_on_a_connection_set_share_its_inverse_rows():
-    # The inverse rows are found by the first convolution, not before.
-    for case in [triangle_case(), petersen_case()]:
-        conn = case.connection
-        inverse_rows = np.argsort(conn.rows, axis=1)
-        for mu in (indicator(conn), uniform_on(conn)):
-            assert mu._inverse_rows is None
-            mu.convolve(np.zeros(conn.degree))
-            assert mu._inverse_rows is conn.inverse_rows
-            assert np.array_equal(mu._inverse_rows, inverse_rows)
-        # Other supports still find their inverses themselves.
-        mu = indicator(conn.rows)
-        mu.convolve(np.zeros(conn.degree))
-        assert np.array_equal(mu._inverse_rows, inverse_rows)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from stabgap import catalog
 from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.groups import ConnectionSet, PermutationGroup
@@ -176,3 +177,23 @@ def test_analysis_never_builds_element_objects(monkeypatch):
     monkeypatch.setattr(ConnectionSet, "__contains__", refuse)
     for spec in specs:
         analyze_case(spec)
+
+
+@pytest.mark.parametrize(
+    "name", ["kneser-8-3", "complete-8", "cayley-q8-ij"]
+)
+def test_analysis_builds_no_generator_permutations(name, monkeypatch):
+    # The pipeline reads generator rows only: ``generators`` builds
+    # ``Permutation`` objects when read, and no stage reads it.
+    specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+    spec = next(spec for spec in specs if spec.name == name)
+    reads = []
+    generators = PermutationGroup.generators
+
+    def counted(group):
+        reads.append(group)
+        return generators.fget(group)
+
+    monkeypatch.setattr(PermutationGroup, "generators", property(counted))
+    assert analyze_case(spec).sabidussi_ok
+    assert reads == []

@@ -92,6 +92,35 @@ def test_orbit_count_matrix_matches_explicit_reference():
         assert np.array_equal(adj.matrix, reference_bipartite(case.connection, n))
 
 
+def test_matrix_is_held_once_as_float64():
+    # The matrix is held once: one n x n float64 array, 8 * n^2 bytes.
+    # ``matrix`` converts it to int64 when read.
+    case = realize_case(catalog._hypercube(7))
+    n = case.graph.n
+    adj = build_bipartite(case.connection, n)
+    held = [getattr(adj, name) for name in type(adj).__slots__]
+    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == 8 * n * n
+    assert adj.float_matrix.dtype == float and not adj.float_matrix.flags.writeable
+    assert adj.matrix.dtype == np.int64
+    assert np.array_equal(adj.matrix, reference_bipartite(case.connection, n))
+
+
+def test_matrix_validation_is_unchanged():
+    with pytest.raises(ValueError, match="integers"):
+        BipartiteAdjacency(np.eye(2))
+    with pytest.raises(StructureError, match="nonnegative"):
+        BipartiteAdjacency(-np.eye(2, dtype=int))
+    with pytest.raises(StructureError, match="symmetric"):
+        BipartiteAdjacency(np.array([[1, 1], [0, 2]]))
+    with pytest.raises(StructureError, match="row sums"):
+        BipartiteAdjacency(np.array([[1, 0], [0, 2]]))
+    with pytest.raises(StructureError, match="connection size 3"):
+        BipartiteAdjacency(np.eye(2, dtype=np.uint8), s_size=3)
+    counts = np.array([[0, 2], [2, 0]], dtype=np.uint8)
+    adj = BipartiteAdjacency(counts, s_size=2)
+    assert adj.matrix.tolist() == [[0, 2], [2, 0]] and adj.dump() == "0 2\n2 0"
+
+
 @settings(max_examples=40, deadline=None)
 @given(coset_graph_data)
 def test_orbit_count_matrix_matches_explicit_reference_on_random_sets(drawn):
