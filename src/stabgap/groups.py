@@ -45,21 +45,21 @@ G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
 generators for its stabilizer.  Orbits are component labels
 (``_component_minima``).
 
-A connection set S keeps its rows, their lookup table and its indicator
-operator, the n x n count K[x, y] = #{s in S : s(y) = x}, built on first
-use by one ``bincount`` per column; eq2, the chain and the
-Cauchy-Schwarz step read it.  Given as elements, S finds its elements'
-inverses once, by one scatter into the rows' dtype, and looks them up to
-decide inverse closure; the inverse rows are not kept.  Its
-H-double-coset split looks up right products only: with S = S^-1 and
-S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1 is in S too,
-and the left moves are read off the right ones through the inverses.
-Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is built from
-Sabidussi's decomposition into the left cosets u_w*G_p, w in T, so the
-group itself is never enumerated and no inverse row is formed; its
-G_p-double cosets are read off G_p's orbits on T, and inverse closure
-off the k transversal rows u_w: S = S^-1 exactly when every u_w^-1(p)
-lies in T.
+A connection set S keeps its rows, their lookup table, one row per left
+coset s*H (``cosets``) and its indicator operator, the n x n count
+K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
+per column; eq2, the chain and the Cauchy-Schwarz step read it.  Given
+as elements, S finds its elements' inverses once, by one scatter into
+the rows' dtype, and looks them up to decide inverse closure; the
+inverse rows are not kept.  Its H-double-coset split looks up right
+products only: with S = S^-1 and S*h inside S for each generator h,
+h*s = (s^-1 * h^-1)^-1 is in S too, and the left moves are read off the
+right ones through the inverses.  Given as {g : g(p) in T}
+(``ConnectionSet.of_point``), it is built from Sabidussi's decomposition
+into the left cosets u_w*G_p, w in T, so the group itself is never
+enumerated and no inverse row is formed; its G_p-double cosets are read
+off G_p's orbits on T, and inverse closure off the k transversal rows
+u_w: S = S^-1 exactly when every u_w^-1(p) lies in T.
 """
 
 from __future__ import annotations
@@ -725,9 +725,10 @@ def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
 
 def _double_coset_split(
     table: _RowTable, h: PermutationGroup, inverse: np.ndarray | None = None
-) -> list[Permutation]:
+) -> tuple[list[Permutation], list[np.ndarray]]:
     """The smallest element of each H-double coset of the table's set, in
-    increasing order; StructureError unless the set is a union of them.
+    increasing order, and the moves s -> h*s, s -> s*h per generator h
+    that split it; StructureError unless the set is a union of them.
 
     ``inverse``, the index of each element's inverse, is given only for an
     inverse-closed set.  Then closure under right products by the
@@ -754,7 +755,7 @@ def _double_coset_split(
             left = inverse[right[inverse]]
         moves += [left, right]
     label = _component_minima(len(table.rows), moves)
-    return list(_permutations(table.rows[label == np.arange(len(label))]))
+    return list(_permutations(table.rows[label == np.arange(len(label))])), moves
 
 
 def is_inverse_closed(elements: _Elements) -> bool:
@@ -782,7 +783,7 @@ def double_coset_representatives(
     """
     table = _RowTable(elements, h.degree)
     inverse = table.find(_inverse_rows(table.rows))
-    return _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)
+    return _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)[0]
 
 
 _NOT_BI_INVARIANT = "connection set is not bi-invariant under the subgroup"
@@ -795,7 +796,8 @@ class ConnectionSet:
     The elements are held as the read-only ``rows``, distinct and in
     lexicographic order; ``elements`` builds them as ``Permutation``
     objects on first use.  ``representatives`` holds the smallest element
-    of each H-double coset, in increasing order.
+    of each H-double coset, in increasing order, and the read-only
+    ``cosets`` one row per left coset s*H.
 
     Inverse closure is checked on construction.  The set's indicator
     operator (``operator``), the n x n count
@@ -807,9 +809,10 @@ class ConnectionSet:
     closure is decided by looking up every element's inverse, and
     H-bi-invariance by splitting the set into its H-double cosets with
     right products only: S*h inside S for each generator h, together with
-    S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well.  ``of_point``
-    builds {g in G : g(p) in T} from cosets instead, and decides both on
-    its transversal rows.
+    S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well, and the smallest
+    row of each component of those products is a coset's.  ``of_point``
+    builds {g in G : g(p) in T} from cosets instead, decides both on its
+    transversal rows, and keeps them as its cosets.
     """
 
     __slots__ = (
@@ -817,6 +820,7 @@ class ConnectionSet:
         "subgroup",
         "rows",
         "representatives",
+        "cosets",
         "_table",
         "_elements",
         "_operator",
@@ -829,10 +833,13 @@ class ConnectionSet:
         if (inverse < 0).any():
             raise StructureError(_NOT_INVERSE_CLOSED)
         try:
-            reps = _double_coset_split(table, subgroup, inverse)
+            reps, moves = _double_coset_split(table, subgroup, inverse)
         except StructureError:
             raise StructureError(_NOT_BI_INVARIANT) from None
         self.representatives = tuple(reps)
+        label = _component_minima(len(table.rows), moves[1::2])
+        self.cosets = table.rows[label == np.arange(len(label))]
+        self.cosets.setflags(write=False)
 
     @classmethod
     def of_point(
@@ -880,6 +887,8 @@ class ConnectionSet:
         orbit = _component_minima(group.degree, subgroup._gen_rows)[rows[:, point]]
         first = np.sort(np.unique(orbit, return_index=True)[1])
         connection.representatives = _permutations(rows.take(first, axis=0))
+        t.setflags(write=False)
+        connection.cosets = t
         return connection
 
     def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> None:

@@ -34,6 +34,15 @@ from .groups import (
 from .perms import Permutation
 from .spectral import BipartiteAdjacency
 
+#: Relative tolerance of eq2's real probes, scaled to their magnitude.
+MATRIX_REL_TOL = 1e-12
+
+#: Largest deviation the norm-identity trials accept (``NormIdentityReport.tol``).
+NORM_IDENTITY_TOL = 1e-12
+
+#: Most support elements of a norm-identity trial's group-side distribution.
+MAX_SUPPORT = 24
+
 
 class GroupFunction:
     """A real function on permutations with finite, distinct support.
@@ -157,7 +166,6 @@ def convolution_matches_matrix(
     adjacency: BipartiteAdjacency,
     trials: int,
     rng: np.random.Generator,
-    rel_tol: float = 1e-12,
 ) -> bool:
     """Check that convolving by the indicator of the connection set is
     exactly the linear map of the bipartite matrix.
@@ -165,16 +173,16 @@ def convolution_matches_matrix(
     The two sides are two routes to one matrix.  The indicator's operator
     K (``ConnectionSet.operator``) sums over every element of the set,
     while ``spectral.build_bipartite`` assembles the matrix from the
-    subgroup's orbit counts and one element per left coset, so a wrong
-    coset split, orbit labelling or multiplicity shows here.  K is built
-    once and applied to ``trials`` integer probes and ``trials`` real
-    probes, each set drawn as one block with the rows in the order of
-    one-at-a-time draws.  The matrix applies through its transpose
-    (probe rows times the matrix), which coincides with the plain product
-    by symmetry.  Integer probes must match exactly; each real probe
-    within rel_tol scaled to its operands' magnitude.  Both blocks are
-    drawn whatever the verdict, so the generator's state afterwards does
-    not depend on it.
+    subgroup's orbit counts and the set's ``cosets`` alone, so a wrong
+    orbit labelling or multiplicity shows here, and so do rows that
+    disagree with the cosets.  K is built once and applied to ``trials``
+    integer probes and ``trials`` real probes, each set drawn as one block
+    with the rows in the order of one-at-a-time draws.  The matrix applies
+    through its transpose (probe rows times the matrix), which coincides
+    with the plain product by symmetry.  Integer probes must match
+    exactly; each real probe within ``MATRIX_REL_TOL`` scaled to its
+    operands' magnitude.  Both blocks are drawn whatever the verdict, so
+    the generator's state afterwards does not depend on it.
     """
     n = adjacency.n
     if connection.degree != n:
@@ -194,7 +202,7 @@ def convolution_matches_matrix(
     scale = np.maximum(
         1.0, np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
     )
-    return bool((np.abs(lhs - rhs).max(axis=1) <= rel_tol * scale).all())
+    return bool((np.abs(lhs - rhs).max(axis=1) <= MATRIX_REL_TOL * scale).all())
 
 
 @dataclass(frozen=True)
@@ -288,8 +296,6 @@ def norm_identity_trials(
     group_elements: _Elements | PermutationGroup,
     trials: int,
     rng: np.random.Generator,
-    tol: float = 1e-12,
-    max_support: int = 24,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> NormIdentityReport:
     """Randomized check of the four norm identities, with the group-side
@@ -301,8 +307,8 @@ def norm_identity_trials(
     the deviation is scaled to the operand magnitudes.  The trials are
     drawn and checked in blocks of whole arrays, as many trials per block
     as fit ``_BLOCK_BYTES``.  A trial's group-side distribution has
-    between 1 and min(|G|, max_support) distinct support elements, held
-    as one row of ``m = min(|G|, max_support)`` indices whose weights are
+    between 1 and min(|G|, MAX_SUPPORT) distinct support elements, held
+    as one row of ``m = min(|G|, MAX_SUPPORT)`` indices whose weights are
     zero past the support size; convolving by it scatters each weighted
     value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)), for
     the drawn support elements only.
@@ -318,7 +324,7 @@ def norm_identity_trials(
         if len(_sorted_distinct(rows)) != len(rows):
             raise ValueError("group elements must be distinct")
     uniform = uniform_distribution(n)
-    m = min(len(rows), max_support)
+    m = min(len(rows), MAX_SUPPORT)
     # Per trial: at most m * n scatter indices and values, or |G| random
     # keys and their ranks where ``_random_supports`` draws by keys; 8
     # bytes each.
@@ -373,5 +379,5 @@ def norm_identity_trials(
         max_centering_deviation=dev_center,
         max_convolution_deviation=dev_conv,
         max_scaling_deviation=dev_scale,
-        tol=tol,
+        tol=NORM_IDENTITY_TOL,
     )

@@ -2,14 +2,14 @@
 
 The matrix of the bipartite double of a connection set S counts, for
 vertices x and y, the elements of S sending x to y; it is assembled from
-the orbits of S's subgroup and one element of S per left coset, not from
-every element.  Since S is inverse-closed the matrix is symmetric, so
-its singular values are the absolute values of its eigenvalues, and one
-dense eigendecomposition (LAPACK's ``numpy.linalg.eigh``) gives every
-singular value and, in one family of eigenvectors, both singular vector
-families.  A deflated power iteration provides an independent route to
-the second singular value, and random zero-sum vectors check the
-contraction that value bounds.
+the orbits of S's subgroup and the one row per left coset S carries
+(``ConnectionSet.cosets``), not from S's rows.  S is inverse-closed, so
+the matrix is symmetric, its singular values are the absolute values of
+its eigenvalues, and one dense eigendecomposition (LAPACK's
+``numpy.linalg.eigh``) gives every singular value and, in one family of
+eigenvectors, both singular vector families.  A deflated power
+iteration provides an independent route to the second singular value,
+and random zero-sum vectors check the contraction that value bounds.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from .groups import ConnectionSet, _component_minima, _inverse_rows
 #: Largest size the dense eigensolve accepts, and so the largest
 #: ``max_vertices`` an analysis accepts.
 DENSE_SIZE_CAP = 4000
+
+#: Relative slack of the zero-sum contraction check ||A f|| <= lambda2 ||f||.
+CONTRACTION_SLACK = 1e-9
 
 
 class BipartiteAdjacency:
@@ -83,40 +86,18 @@ class BipartiteAdjacency:
         return f"BipartiteAdjacency(n={self.n}, s_size={self.s_size})"
 
 
-def _left_coset_rows(connection: ConnectionSet, order: int) -> np.ndarray:
-    """One row of the connection set per left coset s*H of its subgroup H,
-    of the given order.
-
-    Every element of s*H sends a point p fixed by H to s(p), so the
-    classes of equal images of p are unions of left cosets, and exactly
-    the cosets when there are |S| / |H| of them.  The first row of each
-    class is taken, for the first fixed point whose images split the set
-    that way; StructureError if none does."""
-    rows = connection.rows
-    gens = connection.subgroup._gen_rows
-    fixed = (gens == np.arange(connection.degree)).all(axis=0)
-    for p in np.flatnonzero(fixed):
-        first = np.unique(rows[:, p], return_index=True)[1]
-        if len(first) * order == len(rows):
-            return rows.take(first, axis=0)
-    raise StructureError(
-        "no point fixed by the subgroup splits the connection set into its "
-        "left cosets"
-    )
-
-
 def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     """Assemble the matrix from the subgroup's orbit counts.
 
     The connection set S is the union of k left cosets u_w*H of its
-    subgroup H, and the h in H with h(x) = z number |H| / |x^H| when z is
-    in x's H-orbit x^H, and none otherwise.  So the elements sending x to
-    y number A[x, y] = sum_w [u_w^-1(y) in x^H] * |H| / |x^H|: an r x n
-    matrix counting, for each of H's r orbits O and each y, the w with
-    u_w^-1(y) in O (one ``bincount`` over k*n cells), whose rows are
-    gathered into A and scaled.  Only one row of S per coset is read
-    (``_left_coset_rows``), and H's orbits are component labels over its
-    generator rows.  No |S|*n array is formed.
+    subgroup H, whose rows u_w it holds as ``cosets``, and the h in H with
+    h(x) = z number |H| / |x^H| when z is in x's H-orbit x^H, and none
+    otherwise.  So the elements sending x to y number A[x, y] =
+    sum_w [u_w^-1(y) in x^H] * |H| / |x^H|, for any H: an r x n matrix
+    counting, for each of H's r orbits O and each y, the w with u_w^-1(y)
+    in O (one ``bincount`` over k*n cells), whose rows are gathered into A
+    and scaled.  Of S only the cosets and |S| are read, and H's orbits are
+    component labels over its generator rows.  No |S|*n array is formed.
     """
     if connection.degree != n:
         raise ValueError(
@@ -124,7 +105,7 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
         )
     subgroup = connection.subgroup
     order = subgroup.order()
-    inverse = _inverse_rows(_left_coset_rows(connection, order))
+    inverse = _inverse_rows(connection.cosets)
     label = _component_minima(n, subgroup._gen_rows)
     orbit, size = np.unique(label, return_inverse=True, return_counts=True)[1:]
     # orbit(u_w^-1(y))*n + y, formed in int64 (``orbit`` is intp).
@@ -295,9 +276,9 @@ def zero_sum_contraction_ok(
     lambda2: float,
     trials: int,
     rng: np.random.Generator,
-    slack: float = 1e-9,
 ) -> bool:
-    """Check ||A f|| <= lambda2 ||f|| (1 + slack) on random zero-sum f.
+    """Check ||A f|| <= lambda2 ||f|| (1 + CONTRACTION_SLACK) on random
+    zero-sum f.
 
     The trials are drawn as one (trials, n) block, whose rows are the
     draws of n normals one trial at a time would give; every trial is
@@ -306,5 +287,5 @@ def zero_sum_contraction_ok(
     f -= f.mean(axis=1, keepdims=True)
     # The matrix is symmetric, so row i of f A is the image A f_i.
     image = np.linalg.norm(f @ adjacency.float_matrix, axis=1)
-    bound = lambda2 * np.linalg.norm(f, axis=1) * (1.0 + slack)
+    bound = lambda2 * np.linalg.norm(f, axis=1) * (1.0 + CONTRACTION_SLACK)
     return not (image > bound).any()

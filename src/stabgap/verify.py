@@ -32,13 +32,18 @@ from .spectral import BipartiteAdjacency
 IDENTITY_TOL = 1e-12
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a: float, b: float) -> bool:
+    return abs(a - b) <= IDENTITY_TOL * max(1.0, abs(a), abs(b))
 
 
-def _strictly_less(a: float, b: float, tol: float) -> bool:
-    """a < b, with a tie within tol counted as not strictly less."""
-    return a < b and not _close(a, b, tol)
+def _strictly_less(a: float, b: float) -> bool:
+    """a < b, with a tie within IDENTITY_TOL counted as not strictly less."""
+    return a < b and not _close(a, b)
+
+
+def _at_most(a: float, b: float) -> bool:
+    """a <= b, with IDENTITY_TOL of slack relative to b."""
+    return a <= b + IDENTITY_TOL * max(1.0, b)
 
 
 @dataclass(frozen=True)
@@ -51,9 +56,7 @@ class CauchySchwarzResult:
     equality: bool
 
 
-def cauchy_schwarz_step(
-    case: TransitiveCase, tol: float = IDENTITY_TOL
-) -> CauchySchwarzResult:
+def cauchy_schwarz_step(case: TransitiveCase) -> CauchySchwarzResult:
     """Evaluate ||p_S * p_v||^2 and compare it against 1/k.
 
     p_S * p_v is the product of S's operator with the point mass, divided
@@ -75,8 +78,8 @@ def cauchy_schwarz_step(
     return CauchySchwarzResult(
         value=value,
         bound=bound,
-        ok=bound <= value + tol * max(1.0, value),
-        equality=abs(value - bound) <= tol,
+        ok=_at_most(bound, value),
+        equality=abs(value - bound) <= IDENTITY_TOL,
     )
 
 
@@ -116,7 +119,6 @@ def evaluate_chain(
     case: TransitiveCase,
     adjacency: BipartiteAdjacency,
     lambda2: float,
-    tol: float = IDENTITY_TOL,
 ) -> ChainDiagnostics:
     """Evaluate each line of the chain for the case.
 
@@ -145,19 +147,19 @@ def evaluate_chain(
     final_bound = lambda2**2 / s_size**2 + 1.0 / n
 
     equalities_ok = (
-        _close(neighbor_mass, recentered, tol)
-        and _close(recentered, split, tol)
-        and _close(split, scaled_convolution, tol)
-        and _close(scaled_convolution, scaled_matrix, tol)
+        _close(neighbor_mass, recentered)
+        and _close(recentered, split)
+        and _close(split, scaled_convolution)
+        and _close(scaled_convolution, scaled_matrix)
     )
     inverse_valency = 1.0 / case.valency
-    lower_bound_ok = inverse_valency <= neighbor_mass + tol * max(1.0, neighbor_mass)
+    lower_bound_ok = _at_most(inverse_valency, neighbor_mass)
     operator_step_ok = (
-        scaled_convolution <= operator_bound + tol * max(1.0, operator_bound)
-        and scaled_matrix <= operator_bound + tol * max(1.0, operator_bound)
+        _at_most(scaled_convolution, operator_bound)
+        and _at_most(scaled_matrix, operator_bound)
     )
-    near_equality = _close(operator_bound, final_bound, tol)
-    strict_final = _strictly_less(operator_bound, final_bound, tol)
+    near_equality = _close(operator_bound, final_bound)
+    strict_final = _strictly_less(operator_bound, final_bound)
     return ChainDiagnostics(
         inverse_valency=inverse_valency,
         neighbor_mass=neighbor_mass,
@@ -213,8 +215,8 @@ def bound_report(
     n = case.graph.n
     k = case.valency
     m = case.stabilizer.order()
-    proof_form = _strictly_less(m * m, 2.0 * lambda2 * lambda2 / k, IDENTITY_TOL)
-    statement_form = _strictly_less(m, math.sqrt(2.0) * lambda2 / k, IDENTITY_TOL)
+    proof_form = _strictly_less(m * m, 2.0 * lambda2 * lambda2 / k)
+    statement_form = _strictly_less(m, math.sqrt(2.0) * lambda2 / k)
     small_case = True
     if n <= 2 * k:
         small_case = m <= case.group.order() <= math.factorial(2 * k)

@@ -1143,6 +1143,7 @@ def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, r
     assert not from_rows.rows.flags.writeable
     assert from_rows.elements == from_perms.elements == tuple(sorted(s))
     assert from_rows.representatives == from_perms.representatives
+    assert_cosets_partition_the_set(from_rows)
     for p in itertools.permutations(range(4)):
         g = Permutation(p)
         assert (g in from_rows) == (g in from_perms) == (g in s)
@@ -1267,6 +1268,8 @@ def test_of_point_accepts_exactly_the_inverse_closed_sets(group, data):
         return
     conn = ConnectionSet.of_point(group, point, targets)
     assert np.array_equal(conn.rows, reference.rows)
+    assert_cosets_partition_the_set(conn)
+    assert_cosets_partition_the_set(reference)
     assert conn.representatives == reference.representatives
     assert np.array_equal(_inverse_rows(conn.rows), _inverse_rows(reference.rows))
     assert conn.contains_rows(_inverse_rows(conn.rows)).all()
@@ -1296,6 +1299,33 @@ def test_of_point_forms_no_inverse_rows_and_looks_nothing_up(monkeypatch):
     inverse = groups._inverse_rows(conn.rows)
     assert np.array_equal(inverse, np.argsort(conn.rows, axis=1))
     assert inverted[-1] == len(conn) > k
+
+
+def assert_cosets_partition_the_set(conn):
+    """The rows ``cosets`` holds, each composed with every element of H,
+    give every row of S exactly once: one row per left coset s*H."""
+    cosets = conn.cosets
+    assert not cosets.flags.writeable
+    h_rows = conn.subgroup.element_array()
+    products = reference_compose_all(cosets, h_rows).reshape(-1, conn.degree)
+    assert len(cosets) * len(h_rows) == len(products) == len(conn)
+    assert np.array_equal(_sorted_distinct(products), conn.rows)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_cosets_partition_the_set(spec):
+    # of_point keeps its transversal rows u_w; the element constructor
+    # keeps the smallest row of each left coset, in increasing order.
+    conn = realize_case(spec).connection
+    assert_cosets_partition_the_set(conn)
+    from_rows = ConnectionSet(conn.rows, conn.subgroup)
+    assert_cosets_partition_the_set(from_rows)
+    assert np.array_equal(_sorted_distinct(from_rows.cosets), from_rows.cosets)
+    assert from_rows.cosets[0].tolist() == conn.rows[0].tolist()
 
 
 @pytest.mark.parametrize(

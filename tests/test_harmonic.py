@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from stabgap import catalog, harmonic
 from stabgap.casefile import realize_case
 from stabgap.errors import SizeLimitError
-from stabgap.groups import PermutationGroup
+from stabgap.groups import ConnectionSet, PermutationGroup
 from stabgap.harmonic import (
     GroupFunction,
     convolution_matches_matrix,
@@ -25,6 +25,7 @@ from stabgap.spectral import (
 
 from cases import (
     petersen_case,
+    reference_bipartite,
     reference_norm_identity_trials,
     reference_operator,
     s3,
@@ -186,6 +187,32 @@ def test_eq2_rejects_an_orbit_count_matrix_with_the_factor_off():
         rng = np.random.default_rng(23)
         assert convolution_matches_matrix(case.connection, right, 5, rng)
         assert not convolution_matches_matrix(case.connection, doubled, 5, rng)
+
+
+def test_eq2_rejects_rows_that_disagree_with_the_cosets():
+    # The matrix is assembled from the cosets S carries, K from its rows.
+    # Keep the cosets of S at the base vertex and take the rows of the set
+    # at vertex 1, which has the same size: wherever the two sets have
+    # different matrices, eq2 must fail.
+    rejected = []
+    for spec in catalog.builtin_cases():
+        case = realize_case(spec)
+        group, graph, v = case.group, case.graph, case.base_vertex
+        here = ConnectionSet.of_point(group, v, graph.neighbors(v))
+        there = ConnectionSet.of_point(group, 1, graph.neighbors(1))
+        swapped = object.__new__(ConnectionSet)
+        swapped._fill(there._table, here.subgroup)
+        swapped.representatives, swapped.cosets = here.representatives, here.cosets
+        adj = build_bipartite(swapped, graph.n)
+        assert np.array_equal(adj.matrix, build_bipartite(here, graph.n).matrix)
+        rng = np.random.default_rng(31)
+        assert convolution_matches_matrix(here, adj, 5, rng)
+        if np.array_equal(reference_bipartite(there, graph.n), adj.matrix):
+            assert convolution_matches_matrix(swapped, adj, 5, rng)
+        else:
+            assert not convolution_matches_matrix(swapped, adj, 5, rng)
+            rejected.append(spec.name)
+    assert len(rejected) >= 14
 
 
 def test_operator_matches_the_one_scatter_reference_bit_for_bit():
