@@ -13,7 +13,6 @@ from .groups import (
     DEFAULT_ELEMENT_CAP,
     PermutationGroup,
     double_coset_representatives,
-    is_inverse_closed,
 )
 from .graphs import (
     CosetGraphSpec,
@@ -42,14 +41,11 @@ from .spectral import (
     zero_sum_contraction_ok,
 )
 from .harmonic import (
-    GroupFunction,
     NormIdentityReport,
     convolution_matches_matrix,
-    indicator,
     norm_identity_trials,
     point_mass,
     uniform_distribution,
-    uniform_on,
 )
 from .verify import (
     BoundReport,

@@ -11,19 +11,18 @@ need not be 0, 1, 2, ..., and element lists are in lexicographic order
 of image tuples.
 
 Element sets (the enumerated group, connection sets, the sets split into
-double cosets, the supports of group functions) are held as rows of an
-integer array of images, converted into that layout by ``_image_rows``
-alone and composed a whole array at a time by ``take``, not by fancy
-indexing: ``_compose`` composes rows pairwise with rows of a table, as
-one ``take`` from the flattened table, and ``_compose_all`` composes
-every row of a table with every row, as one ``take`` along the table's
-images.  Rows are gathered by ``take`` along the rows too.  They are
-indexed by one ``uint64`` key per row, its first eight bytes of
-big-endian images (``_row_keys``): ``_lex_order`` sorts and deduplicates
-rows by their keys, and a ``_RowTable`` looks rows up by binary search on
-its sorted keys.  Only rows that share a key and differ are compared
-whole, through ``_row_view``, whose values sort as the rows do, so every
-order and lookup is that of whole rows.
+double cosets) are held as rows of an integer array of images, converted
+into that layout by ``_image_rows`` alone and composed a whole array at a
+time by ``take``, not by fancy indexing: ``_compose`` composes rows
+pairwise with rows of a table, as one ``take`` from the flattened table,
+and ``_compose_all`` composes every row of a table with every row, as one
+``take`` along the table's images.  Rows are gathered by ``take`` along
+the rows too.  They are indexed by one ``uint64`` key per row, its first
+eight bytes of big-endian images (``_row_keys``): ``_lex_order`` sorts
+and deduplicates rows by their keys, and a ``_RowTable`` looks rows up
+by binary search on its sorted keys.  Only rows that share a key and
+differ are compared whole, through ``_row_view``, whose values sort as
+the rows do, so every order and lookup is that of whole rows.
 
 A group's generators are rows too (``_gen_rows``), which the chain, the
 orbits and the graph layer read, and membership is decided by sifting
@@ -245,15 +244,14 @@ def _compose_all(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table.take(rows, axis=-1)
 
 
-def _operator(rows: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """The n x n float matrix K[x, y] = sum of the weights (1 each without
-    them) of the rows r with r[y] = x: column y is one ``bincount`` over
-    column y of the rows, so each cell sums in row order and no
-    (number of rows) x n array is formed."""
+def _operator(rows: np.ndarray) -> np.ndarray:
+    """The n x n float matrix K[x, y] = #{rows r : r[y] = x}: column y is
+    one ``bincount`` over column y of the rows, so no (number of rows) x n
+    array is formed."""
     n = rows.shape[1]
     kernel = np.empty((n, n))
     for y in range(n):
-        kernel[:, y] = np.bincount(rows[:, y], weights, minlength=n)
+        kernel[:, y] = np.bincount(rows[:, y], minlength=n)
     return kernel
 
 
@@ -539,14 +537,15 @@ class PermutationGroup:
             # assigned to level i and to every deeper level.
             return np.vstack([level.gens for level in levels[i:]])
 
-        def add_first_moved(rows: np.ndarray, deeper: int) -> bool:
+        def add_first_moved(rows: np.ndarray, deeper: int) -> int | None:
             """Sift the rows through the levels from ``deeper`` on; add the
             first residue that is not the identity, as a strong generator
-            of the level where it failed, and report whether one was."""
+            of the level where it failed, and return that level (None if
+            every residue is the identity)."""
             residues, at = _sift(levels[deeper:], rows)
             moved = np.flatnonzero(_moved(residues))
             if not len(moved):
-                return False
+                return None
             g, j = residues[moved[0]], deeper + int(at[moved[0]])
             if j == len(levels):
                 basepoint = int(np.flatnonzero(g != np.arange(self.degree))[0])
@@ -554,22 +553,27 @@ class PermutationGroup:
             levels[j].gens = np.vstack([levels[j].gens, g])
             for i in range(j + 1):
                 levels[i].span(effective_gens(i))
-            return True
+            return j
 
         for g in self._gen_rows:
             add_first_moved(g[None, :], 0)
 
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; on a
-        # violation, assign the residue to the level where sifting failed
-        # and rescan from the bottom.  A level's Schreier generators are
-        # formed a block of orbit points at a time, q ascending, up to the
-        # first block that adds a residue: the whole batch's first.
+        # violation, assign the residue to the level j where sifting
+        # failed and resume the scan at j: the levels deeper than j keep
+        # their generators and were verified already, so rescanning them
+        # would add nothing.  A level's Schreier generators are formed a
+        # block of orbit points at a time, q ascending, up to the first
+        # block that adds a residue: the whole batch's first.
         i = len(levels) - 1
         while i >= 0:
-            blocks = _schreier_blocks(levels[i], effective_gens(i))
-            found = any(add_first_moved(block, i + 1) for block in blocks)
-            i = len(levels) - 1 if found else i - 1
+            added = None
+            for block in _schreier_blocks(levels[i], effective_gens(i)):
+                added = add_first_moved(block, i + 1)
+                if added is not None:
+                    break
+            i = i - 1 if added is None else added
         return levels
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:
@@ -756,14 +760,6 @@ def _double_coset_split(
         moves += [left, right]
     label = _component_minima(len(table.rows), moves)
     return list(_permutations(table.rows[label == np.arange(len(label))])), moves
-
-
-def is_inverse_closed(elements: _Elements) -> bool:
-    """True iff the set contains the inverse of each of its elements.
-
-    The elements must share one degree."""
-    table = _RowTable(elements)
-    return bool((table.find(_inverse_rows(table.rows)) >= 0).all())
 
 
 def double_coset_representatives(

@@ -1,17 +1,15 @@
-"""Convolution of group functions with vertex functions.
+"""Randomized checks of the convolution identities behind the chain.
 
-A group function is a finitely supported real function on permutations;
-convolving it with a vertex function v gives the vertex function
-x -> sum_g mu(g) v(g^-1(x)), evaluated by direct summation over the
-support, held as rows of images like every element set of the group
-layer.  Its n x n operator is summed over the support too, one column
-per vertex.  A group function owns its rows, weights and inverse rows;
-one built on a connection set starts from the set's rows and reads
-nothing else of it.  This module also supplies the standard
-distributions (point mass, uniform, indicator of a set, uniform on a
-set) and randomized checks that the convolution operator agrees with
-the bipartite matrix and satisfies the shift/centering/scaling norm
-identities.
+Convolving a vertex function v by a function mu on the group gives
+x -> sum_g mu(g) v(g^-1(x)).  ``convolution_matches_matrix`` checks eq2:
+convolution by the indicator of the connection set, the set's own
+operator ``ConnectionSet.operator``, is the linear map of the bipartite
+matrix.  ``norm_identity_trials`` checks lemma 4's shift, centering,
+convolution and scaling identities on random distributions, whose
+group-side supports are drawn from the group's element rows and
+convolved by one scatter per block of trials.  ``point_mass`` and
+``uniform_distribution`` are the vertex-side distributions the chain
+reads.
 """
 
 from __future__ import annotations
@@ -26,12 +24,8 @@ from .groups import (
     PermutationGroup,
     _Elements,
     _image_rows,
-    _inverse_rows,
-    _operator,
-    _permutations,
     _sorted_distinct,
 )
-from .perms import Permutation
 from .spectral import BipartiteAdjacency
 
 #: Relative tolerance of eq2's real probes, scaled to their magnitude.
@@ -42,82 +36,6 @@ NORM_IDENTITY_TOL = 1e-12
 
 #: Most support elements of a norm-identity trial's group-side distribution.
 MAX_SUPPORT = 24
-
-
-class GroupFunction:
-    """A real function on permutations with finite, distinct support.
-
-    The support, given as ``Permutation`` objects or as image rows, is
-    held as read-only ``rows`` in the order given (the order fixes the
-    float sums); ``perms`` builds it as ``Permutation`` objects.  The
-    function owns its data: its rows, its weights, and the rows' inverses,
-    found when ``convolve`` first needs them.
-    """
-
-    __slots__ = ("degree", "rows", "weights", "_inverse_rows")
-
-    def __init__(self, perms: _Elements, weights):
-        rows = _image_rows(perms)
-        if not len(rows):
-            raise ValueError("support must be nonempty")
-        if len(_sorted_distinct(rows)) != len(rows):
-            raise ValueError("support permutations must be distinct")
-        self._fill(rows, weights)
-
-    @classmethod
-    def _trusted(cls, rows: np.ndarray, weights) -> GroupFunction:
-        """A group function on rows known to be distinct permutations."""
-        mu = object.__new__(cls)
-        mu._fill(rows, weights)
-        return mu
-
-    def _fill(self, rows: np.ndarray, weights) -> None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(rows),):
-            raise ValueError(
-                f"expected {len(rows)} weights, got shape {w.shape}"
-            )
-        rows.setflags(write=False)
-        self.degree = rows.shape[1]
-        self.rows = rows
-        self.weights = w
-        self.weights.setflags(write=False)
-        self._inverse_rows: np.ndarray | None = None
-
-    @property
-    def perms(self) -> tuple[Permutation, ...]:
-        return _permutations(self.rows)
-
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.weights**2)))
-
-    def convolve(self, values) -> np.ndarray:
-        """(mu * v)(x) = sum_g mu(g) v(g^-1(x)), summed over the support.
-
-        The first call finds the support's inverse rows (row i holds the
-        images of the inverse of support permutation i) and keeps them."""
-        v = np.asarray(values, dtype=float)
-        if v.shape != (self.degree,):
-            raise ValueError(
-                f"expected a vector of length {self.degree}, got shape {v.shape}"
-            )
-        if self._inverse_rows is None:
-            self._inverse_rows = _inverse_rows(self.rows)
-        return self.weights @ v[self._inverse_rows]
-
-    def operator(self) -> np.ndarray:
-        """The n x n matrix K of convolving by mu, so that K @ v is
-        ``convolve(v)``: K[x, y] = sum_g mu(g) [g(y) = x].
-
-        Column y is one ``bincount`` of the weights over column y of the
-        rows, the points g(y), so each cell sums its weights in support
-        order, needs no inverse rows, and no (support size) x n array is
-        formed; exact for integer weights.
-        """
-        return _operator(self.rows, self.weights)
 
 
 def point_mass(vertex: int, n: int) -> np.ndarray:
@@ -132,33 +50,6 @@ def uniform_distribution(n: int) -> np.ndarray:
     if n < 1:
         raise ValueError("length must be positive")
     return np.full(n, 1.0 / n)
-
-
-def _support(elements: _Elements) -> np.ndarray:
-    """A connection set's rows as they are, else the distinct rows,
-    sorted."""
-    if isinstance(elements, ConnectionSet):
-        rows = elements.rows
-    else:
-        rows = _sorted_distinct(_image_rows(elements))
-    if not len(rows):
-        raise ValueError("empty set")
-    return rows
-
-
-def indicator(elements: _Elements) -> GroupFunction:
-    """The characteristic function of a set of permutations; on a
-    ``ConnectionSet`` its support is the set's rows."""
-    rows = _support(elements)
-    return GroupFunction._trusted(rows, np.ones(len(rows)))
-
-
-def uniform_on(elements: _Elements) -> GroupFunction:
-    """The uniform probability distribution on a set of permutations;
-    its norm is 1/sqrt(set size).  On a ``ConnectionSet`` its support is
-    the set's rows."""
-    rows = _support(elements)
-    return GroupFunction._trusted(rows, np.full(len(rows), 1.0 / len(rows)))
 
 
 def convolution_matches_matrix(

@@ -3,10 +3,11 @@
 The pipeline realizes the case, decomposes the connection set into
 double cosets, classifies the local action, checks the canonical coset
 isomorphism, builds the bipartite matrix, computes its spectrum densely
-and its second singular value again by power iteration, runs the randomized convolution and norm-identity checks, and
-evaluates the inequality chain and the stabilizer bounds.  Randomness
-is drawn from a per-case seed derived from the base seed and the case
-name, so identical inputs produce byte-identical reports.
+and its second singular value again by power iteration, runs the
+randomized convolution and norm-identity checks, and evaluates the
+inequality chain and the stabilizer bounds.  Randomness is drawn from a
+per-case seed derived from the base seed and the case name, so identical
+inputs produce byte-identical reports.
 """
 
 from __future__ import annotations

@@ -236,8 +236,8 @@ def reference_preserves_edges(gen_rows, graph):
 
 
 # -- matrix references: ``spectral.build_bipartite`` builds the matrix from
-# the subgroup's orbit counts, and ``GroupFunction.operator`` one row at a
-# time; both must reproduce these scatters over every element exactly -------
+# the subgroup's orbit counts, and ``ConnectionSet.operator`` one column at
+# a time; both must reproduce these scatters over every element exactly ------
 
 
 def reference_bipartite(connection, n):
@@ -248,13 +248,15 @@ def reference_bipartite(connection, n):
     return np.bincount(cells, minlength=n * n).reshape(n, n)
 
 
-def reference_operator(mu):
-    """The convolution operator of a group function as one scatter of every
-    support element's weight to the cells (x, g^-1(x)), with the inverses
-    found by ``argsort``."""
-    n = mu.degree
-    cells = (np.arange(n) * n + np.argsort(mu.rows, axis=1)).ravel()
-    spread = np.repeat(mu.weights, n)
+def reference_operator(rows, weights=None):
+    """The operator of convolving by the function on permutation rows that
+    takes the given weights (1 each without them): one scatter of every
+    row's weight to the cells (x, g^-1(x)), with the inverses found by
+    ``argsort``, so (K @ v)(x) = sum_g weight(g) v(g^-1(x)) summed over
+    the rows in order."""
+    n = rows.shape[1]
+    cells = (np.arange(n) * n + np.argsort(rows, axis=1)).ravel()
+    spread = None if weights is None else np.repeat(weights, n)
     return np.bincount(cells, spread, minlength=n * n).reshape(n, n)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from stabgap import catalog
 from stabgap.casefile import _OPTION_KEYS, CaseOptions
 from stabgap.catalog import builtin_cases
 from stabgap.cli import build_parser, main
@@ -12,6 +13,7 @@ from stabgap.pipeline import CSV_COLUMNS, AnalyzeOptions, analyze_case, case_see
 
 CATALOG_SEED0 = Path(__file__).parent / "data" / "catalog-seed0.csv"
 CATALOG_SEED0_JSON = Path(__file__).parent / "data" / "catalog-seed0.json"
+LADDER_SEED0_JSON = Path(__file__).parent / "data" / "ladder-seed0.json"
 
 TRIANGLE_DOC = {
     "name": "triangle",
@@ -214,10 +216,21 @@ def test_catalog_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == CATALOG_SEED0.read_bytes()
 
 
-def catalog_json_reports() -> list:
-    """The JSON report of every built-in case at seed 0, in catalog order,
-    as ``json.loads`` reads it back."""
-    reports = [analyze_case(spec).to_json_dict() for spec in builtin_cases()]
+def ladder_cases() -> list:
+    """The four cases past the catalog whose seed-0 reports are captured:
+    two groups of order 40320 on small matrices, and two larger matrices."""
+    return [
+        catalog._kneser(8, 3),
+        catalog._complete(8),
+        catalog._cycle_dihedral(200),
+        catalog._hypercube(7),
+    ]
+
+
+def json_reports(specs) -> list:
+    """The JSON report of each case at seed 0, in order, as ``json.loads``
+    reads it back."""
+    reports = [analyze_case(spec).to_json_dict() for spec in specs]
     return json.loads(json.dumps(reports, sort_keys=True))
 
 
@@ -246,7 +259,15 @@ def test_catalog_json_matches_the_checked_in_capture():
     # change of the report.
     captured = json.loads(CATALOG_SEED0_JSON.read_text())
     assert len(captured) == 24
-    assert_reports_match(catalog_json_reports(), captured)
+    assert_reports_match(json_reports(builtin_cases()), captured)
+
+
+def test_ladder_json_matches_the_checked_in_capture():
+    # The same for the four cases past the catalog, captured alongside.
+    captured = json.loads(LADDER_SEED0_JSON.read_text())
+    specs = ladder_cases()
+    assert [report["name"] for report in captured] == [spec.name for spec in specs]
+    assert_reports_match(json_reports(specs), captured)
 
 
 def test_catalog_seed_changes_rows(tmp_path):
@@ -263,6 +284,9 @@ def test_catalog_seed_changes_rows(tmp_path):
 
 
 if __name__ == "__main__":
-    CATALOG_SEED0_JSON.write_text(
-        json.dumps(catalog_json_reports(), indent=1, sort_keys=True) + "\n"
-    )
+    for path, specs in (
+        (CATALOG_SEED0_JSON, builtin_cases()),
+        (LADDER_SEED0_JSON, ladder_cases()),
+    ):
+        reports = json_reports(specs)
+        path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")

@@ -16,9 +16,7 @@ from stabgap.groups import (
     _inverse_rows,
     _sorted_distinct,
     double_coset_representatives,
-    is_inverse_closed,
 )
-from stabgap.harmonic import indicator
 from stabgap.perms import Permutation
 from stabgap.pipeline import analyze_case
 
@@ -506,9 +504,9 @@ def test_tied_keys_keep_whole_row_order(degree, monkeypatch):
     assert connection.rows.tolist() == [list(t) for t in tuples if t[point] != point]
     assert list(connection.representatives) == reps
     assert double_coset_representatives(s, h) == reps
-    assert is_inverse_closed(s)
     cycle = Permutation(list(range(point)) + [point + 1, point + 2, point + 3, point])
-    assert not is_inverse_closed([g for g in s if g != cycle])
+    with pytest.raises(StructureError, match="inverse"):
+        ConnectionSet([g for g in s if g != cycle], PermutationGroup.trivial(degree))
     of_point = ConnectionSet.of_point(group, point, range(point + 1, degree))
     assert np.array_equal(of_point.rows, connection.rows)
     assert list(of_point.representatives) == reps
@@ -1041,16 +1039,12 @@ def test_decompose_cosets_partition_the_set():
 # -- inverse closure and connection sets ------------------------------------
 
 
-def test_is_inverse_closed_examples():
-    s = double_coset(h12(), Permutation([1, 0, 2]))
-    assert is_inverse_closed(s)
-    assert not is_inverse_closed({Permutation([1, 2, 0])})
-    assert is_inverse_closed({Permutation([1, 0, 2]), Permutation([2, 1, 0])})
-
-
 def test_connection_set_validates_inverse_closure():
     with pytest.raises(StructureError, match="inverse"):
         ConnectionSet({Permutation([1, 2, 0])}, PermutationGroup.trivial(3))
+    assert len(ConnectionSet(double_coset(h12(), Permutation([1, 0, 2])), h12())) == 4
+    involutions = {Permutation([1, 0, 2]), Permutation([2, 1, 0])}
+    assert len(ConnectionSet(involutions, PermutationGroup.trivial(3))) == 2
 
 
 def test_connection_set_validates_bi_invariance():
@@ -1334,13 +1328,11 @@ def test_cosets_partition_the_set(spec):
     ids=lambda spec: spec.name,
 )
 def test_connection_operator_counts_every_element(spec):
-    # The kept operator equals one scatter over every element of S, and
-    # the indicator's own operator equals it.
+    # The kept operator equals one scatter over every element of S.
     conn = realize_case(spec).connection
     kernel = conn.operator()
     assert not kernel.flags.writeable and kernel.dtype == float
-    assert np.array_equal(kernel, reference_operator(indicator(conn)))
-    assert np.array_equal(indicator(conn).operator(), kernel)
+    assert np.array_equal(kernel, reference_operator(conn.rows))
 
 
 def test_connection_set_of_point_caps_the_group_order():
@@ -1369,9 +1361,6 @@ def test_element_rows_are_checked():
             ConnectionSet(bad, h)
         with pytest.raises(ValueError):
             double_coset_representatives(bad, h)
-    with pytest.raises(ValueError):
-        is_inverse_closed(np.array([[0, 0]]))
-    assert is_inverse_closed(good)
 
 
 def test_connection_set_membership_wrong_degree_or_type_is_false():

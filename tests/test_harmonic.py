@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from stabgap import catalog, harmonic
 from stabgap.casefile import realize_case
 from stabgap.errors import SizeLimitError
 from stabgap.groups import ConnectionSet, PermutationGroup
 from stabgap.harmonic import (
-    GroupFunction,
     convolution_matches_matrix,
-    indicator,
     norm_identity_trials,
     point_mass,
     uniform_distribution,
-    uniform_on,
 )
 from stabgap.perms import Permutation
 from stabgap.spectral import (
@@ -27,7 +23,6 @@ from cases import (
     petersen_case,
     reference_bipartite,
     reference_norm_identity_trials,
-    reference_operator,
     s3,
     triangle_case,
 )
@@ -35,23 +30,22 @@ from cases import (
 
 def test_convolve_indicator_with_point_mass_triangle():
     case = triangle_case()
-    chi = indicator(case.connection)
-    out = chi.convolve(point_mass(0, 3))
+    out = case.connection.operator() @ point_mass(0, 3)
     assert out.tolist() == [0.0, 2.0, 2.0]
 
 
 def test_convolve_with_identity_point_mass_is_identity():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4)
-    mu = GroupFunction([Permutation.identity(4)], [1.0])
-    assert np.allclose(mu.convolve(f), f, atol=0)
+    identity = ConnectionSet([Permutation.identity(4)], PermutationGroup.trivial(4))
+    assert np.array_equal(identity.operator() @ f, f)
 
 
 def test_convolve_uniform_over_group_averages():
     rng = np.random.default_rng(5)
     f = rng.standard_normal(3)
-    mu = uniform_on(s3().elements())
-    out = mu.convolve(f)
+    group = ConnectionSet(s3().element_array(), PermutationGroup.trivial(3))
+    out = group.operator() @ f / len(group)
     assert np.allclose(out, np.full(3, f.sum() / 3), atol=1e-15)
 
 
@@ -59,20 +53,11 @@ def test_convolve_definition_by_direct_sum():
     # independent evaluation of the defining sum at every vertex
     rng = np.random.default_rng(11)
     f = rng.standard_normal(3)
-    case = triangle_case()
-    mu = uniform_on(case.connection)
-    out = mu.convolve(f)
+    connection = triangle_case().connection
+    out = connection.operator() @ f / len(connection)
     for x in range(3):
-        direct = sum(
-            w * f[g.inverse()(x)] for g, w in zip(mu.perms, mu.weights)
-        )
+        direct = sum(f[g.inverse()(x)] for g in connection.elements) / len(connection)
         assert abs(out[x] - direct) <= 1e-15
-
-
-def test_convolve_degree_mismatch():
-    mu = GroupFunction([Permutation.identity(4)], [1.0])
-    with pytest.raises(ValueError, match="length"):
-        mu.convolve(np.ones(3))
 
 
 def test_constructors():
@@ -80,59 +65,35 @@ def test_constructors():
     assert np.allclose(u, 0.25)
     assert abs(np.linalg.norm(u) - 0.5) <= 1e-15
 
-    case = triangle_case()
-    p_s = uniform_on(case.connection)
-    assert abs(p_s.norm() ** 2 - 0.25) <= 1e-15
-    assert abs(p_s.mass() - 1.0) <= 1e-15
-
-    chi = indicator(case.connection)
-    assert chi.perms == p_s.perms
-    assert np.allclose(chi.weights, len(case.connection) * p_s.weights)
-
     pv = point_mass(1, 3)
     assert pv.tolist() == [0.0, 1.0, 0.0]
 
 
-def test_uniform_on_connection_norm_law():
-    # ||p_S|| = 1/sqrt(|S|) = 1/sqrt(k |G_v|)
-    for case in [triangle_case(), petersen_case()]:
-        p_s = uniform_on(case.connection)
-        expected = 1.0 / np.sqrt(case.valency * case.stabilizer.order())
-        assert abs(p_s.norm() - expected) <= 1e-15
-
-
 def test_constructor_errors():
-    with pytest.raises(ValueError, match="empty"):
-        indicator([])
-    with pytest.raises(ValueError, match="empty"):
-        uniform_on([])
     with pytest.raises(ValueError, match="out of range"):
         point_mass(3, 3)
-    with pytest.raises(ValueError, match="distinct"):
-        GroupFunction([Permutation.identity(2), Permutation.identity(2)], [1, 1])
+    with pytest.raises(ValueError, match="positive"):
+        uniform_distribution(0)
 
 
 def test_sum_preservation():
+    # Convolving by S's indicator multiplies the sum by |S|.
     rng = np.random.default_rng(9)
-    elements = s3().elements()
-    for _ in range(50):
-        size = int(rng.integers(1, len(elements) + 1))
-        chosen = rng.choice(len(elements), size=size, replace=False)
-        weights = rng.standard_normal(size)
-        mu = GroupFunction([elements[i] for i in chosen], weights)
-        f = rng.standard_normal(3)
-        out = mu.convolve(f)
-        assert abs(out.sum() - mu.mass() * f.sum()) <= 1e-12
+    for case in [triangle_case(), petersen_case()]:
+        kernel, size = case.connection.operator(), len(case.connection)
+        for _ in range(25):
+            f = rng.standard_normal(case.graph.n)
+            assert abs((kernel @ f).sum() - size * f.sum()) <= 1e-12 * size
 
 
 def test_probability_convolution_preserves_zero_sum():
     rng = np.random.default_rng(13)
-    case = petersen_case()
-    q = uniform_on(case.connection)
+    connection = petersen_case().connection
+    q = connection.operator() / len(connection)
     for _ in range(20):
         f = rng.standard_normal(10)
         f -= f.mean()
-        assert abs(q.convolve(f).sum()) <= 1e-12
+        assert abs((q @ f).sum()) <= 1e-12
 
 
 # -- convolution vs matrix ----------------------------------------------------
@@ -141,19 +102,16 @@ def test_probability_convolution_preserves_zero_sum():
 def test_matrix_consistency_point_mass_triangle():
     case = triangle_case()
     adj = build_bipartite(case.connection, 3)
-    chi = indicator(case.connection)
+    kernel = case.connection.operator()
     pv = point_mass(0, 3)
-    assert np.array_equal(chi.convolve(pv), adj.matrix.T.astype(float) @ pv)
-    assert chi.convolve(pv).tolist() == [0.0, 2.0, 2.0]
-    assert np.array_equal(chi.operator(), adj.matrix.T)
+    assert np.array_equal(kernel @ pv, adj.matrix.T.astype(float) @ pv)
+    assert np.array_equal(kernel, adj.matrix.T)
 
 
 def test_matrix_consistency_all_ones_gives_regular_degree():
     case = triangle_case()
-    adj = build_bipartite(case.connection, 3)
-    chi = indicator(case.connection)
-    out = chi.convolve(np.ones(3))
-    assert np.allclose(out, len(case.connection))
+    out = case.connection.operator() @ np.ones(3)
+    assert np.array_equal(out, np.full(3, float(len(case.connection))))
 
 
 def test_matrix_consistency_random_trials():
@@ -215,19 +173,6 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
     assert len(rejected) >= 14
 
 
-def test_operator_matches_the_one_scatter_reference_bit_for_bit():
-    # Each cell sums its weights in support order, as one scatter of all
-    # of them does, so arbitrary float weights give the same bits.
-    rng = np.random.default_rng(29)
-    specs = catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
-    for spec in specs:
-        connection = realize_case(spec).connection
-        mu = GroupFunction(connection.rows, rng.standard_normal(len(connection)))
-        assert np.array_equal(mu.operator(), reference_operator(mu))
-        chi = indicator(connection)
-        assert np.array_equal(chi.operator(), reference_operator(chi))
-
-
 @pytest.mark.parametrize("trials", [1, 7, 100])
 @pytest.mark.parametrize("make_case", [triangle_case, petersen_case])
 def test_matrix_consistency_draws_probe_blocks(make_case, trials):
@@ -249,23 +194,6 @@ def test_matrix_consistency_draws_probe_blocks(make_case, trials):
             expected.standard_normal(n)
         assert rng.bit_generator.state == expected.bit_generator.state
         assert rng.random() == expected.random()
-
-
-def test_matrix_consistency_convolves_no_vector(monkeypatch):
-    # eq2 applies the indicator's operator to whole probe blocks; it
-    # never convolves one vector at a time.
-    calls = []
-    convolve = GroupFunction.convolve
-
-    def counting(self, values):
-        calls.append(1)
-        return convolve(self, values)
-
-    monkeypatch.setattr(GroupFunction, "convolve", counting)
-    case = petersen_case()
-    adj = build_bipartite(case.connection, case.graph.n)
-    assert convolution_matches_matrix(case.connection, adj, 10, np.random.default_rng(0))
-    assert not calls
 
 
 def test_matrix_consistency_zero_trials_and_degree_mismatch():
@@ -305,61 +233,13 @@ def test_centering_identity_point_mass():
 
 
 def test_convolution_shift_identity_uniform_case():
-    case = triangle_case()
-    q = uniform_on(case.connection)
+    connection = triangle_case().connection
+    q = connection.operator() / len(connection)
     u = uniform_distribution(3)
     for sign in (1.0, -1.0):
-        lhs = np.linalg.norm(q.convolve(u + sign * u))
-        rhs = np.linalg.norm(q.convolve(u) + sign * u)
+        lhs = np.linalg.norm(q @ (u + sign * u))
+        rhs = np.linalg.norm(q @ u + sign * u)
         assert abs(lhs - rhs) <= 1e-15
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(st.permutations(list(range(4))), min_size=1, max_size=24, unique_by=tuple),
-    st.integers(0, 2**32 - 1),
-)
-def test_group_function_from_rows_matches_permutations_random(images, seed):
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal(len(images))
-    f = rng.standard_normal(4)
-    from_perms = GroupFunction([Permutation(p) for p in images], weights)
-    from_rows = GroupFunction(np.array(images), weights)
-    assert from_rows.perms == from_perms.perms
-    assert [g.images for g in from_rows.perms] == [tuple(p) for p in images]
-    assert not from_rows.rows.flags.writeable
-    assert from_rows.convolve(f).tobytes() == from_perms.convolve(f).tobytes()
-    # The operator applies the same sum, in another order.
-    conv = from_rows.convolve(f)
-    via_operator = from_rows.operator() @ f
-    scale = max(1.0, np.abs(conv).max(), np.abs(via_operator).max())
-    assert np.abs(via_operator - conv).max() <= 1e-12 * scale
-    # An indicator's operator is exact on integer vectors.
-    chi = indicator(np.array(images))
-    v = rng.integers(-9, 10, size=4).astype(float)
-    assert np.array_equal(chi.operator() @ v, chi.convolve(v))
-
-
-def test_group_function_rows_are_checked():
-    with pytest.raises(ValueError, match="distinct"):
-        GroupFunction(np.array([[1, 0, 2], [1, 0, 2]]), [1, 1])
-    with pytest.raises(ValueError, match="nonempty"):
-        GroupFunction(np.zeros((0, 3), dtype=int), [])
-    with pytest.raises(ValueError):
-        GroupFunction(np.array([[1, 1, 2]]), [1])
-    with pytest.raises(ValueError):
-        GroupFunction([Permutation([1, 0]), Permutation([0, 2, 1])], [1, 1])
-
-
-def test_indicator_over_rows_and_permutations_agree():
-    group = s3()
-    rows = group.element_array()
-    chi = indicator(rows[::-1])
-    assert np.array_equal(chi.rows, rows)
-    assert chi.perms == indicator(group.elements()).perms
-    assert uniform_on(rows).perms == tuple(group.elements())
-    case = triangle_case()
-    assert indicator(case.connection).rows is case.connection.rows
 
 
 def test_norm_identity_trials_rows_match_permutations():
@@ -493,7 +373,7 @@ def test_norm_identity_zero_trials():
 
 def test_norm_identity_trials_build_no_element_objects(monkeypatch):
     # The trials draw and convolve whole blocks of rows; no per-trial
-    # GroupFunction or Permutation is built.
+    # Permutation is built.
     case = petersen_case()
     rows = case.group.element_array()
     built = []
@@ -504,10 +384,6 @@ def test_norm_identity_trials_build_no_element_objects(monkeypatch):
             return original(*args, **kwargs)
         return counting
 
-    monkeypatch.setattr(
-        GroupFunction, "_trusted",
-        classmethod(count("GroupFunction", GroupFunction._trusted.__func__)),
-    )
     monkeypatch.setattr(
         Permutation, "_trusted",
         classmethod(count("Permutation", Permutation._trusted.__func__)),

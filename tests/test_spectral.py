@@ -9,7 +9,6 @@ from stabgap.casefile import realize_case
 from stabgap.errors import ConvergenceError, SizeLimitError, StructureError
 from stabgap.graphs import CosetGraphSpec, build_coset_graph, make_transitive_case
 from stabgap.groups import ConnectionSet, PermutationGroup
-from stabgap.harmonic import indicator
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
@@ -161,13 +160,14 @@ def test_assembly_forms_no_connection_sized_array():
     # |S| * n bytes is S's rows themselves: 7200 x 56 uint8 on kneser-8-3,
     # 35 280 x 8 on complete-8.  An |S| x n scatter of int64 cells takes
     # eight times that, and an |S|-long sort of a column of S more than
-    # that on complete-8.  The indicator is checked on kneser-8-3 only: at
-    # n = 8 its |S| float64 weights alone take |S| * n bytes.
+    # that on complete-8.  S's operator is checked on kneser-8-3 only: at
+    # n = 8 one column of S's rows, cast to intp for ``bincount``, alone
+    # takes |S| * n bytes.
     kneser = realize_case(catalog._kneser(8, 3)).connection
     complete = realize_case(catalog._complete(8)).connection
     builds = (
         (kneser, lambda: build_bipartite(kneser, kneser.degree)),
-        (kneser, lambda: indicator(kneser).operator()),
+        (kneser, kneser.operator),
         (complete, lambda: build_bipartite(complete, complete.degree)),
     )
     for connection, build in builds:

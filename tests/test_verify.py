@@ -6,11 +6,18 @@ import numpy as np
 from stabgap import catalog
 from stabgap.casefile import realize_case
 from stabgap.graphs import make_transitive_case
-from stabgap.harmonic import indicator, point_mass, uniform_distribution, uniform_on
+from stabgap.harmonic import point_mass, uniform_distribution
 from stabgap.spectral import build_bipartite, singular_values
 from stabgap.verify import bound_report, cauchy_schwarz_step, evaluate_chain
 
-from cases import cycle_graph, cyclic, dihedral, petersen_case, triangle_case
+from cases import (
+    cycle_graph,
+    cyclic,
+    dihedral,
+    petersen_case,
+    reference_operator,
+    triangle_case,
+)
 
 
 def spectra(case):
@@ -153,19 +160,22 @@ def test_converse_never_fails_on_samples():
 
 
 def test_chain_lines_match_the_direct_convolutions():
-    # The chain reads S's operator; summing over S's inverse rows
-    # (``GroupFunction.convolve``) gives the same lines to rounding.
+    # The chain reads S's operator; scattering the weights of S's elements
+    # one element at a time (the reference operator) gives the same lines
+    # to rounding.
     for case in [petersen_case(), realize_case(catalog._kneser(8, 3))]:
         adj, summary = spectra(case)
         chain = evaluate_chain(case, adj, summary.lambda2)
         n, s_size = case.graph.n, len(case.connection)
         p_v = point_mass(case.base_vertex, n)
         f = p_v - uniform_distribution(n)
-        p_s, chi = uniform_on(case.connection), indicator(case.connection)
+        rows = case.connection.rows
+        p_s = reference_operator(rows, np.full(s_size, 1.0 / s_size))
+        chi = reference_operator(rows)
         lines = {
-            "neighbor_mass": np.sum(p_s.convolve(p_v) ** 2),
-            "split": np.sum(p_s.convolve(f) ** 2) + 1.0 / n,
-            "scaled_convolution": np.sum(chi.convolve(f) ** 2) / s_size**2 + 1.0 / n,
+            "neighbor_mass": np.sum((p_s @ p_v) ** 2),
+            "split": np.sum((p_s @ f) ** 2) + 1.0 / n,
+            "scaled_convolution": np.sum((chi @ f) ** 2) / s_size**2 + 1.0 / n,
         }
         for name, direct in lines.items():
             assert math.isclose(getattr(chain, name), direct, rel_tol=1e-12)
