@@ -21,7 +21,6 @@ from .graphs import (
     SimpleGraph,
     TransitiveCase,
     build_coset_graph,
-    extract_connection_set,
     local_action,
     make_transitive_case,
     preserves_edges,

@@ -24,6 +24,8 @@ import json
 from dataclasses import dataclass, field
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from .errors import SizeLimitError
 from .graphs import (
     CosetGraphSpec,
@@ -33,7 +35,7 @@ from .graphs import (
     make_transitive_case,
 )
 from .groups import DEFAULT_ELEMENT_CAP, PermutationGroup
-from .perms import Permutation
+from .spectral import DENSE_SIZE_CAP
 
 
 class CaseParseError(ValueError):
@@ -237,13 +239,17 @@ def load_case(path) -> CaseSpec:
 
 def realize_case(
     spec: CaseSpec,
-    max_vertices: int = 4000,
+    max_vertices: int = DENSE_SIZE_CAP,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> TransitiveCase:
-    """Build the transitive case described by a spec."""
-    group = PermutationGroup(
-        spec.degree, [Permutation(images) for images in spec.generators]
-    )
+    """Build the transitive case described by a spec, handing its
+    elements on as rows of images, which the group layer checks."""
+
+    def rows(images) -> np.ndarray:
+        # An empty list keeps its width; a row of another width cannot fit.
+        return np.array(images, dtype=np.intp).reshape(len(images), spec.degree)
+
+    group = PermutationGroup(spec.degree, rows(spec.generators))
     if spec.mode == "stabilize":
         if spec.degree > max_vertices:
             raise SizeLimitError(
@@ -253,12 +259,9 @@ def realize_case(
         return make_transitive_case(
             group, graph, base_vertex=spec.stabilize_point, cap=element_cap
         )
-    subgroup = PermutationGroup(
-        spec.degree, [Permutation(images) for images in spec.subgroup_generators]
-    )
-    reps = tuple(Permutation(images) for images in spec.connection_reps)
+    subgroup = PermutationGroup(spec.degree, rows(spec.subgroup_generators))
     _, case = build_coset_graph(
-        CosetGraphSpec(group, subgroup, reps),
+        CosetGraphSpec(group, subgroup, rows(spec.connection_reps)),
         max_cosets=max_vertices,
         element_cap=element_cap,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .casefile import CaseSpec
-from .groups import PermutationGroup
+from .groups import PermutationGroup, _compose_all, _image_rows
 from .perms import Permutation
 
 FAMILY_NAMES = (
@@ -141,21 +141,21 @@ def _regular_cayley(
     connection: list[Permutation],
 ) -> CaseSpec:
     """A Cayley graph case through the coset-graph path: lift the base
-    group to its left-regular action (on its own sorted element list) and
-    use the trivial subgroup with the lifted connection set."""
+    group to its left-regular action (on its own sorted element rows) and
+    use the trivial subgroup with the lifted connection set.  The lift of
+    g sends element i to the index of g * x_i, for every g at once: one
+    ``_compose_all`` with the element rows and one lookup in their table."""
     base = PermutationGroup(base_generators[0].degree, base_generators)
-    elements = base.elements()
-    index = {g: i for i, g in enumerate(elements)}
-
-    def lift(g: Permutation) -> tuple[int, ...]:
-        return tuple(index[g * x] for x in elements)
-
+    table = base._element_table()
+    products = _compose_all(_image_rows(base_generators + connection), table.rows)
+    found = table.find(products.reshape(-1, base.degree)).reshape(len(products), -1)
+    lifts = [tuple(images) for images in found.tolist()]
     return CaseSpec(
         name=name,
-        degree=len(elements),
-        generators=tuple(lift(g) for g in base_generators),
+        degree=len(table.rows),
+        generators=tuple(lifts[: len(base_generators)]),
         subgroup_generators=(),
-        connection_reps=tuple(lift(c) for c in connection),
+        connection_reps=tuple(lifts[len(base_generators) :]),
     )
 
 

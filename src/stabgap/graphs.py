@@ -17,13 +17,13 @@ components of right multiplication by H's generators on those rows.
 Vertex 0 is H, and the other cosets are numbered breadth-first from it
 under the group's generators in their given order, by the group layer's
 transversal search, which carries H's neighbors to every coset.  The
-graph layer reads generator rows, not ``Permutation`` objects, and tests
+graph layer reads rows, not ``Permutation`` objects, and tests
 membership by sifting whole batches of rows through a group's chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,11 +35,12 @@ from .groups import (
     PermutationGroup,
     _component_minima,
     _compose_all,
+    _Elements,
     _image_rows,
     _inverse_rows,
     _transversal,
 )
-from .perms import Permutation
+from .spectral import DENSE_SIZE_CAP
 
 
 class SimpleGraph:
@@ -136,26 +137,6 @@ class TransitiveCase:
     stabilizer: PermutationGroup
     valency: int
 
-    def with_connection(self, connection: ConnectionSet) -> TransitiveCase:
-        return replace(self, connection=connection)
-
-
-def extract_connection_set(
-    group: PermutationGroup,
-    graph: SimpleGraph,
-    vertex: int,
-    cap: int = DEFAULT_ELEMENT_CAP,
-) -> ConnectionSet:
-    """The set {g in G : g(vertex) is a neighbor of vertex}, built from
-    the vertex stabilizer's left cosets (``ConnectionSet.of_point``), so
-    only the stabilizer is enumerated; the group's order still counts
-    against ``cap``.
-
-    Inverse-closed and bi-invariant under the vertex stabilizer; these
-    invariants are validated on construction rather than trusted.
-    """
-    return ConnectionSet.of_point(group, vertex, graph.neighbors(vertex), cap)
-
 
 def make_transitive_case(
     group: PermutationGroup,
@@ -165,8 +146,11 @@ def make_transitive_case(
 ) -> TransitiveCase:
     """Validate an action and extract its connection set.
 
-    Checks: action by automorphisms, vertex-transitivity, regularity,
-    positive valency, |S| = k * |G_v|, and S({v}) = neighborhood of v.
+    The set {g in G : g(v) is a neighbor of v} is built from G_v's left
+    cosets (``ConnectionSet.of_point``), so only G_v is enumerated; G's
+    order still counts against ``cap``.  Checks: action by automorphisms,
+    vertex-transitivity, regularity, positive valency, |S| = k * |G_v|,
+    and S({v}) = neighborhood of v.
     """
     if group.degree != graph.n:
         raise ValueError(
@@ -183,7 +167,9 @@ def make_transitive_case(
     valency = graph.degree(base_vertex)
     if valency == 0:
         raise StructureError("valency 0 is not supported (empty connection set)")
-    connection = extract_connection_set(group, graph, base_vertex, cap)
+    connection = ConnectionSet.of_point(
+        group, base_vertex, graph.neighbors(base_vertex), cap
+    )
     stab = connection.subgroup
     if len(connection) != valency * stab.order():
         raise StructureError(
@@ -202,16 +188,17 @@ def make_transitive_case(
 @dataclass(frozen=True)
 class CosetGraphSpec:
     """Data for a coset graph: an ambient group, a subgroup, and
-    double-coset representatives of the connection set."""
+    double-coset representatives of the connection set, as
+    ``Permutation`` objects or a 2-D array of image rows."""
 
     group: PermutationGroup
     subgroup: PermutationGroup
-    representatives: tuple[Permutation, ...]
+    representatives: _Elements
 
 
 def build_coset_graph(
     spec: CosetGraphSpec,
-    max_cosets: int = 4000,
+    max_cosets: int = DENSE_SIZE_CAP,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> tuple[SimpleGraph, TransitiveCase]:
     """Construct the coset graph: vertices are left cosets xH of the
@@ -285,7 +272,7 @@ def build_coset_graph(
         raise StructureError("connection set is not inverse-closed")
     graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)))
 
-    induced_group = PermutationGroup._of_rows(_image_rows(moves))
+    induced_group = PermutationGroup(n, moves)
     case = make_transitive_case(induced_group, graph, base_vertex=0, cap=element_cap)
     return graph, case
 

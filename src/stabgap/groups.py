@@ -24,11 +24,13 @@ by binary search on its sorted keys.  Only rows that share a key and
 differ are compared whole, through ``_row_view``, whose values sort as
 the rows do, so every order and lookup is that of whole rows.
 
-A group's generators are rows too (``_gen_rows``), which the chain, the
-orbits and the graph layer read, and membership is decided by sifting
-a batch of rows through the chain (``_contains_rows``); ``Permutation``
-objects are built from rows when ``generators`` is read and where a
-caller asks for elements.
+Rows are the only form in which elements cross a boundary inside the
+package: a group keeps its generators, given as rows or ``Permutation``
+objects, as rows (``_gen_rows``) and decides membership by sifting a
+batch of rows through the chain (``_contains_rows``).  ``Permutation``
+objects are built only by the accessors that hand them to callers:
+``generators``, ``elements()``, ``ConnectionSet.elements`` and
+``double_coset_representatives``.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
 Group Algorithms*, 2003): each level keeps its strong generators, its
@@ -57,8 +59,9 @@ right ones through the inverses.  Given as {g : g(p) in T}
 (``ConnectionSet.of_point``), it is built from Sabidussi's decomposition
 into the left cosets u_w*G_p, w in T, so the group itself is never
 enumerated and no inverse row is formed; its G_p-double cosets are read
-off G_p's orbits on T, and inverse closure off the k transversal rows
-u_w: S = S^-1 exactly when every u_w^-1(p) lies in T.
+off G_p's orbits on T, each represented by the first row that sends p
+into its orbit, and inverse closure off the k transversal rows u_w:
+S = S^-1 exactly when every u_w^-1(p) lies in T.
 """
 
 from __future__ import annotations
@@ -184,7 +187,8 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
     dtype for the degree, in the order given.  ``Permutation`` objects
     were checked when built, so only their shared degree is checked; a
     2-D integer array must hold a permutation of 0..degree-1 in each row.
-    The degree defaults to the first element's (1 for none) or the width.
+    Any other item raises TypeError.  The degree defaults to the first
+    element's (1 for none) or the width.
     """
     if isinstance(elements, np.ndarray):
         if elements.ndim != 2 or not np.issubdtype(elements.dtype, np.integer):
@@ -196,7 +200,11 @@ def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
         if not (np.sort(images, axis=1, kind="stable") == np.arange(degree)).all():
             raise ValueError(f"element rows are not permutations of 0..{degree - 1}")
     else:
-        images = [g.images for g in elements]
+        images = []
+        for g in elements:
+            if not isinstance(g, Permutation):
+                raise TypeError(f"{g!r} is not a Permutation; rows go in a 2-D array")
+            images.append(g.images)
         if degree is None:
             degree = len(images[0]) if images else 1
         for x in images:
@@ -415,7 +423,9 @@ def _distinct_moved(rows: np.ndarray) -> np.ndarray:
 
 
 class PermutationGroup:
-    """A group of permutations of {0, ..., degree-1} given by generators.
+    """A group of permutations of {0, ..., degree-1} given by generators,
+    ``Permutation`` objects or a 2-D integer array of image rows (each
+    checked by ``_image_rows``), and kept as rows.
 
     The stabilizer chain and the element list are built lazily, once, and
     cached.  A new chain level is opened by the first residue that sifts
@@ -426,29 +436,11 @@ class PermutationGroup:
     level's base point need not be the smallest point its group moves.
     """
 
-    def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
+    def __init__(self, degree: int, generators: _Elements = ()):
         if degree < 1:
             raise ValueError("degree must be positive")
-        gens = list(generators)
-        for g in gens:
-            if not isinstance(g, Permutation):
-                raise TypeError(f"generator {g!r} is not a Permutation")
-            if g.degree != degree:
-                raise ValueError(
-                    f"generator degree {g.degree} does not match group degree {degree}"
-                )
-        self._init(degree, _image_rows(gens, degree))
-
-    @classmethod
-    def _of_rows(cls, rows: np.ndarray) -> PermutationGroup:
-        """The group generated by rows known to be permutations."""
-        group = object.__new__(cls)
-        group._init(rows.shape[1], rows)
-        return group
-
-    def _init(self, degree: int, rows: np.ndarray) -> None:
         self.degree = degree
-        self._gen_rows = _distinct_moved(rows)
+        self._gen_rows = _distinct_moved(_image_rows(generators, degree))
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
         self._keys: np.ndarray | None = None
@@ -516,15 +508,17 @@ class PermutationGroup:
                 at = chain[0].index[point]
                 u, u_inverse = chain[0].reps[at], chain[0].inverse[at]
                 deeper = [level.conjugated(u, u_inverse) for level in deeper]
-            stab = PermutationGroup._of_rows(
-                np.vstack([self._gen_rows[:0]] + [level.gens for level in deeper])
+            stab = PermutationGroup(
+                self.degree,
+                np.vstack([self._gen_rows[:0]] + [level.gens for level in deeper]),
             )
             stab._chain = deeper
             return stab
         level = _ChainLevel(point, self._gen_rows)
         blocks = _schreier_blocks(level, self._gen_rows)
-        return PermutationGroup._of_rows(
-            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for b in blocks])
+        return PermutationGroup(
+            self.degree,
+            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for b in blocks]),
         )
 
     # -- stabilizer chain ---------------------------------------------------
@@ -729,8 +723,8 @@ def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
 
 def _double_coset_split(
     table: _RowTable, h: PermutationGroup, inverse: np.ndarray | None = None
-) -> tuple[list[Permutation], list[np.ndarray]]:
-    """The smallest element of each H-double coset of the table's set, in
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The smallest row of each H-double coset of the table's set, in
     increasing order, and the moves s -> h*s, s -> s*h per generator h
     that split it; StructureError unless the set is a union of them.
 
@@ -759,7 +753,7 @@ def _double_coset_split(
             left = inverse[right[inverse]]
         moves += [left, right]
     label = _component_minima(len(table.rows), moves)
-    return list(_permutations(table.rows[label == np.arange(len(label))])), moves
+    return table.rows[label == np.arange(len(label))], moves
 
 
 def double_coset_representatives(
@@ -779,7 +773,8 @@ def double_coset_representatives(
     """
     table = _RowTable(elements, h.degree)
     inverse = table.find(_inverse_rows(table.rows))
-    return _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)[0]
+    reps, _ = _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)
+    return list(_permutations(reps))
 
 
 _NOT_BI_INVARIANT = "connection set is not bi-invariant under the subgroup"
@@ -791,9 +786,9 @@ class ConnectionSet:
 
     The elements are held as the read-only ``rows``, distinct and in
     lexicographic order; ``elements`` builds them as ``Permutation``
-    objects on first use.  ``representatives`` holds the smallest element
-    of each H-double coset, in increasing order, and the read-only
-    ``cosets`` one row per left coset s*H.
+    objects on first use.  The read-only ``representatives`` holds the
+    smallest row of each H-double coset, in increasing order, and the
+    read-only ``cosets`` one row per left coset s*H.
 
     Inverse closure is checked on construction.  The set's indicator
     operator (``operator``), the n x n count
@@ -808,7 +803,8 @@ class ConnectionSet:
     S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well, and the smallest
     row of each component of those products is a coset's.  ``of_point``
     builds {g in G : g(p) in T} from cosets instead, decides both on its
-    transversal rows, and keeps them as its cosets.
+    transversal rows, and keeps them as its cosets; it finds each double
+    coset's smallest row without sorting S again.
     """
 
     __slots__ = (
@@ -824,7 +820,6 @@ class ConnectionSet:
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
         table = _RowTable(elements, subgroup.degree)
-        self._fill(table, subgroup)
         inverse = table.find(_inverse_rows(table.rows))
         if (inverse < 0).any():
             raise StructureError(_NOT_INVERSE_CLOSED)
@@ -832,10 +827,8 @@ class ConnectionSet:
             reps, moves = _double_coset_split(table, subgroup, inverse)
         except StructureError:
             raise StructureError(_NOT_BI_INVARIANT) from None
-        self.representatives = tuple(reps)
         label = _component_minima(len(table.rows), moves[1::2])
-        self.cosets = table.rows[label == np.arange(len(label))]
-        self.cosets.setflags(write=False)
+        self._fill(table, subgroup, reps, table.rows[label == np.arange(len(label))])
 
     @classmethod
     def of_point(
@@ -878,21 +871,31 @@ class ConnectionSet:
         order, keys = _lex_order(rows)
         rows = rows.take(order, axis=0)
         rows.setflags(write=False)
+        # A double coset's smallest row is the first row that sends the point
+        # into its H-orbit: the least row index per orbit label, no sort of S.
+        first = np.full(group.degree, len(rows))
+        label = _component_minima(group.degree, subgroup._gen_rows)
+        np.minimum.at(first, label.take(rows[:, point]), np.arange(len(rows)))
+        reps = rows.take(np.sort(first[first < len(rows)]), axis=0)
         connection = object.__new__(cls)
-        connection._fill(_RowTable._sorted(rows, keys), subgroup)
-        orbit = _component_minima(group.degree, subgroup._gen_rows)[rows[:, point]]
-        first = np.sort(np.unique(orbit, return_index=True)[1])
-        connection.representatives = _permutations(rows.take(first, axis=0))
-        t.setflags(write=False)
-        connection.cosets = t
+        connection._fill(_RowTable._sorted(rows, keys), subgroup, reps, t)
         return connection
 
-    def _fill(self, table: _RowTable, subgroup: PermutationGroup) -> None:
-        """Hold the table's rows over the subgroup; the operator is not
-        known yet."""
+    def _fill(
+        self,
+        table: _RowTable,
+        subgroup: PermutationGroup,
+        reps: np.ndarray,
+        cosets: np.ndarray,
+    ) -> None:
+        """Hold the table's rows over the subgroup, and the double cosets'
+        and the left cosets' rows read-only; the operator is not known yet."""
+        reps.setflags(write=False)
+        cosets.setflags(write=False)
         self.degree = subgroup.degree
         self.subgroup = subgroup
         self.rows = table.rows
+        self.representatives, self.cosets = reps, cosets
         self._table = table
         self._elements: tuple[Permutation, ...] | None = None
         self._operator: np.ndarray | None = None

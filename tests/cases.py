@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
+from stabgap import catalog
+from stabgap.casefile import CaseSpec
 from stabgap.errors import ConvergenceError, SizeLimitError
 from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
 from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
@@ -59,6 +61,40 @@ coset_graph_data = st.sampled_from(
         st.lists(st.sampled_from(group.elements()), min_size=1, max_size=3),
     )
 )
+
+
+def ladder_cases():
+    """The four cases past the catalog whose seed-0 reports are captured:
+    two groups of order 40320 on small matrices, and two larger matrices.
+    With the 24 catalog cases they make the 28 hashed reports."""
+    return [
+        catalog._kneser(8, 3),
+        catalog._complete(8),
+        catalog._cycle_dihedral(200),
+        catalog._hypercube(7),
+    ]
+
+
+def paley(p):
+    """The Paley graph P(p), p a prime 1 mod 4, as a stabilize-mode spec:
+    edges {x, y} for a nonzero square x - y, under the group generated by
+    x -> x + 1 and x -> g*x, g a generator of the nonzero squares.  G_0
+    acts regularly on the (p - 1)/2 neighbours of 0."""
+    squares = {x * x % p for x in range(1, p)}
+    order = {a: len({pow(a, i, p) for i in range(p)}) for a in squares}
+    g = min(a for a in squares if order[a] == len(squares))
+    return CaseSpec(
+        name=f"paley-{p}",
+        degree=p,
+        generators=(
+            tuple((x + 1) % p for x in range(p)),
+            tuple(g * x % p for x in range(p)),
+        ),
+        stabilize_point=0,
+        edges=tuple(
+            (x, y) for x, y in itertools.combinations(range(p), 2) if y - x in squares
+        ),
+    )
 
 
 def triangle_case():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import fields
@@ -5,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from stabgap import catalog
 from stabgap.casefile import _OPTION_KEYS, CaseOptions
 from stabgap.catalog import builtin_cases
 from stabgap.cli import build_parser, main
 from stabgap.pipeline import CSV_COLUMNS, AnalyzeOptions, analyze_case, case_seed
+
+from cases import ladder_cases
 
 CATALOG_SEED0 = Path(__file__).parent / "data" / "catalog-seed0.csv"
 CATALOG_SEED0_JSON = Path(__file__).parent / "data" / "catalog-seed0.json"
@@ -216,17 +218,6 @@ def test_catalog_matches_the_checked_in_report(tmp_path):
     assert out.read_bytes() == CATALOG_SEED0.read_bytes()
 
 
-def ladder_cases() -> list:
-    """The four cases past the catalog whose seed-0 reports are captured:
-    two groups of order 40320 on small matrices, and two larger matrices."""
-    return [
-        catalog._kneser(8, 3),
-        catalog._complete(8),
-        catalog._cycle_dihedral(200),
-        catalog._hypercube(7),
-    ]
-
-
 def json_reports(specs) -> list:
     """The JSON report of each case at seed 0, in order, as ``json.loads``
     reads it back."""
@@ -284,9 +275,16 @@ def test_catalog_seed_changes_rows(tmp_path):
 
 
 if __name__ == "__main__":
+    # Rewrite both captures, then print the sha256 of all their reports:
+    # each report's ``json.dumps(report, sort_keys=True)``, concatenated,
+    # the catalog's first, then the ladder's.
+    dumps = []
     for path, specs in (
         (CATALOG_SEED0_JSON, builtin_cases()),
         (LADDER_SEED0_JSON, ladder_cases()),
     ):
         reports = json_reports(specs)
         path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+        dumps += [json.dumps(report, sort_keys=True) for report in reports]
+    digest = hashlib.sha256("".join(dumps).encode("utf-8")).hexdigest()
+    print(f"sha256 of the {len(dumps)} seed-0 reports: {digest}")

@@ -14,7 +14,6 @@ from stabgap.graphs import (
     CosetGraphSpec,
     SimpleGraph,
     build_coset_graph,
-    extract_connection_set,
     local_action,
     make_transitive_case,
     preserves_edges,
@@ -158,7 +157,7 @@ def test_trivial_group_preserves_everything_but_is_intransitive():
 
 
 def test_extract_connection_set_triangle():
-    conn = extract_connection_set(s3(), triangle(), 0)
+    conn = ConnectionSet.of_point(s3(), 0, triangle().neighbors(0))
     expected = {
         Permutation([1, 0, 2]),
         Permutation([2, 1, 0]),
@@ -170,7 +169,7 @@ def test_extract_connection_set_triangle():
 
 
 def test_extract_connection_set_four_cycle():
-    conn = extract_connection_set(cyclic(4), cycle_graph(4), 0)
+    conn = ConnectionSet.of_point(cyclic(4), 0, cycle_graph(4).neighbors(0))
     r = Permutation([1, 2, 3, 0])
     assert set(conn.elements) == {r, r.inverse()}
     assert conn.subgroup.order() == 1
@@ -208,13 +207,13 @@ def test_make_case_rejects_bad_actions():
 
 def test_extract_respects_group_cap():
     with pytest.raises(SizeLimitError):
-        extract_connection_set(s3(), triangle(), 0, cap=4)
+        ConnectionSet.of_point(s3(), 0, triangle().neighbors(0), cap=4)
 
 
 def assert_extraction_matches_masked_group(group, graph, vertex):
     """The connection set built from the stabilizer's cosets equals the
     one masked out of the enumerated group and split generically."""
-    conn = extract_connection_set(group, graph, vertex)
+    conn = ConnectionSet.of_point(group, vertex, graph.neighbors(vertex))
     rows = group.element_array()
     masked = rows[np.isin(rows[:, vertex], graph.neighbors(vertex))]
     reference = ConnectionSet(masked, group.stabilizer(vertex))
@@ -225,7 +224,9 @@ def assert_extraction_matches_masked_group(group, graph, vertex):
     assert inverse.dtype == reference_inverse.dtype
     assert np.array_equal(inverse, reference_inverse)
     assert conn.contains_rows(inverse).all()
-    assert conn.representatives == reference.representatives
+    assert np.array_equal(conn.representatives, reference.representatives)
+    assert not conn.representatives.flags.writeable
+    assert not reference.representatives.flags.writeable
     assert conn.subgroup.generators == reference.subgroup.generators
 
 
@@ -262,7 +263,7 @@ def test_extraction_enumerates_the_stabilizer_only(monkeypatch):
 
     monkeypatch.setattr(PermutationGroup, "element_array", recording)
     subgroups = [
-        extract_connection_set(group, case.graph, vertex).subgroup
+        ConnectionSet.of_point(group, vertex, case.graph.neighbors(vertex)).subgroup
         for vertex in (0, 7)
     ]
     assert len(enumerated) == 2
@@ -483,7 +484,7 @@ def test_sabidussi_detects_corrupted_connection_set():
     rows = case.group.element_array()
     other = ConnectionSet(rows[np.isin(rows[:, 0], (2, 4))], case.stabilizer)
     assert len(other.representatives) == 1
-    result = sabidussi_isomorphism(case.with_connection(other))
+    result = sabidussi_isomorphism(replace(case, connection=other))
     assert not result.ok
     assert result.violation == (0, 1)
 
@@ -519,7 +520,7 @@ def test_sabidussi_gather_matches_pairwise_products():
         for far in range(2, n // 2 + 1):
             orbital = np.isin(rows[:, 0], (far, n - far))
             cases.append(
-                case.with_connection(ConnectionSet(rows[orbital], case.stabilizer))
+                replace(case, connection=ConnectionSet(rows[orbital], case.stabilizer))
             )
     for case in cases:
         assert sabidussi_isomorphism(case).violation == pairwise_sabidussi_violation(
@@ -531,7 +532,7 @@ def test_sabidussi_requires_a_split_over_the_stabilizer():
     case = make_transitive_case(dihedral(6), cycle_graph(6))
     unsplit = ConnectionSet(case.connection.rows, PermutationGroup.trivial(6))
     with pytest.raises(StructureError, match="stabilizer"):
-        sabidussi_isomorphism(case.with_connection(unsplit))
+        sabidussi_isomorphism(replace(case, connection=unsplit))
 
 
 # -- local action ------------------------------------------------------------------

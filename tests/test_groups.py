@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,33 @@ def test_generators_are_built_when_read():
     assert [list(g.images) for g in group.generators] == group._gen_rows.tolist()
 
 
+@pytest.mark.parametrize("spec", builtin_cases(), ids=lambda spec: spec.name)
+def test_group_from_rows_keeps_the_rows_of_its_permutations(spec):
+    from_rows = PermutationGroup(spec.degree, np.array(spec.generators))
+    from_perms = PermutationGroup(
+        spec.degree, [Permutation(images) for images in spec.generators]
+    )
+    assert from_rows._gen_rows.dtype == from_perms._gen_rows.dtype
+    assert np.array_equal(from_rows._gen_rows, from_perms._gen_rows)
+    assert from_rows.order() == from_perms.order()
+
+
+def test_group_generators_are_checked():
+    for bad in (
+        np.array([[1, 0, 2, 3]]),  # wrong width
+        np.array([[1, 1, 0]]),  # not a bijection
+        np.array([[1, 0, 3]]),  # image out of range
+        [Permutation([1, 0])],  # wrong degree
+    ):
+        with pytest.raises(ValueError):
+            PermutationGroup(3, bad)
+    for item in ((1, 0, 2), [1, 0, 2], "102"):
+        with pytest.raises(TypeError, match=re.escape(repr(item))):
+            PermutationGroup(3, [Permutation([1, 2, 0]), item])
+    # An empty array keeps its width.
+    assert PermutationGroup(3, np.zeros((0, 3), dtype=np.intp)).order() == 1
+
+
 _GUARDED_CASES = [
     catalog._kneser(5, 2),
     catalog._kneser(7, 3),
@@ -328,7 +356,7 @@ def test_order_matches_closure_count_random(gen_images):
 def test_empty_connection_set_has_no_members():
     empty = ConnectionSet([], c4())
     assert len(empty) == 0
-    assert empty.representatives == ()
+    assert empty.representatives.shape == (0, 4)
     assert Permutation.identity(4) not in empty
     assert Permutation([1, 2, 3, 0]) not in empty
 
@@ -502,14 +530,14 @@ def test_tied_keys_keep_whole_row_order(degree, monkeypatch):
     reps = sorted({min(double_coset(h, g)) for g in s})
     connection = ConnectionSet(np.array([g.images for g in s]), h)
     assert connection.rows.tolist() == [list(t) for t in tuples if t[point] != point]
-    assert list(connection.representatives) == reps
+    assert connection.representatives.tolist() == [list(g.images) for g in reps]
     assert double_coset_representatives(s, h) == reps
     cycle = Permutation(list(range(point)) + [point + 1, point + 2, point + 3, point])
     with pytest.raises(StructureError, match="inverse"):
         ConnectionSet([g for g in s if g != cycle], PermutationGroup.trivial(degree))
     of_point = ConnectionSet.of_point(group, point, range(point + 1, degree))
     assert np.array_equal(of_point.rows, connection.rows)
-    assert list(of_point.representatives) == reps
+    assert np.array_equal(of_point.representatives, connection.representatives)
     assert connection.contains_rows(_inverse_rows(connection.rows)).all()
     assert not connection.contains_rows(rows[:1]).any()
 
@@ -528,7 +556,7 @@ def test_johnson_connection_set_keeps_whole_row_order():
         if orbit[t[v]] not in seen:
             seen.add(orbit[t[v]])
             reps.append(t)
-    assert [g.images for g in case.connection.representatives] == reps
+    assert [tuple(g) for g in case.connection.representatives.tolist()] == reps
 
 
 def brute_closure(degree, gens):
@@ -1064,14 +1092,16 @@ def test_connection_set_holds_sorted_elements():
 def test_connection_set_keeps_its_double_coset_split():
     h = h12()
     s = double_coset(h, Permutation([1, 0, 2]))
-    assert ConnectionSet(s, h).representatives == tuple(
-        double_coset_representatives(s, h)
-    )
+    assert ConnectionSet(s, h).representatives.tolist() == [
+        list(g.images) for g in double_coset_representatives(s, h)
+    ]
     group, pairs, idx = pair_action_s5()
     stab = group.stabilizer(idx[(0, 1)])
     s = {g for g in group.elements(cap=200) if g(idx[(0, 1)]) != idx[(0, 1)]}
     conn = ConnectionSet(s, stab)
-    assert conn.representatives == tuple(double_coset_representatives(s, stab))
+    assert conn.representatives.tolist() == [
+        list(g.images) for g in double_coset_representatives(s, stab)
+    ]
     assert len(conn.representatives) == 2
 
 
@@ -1136,7 +1166,7 @@ def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, r
     assert np.array_equal(from_rows.rows, from_perms.rows)
     assert not from_rows.rows.flags.writeable
     assert from_rows.elements == from_perms.elements == tuple(sorted(s))
-    assert from_rows.representatives == from_perms.representatives
+    assert np.array_equal(from_rows.representatives, from_perms.representatives)
     assert_cosets_partition_the_set(from_rows)
     for p in itertools.permutations(range(4)):
         g = Permutation(p)
@@ -1178,7 +1208,9 @@ def test_connection_set_looks_up_right_products_only(monkeypatch):
     assert len(conn.representatives) == 2
 
     calls.clear()
-    assert double_coset_representatives(s, stab) == list(conn.representatives)
+    assert [g.images for g in double_coset_representatives(s, stab)] == [
+        tuple(g) for g in conn.representatives.tolist()
+    ]
     assert len(calls) == 1 + gens
     # A double coset that is not inverse-closed has its left products
     # looked up too: H = <(3 4)> commutes with the 3-cycle a.
@@ -1197,7 +1229,7 @@ def test_connection_set_of_point_validates_its_targets():
         ConnectionSet.of_point(c4(), 0, [1])
     conn = ConnectionSet.of_point(c4(), 0, [1, 3])
     assert conn.rows.tolist() == [[1, 2, 3, 0], [3, 0, 1, 2]]
-    assert conn.representatives == conn.elements
+    assert np.array_equal(conn.representatives, conn.rows)
     # Targets off the point's orbit are not in the set.
     two_orbits = PermutationGroup(4, [Permutation([1, 0, 2, 3])])
     assert ConnectionSet.of_point(two_orbits, 0, [1, 2]).rows.tolist() == [[1, 0, 2, 3]]
@@ -1264,7 +1296,7 @@ def test_of_point_accepts_exactly_the_inverse_closed_sets(group, data):
     assert np.array_equal(conn.rows, reference.rows)
     assert_cosets_partition_the_set(conn)
     assert_cosets_partition_the_set(reference)
-    assert conn.representatives == reference.representatives
+    assert np.array_equal(conn.representatives, reference.representatives)
     assert np.array_equal(_inverse_rows(conn.rows), _inverse_rows(reference.rows))
     assert conn.contains_rows(_inverse_rows(conn.rows)).all()
 

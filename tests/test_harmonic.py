@@ -159,8 +159,7 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
         here = ConnectionSet.of_point(group, v, graph.neighbors(v))
         there = ConnectionSet.of_point(group, 1, graph.neighbors(1))
         swapped = object.__new__(ConnectionSet)
-        swapped._fill(there._table, here.subgroup)
-        swapped.representatives, swapped.cosets = here.representatives, here.cosets
+        swapped._fill(there._table, here.subgroup, here.representatives, here.cosets)
         adj = build_bipartite(swapped, graph.n)
         assert np.array_equal(adj.matrix, build_bipartite(here, graph.n).matrix)
         rng = np.random.default_rng(31)

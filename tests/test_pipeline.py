@@ -6,6 +6,7 @@ from stabgap import catalog
 from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.groups import ConnectionSet, PermutationGroup
+from stabgap.perms import Permutation
 from stabgap.pipeline import (
     AnalyzeOptions,
     CaseAnalysisError,
@@ -14,6 +15,8 @@ from stabgap.pipeline import (
     analyze_many,
     case_seed,
 )
+
+from cases import ladder_cases
 
 TRIANGLE_DOC = json.dumps(
     {
@@ -197,3 +200,30 @@ def test_analysis_builds_no_generator_permutations(name, monkeypatch):
     monkeypatch.setattr(PermutationGroup, "generators", property(counted))
     assert analyze_case(spec).sabidussi_ok
     assert reads == []
+
+
+def test_analysis_builds_no_permutation_at_all(monkeypatch):
+    # Rows are the only form in which elements cross a boundary inside
+    # the package: analysing the 28 hashed cases builds no Permutation,
+    # neither a checked one (generators, representatives) nor a trusted
+    # one (double-coset representatives).
+    specs = builtin_cases() + ladder_cases()
+    built = []
+    init, trusted = Permutation.__init__, Permutation._trusted.__func__
+
+    def counted_init(self, images):
+        built.append("__init__")
+        init(self, images)
+
+    def counted_trusted(cls, images):
+        built.append("_trusted")
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Permutation, "__init__", counted_init)
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(counted_trusted))
+    for spec in specs:
+        analyze_case(spec)
+    assert built == []
+    # The counters do count.
+    Permutation([1, 0]).inverse()
+    assert built == ["__init__", "_trusted"]
