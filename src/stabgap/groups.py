@@ -7,8 +7,17 @@ the generators in their given order, a chain's next base point is the
 smallest point moved by the first row that sifts through all its levels
 so far without becoming the identity (the generators in their given
 order, then the Schreier generators of the fixpoint scan), so the base
-need not be 0, 1, 2, ..., and element lists are in lexicographic order
-of image tuples.
+need not be 0, 1, 2, ....
+
+A group's elements are numbered by the chain: element r is
+u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
+where i_0, i_1, ... are r's mixed-radix digits over the transversals'
+sizes, level 0 the most significant (|G| is their product).
+``element_array`` lists them in that order, and ``_element_rows`` forms
+any of them from the first level's transversal and the first base
+point's stabilizer, without listing a group that has more elements than
+are asked for.  Only a lookup table of the group (``_element_table``)
+sorts them, lexicographically.
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets) are held as rows of an integer array of images, converted
@@ -49,10 +58,10 @@ generators for its stabilizer.  Orbits are component labels
 A connection set S keeps its rows, their lookup table, one row per left
 coset s*H (``cosets``) and its indicator operator, the n x n count
 K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
-per column; eq2, the chain and the Cauchy-Schwarz step read it.  Given
-as elements, S finds its elements' inverses once, by one scatter into
-the rows' dtype, and looks them up to decide inverse closure; the
-inverse rows are not kept.  Its H-double-coset split looks up right
+per block of rows of each column; eq2, the chain and the Cauchy-Schwarz
+step read it.  Given as elements, S finds its elements' inverses once,
+by one scatter into the rows' dtype, and looks them up to decide
+inverse closure; the inverse rows are not kept.  Its H-double-coset split looks up right
 products only: with S = S^-1 and S*h inside S for each generator h,
 h*s = (s^-1 * h^-1)^-1 is in S too, and the left moves are read off the
 right ones through the inverses.  Given as {g : g(p) in T}
@@ -84,6 +93,10 @@ _SCHREIER_BLOCK = 1 << 20
 #: Images per block of rows compared or re-sorted at once where their
 #: sort keys tie.
 _COMPARE_BLOCK = 1 << 20
+
+#: Rows per block of a column counted at once by ``_operator`` (128 KiB of
+#: the intp images ``bincount`` casts them to).
+_COUNT_BLOCK = 1 << 14
 
 #: An element set as ``Permutation`` objects or as rows of images.
 _Elements = Union[Iterable[Permutation], np.ndarray]
@@ -254,12 +267,17 @@ def _compose_all(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _operator(rows: np.ndarray) -> np.ndarray:
     """The n x n float matrix K[x, y] = #{rows r : r[y] = x}: column y is
-    one ``bincount`` over column y of the rows, so no (number of rows) x n
-    array is formed."""
+    the sum of one ``bincount`` per block of ``_COUNT_BLOCK`` rows of
+    column y, so neither a (number of rows) x n array nor a whole column
+    cast to intp is formed.  The counts are integers, so they sum exactly
+    in any order."""
     n = rows.shape[1]
     kernel = np.empty((n, n))
     for y in range(n):
-        kernel[:, y] = np.bincount(rows[:, y], minlength=n)
+        column = rows[:, y]
+        kernel[:, y] = np.bincount(column[:_COUNT_BLOCK], minlength=n)
+        for a in range(_COUNT_BLOCK, len(column), _COUNT_BLOCK):
+            kernel[:, y] += np.bincount(column[a : a + _COUNT_BLOCK], minlength=n)
     return kernel
 
 
@@ -367,6 +385,18 @@ class _ChainLevel:
         return level
 
 
+def _chain_products(levels: Sequence[_ChainLevel], degree: int) -> np.ndarray:
+    """Every product u_0 * u_1 * ... of one transversal row u_i = reps[i_i]
+    per level, the product for digits i_0, i_1, ... at their mixed-radix
+    number, level 0 the most significant.  Deepest level first, each
+    level's ``reps`` compose with all rows so far at once
+    (``_compose_all``)."""
+    rows = np.arange(degree, dtype=_image_dtype(degree))[None, :]
+    for level in reversed(levels):
+        rows = _compose_all(level.reps, rows).reshape(-1, degree)
+    return rows
+
+
 def _sift(
     levels: Sequence[_ChainLevel], rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -443,7 +473,7 @@ class PermutationGroup:
         self._gen_rows = _distinct_moved(_image_rows(generators, degree))
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
-        self._keys: np.ndarray | None = None
+        self._below: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
@@ -606,30 +636,59 @@ class PermutationGroup:
 
     def element_array(self, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
         """All elements as a read-only array with one row of images per
-        element, rows in lexicographic order, if order <= cap.
+        element, rows in chain order, if order <= cap.
 
         Each element is u_0 * u_1 * ... * u_last for exactly one choice of
-        u_i in the transversal of chain level i: deepest level first, each
-        level's transversal rows ``reps`` compose with all rows so far at
-        once (``_compose_all``).
+        u_i = reps[i_i] in the transversal of chain level i, and it is row
+        r for the mixed-radix digits i_0, i_1, ... of r over the
+        transversals' sizes, level 0 the most significant
+        (``_chain_products``).
         """
         self._check_order(cap)
+        return self._all_rows()
+
+    def _all_rows(self) -> np.ndarray:
+        """``element_array()`` without the cap: built once and kept."""
         if self._rows is None:
-            rows = np.arange(self.degree, dtype=_image_dtype(self.degree))[None, :]
-            for level in reversed(self._stabilizer_chain()):
-                rows = _compose_all(level.reps, rows).reshape(-1, self.degree)
-            order, self._keys = _lex_order(rows)
-            rows = rows.take(order, axis=0)
+            rows = _chain_products(self._stabilizer_chain(), self.degree)
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
 
+    def _element_rows(self, index: np.ndarray) -> np.ndarray:
+        """Rows ``element_array()[index]`` for an intp array of indices in
+        range(order), whatever the cap.
+
+        Row r is u_0 * g for the first level's transversal row
+        u_0 = reps[r // |G_b|] and row r % |G_b| of G_b, the stabilizer of
+        the first base point b, listed from the levels past the first:
+        |G|/n rows for a transitive group, kept for later calls.  A chain
+        of one level takes the rows straight from its transversal.  The
+        group itself is listed only when it is listed already or has no
+        more rows than are asked for, so that the list costs no more
+        memory than the answer and less time than the products."""
+        chain = self._stabilizer_chain()
+        if len(chain) < 2:
+            rows = chain[0].reps if chain else self._all_rows()
+            return rows.take(index, axis=0)
+        if self._rows is not None or self.order() <= len(index):
+            return self._all_rows().take(index, axis=0)
+        if self._below is None:
+            self._below = _chain_products(chain[1:], self.degree)
+        digit, rest = np.divmod(index, len(self._below))
+        return _compose(chain[0].reps, digit, self._below.take(rest, axis=0))
+
     def _element_table(self, cap: int = DEFAULT_ELEMENT_CAP) -> _RowTable:
-        """``element_array(cap)`` as a table, on the keys it was sorted by."""
-        return _RowTable._sorted(self.element_array(cap), self._keys)
+        """``element_array(cap)``'s rows as a table, in lexicographic order;
+        they are distinct permutations, so they are not re-checked."""
+        rows = self.element_array(cap)
+        order, keys = _lex_order(rows)
+        rows = rows.take(order, axis=0)
+        rows.setflags(write=False)
+        return _RowTable._sorted(rows, keys)
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
-        """All elements, lexicographic by image tuple, if order <= cap."""
+        """All elements, in the order of ``element_array``, if order <= cap."""
         rows = self.element_array(cap)
         if self._elements is None:
             self._elements = _permutations(rows)
@@ -658,9 +717,9 @@ class _RowTable:
     @classmethod
     def _sorted(cls, rows: np.ndarray, keys: np.ndarray) -> _RowTable:
         """A table over read-only rows known to be distinct permutations in
-        lexicographic order, such as a group's ``element_array()``, and
-        their keys, as ``_lex_order`` returns them; neither is re-checked
-        nor copied."""
+        lexicographic order, such as a group's sorted elements
+        (``_element_table``), and their keys, as ``_lex_order`` returns
+        them; neither is re-checked nor copied."""
         table = object.__new__(cls)
         table._fill(rows, keys)
         return table
@@ -905,10 +964,11 @@ class ConnectionSet:
         indicator, K[x, y] = #{s in S : s(y) = x}, so that (K @ v)(x) =
         sum_s v(s^-1(x)); built on first use and kept.
 
-        Column y is one ``bincount`` of the images s(y), column y of the
-        rows (``_operator``), so no inverse rows and no |S| x n array are
-        formed.  The counts are exact, and the same as every sum over S's
-        elements of unit weights, in any order."""
+        Column y counts the images s(y), column y of the rows, a block of
+        rows at a time (``_operator``), so no inverse rows, no |S| x n
+        array and no |S|-long intp column are formed.  The counts are
+        exact, and the same as every sum over S's elements of unit
+        weights, in any order."""
         if self._operator is None:
             kernel = _operator(self.rows)
             kernel.setflags(write=False)

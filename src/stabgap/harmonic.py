@@ -6,8 +6,10 @@ convolution by the indicator of the connection set, the set's own
 operator ``ConnectionSet.operator``, is the linear map of the bipartite
 matrix.  ``norm_identity_trials`` checks lemma 4's shift, centering,
 convolution and scaling identities on random distributions, whose
-group-side supports are drawn from the group's element rows and
-convolved by one scatter per block of trials.  ``point_mass`` and
+group-side supports are drawn as indices into the group's elements in
+chain order, formed as rows from its stabilizer chain
+(``PermutationGroup._element_rows``), and convolved by one scatter per
+block of trials.  ``point_mass`` and
 ``uniform_distribution`` are the vertex-side distributions the chain
 reads.
 """
@@ -15,6 +17,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -191,8 +194,11 @@ def norm_identity_trials(
 ) -> NormIdentityReport:
     """Randomized check of the four norm identities, with the group-side
     distribution supported on random subsets of the supplied elements:
-    ``Permutation`` objects or image rows, which are checked, or a group,
-    whose ``element_array(element_cap)`` is read as it is.
+    ``Permutation`` objects or image rows, which are checked, or a group
+    of order at most ``element_cap`` (SizeLimitError otherwise).  A
+    group's elements are indexed as in its ``element_array()``, and only
+    the drawn ones are formed, by ``_element_rows``: a group with more
+    elements than a block draws is not listed.
 
     Each identity is evaluated by two independent numerical routes and
     the deviation is scaled to the operand magnitudes.  The trials are
@@ -207,19 +213,23 @@ def norm_identity_trials(
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
             raise ValueError(f"degree mismatch: {group_elements.degree} vs {n}")
-        rows = group_elements.element_array(element_cap)
+        group_elements._check_order(element_cap)
+        count = group_elements.order()
+        element_rows = group_elements._element_rows
     else:
         rows = _image_rows(group_elements, n)
         if not len(rows):
             raise ValueError("need at least one group element")
         if len(_sorted_distinct(rows)) != len(rows):
             raise ValueError("group elements must be distinct")
+        count = len(rows)
+        element_rows = partial(rows.take, axis=0)
     uniform = uniform_distribution(n)
-    m = min(len(rows), MAX_SUPPORT)
+    m = min(count, MAX_SUPPORT)
     # Per trial: at most m * n scatter indices and values, or |G| random
     # keys and their ranks where ``_random_supports`` draws by keys; 8
     # bytes each.
-    keys = len(rows) if _draws_by_keys(len(rows), m) else 0
+    keys = count if _draws_by_keys(count, m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
     dev_shift = dev_center = dev_conv = dev_scale = 0.0
@@ -239,7 +249,7 @@ def norm_identity_trials(
         rhs = np.sum(p**2, axis=1) - 1.0 / n
         dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
 
-        chosen, weights = _random_supports(rng, len(rows), b, m)
+        chosen, weights = _random_supports(rng, count, b, m)
         # The drawn support entries, as flat positions into the (b, m)
         # weights, row-major: the zero weights past each support size
         # would only add +-0.0 to the sums.
@@ -248,7 +258,7 @@ def norm_identity_trials(
         drawn = weights.take(flat)
         # Trial t's image of y under each of its support elements, offset
         # into trial t's own stretch of the flattened (b, n) output.
-        images = rows.take(chosen.take(flat), axis=0)
+        images = element_rows(chosen.take(flat))
         targets = (images + (n * trial)[:, None]).ravel()
 
         def convolve(v: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -38,6 +39,43 @@ def s3():
 
 def c4():
     return PermutationGroup(4, [Permutation([1, 2, 3, 0])])
+
+
+def sorted_rows(rows):
+    """The distinct rows in lexicographic order, by ``np.unique``."""
+    return np.unique(rows, axis=0)
+
+
+def assert_chain_order(group):
+    """Row r of ``element_array()`` is u_0 * u_1 * ... for the transversal
+    rows u_i picked by r's mixed-radix digits over the chain's
+    transversals, level 0 the most significant, formed by fancy indexing;
+    ``_element_rows`` forms the same rows from any indices, from the
+    chain while fewer than |G| are asked for of an unlisted group, and
+    from the list after."""
+    chain = group._stabilizer_chain()
+    sizes = [len(level.reps) for level in chain]
+    order = group.order()
+    assert order == math.prod(sizes)
+    index = np.arange(order)
+    digits = np.unravel_index(index, sizes) if sizes else ()
+    product = np.broadcast_to(np.arange(group.degree), (order, group.degree))
+    for level, digit in reversed(list(zip(chain, digits))):
+        product = reference_compose(level.reps, digit, product)
+    fresh = PermutationGroup(group.degree, group._gen_rows)
+    fresh._chain = chain
+    formed = np.vstack(
+        [fresh._element_rows(index[:-1]), fresh._element_rows(index[-1:])]
+    )
+    assert (fresh._rows is None) == bool(chain)
+    # Asked for all |G| rows, a group of two levels or more lists itself.
+    assert np.array_equal(fresh._element_rows(index), formed)
+    assert (fresh._rows is None) == (len(chain) == 1)
+    rows = group.element_array()
+    assert formed.dtype == rows.dtype
+    assert np.array_equal(rows, product) and np.array_equal(formed, rows)
+    drawn = np.random.default_rng(order).integers(order, size=2 * order)
+    assert np.array_equal(group._element_rows(drawn), rows[drawn])
 
 
 def pair_action_s5():
@@ -114,11 +152,19 @@ def test_stabilizer_pair_action_order_12():
 def test_elements_s3():
     els = s3().elements(cap=10)
     assert len(els) == 6
-    assert els == sorted(els)
+    assert_chain_order(s3())
     assert els[0].is_identity()
     rows = s3().element_array(cap=10)
     assert rows.dtype == np.uint8 and not rows.flags.writeable
     assert [tuple(r) for r in rows.tolist()] == [g.images for g in els]
+
+
+def test_chain_order_of_small_groups():
+    for group in (PermutationGroup.trivial(3), c4(), pair_action_s5()[0]):
+        assert_chain_order(group)
+    assert c4().element_array().tolist() == [
+        [0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]
+    ]
 
 
 def test_elements_pair_action_matches_brute_force():
@@ -182,7 +228,21 @@ def test_stabilizer_of_every_catalog_case(spec):
         assert all(g(point) == point for g in stab.generators)
         fixing = rows[rows[:, point] == point]
         assert stab.order() == len(fixing)
-        assert np.array_equal(stab.element_array(), fixing)
+        assert np.array_equal(sorted_rows(stab.element_array()), sorted_rows(fixing))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)],
+    ids=lambda spec: spec.name,
+)
+def test_elements_are_numbered_by_their_chain_digits(spec):
+    # The group, and its stabilizer at every point: the first base point's
+    # shares the group's deeper levels, the others conjugate them.
+    group = realize_case(spec).group
+    assert_chain_order(group)
+    for point in range(group.degree):
+        assert_chain_order(group.stabilizer(point))
 
 
 @pytest.mark.parametrize(
@@ -243,10 +303,20 @@ def test_stabilizer_routes_match_brute_force_random(group):
         in_first_orbit = bool(chain) and chain[0].index[point] >= 0
         assert (stab._chain is not None) == in_first_orbit
         fixing = [list(g.images) for g in brute if g(point) == point]
-        assert stab.element_array().tolist() == fixing
+        assert sorted(stab.element_array().tolist()) == fixing
         assert stab.order() * len(group.orbit(point)) == len(brute)
         for g in brute:
             assert (g in stab) == (g(point) == point)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_groups())
+def test_elements_are_numbered_by_their_chain_digits_random(group):
+    # Intransitive groups too, whose stabilizers off the first base
+    # point's orbit build their own chains.
+    assert_chain_order(group)
+    for point in range(group.degree):
+        assert_chain_order(group.stabilizer(point))
 
 
 @settings(max_examples=50, deadline=None)
@@ -516,7 +586,8 @@ def test_tied_keys_keep_whole_row_order(degree, monkeypatch):
 
     monkeypatch.setattr(groups, "_row_view", counting)
     group = s4_on_last_points(degree)
-    rows = group.element_array()
+    # The element table sorts the group's rows: all 24 share a key.
+    rows = group._element_table().rows
     keys = groups._row_keys(rows)
     assert len(set(keys.tolist())) == 1
     assert views
@@ -584,7 +655,7 @@ def brute_closure(degree, gens):
 def test_elements_match_brute_force_closure_random(gen_images):
     degree = len(gen_images[0]) if gen_images else 4
     gens = [Permutation(p) for p in gen_images]
-    assert PermutationGroup(degree, gens).elements() == sorted(
+    assert sorted(PermutationGroup(degree, gens).elements()) == sorted(
         brute_closure(degree, gens)
     )
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -284,8 +286,8 @@ def test_norm_identity_trials_match_the_fancy_index_loop(spec):
 
 
 def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
-    # A group's element_array() is distinct and sorted by construction,
-    # so it is neither re-checked nor copied; outside rows still are.
+    # A group's rows are formed from its chain (``_element_rows``) and are
+    # distinct by construction, so they are not checked; outside rows are.
     def refuse(*args, **kwargs):
         raise AssertionError("group rows re-checked")
 
@@ -300,6 +302,32 @@ def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
         norm_identity_trials(
             case.graph.n, case.group.element_array(), 1, np.random.default_rng(0)
         )
+
+
+def test_norm_identity_trials_never_list_the_group(monkeypatch):
+    # kneser-9-4: |G| = 9! rows of 126 images would take 45.7 MB.  The
+    # draws list only G_b, 2880 rows, so the traced peak stays under a
+    # tenth of |G| * n bytes.  ``element_array`` lists through
+    # ``_all_rows``.
+    case = realize_case(catalog._kneser(9, 4))
+    group, n = case.group, case.graph.n
+    listed = []
+    all_rows = PermutationGroup._all_rows
+
+    def recording(self):
+        listed.append(self)
+        return all_rows(self)
+
+    monkeypatch.setattr(PermutationGroup, "_all_rows", recording)
+    tracemalloc.start()
+    try:
+        report = norm_identity_trials(n, group, 1000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert listed == [] and group._rows is None
+    assert peak < group.order() * n / 10, peak
 
 
 def s6():

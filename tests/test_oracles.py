@@ -35,9 +35,10 @@ def cycle_lambda(n):
 
 
 ORACLES = (
+    # kneser-9-4: S_9 on four-subsets, |G_v| = 4!·5! = 2880 and λ* = C(4, 3).
     [
         (catalog._kneser(n, m), kneser_lambda(n, m))
-        for n, m in ((6, 2), (7, 2), (8, 2), (8, 3))
+        for n, m in ((6, 2), (7, 2), (8, 2), (8, 3), (9, 4))
     ]
     + [
         (catalog._johnson(n, m), johnson_lambda(n, m))

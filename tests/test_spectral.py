@@ -160,15 +160,16 @@ def test_assembly_forms_no_connection_sized_array():
     # |S| * n bytes is S's rows themselves: 7200 x 56 uint8 on kneser-8-3,
     # 35 280 x 8 on complete-8.  An |S| x n scatter of int64 cells takes
     # eight times that, and an |S|-long sort of a column of S more than
-    # that on complete-8.  S's operator is checked on kneser-8-3 only: at
-    # n = 8 one column of S's rows, cast to intp for ``bincount``, alone
-    # takes |S| * n bytes.
+    # that on complete-8.  At n = 8 one whole column of S's rows, cast to
+    # intp for ``bincount``, alone takes |S| * n bytes, so S's operator
+    # counts each column a block of rows at a time.
     kneser = realize_case(catalog._kneser(8, 3)).connection
     complete = realize_case(catalog._complete(8)).connection
     builds = (
         (kneser, lambda: build_bipartite(kneser, kneser.degree)),
         (kneser, kneser.operator),
         (complete, lambda: build_bipartite(complete, complete.degree)),
+        (complete, complete.operator),
     )
     for connection, build in builds:
         budget = len(connection) * connection.degree
