@@ -9,7 +9,8 @@ convolution and scaling identities on random distributions, whose
 group-side supports are drawn as indices into the group's elements in
 chain order, formed as rows from its stabilizer chain
 (``PermutationGroup._element_rows``), and convolved by one scatter per
-block of trials.  ``point_mass`` and
+block of trials; each block's deviations are scaled in one stacked
+pass.  ``point_mass`` and
 ``uniform_distribution`` are the vertex-side distributions the chain
 reads.
 """
@@ -133,16 +134,10 @@ class NormIdentityReport:
 _BLOCK_BYTES = 1 << 20
 
 
-def _scaled_gaps(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) over a block."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return float((np.abs(lhs - rhs) / scale).max())
-
-
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row of a real 2-D array, summed as
-    ``np.linalg.norm(x, axis=1)`` sums it, without its wrapper."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+def _sums_of_squares(x: np.ndarray) -> np.ndarray:
+    """The sum of squares of each row of a real 2-D array, summed as
+    ``np.sum(x**2, axis=1)`` and ``np.linalg.norm`` sum it."""
+    return np.add.reduce(x * x, axis=1)
 
 
 def _draws_by_keys(count: int, m: int) -> bool:
@@ -161,16 +156,16 @@ def _random_supports(
     from 1..m.
 
     The indices of a row come in random order, so its first ``size`` are
-    a uniform sample.  They are the m smallest of count random keys, or,
-    for a large count, a draw with replacement in which any row with a
-    repeated index is drawn again.
+    a uniform sample.  They are the m smallest of count random keys, in
+    key order, read off one ``argsort`` of each row's keys, or, for a
+    large count, a draw with replacement in which any row with a repeated
+    index is drawn again.
     """
     sizes = rng.integers(1, m + 1, size=trials)
     if _draws_by_keys(count, m):
         keys = rng.random((trials, count))
-        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1)
-        chosen = np.take_along_axis(chosen, order, axis=1)
+        # The copy lets the (trials, count) ranks go at once.
+        chosen = np.argsort(keys, axis=1)[:, :m].copy()
     else:
         chosen = rng.integers(count, size=(trials, m))
         while True:
@@ -203,12 +198,17 @@ def norm_identity_trials(
     Each identity is evaluated by two independent numerical routes and
     the deviation is scaled to the operand magnitudes.  The trials are
     drawn and checked in blocks of whole arrays, as many trials per block
-    as fit ``_BLOCK_BYTES``.  A trial's group-side distribution has
-    between 1 and min(|G|, MAX_SUPPORT) distinct support elements, held
-    as one row of ``m = min(|G|, MAX_SUPPORT)`` indices whose weights are
-    zero past the support size; convolving by it scatters each weighted
-    value v(y) to g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)), for
-    the drawn support elements only.
+    as fit ``_BLOCK_BYTES``.  A block's five (lhs, rhs) row pairs (shift,
+    centering, convolution against +uniform and against -uniform,
+    scaling) are stacked, their gaps scaled in one pass, and a running
+    maximum kept per identity; the centering identity shares Σp² with
+    scaling and p - uniform with the -uniform convolution.  A trial's
+    group-side distribution has between 1 and min(|G|, MAX_SUPPORT)
+    distinct support elements, held as one row of
+    ``m = min(|G|, MAX_SUPPORT)`` indices whose weights are zero past the
+    support size; convolving by it scatters each weighted value v(y) to
+    g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)), for the drawn
+    support elements only.
     """
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
@@ -232,53 +232,58 @@ def norm_identity_trials(
     keys = count if _draws_by_keys(count, m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
-    dev_shift = dev_center = dev_conv = dev_scale = 0.0
+    worst = np.zeros(5)
     for done in range(0, trials, block):
         b = min(block, trials - done)
         f = rng.standard_normal((b, n))
-        f -= f.mean(axis=1, keepdims=True)
+        f -= np.add.reduce(f, axis=1, keepdims=True) / n
         p = rng.random((b, n)) + 1e-9
-        p /= p.sum(axis=1, keepdims=True)
+        p /= np.add.reduce(p, axis=1, keepdims=True)
         c = np.abs(rng.standard_normal(b))
-
-        lhs = np.sum((f + uniform) ** 2, axis=1)
-        rhs = np.sum(f**2, axis=1) + 1.0 / n
-        dev_shift = max(dev_shift, _scaled_gaps(lhs, rhs))
-
-        lhs = np.sum((p - uniform) ** 2, axis=1)
-        rhs = np.sum(p**2, axis=1) - 1.0 / n
-        dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
-
         chosen, weights = _random_supports(rng, count, b, m)
         # The drawn support entries, as flat positions into the (b, m)
         # weights, row-major: the zero weights past each support size
         # would only add +-0.0 to the sums.
         flat = np.flatnonzero(weights)
         trial = flat // m
-        drawn = weights.take(flat)
+        drawn = weights.take(flat)[:, None]
         # Trial t's image of y under each of its support elements, offset
         # into trial t's own stretch of the flattened (b, n) output.
         images = element_rows(chosen.take(flat))
         targets = (images + (n * trial)[:, None]).ravel()
 
         def convolve(v: np.ndarray) -> np.ndarray:
-            spread = (drawn[:, None] * v.take(trial, axis=0)).ravel()
-            return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
+            spread = v.take(trial, axis=0)
+            spread *= drawn
+            return np.bincount(targets, spread.ravel(), minlength=b * n).reshape(b, n)
 
+        p_squares = _sums_of_squares(p)
+        centered = p - uniform
         qp = convolve(p)
-        for sign in (1.0, -1.0):
-            lhs = _row_norms(convolve(p + sign * uniform))
-            rhs = _row_norms(qp + sign * uniform)
-            dev_conv = max(dev_conv, _scaled_gaps(lhs, rhs))
-
-        lhs = _row_norms(c[:, None] * p)
-        rhs = c * _row_norms(p)
-        dev_scale = max(dev_scale, _scaled_gaps(lhs, rhs))
+        # One row per identity: shift, centering, convolution against
+        # +uniform and against -uniform, scaling.
+        lhs = np.stack([
+            _sums_of_squares(f + uniform),
+            _sums_of_squares(centered),
+            np.sqrt(_sums_of_squares(convolve(p + uniform))),
+            np.sqrt(_sums_of_squares(convolve(centered))),
+            np.sqrt(_sums_of_squares(c[:, None] * p)),
+        ])
+        rhs = np.stack([
+            _sums_of_squares(f) + 1.0 / n,
+            p_squares - 1.0 / n,
+            np.sqrt(_sums_of_squares(qp + uniform)),
+            np.sqrt(_sums_of_squares(qp - uniform)),
+            c * np.sqrt(p_squares),
+        ])
+        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        gaps = np.abs(lhs - rhs) / scale
+        np.maximum(worst, gaps.max(axis=1), out=worst)
     return NormIdentityReport(
         trials=trials,
-        max_shift_deviation=dev_shift,
-        max_centering_deviation=dev_center,
-        max_convolution_deviation=dev_conv,
-        max_scaling_deviation=dev_scale,
+        max_shift_deviation=float(worst[0]),
+        max_centering_deviation=float(worst[1]),
+        max_convolution_deviation=float(worst[2:4].max()),
+        max_scaling_deviation=float(worst[4]),
         tol=NORM_IDENTITY_TOL,
     )

@@ -97,7 +97,8 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     counting, for each of H's r orbits O and each y, the w with u_w^-1(y)
     in O (one ``bincount`` over k*n cells), whose rows are gathered into A
     and scaled.  Of S only the cosets and |S| are read, and H's orbits are
-    component labels over its generator rows.  No |S|*n array is formed.
+    component labels over its generator rows, numbered and counted
+    without a sort.  No |S|*n array is formed.
     """
     if connection.degree != n:
         raise ValueError(
@@ -107,7 +108,10 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     order = subgroup.order()
     inverse = _inverse_rows(connection.cosets)
     label = _component_minima(n, subgroup._gen_rows)
-    orbit, size = np.unique(label, return_inverse=True, return_counts=True)[1:]
+    # H's orbits numbered in the order of their least points: a point's
+    # orbit is the rank of its label among the labels x with label[x] = x.
+    orbit = (np.cumsum(label == np.arange(n)) - 1)[label]
+    size = np.bincount(orbit)
     # orbit(u_w^-1(y))*n + y, formed in int64 (``orbit`` is intp).
     cells = (orbit[inverse] * n + np.arange(n)).ravel()
     counts = np.bincount(cells, minlength=len(size) * n).reshape(-1, n)

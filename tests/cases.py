@@ -14,8 +14,6 @@ from stabgap.harmonic import (
     _BLOCK_BYTES,
     NormIdentityReport,
     _draws_by_keys,
-    _random_supports,
-    _scaled_gaps,
     uniform_distribution,
 )
 from stabgap.perms import Permutation
@@ -311,10 +309,43 @@ def reference_compose_all(table, rows):
     return table[..., rows]
 
 
+def reference_random_supports(rng, count, trials, m):
+    """``harmonic._random_supports`` as a partition, sort and two gathers:
+    the m smallest of each row's keys by ``argpartition``, put in key
+    order by an ``argsort`` of those m keys.  It must return the same
+    indices and weights, to the bit, and leave the generator in the same
+    state."""
+    sizes = rng.integers(1, m + 1, size=trials)
+    if _draws_by_keys(count, m):
+        keys = rng.random((trials, count))
+        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
+        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1)
+        chosen = np.take_along_axis(chosen, order, axis=1)
+    else:
+        chosen = rng.integers(count, size=(trials, m))
+        while True:
+            ordered = np.sort(chosen, axis=1)
+            repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
+            if not len(repeated):
+                break
+            chosen[repeated] = rng.integers(count, size=(len(repeated), m))
+    weights = rng.random((trials, m)) + 1e-9
+    weights[np.arange(m) >= sizes[:, None]] = 0.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    return chosen, weights
+
+
+def reference_scaled_gaps(lhs, rhs):
+    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) over a block."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return float((np.abs(lhs - rhs) / scale).max())
+
+
 def reference_norm_identity_trials(n, rows, trials, rng, tol=1e-12, max_support=24):
     """Lemma 4's randomized norm identities over group element rows, block
-    by block as ``harmonic.norm_identity_trials`` draws them, with its
-    trial rows gathered by fancy indexing and its norms taken by
+    by block as ``harmonic.norm_identity_trials`` draws them, one identity
+    at a time, with its supports drawn by ``reference_random_supports``,
+    its trial rows gathered by fancy indexing and its norms taken by
     ``np.linalg.norm``: ``norm_identity_trials`` must reproduce the report
     and leave the generator in the same state."""
     uniform = uniform_distribution(n)
@@ -333,13 +364,13 @@ def reference_norm_identity_trials(n, rows, trials, rng, tol=1e-12, max_support=
 
         lhs = np.sum((f + uniform) ** 2, axis=1)
         rhs = np.sum(f**2, axis=1) + 1.0 / n
-        dev_shift = max(dev_shift, _scaled_gaps(lhs, rhs))
+        dev_shift = max(dev_shift, reference_scaled_gaps(lhs, rhs))
 
         lhs = np.sum((p - uniform) ** 2, axis=1)
         rhs = np.sum(p**2, axis=1) - 1.0 / n
-        dev_center = max(dev_center, _scaled_gaps(lhs, rhs))
+        dev_center = max(dev_center, reference_scaled_gaps(lhs, rhs))
 
-        chosen, weights = _random_supports(rng, len(rows), b, m)
+        chosen, weights = reference_random_supports(rng, len(rows), b, m)
         trial, j = np.nonzero(weights)
         drawn = weights[trial, j]
         targets = (rows[chosen[trial, j]] + (n * trial)[:, None]).ravel()
@@ -352,11 +383,11 @@ def reference_norm_identity_trials(n, rows, trials, rng, tol=1e-12, max_support=
         for sign in (1.0, -1.0):
             lhs = np.linalg.norm(convolve(p + sign * uniform), axis=1)
             rhs = np.linalg.norm(qp + sign * uniform, axis=1)
-            dev_conv = max(dev_conv, _scaled_gaps(lhs, rhs))
+            dev_conv = max(dev_conv, reference_scaled_gaps(lhs, rhs))
 
         lhs = np.linalg.norm(c[:, None] * p, axis=1)
         rhs = c * np.linalg.norm(p, axis=1)
-        dev_scale = max(dev_scale, _scaled_gaps(lhs, rhs))
+        dev_scale = max(dev_scale, reference_scaled_gaps(lhs, rhs))
     return NormIdentityReport(
         trials=trials,
         max_shift_deviation=dev_shift,

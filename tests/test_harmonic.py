@@ -25,6 +25,7 @@ from cases import (
     petersen_case,
     reference_bipartite,
     reference_norm_identity_trials,
+    reference_random_supports,
     s3,
     triangle_case,
 )
@@ -357,6 +358,46 @@ def test_random_supports_are_distinct_and_sized(count):
         np.random.default_rng(count), count, 500, m
     )
     assert_supports_valid(chosen, weights, count, m)
+
+
+# The key draws' edges (m * m = 576) and either side of them, a small
+# count below m, and a group order far above it; blocks from one trial to
+# complete-5's whole block.
+@pytest.mark.parametrize(
+    "count", [1, 5, 23, 24, 25, 64, 120, 575, 576, 577, 40320]
+)
+def test_random_supports_match_the_partition_sampler(count):
+    # One argsort of the keys picks the same indices, in the same order,
+    # as a partition, a sort of the m picked keys and two gathers, and the
+    # generator moves on alike.
+    m = min(count, 24)
+    for seed in (0, 1, 2, 3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for trials in (1, 7, 42, 546):
+            chosen, weights = harmonic._random_supports(rng, count, trials, m)
+            expected = reference_random_supports(ref_rng, count, trials, m)
+            assert chosen.dtype == expected[0].dtype
+            assert chosen.tobytes() == expected[0].tobytes()
+            assert weights.tobytes() == expected[1].tobytes()
+        assert rng.random() == ref_rng.random()
+
+
+def test_key_drawn_supports_keep_within_two_blocks():
+    # complete-5: |G| = 120 is drawn by keys, 546 trials a block.  Each
+    # block ranks (546, 120) keys; the ranks past the m kept must not
+    # outlive the draw, so the traced peak stays under two block budgets.
+    case = realize_case(catalog._complete(5))
+    group, n = case.group, case.graph.n
+    assert harmonic._draws_by_keys(group.order(), 24)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        report = norm_identity_trials(n, group, 1000, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 2 * harmonic._BLOCK_BYTES, peak
 
 
 @pytest.mark.parametrize(
