@@ -249,12 +249,11 @@ def realize_case(
         # An empty list keeps its width; a row of another width cannot fit.
         return np.array(images, dtype=np.intp).reshape(len(images), spec.degree)
 
+    # Checked before the group forms degree-long arrays of points.
+    if spec.mode == "stabilize" and spec.degree > max_vertices:
+        raise SizeLimitError(f"{spec.degree} vertices exceed the cap {max_vertices}")
     group = PermutationGroup(spec.degree, rows(spec.generators))
     if spec.mode == "stabilize":
-        if spec.degree > max_vertices:
-            raise SizeLimitError(
-                f"{spec.degree} vertices exceed the cap {max_vertices}"
-            )
         graph = SimpleGraph(spec.degree, spec.edges or ())
         return make_transitive_case(
             group, graph, base_vertex=spec.stabilize_point, cap=element_cap

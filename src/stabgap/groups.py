@@ -55,11 +55,11 @@ G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
 generators for its stabilizer.  Orbits are component labels
 (``_component_minima``).
 
-A connection set S keeps its rows, their lookup table, one row per left
-coset s*H (``cosets``) and its indicator operator, the n x n count
-K[x, y] = #{s in S : s(y) = x}, built on first use by one ``bincount``
-per block of rows of each column; eq2, the chain and the Cauchy-Schwarz
-step read it.  Given as elements, S finds its elements' inverses once,
+A connection set S keeps its rows, their lookup table and one row per
+left coset s*H (``cosets``).  Its indicator operator, the n x n count
+K[x, y] = #{s in S : s(y) = x}, is counted on each call by one
+``bincount`` per block of rows of each column and not kept; only eq2
+reads it.  Given as elements, S finds its elements' inverses once,
 by one scatter into the rows' dtype, and looks them up to decide
 inverse closure; the inverse rows are not kept.  Its H-double-coset split looks up right
 products only: with S = S^-1 and S*h inside S for each generator h,
@@ -94,8 +94,8 @@ _SCHREIER_BLOCK = 1 << 20
 #: sort keys tie.
 _COMPARE_BLOCK = 1 << 20
 
-#: Rows per block of a column counted at once by ``_operator`` (128 KiB of
-#: the intp images ``bincount`` casts them to).
+#: Rows per block of a column counted at once by ``ConnectionSet.operator``
+#: (128 KiB of the intp images ``bincount`` casts them to).
 _COUNT_BLOCK = 1 << 14
 
 #: An element set as ``Permutation`` objects or as rows of images.
@@ -263,22 +263,6 @@ def _compose_all(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     images table[i, rows[j, x]].  One ``take`` along the table's images,
     a few times faster than the fancy index table[:, rows]."""
     return table.take(rows, axis=-1)
-
-
-def _operator(rows: np.ndarray) -> np.ndarray:
-    """The n x n float matrix K[x, y] = #{rows r : r[y] = x}: column y is
-    the sum of one ``bincount`` per block of ``_COUNT_BLOCK`` rows of
-    column y, so neither a (number of rows) x n array nor a whole column
-    cast to intp is formed.  The counts are integers, so they sum exactly
-    in any order."""
-    n = rows.shape[1]
-    kernel = np.empty((n, n))
-    for y in range(n):
-        column = rows[:, y]
-        kernel[:, y] = np.bincount(column[:_COUNT_BLOCK], minlength=n)
-        for a in range(_COUNT_BLOCK, len(column), _COUNT_BLOCK):
-            kernel[:, y] += np.bincount(column[a : a + _COUNT_BLOCK], minlength=n)
-    return kernel
 
 
 def _transversal(
@@ -851,9 +835,8 @@ class ConnectionSet:
 
     Inverse closure is checked on construction.  The set's indicator
     operator (``operator``), the n x n count
-    K[x, y] = #{s in S : s(y) = x}, is built on first use and kept for
-    the pipeline's products with it: eq2, the chain and the
-    Cauchy-Schwarz step.
+    K[x, y] = #{s in S : s(y) = x}, is built anew on each call and not
+    kept: eq2 compares it with the bipartite matrix and drops it.
 
     Built from elements (``Permutation`` objects or image rows), inverse
     closure is decided by looking up every element's inverse, and
@@ -874,7 +857,6 @@ class ConnectionSet:
         "cosets",
         "_table",
         "_elements",
-        "_operator",
     )
 
     def __init__(self, elements: _Elements, subgroup: PermutationGroup):
@@ -948,7 +930,7 @@ class ConnectionSet:
         cosets: np.ndarray,
     ) -> None:
         """Hold the table's rows over the subgroup, and the double cosets'
-        and the left cosets' rows read-only; the operator is not known yet."""
+        and the left cosets' rows read-only."""
         reps.setflags(write=False)
         cosets.setflags(write=False)
         self.degree = subgroup.degree
@@ -957,23 +939,25 @@ class ConnectionSet:
         self.representatives, self.cosets = reps, cosets
         self._table = table
         self._elements: tuple[Permutation, ...] | None = None
-        self._operator: np.ndarray | None = None
 
     def operator(self) -> np.ndarray:
-        """The read-only n x n float matrix K of convolving by the set's
-        indicator, K[x, y] = #{s in S : s(y) = x}, so that (K @ v)(x) =
-        sum_s v(s^-1(x)); built on first use and kept.
+        """The n x n float matrix K of convolving by the set's indicator,
+        K[x, y] = #{s in S : s(y) = x}, so that (K @ v)(x) =
+        sum_s v(s^-1(x)); built on every call and not kept.
 
-        Column y counts the images s(y), column y of the rows, a block of
-        rows at a time (``_operator``), so no inverse rows, no |S| x n
-        array and no |S|-long intp column are formed.  The counts are
-        exact, and the same as every sum over S's elements of unit
-        weights, in any order."""
-        if self._operator is None:
-            kernel = _operator(self.rows)
-            kernel.setflags(write=False)
-            self._operator = kernel
-        return self._operator
+        Column y counts the images s(y), column y of the rows, as the sum
+        of one ``bincount`` per block of ``_COUNT_BLOCK`` rows, so no
+        inverse rows, no |S| x n array and no |S|-long intp column are
+        formed.  The counts are exact, and the same as every sum over S's
+        elements of unit weights, in any order."""
+        n = self.degree
+        kernel = np.empty((n, n))
+        for y in range(n):
+            column = self.rows[:, y]
+            kernel[:, y] = np.bincount(column[:_COUNT_BLOCK], minlength=n)
+            for a in range(_COUNT_BLOCK, len(column), _COUNT_BLOCK):
+                kernel[:, y] += np.bincount(column[a : a + _COUNT_BLOCK], minlength=n)
+        return kernel
 
     @property
     def elements(self) -> tuple[Permutation, ...]:

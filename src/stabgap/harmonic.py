@@ -1,18 +1,17 @@
-"""Randomized checks of the convolution identities behind the chain.
+"""Checks of the convolution identities behind the chain.
 
 Convolving a vertex function v by a function mu on the group gives
-x -> sum_g mu(g) v(g^-1(x)).  ``convolution_matches_matrix`` checks eq2:
-convolution by the indicator of the connection set, the set's own
-operator ``ConnectionSet.operator``, is the linear map of the bipartite
-matrix.  ``norm_identity_trials`` checks lemma 4's shift, centering,
-convolution and scaling identities on random distributions, whose
-group-side supports are drawn as indices into the group's elements in
-chain order, formed as rows from its stabilizer chain
-(``PermutationGroup._element_rows``), and convolved by one scatter per
-block of trials; each block's deviations are scaled in one stacked
-pass.  ``point_mass`` and
-``uniform_distribution`` are the vertex-side distributions the chain
-reads.
+x -> sum_g mu(g) v(g^-1(x)).  ``convolution_matches_matrix`` checks eq2
+exactly: convolution by the indicator of the connection set, the set's
+own operator ``ConnectionSet.operator``, is the linear map of the
+bipartite matrix, cell for cell.  ``norm_identity_trials`` checks lemma
+4's shift, centering, convolution and scaling identities on random
+distributions, whose group-side supports are drawn as indices into the
+group's elements in chain order, formed as rows from its stabilizer
+chain (``PermutationGroup._element_rows``), and convolved by one scatter
+per block of trials; each block's deviations are scaled in one stacked
+pass.  ``point_mass`` and ``uniform_distribution`` are the vertex-side
+distributions the chain reads.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from .groups import (
     _sorted_distinct,
 )
 from .spectral import BipartiteAdjacency
-
-#: Relative tolerance of eq2's real probes, scaled to their magnitude.
-MATRIX_REL_TOL = 1e-12
 
 #: Largest deviation the norm-identity trials accept (``NormIdentityReport.tol``).
 NORM_IDENTITY_TOL = 1e-12
@@ -59,45 +55,29 @@ def uniform_distribution(n: int) -> np.ndarray:
 def convolution_matches_matrix(
     connection: ConnectionSet,
     adjacency: BipartiteAdjacency,
-    trials: int,
-    rng: np.random.Generator,
+    trials: int | None = None,
+    rng: np.random.Generator | None = None,
 ) -> bool:
     """Check that convolving by the indicator of the connection set is
-    exactly the linear map of the bipartite matrix.
+    exactly the linear map of the bipartite matrix: the set's operator K
+    (``ConnectionSet.operator``) equals the matrix in every cell.
 
-    The two sides are two routes to one matrix.  The indicator's operator
-    K (``ConnectionSet.operator``) sums over every element of the set,
-    while ``spectral.build_bipartite`` assembles the matrix from the
-    subgroup's orbit counts and the set's ``cosets`` alone, so a wrong
-    orbit labelling or multiplicity shows here, and so do rows that
-    disagree with the cosets.  K is built once and applied to ``trials``
-    integer probes and ``trials`` real probes, each set drawn as one block
-    with the rows in the order of one-at-a-time draws.  The matrix applies
-    through its transpose (probe rows times the matrix), which coincides
-    with the plain product by symmetry.  Integer probes must match
-    exactly; each real probe within ``MATRIX_REL_TOL`` scaled to its
-    operands' magnitude.  Both blocks are drawn whatever the verdict, so
-    the generator's state afterwards does not depend on it.
+    The two sides are two routes to one matrix.  K sums over every element
+    of the set, while ``spectral.build_bipartite`` assembles the matrix
+    from the subgroup's orbit counts and the set's ``cosets`` alone, so a
+    wrong orbit labelling or multiplicity shows here, and so do rows that
+    disagree with the cosets.  Both hold integer counts, so one exact
+    comparison decides the identity for every vector, and K is dropped
+    when it returns.  ``trials`` and ``rng`` are read by nothing: they
+    remain only for ``perfbench/mirror.py``, which still passes them,
+    until the mirror is retired (ROADMAP item 5b).
     """
     n = adjacency.n
     if connection.degree != n:
         raise ValueError(
             f"connection degree {connection.degree} does not match matrix size {n}"
         )
-    integer = rng.integers(-9, 10, size=(trials, n)).astype(float)
-    real = rng.standard_normal((trials, n))
-    if not trials:
-        return True
-    kernel_t = connection.operator().T
-    matrix = adjacency.float_matrix
-    if not np.array_equal(integer @ kernel_t, integer @ matrix):
-        return False
-    lhs = real @ kernel_t
-    rhs = real @ matrix
-    scale = np.maximum(
-        1.0, np.maximum(np.abs(lhs).max(axis=1), np.abs(rhs).max(axis=1))
-    )
-    return bool((np.abs(lhs - rhs).max(axis=1) <= MATRIX_REL_TOL * scale).all())
+    return bool(np.array_equal(connection.operator(), adjacency.float_matrix))
 
 
 @dataclass(frozen=True)

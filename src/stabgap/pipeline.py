@@ -3,11 +3,11 @@
 The pipeline realizes the case, decomposes the connection set into
 double cosets, classifies the local action, checks the canonical coset
 isomorphism, builds the bipartite matrix, computes its spectrum densely
-and its second singular value again by power iteration, runs the
-randomized convolution and norm-identity checks, and evaluates the
-inequality chain and the stabilizer bounds.  Randomness is drawn from a
-per-case seed derived from the base seed and the case name, so identical
-inputs produce byte-identical reports.
+and its second singular value again by power iteration, checks the
+convolution identity exactly and the norm identities on random trials,
+and evaluates the inequality chain and the stabilizer bounds.
+Randomness is drawn from a per-case seed derived from the base seed and
+the case name, so identical inputs produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ class AnalyzeOptions:
     # Read by the benchmark's traced copy of the pipeline only.
     dense_cap: ClassVar[int] = DENSE_SIZE_CAP
     matrix_trials: ClassVar[int] = 100
+    # Read by the pipeline.
     identity_trials: ClassVar[int] = 1000
     contraction_trials: ClassVar[int] = 100
     reconstruction_cap: ClassVar[int] = 200
@@ -292,9 +293,7 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     )
     lemma3_ok = top_value_ok and contraction and power_gap <= POWER_AGREEMENT_TOL
 
-    eq2_ok = convolution_matches_matrix(
-        case.connection, adjacency, options.matrix_trials, rng
-    )
+    eq2_ok = convolution_matches_matrix(case.connection, adjacency)
     identity_report = norm_identity_trials(
         n,
         case.group,

@@ -7,14 +7,14 @@ computed numerically from first principles (convolutions and norms,
 never algebraic simplification); consecutive equalities must agree to
 working precision.  Every convolution is by a function constant on the
 connection set S, so it is a product with S's indicator operator
-``ConnectionSet.operator`` (divided by |S| for the uniform distribution
-p_S), built once per set; the operator itself is still summed over S's
-elements, with no algebraic shortcut.  The matrix line ||A f|| reads the
-bipartite matrix, assembled by another route.  A strict inequality holds
-only when its two sides are not equal to working precision, so an exact
-tie is never decided by the last bit of a float.  The derived
-disjunction is: either the graph is small (n < 2k) or
-m^2 < 2*lambda2^2/k.
+(divided by |S| for the uniform distribution p_S).  eq2
+(``harmonic.convolution_matches_matrix``) proves that operator equal,
+cell for cell, to the bipartite matrix A, so the chain's lines read A;
+the Cauchy-Schwarz step alone counts p_S * p_v from S's elements, one
+column of S's rows.  A strict inequality holds only when its two sides
+are not equal to working precision, so an exact tie is never decided by
+the last bit of a float.  The derived disjunction is: either the graph
+is small (n < 2k) or m^2 < 2*lambda2^2/k.
 """
 
 from __future__ import annotations
@@ -59,14 +59,15 @@ class CauchySchwarzResult:
 def cauchy_schwarz_step(case: TransitiveCase) -> CauchySchwarzResult:
     """Evaluate ||p_S * p_v||^2 and compare it against 1/k.
 
-    p_S * p_v is the product of S's operator with the point mass, divided
-    by |S|.  It is supported exactly on the base neighborhood; any mass
-    elsewhere is a structural failure, not a tolerance matter (cells off
-    it hold exact zeros).
+    p_S * p_v counts, at each vertex x, the elements s of S with
+    s(v) = x, divided by |S|: one ``bincount`` of column v of S's rows,
+    with no n x n array.  It is supported exactly on the base
+    neighborhood; any mass elsewhere is a structural failure, not a
+    tolerance matter (cells off it hold exact zeros).
     """
     n = case.graph.n
-    kernel = case.connection.operator()
-    conv = kernel @ point_mass(case.base_vertex, n) / len(case.connection)
+    column = case.connection.rows[:, case.base_vertex]
+    conv = np.bincount(column, minlength=n) / len(column)
     off_support = conv.copy()
     off_support[list(case.graph.neighbors(case.base_vertex))] = 0.0
     if float(np.abs(off_support).max()) != 0.0:
@@ -95,7 +96,7 @@ class ChainDiagnostics:
     neighbor_mass: float  # ||p_S * p_v||^2
     recentered: float  # ||p_S * f + U||^2
     split: float  # ||p_S * f||^2 + 1/n
-    scaled_convolution: float  # ||chi_S * f||^2 / |S|^2 + 1/n
+    scaled_convolution: float  # ||chi_S * f||^2 / |S|^2 + 1/n, = A f by eq2
     scaled_matrix: float  # ||A f||^2 / |S|^2 + 1/n
     operator_bound: float  # lambda2^2 ||f||^2 / |S|^2 + 1/n
     final_bound: float  # lambda2^2 / |S|^2 + 1/n
@@ -123,25 +124,23 @@ def evaluate_chain(
     """Evaluate each line of the chain for the case.
 
     The convolutions p_S * p_v, p_S * f and chi_S * f are products with
-    the connection set's operator K (``ConnectionSet.operator``), the
-    first two divided by |S|; K counts S's elements, so the lines are
-    sums over S, read from the one n x n matrix that eq2 also applies.
-    ||A f|| applies the bipartite matrix, assembled from the subgroup's
-    orbit counts, so the last equality compares two routes.
+    the bipartite matrix A, which eq2 proves equal to the connection
+    set's operator, the first two divided by |S|; A f is formed once and
+    read by every line that convolves f.
     """
     n = case.graph.n
     s_size = len(case.connection)
-    kernel = case.connection.operator()
+    matrix = adjacency.float_matrix
     p_v = point_mass(case.base_vertex, n)
     uniform = uniform_distribution(n)
     f = p_v - uniform
 
-    neighbor_mass = float(np.sum((kernel @ p_v / s_size) ** 2))
-    p_s_f = kernel @ f / s_size
+    neighbor_mass = float(np.sum((matrix @ p_v / s_size) ** 2))
+    a_f = matrix @ f
+    p_s_f = a_f / s_size
     recentered = float(np.sum((p_s_f + uniform) ** 2))
     split = float(np.sum(p_s_f**2)) + 1.0 / n
-    scaled_convolution = float(np.sum((kernel @ f) ** 2)) / s_size**2 + 1.0 / n
-    scaled_matrix = float(np.sum(adjacency.apply(f) ** 2)) / s_size**2 + 1.0 / n
+    scaled_matrix = float(np.sum(a_f**2)) / s_size**2 + 1.0 / n
     f_norm_sq = float(np.sum(f**2))
     operator_bound = lambda2**2 * f_norm_sq / s_size**2 + 1.0 / n
     final_bound = lambda2**2 / s_size**2 + 1.0 / n
@@ -149,15 +148,11 @@ def evaluate_chain(
     equalities_ok = (
         _close(neighbor_mass, recentered)
         and _close(recentered, split)
-        and _close(split, scaled_convolution)
-        and _close(scaled_convolution, scaled_matrix)
+        and _close(split, scaled_matrix)
     )
     inverse_valency = 1.0 / case.valency
     lower_bound_ok = _at_most(inverse_valency, neighbor_mass)
-    operator_step_ok = (
-        _at_most(scaled_convolution, operator_bound)
-        and _at_most(scaled_matrix, operator_bound)
-    )
+    operator_step_ok = _at_most(scaled_matrix, operator_bound)
     near_equality = _close(operator_bound, final_bound)
     strict_final = _strictly_less(operator_bound, final_bound)
     return ChainDiagnostics(
@@ -165,7 +160,7 @@ def evaluate_chain(
         neighbor_mass=neighbor_mass,
         recentered=recentered,
         split=split,
-        scaled_convolution=scaled_convolution,
+        scaled_convolution=scaled_matrix,
         scaled_matrix=scaled_matrix,
         operator_bound=operator_bound,
         final_bound=final_bound,

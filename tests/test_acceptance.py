@@ -160,8 +160,8 @@ def test_criterion_06_convolution_matches_matrix(catalog_run):
     for r in reports:
         assert r.eq2_ok, r.name
     print(
-        f"ACCEPTANCE 6 PASS: convolution agrees with the matrix on "
-        f"{len(reports)} cases (100 integer + 100 real trials each)"
+        f"ACCEPTANCE 6 PASS: convolution operator equals the matrix cell "
+        f"for cell on {len(reports)} cases"
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -132,6 +133,25 @@ def test_realize_respects_vertex_cap():
     spec = parse_case(json.dumps(TRIANGLE_DOC))
     with pytest.raises(SizeLimitError):
         realize_case(spec, max_vertices=2)
+
+
+def test_vertex_cap_is_checked_before_the_group_is_built():
+    # A short document must not make the group form degree-long arrays.
+    doc = {
+        "name": "huge",
+        "group": {"degree": 2_000_000, "generators": []},
+        "stabilize_point": 0,
+        "edges": [],
+    }
+    spec = parse_case(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match="2000000 vertices exceed the cap"):
+            realize_case(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_spec_mode_property():

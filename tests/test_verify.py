@@ -160,9 +160,9 @@ def test_converse_never_fails_on_samples():
 
 
 def test_chain_lines_match_the_direct_convolutions():
-    # The chain reads S's operator; scattering the weights of S's elements
-    # one element at a time (the reference operator) gives the same lines
-    # to rounding.
+    # The chain reads the bipartite matrix, which eq2 proves equal to S's
+    # operator; scattering the weights of S's elements one element at a
+    # time (the reference operator) gives the same lines to rounding.
     for case in [petersen_case(), realize_case(catalog._kneser(8, 3))]:
         adj, summary = spectra(case)
         chain = evaluate_chain(case, adj, summary.lambda2)
@@ -183,9 +183,8 @@ def test_chain_lines_match_the_direct_convolutions():
 
 
 def test_chain_and_cauchy_schwarz_form_no_connection_sized_array():
-    # |S| * n bytes is S's rows themselves on kneser-8-3 (7200 x 56 uint8).
-    # Both steps read S's n x n operator, built here by n bincounts, where
-    # a convolution over S's inverse rows gathers 8 * |S| * n bytes.
+    # |S| * n bytes is S's rows themselves on kneser-8-3 (7200 x 56 uint8),
+    # where a convolution over S's inverse rows gathers 8 * |S| * n bytes.
     case = realize_case(catalog._kneser(8, 3))
     adj, summary = spectra(case)
     budget = len(case.connection) * case.graph.n
@@ -199,3 +198,21 @@ def test_chain_and_cauchy_schwarz_form_no_connection_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < budget
+
+
+def test_chain_and_cauchy_schwarz_form_no_n_by_n_array():
+    # With A built, both steps read A and one column of S's rows: on
+    # cycle-dihedral-200 (|S| = 4) neither builds S's n x n operator.
+    case = realize_case(catalog._cycle_dihedral(200))
+    adj, summary = spectra(case)
+    n = case.graph.n
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        cauchy_schwarz_step(case)
+        evaluate_chain(case, adj, summary.lambda2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
