@@ -172,20 +172,22 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
     assert len(rejected) >= 14
 
 
+@pytest.mark.parametrize("trials", [1, 7, 100])
 @pytest.mark.parametrize("make_case", [triangle_case, petersen_case])
-def test_matrix_consistency_leaves_the_generator_untouched(make_case):
-    # eq2 compares two matrices and draws nothing, so what follows (the
-    # lemma-4 trials in the pipeline) starts where it would without eq2,
-    # whatever the verdict.
+def test_matrix_consistency_draws_probe_blocks(make_case, trials):
+    # eq2 compares two matrices exactly, so the probe block it draws is
+    # empty whatever trials asks for: what follows (the lemma-4 trials in
+    # the pipeline) starts where it would without eq2, whatever the verdict.
     case = make_case()
     n = case.graph.n
     right = build_bipartite(case.connection, n)
     wrong = BipartiteAdjacency(right.matrix + np.eye(n, dtype=np.int64))
     for adj, verdict in ((right, True), (wrong, False)):
-        rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        assert convolution_matches_matrix(case.connection, adj, 100, rng) is verdict
-        assert rng.bit_generator.state == state
+        rng = np.random.default_rng(trials)
+        assert convolution_matches_matrix(case.connection, adj, trials, rng) is verdict
+        expected = np.random.default_rng(trials)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        assert rng.random() == expected.random()
 
 
 def test_matrix_consistency_zero_trials_and_degree_mismatch():
