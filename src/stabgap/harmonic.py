@@ -5,12 +5,14 @@ x -> sum_g mu(g) v(g^-1(x)).  ``convolution_matches_matrix`` checks eq2
 exactly: convolution by the indicator of the connection set, the set's
 own operator ``ConnectionSet.operator``, is the linear map of the
 bipartite matrix, cell for cell.  ``norm_identity_trials`` checks lemma
-4's shift, centering, convolution and scaling identities on random
-distributions, whose group-side supports are drawn as indices into the
-group's elements in chain order, formed as rows from its stabilizer
-chain (``PermutationGroup._element_rows``), and convolved by one scatter
-per block of trials; each block's deviations are scaled in one stacked
-pass.  ``point_mass`` and ``uniform_distribution`` are the vertex-side
+4's norm identities exactly: the convolution identity holds for every
+distribution on the group because each element acts on V as a
+bijection, so the element rows in random supports, drawn as indices into
+the group's elements in chain order and formed from its stabilizer chain
+(``PermutationGroup._element_rows``), are checked to be bijections, one
+``bincount`` per block of trials; the shift, centering and scaling
+identities do not read the group and are decided once each in integers.
+``point_mass`` and ``uniform_distribution`` are the vertex-side
 distributions the chain reads.
 """
 
@@ -30,9 +32,6 @@ from .groups import (
     _sorted_distinct,
 )
 from .spectral import BipartiteAdjacency
-
-#: Largest deviation the norm-identity trials accept (``NormIdentityReport.tol``).
-NORM_IDENTITY_TOL = 1e-12
 
 #: Most support elements of a norm-identity trial's group-side distribution.
 MAX_SUPPORT = 24
@@ -82,42 +81,37 @@ def convolution_matches_matrix(
 
 @dataclass(frozen=True)
 class NormIdentityReport:
-    """Worst scaled deviations seen over randomized norm-identity trials:
-    shifting a zero-sum function by the uniform distribution, centering a
-    distribution, convolving against a shifted distribution, and scaling."""
+    """Lemma 4's sub-checks.  The convolution identity
+    ||q * (p +- u)|| = ||q * p +- u|| reads the group only through
+    q * u = u, which holds for every distribution q exactly when every
+    element in q's support is a bijection of V: over ``trials`` random
+    supports, ``rows_checked`` element rows were formed and
+    ``non_bijective_rows`` of them miss some point.  The shift, centering
+    and scaling identities do not read the group; each is decided once,
+    exactly (``shift_ok``, ``centering_ok``, ``scaling_ok``)."""
 
     trials: int
-    max_shift_deviation: float
-    max_centering_deviation: float
-    max_convolution_deviation: float
-    max_scaling_deviation: float
-    tol: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(
-            self.max_shift_deviation,
-            self.max_centering_deviation,
-            self.max_convolution_deviation,
-            self.max_scaling_deviation,
-        )
+    rows_checked: int
+    non_bijective_rows: int
+    shift_ok: bool
+    centering_ok: bool
+    scaling_ok: bool
 
     @property
     def ok(self) -> bool:
-        return self.max_deviation <= self.tol
+        return (
+            self.non_bijective_rows == 0
+            and self.shift_ok
+            and self.centering_ok
+            and self.scaling_ok
+        )
 
 
-#: Bytes of one block's largest working set: the scatter indices and
-#: values of its convolutions, or the random keys that pick its supports
-#: and their ranks.  The number of trials per block follows from it, so
-#: memory does not grow with the trial count or the group order.
+#: Bytes of one block's largest working set: its rows' offset images and
+#: hit counts, or the random keys that pick its supports and their ranks.
+#: The number of trials per block follows from it, so memory does not
+#: grow with the trial count or the group order.
 _BLOCK_BYTES = 1 << 20
-
-
-def _sums_of_squares(x: np.ndarray) -> np.ndarray:
-    """The sum of squares of each row of a real 2-D array, summed as
-    ``np.sum(x**2, axis=1)`` and ``np.linalg.norm`` sum it."""
-    return np.add.reduce(x * x, axis=1)
 
 
 def _draws_by_keys(count: int, m: int) -> bool:
@@ -130,10 +124,9 @@ def _draws_by_keys(count: int, m: int) -> bool:
 def _random_supports(
     rng: np.random.Generator, count: int, trials: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One random distribution on range(count) per trial: a row of m
-    distinct indices and a row of weights summing to 1 that are positive
-    on the first ``size`` indices and zero past them, for a size drawn
-    from 1..m.
+    """One random support in range(count) per trial: a row of m distinct
+    indices and a size drawn from 1..m, the support being the row's first
+    ``size`` indices.
 
     The indices of a row come in random order, so its first ``size`` are
     a uniform sample.  They are the m smallest of count random keys, in
@@ -154,10 +147,41 @@ def _random_supports(
             if not len(repeated):
                 break
             chosen[repeated] = rng.integers(count, size=(len(repeated), m))
-    weights = rng.random((trials, m)) + 1e-9
-    weights[np.arange(m) >= sizes[:, None]] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    return chosen, weights
+    return chosen, sizes
+
+
+def _non_bijective_rows(rows: np.ndarray, n: int) -> int:
+    """How many rows of images miss some point of range(n), counted by one
+    ``bincount`` that gives each row a stretch of n + 1 counters: an
+    image past n - 1 lands on the last, so it leaves a point unhit."""
+    width = n + 1
+    flat = rows.astype(np.intp)
+    np.minimum(flat, n, out=flat)
+    flat += np.arange(0, len(rows) * width, width)[:, None]
+    hits = np.bincount(flat.ravel(), minlength=len(rows) * width)
+    hits = hits.reshape(len(rows), width)[:, :n]
+    return int(np.count_nonzero((hits != 1).any(axis=1)))
+
+
+def _group_free_identities(n: int) -> tuple[bool, bool, bool]:
+    """The shift ||f + u||^2 = ||f||^2 + 1/n for a zero-sum f, the
+    centering ||p - u||^2 = ||p||^2 - 1/n for a distribution p, and the
+    scaling ||c p|| = c ||p||, each decided exactly on one instance in
+    Python ints: p(x) = (x + 1) / W with W = n(n + 1)/2, f = p - u and
+    c = n.  Scaled by n * W, p is n(x + 1), u is W at every point and
+    1/n = ||u||^2 is n * W^2."""
+    w = n * (n + 1) // 2
+    p = [n * (x + 1) for x in range(n)]
+    f = [px - w for px in p]
+
+    def squares(v: list[int]) -> int:
+        return sum(x * x for x in v)
+
+    return (
+        squares([fx + w for fx in f]) == squares(f) + n * w * w,
+        squares([px - w for px in p]) == squares(p) - n * w * w,
+        squares([n * px for px in p]) == n * n * squares(p),
+    )
 
 
 def norm_identity_trials(
@@ -167,28 +191,24 @@ def norm_identity_trials(
     rng: np.random.Generator,
     element_cap: int = DEFAULT_ELEMENT_CAP,
 ) -> NormIdentityReport:
-    """Randomized check of the four norm identities, with the group-side
-    distribution supported on random subsets of the supplied elements:
-    ``Permutation`` objects or image rows, which are checked, or a group
-    of order at most ``element_cap`` (SizeLimitError otherwise).  A
-    group's elements are indexed as in its ``element_array()``, and only
-    the drawn ones are formed, by ``_element_rows``: a group with more
-    elements than a block draws is not listed.
+    """Exact check of lemma 4's four norm identities.  The group-side
+    distributions' supports are drawn at random from the supplied
+    elements: ``Permutation`` objects or image rows, which are checked,
+    or a group of order at most ``element_cap`` (SizeLimitError
+    otherwise).  A group's elements are indexed as in its
+    ``element_array()``, and only the drawn ones are formed, by
+    ``_element_rows``: a group with more elements than a block draws is
+    not listed.
 
-    Each identity is evaluated by two independent numerical routes and
-    the deviation is scaled to the operand magnitudes.  The trials are
-    drawn and checked in blocks of whole arrays, as many trials per block
-    as fit ``_BLOCK_BYTES``.  A block's five (lhs, rhs) row pairs (shift,
-    centering, convolution against +uniform and against -uniform,
-    scaling) are stacked, their gaps scaled in one pass, and a running
-    maximum kept per identity; the centering identity shares Σp² with
-    scaling and p - uniform with the -uniform convolution.  A trial's
-    group-side distribution has between 1 and min(|G|, MAX_SUPPORT)
-    distinct support elements, held as one row of
-    ``m = min(|G|, MAX_SUPPORT)`` indices whose weights are zero past the
-    support size; convolving by it scatters each weighted value v(y) to
-    g(y), which is (q * v)(x) = sum_g q(g) v(g^-1(x)), for the drawn
-    support elements only.
+    The trials are drawn in blocks, as many per block as fit
+    ``_BLOCK_BYTES``.  A trial's support has between 1 and
+    ``m = min(|G|, MAX_SUPPORT)`` distinct elements, the first ``size``
+    of a row of m drawn indices (``_random_supports``).  Only those rows
+    are formed, and one ``bincount`` per block checks in integers that
+    each of them hits every point of V once, which is exactly what the
+    convolution identity needs of them (q * u = u).  The other three
+    identities do not read the group and are decided once each
+    (``_group_free_identities``).
     """
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
@@ -204,66 +224,19 @@ def norm_identity_trials(
             raise ValueError("group elements must be distinct")
         count = len(rows)
         element_rows = partial(rows.take, axis=0)
-    uniform = uniform_distribution(n)
     m = min(count, MAX_SUPPORT)
-    # Per trial: at most m * n scatter indices and values, or |G| random
-    # keys and their ranks where ``_random_supports`` draws by keys; 8
-    # bytes each.
+    # Per trial: at most m rows of n offset images and n hit counts, or
+    # |G| random keys and their ranks where ``_random_supports`` draws by
+    # keys; 8 bytes each.
     keys = count if _draws_by_keys(count, m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
-    worst = np.zeros(5)
+    rows_checked = non_bijective = 0
     for done in range(0, trials, block):
-        b = min(block, trials - done)
-        f = rng.standard_normal((b, n))
-        f -= np.add.reduce(f, axis=1, keepdims=True) / n
-        p = rng.random((b, n)) + 1e-9
-        p /= np.add.reduce(p, axis=1, keepdims=True)
-        c = np.abs(rng.standard_normal(b))
-        chosen, weights = _random_supports(rng, count, b, m)
-        # The drawn support entries, as flat positions into the (b, m)
-        # weights, row-major: the zero weights past each support size
-        # would only add +-0.0 to the sums.
-        flat = np.flatnonzero(weights)
-        trial = flat // m
-        drawn = weights.take(flat)[:, None]
-        # Trial t's image of y under each of its support elements, offset
-        # into trial t's own stretch of the flattened (b, n) output.
-        images = element_rows(chosen.take(flat))
-        targets = (images + (n * trial)[:, None]).ravel()
-
-        def convolve(v: np.ndarray) -> np.ndarray:
-            spread = v.take(trial, axis=0)
-            spread *= drawn
-            return np.bincount(targets, spread.ravel(), minlength=b * n).reshape(b, n)
-
-        p_squares = _sums_of_squares(p)
-        centered = p - uniform
-        qp = convolve(p)
-        # One row per identity: shift, centering, convolution against
-        # +uniform and against -uniform, scaling.
-        lhs = np.stack([
-            _sums_of_squares(f + uniform),
-            _sums_of_squares(centered),
-            np.sqrt(_sums_of_squares(convolve(p + uniform))),
-            np.sqrt(_sums_of_squares(convolve(centered))),
-            np.sqrt(_sums_of_squares(c[:, None] * p)),
-        ])
-        rhs = np.stack([
-            _sums_of_squares(f) + 1.0 / n,
-            p_squares - 1.0 / n,
-            np.sqrt(_sums_of_squares(qp + uniform)),
-            np.sqrt(_sums_of_squares(qp - uniform)),
-            c * np.sqrt(p_squares),
-        ])
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        gaps = np.abs(lhs - rhs) / scale
-        np.maximum(worst, gaps.max(axis=1), out=worst)
+        chosen, sizes = _random_supports(rng, count, min(block, trials - done), m)
+        rows = element_rows(chosen[np.arange(m) < sizes[:, None]])
+        rows_checked += len(rows)
+        non_bijective += _non_bijective_rows(rows, n)
     return NormIdentityReport(
-        trials=trials,
-        max_shift_deviation=float(worst[0]),
-        max_centering_deviation=float(worst[1]),
-        max_convolution_deviation=float(worst[2:4].max()),
-        max_scaling_deviation=float(worst[4]),
-        tol=NORM_IDENTITY_TOL,
+        trials, rows_checked, non_bijective, *_group_free_identities(n)
     )

@@ -4,8 +4,9 @@ The pipeline realizes the case, decomposes the connection set into
 double cosets, classifies the local action, checks the canonical coset
 isomorphism, builds the bipartite matrix, computes its spectrum densely
 and its second singular value again by power iteration, checks the
-convolution identity exactly and the norm identities on random trials,
-and evaluates the inequality chain and the stabilizer bounds.
+convolution identity exactly and lemma 4's norm identities exactly (the
+group's elements in random supports must act as bijections), and
+evaluates the inequality chain and the stabilizer bounds.
 Randomness is drawn from a per-case seed derived from the base seed and
 the case name, so identical inputs produce byte-identical reports.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -227,7 +228,7 @@ class CaseReport:
                 "final_bound": self.chain.final_bound,
             }
         if self.identity_report is not None:
-            out["norm_identity_max_deviation"] = self.identity_report.max_deviation
+            out["lemma4"] = asdict(self.identity_report)
         if self.matrix_dump is not None:
             out["matrix_dump"] = self.matrix_dump
         return out

@@ -1,6 +1,7 @@
 """Shared case builders for the test suite."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from stabgap.harmonic import (
     _BLOCK_BYTES,
     NormIdentityReport,
     _draws_by_keys,
-    uniform_distribution,
 )
 from stabgap.perms import Permutation
 
@@ -313,7 +313,7 @@ def reference_random_supports(rng, count, trials, m):
     """``harmonic._random_supports`` as a partition, sort and two gathers:
     the m smallest of each row's keys by ``argpartition``, put in key
     order by an ``argsort`` of those m keys.  It must return the same
-    indices and weights, to the bit, and leave the generator in the same
+    indices and sizes, to the bit, and leave the generator in the same
     state."""
     sizes = rng.integers(1, m + 1, size=trials)
     if _draws_by_keys(count, m):
@@ -329,72 +329,51 @@ def reference_random_supports(rng, count, trials, m):
             if not len(repeated):
                 break
             chosen[repeated] = rng.integers(count, size=(len(repeated), m))
-    weights = rng.random((trials, m)) + 1e-9
-    weights[np.arange(m) >= sizes[:, None]] = 0.0
-    weights /= weights.sum(axis=1, keepdims=True)
-    return chosen, weights
+    return chosen, sizes
 
 
-def reference_scaled_gaps(lhs, rhs):
-    """The largest |lhs - rhs| / max(1, |lhs|, |rhs|) over a block."""
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return float((np.abs(lhs - rhs) / scale).max())
+def reference_group_free_identities(n):
+    """Lemma 4's shift, centering and scaling identities on one instance
+    in exact rationals: p(x) proportional to x + 1, f = p - u, c = 3/2."""
+    u = Fraction(1, n)
+    total = n * (n + 1) // 2
+    p = [Fraction(x + 1, total) for x in range(n)]
+    f = [px - u for px in p]
+    c = Fraction(3, 2)
+
+    def squares(v):
+        return sum(x * x for x in v)
+
+    return (
+        squares([fx + u for fx in f]) == squares(f) + u,
+        squares([px - u for px in p]) == squares(p) - u,
+        squares([c * px for px in p]) == c * c * squares(p),
+    )
 
 
-def reference_norm_identity_trials(n, rows, trials, rng, tol=1e-12, max_support=24):
-    """Lemma 4's randomized norm identities over group element rows, block
-    by block as ``harmonic.norm_identity_trials`` draws them, one identity
-    at a time, with its supports drawn by ``reference_random_supports``,
-    its trial rows gathered by fancy indexing and its norms taken by
-    ``np.linalg.norm``: ``norm_identity_trials`` must reproduce the report
-    and leave the generator in the same state."""
-    uniform = uniform_distribution(n)
+def reference_norm_identity_trials(n, rows, trials, rng, max_support=24):
+    """Lemma 4's exact checks over group element rows, block by block as
+    ``harmonic.norm_identity_trials`` draws them: supports drawn by
+    ``reference_random_supports``, their rows gathered by fancy indexing
+    and each tested as ``np.sort(row) == arange(n)``, and the group-free
+    identities decided by ``reference_group_free_identities``.
+    ``norm_identity_trials`` must reproduce the report and leave the
+    generator in the same state."""
     m = min(len(rows), max_support)
     keys = len(rows) if _draws_by_keys(len(rows), m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
-    dev_shift = dev_center = dev_conv = dev_scale = 0.0
+    rows_checked = non_bijective = 0
     for done in range(0, trials, block):
         b = min(block, trials - done)
-        f = rng.standard_normal((b, n))
-        f -= f.mean(axis=1, keepdims=True)
-        p = rng.random((b, n)) + 1e-9
-        p /= p.sum(axis=1, keepdims=True)
-        c = np.abs(rng.standard_normal(b))
-
-        lhs = np.sum((f + uniform) ** 2, axis=1)
-        rhs = np.sum(f**2, axis=1) + 1.0 / n
-        dev_shift = max(dev_shift, reference_scaled_gaps(lhs, rhs))
-
-        lhs = np.sum((p - uniform) ** 2, axis=1)
-        rhs = np.sum(p**2, axis=1) - 1.0 / n
-        dev_center = max(dev_center, reference_scaled_gaps(lhs, rhs))
-
-        chosen, weights = reference_random_supports(rng, len(rows), b, m)
-        trial, j = np.nonzero(weights)
-        drawn = weights[trial, j]
-        targets = (rows[chosen[trial, j]] + (n * trial)[:, None]).ravel()
-
-        def convolve(v):
-            spread = (drawn[:, None] * v[trial]).ravel()
-            return np.bincount(targets, spread, minlength=b * n).reshape(b, n)
-
-        qp = convolve(p)
-        for sign in (1.0, -1.0):
-            lhs = np.linalg.norm(convolve(p + sign * uniform), axis=1)
-            rhs = np.linalg.norm(qp + sign * uniform, axis=1)
-            dev_conv = max(dev_conv, reference_scaled_gaps(lhs, rhs))
-
-        lhs = np.linalg.norm(c[:, None] * p, axis=1)
-        rhs = c * np.linalg.norm(p, axis=1)
-        dev_scale = max(dev_scale, reference_scaled_gaps(lhs, rhs))
+        chosen, sizes = reference_random_supports(rng, len(rows), b, m)
+        trial, j = np.nonzero(np.arange(m) < sizes[:, None])
+        picked = rows[chosen[trial, j]]
+        rows_checked += len(picked)
+        bijective = (np.sort(picked, axis=1) == np.arange(n)).all(axis=1)
+        non_bijective += int(np.count_nonzero(~bijective))
     return NormIdentityReport(
-        trials=trials,
-        max_shift_deviation=dev_shift,
-        max_centering_deviation=dev_center,
-        max_convolution_deviation=dev_conv,
-        max_scaling_deviation=dev_scale,
-        tol=tol,
+        trials, rows_checked, non_bijective, *reference_group_free_identities(n)
     )
 
 

@@ -145,13 +145,17 @@ def test_criterion_05_norm_identities(catalog_run):
     reports, _ = catalog_run
     for r in reports:
         assert r.identity_report is not None, r.name
-        assert r.identity_report.trials == 1000, r.name
-        assert r.identity_report.max_deviation <= IDENTITY_TOL, r.name
+        identities = r.identity_report
+        assert identities.trials == 1000, r.name
+        assert identities.rows_checked >= 1000, r.name
+        assert identities.non_bijective_rows == 0, r.name
+        assert identities.shift_ok and identities.centering_ok, r.name
+        assert identities.scaling_ok, r.name
         assert r.lemma4_ok, r.name
-    worst = max(r.identity_report.max_deviation for r in reports)
+    rows = sum(r.identity_report.rows_checked for r in reports)
     print(
-        f"ACCEPTANCE 5 PASS: norm identities, 1000 trials/case "
-        f"(worst scaled deviation {worst:.3g})"
+        f"ACCEPTANCE 5 PASS: norm identities decided exactly, 1000 trials/case "
+        f"({rows} support rows checked as bijections)"
     )
 
 

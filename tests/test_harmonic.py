@@ -14,6 +14,7 @@ from stabgap.harmonic import (
     uniform_distribution,
 )
 from stabgap.perms import Permutation
+from stabgap.pipeline import analyze_case
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
@@ -213,7 +214,10 @@ def test_norm_identity_trials_triangle_and_petersen():
             case.graph.n, case.group.elements(), 1000, rng
         )
         assert report.ok, report
-        assert report.max_deviation <= 1e-12
+        assert report.trials == 1000
+        assert 1000 <= report.rows_checked <= 1000 * min(case.group.order(), 24)
+        assert report.non_bijective_rows == 0
+        assert report.shift_ok and report.centering_ok and report.scaling_ok
 
 
 def test_shift_identity_degenerate_zero_function():
@@ -326,22 +330,63 @@ def test_norm_identity_trials_never_list_the_group(monkeypatch):
     assert peak < group.order() * n / 10, peak
 
 
+def test_norm_identity_trials_reject_a_row_that_repeats_an_image(monkeypatch):
+    # A group's rows are not re-checked by ``_image_rows``, so a row formed
+    # wrong by the chain reaches lemma 4 as it is.  One that sends two
+    # points to one image is no bijection: lemma 4 must count it and fail,
+    # in the report and in the pipeline's verdict.
+    element_rows = PermutationGroup._element_rows
+
+    def repeating(self, index):
+        rows = element_rows(self, index).copy()
+        rows[0, 1] = rows[0, 0]
+        return rows
+
+    spec = catalog._kneser(5, 2)
+    case = realize_case(spec)
+    clean = norm_identity_trials(
+        case.graph.n, case.group, 1000, np.random.default_rng(0)
+    )
+    assert clean.ok and clean.non_bijective_rows == 0
+    assert analyze_case(spec).lemma4_ok
+    monkeypatch.setattr(PermutationGroup, "_element_rows", repeating)
+    report = norm_identity_trials(
+        case.graph.n, case.group, 1000, np.random.default_rng(0)
+    )
+    assert report.rows_checked == clean.rows_checked
+    assert report.non_bijective_rows >= 1
+    assert report.ok is False
+    assert report.shift_ok and report.centering_ok and report.scaling_ok
+    assert not analyze_case(spec).lemma4_ok
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
+def test_non_bijective_rows_are_counted_one_row_at_a_time(dtype):
+    # A repeated image and an image past n - 1 each make their own row
+    # fail, and neither spills into the row after it, the last row
+    # included.
+    rows = np.array(
+        [[0, 1, 2, 3], [3, 3, 1, 0], [1, 2, 3, 0], [0, 1, 2, 4], [2, 3, 0, 1],
+         [0, 1, 2, 9]],
+        dtype=dtype,
+    )
+    assert harmonic._non_bijective_rows(rows, 4) == 3
+    assert harmonic._non_bijective_rows(rows[[0, 2, 4]], 4) == 0
+    assert harmonic._non_bijective_rows(rows[:0], 4) == 0
+
+
 def s6():
     return PermutationGroup(
         6, [Permutation([1, 0, 2, 3, 4, 5]), Permutation([1, 2, 3, 4, 5, 0])]
     )
 
 
-def assert_supports_valid(chosen, weights, count, m):
-    assert chosen.shape == weights.shape == (len(chosen), m)
+def assert_supports_valid(chosen, sizes, count, m):
+    assert chosen.shape == (len(chosen), m) and sizes.shape == (len(chosen),)
     assert ((0 <= chosen) & (chosen < count)).all()
     ordered = np.sort(chosen, axis=1)
     assert (ordered[:, 1:] != ordered[:, :-1]).all()
-    sizes = np.count_nonzero(weights, axis=1)
     assert ((1 <= sizes) & (sizes <= min(count, m))).all()
-    # The support is a prefix of the row: positive weights, then zeros.
-    assert (weights[np.arange(m) < sizes[:, None]] > 0).all()
-    assert np.allclose(weights.sum(axis=1), 1.0, rtol=0, atol=1e-15)
 
 
 # |G| = 1, |G| below max_support, at the largest key draw (24 * 24), and
@@ -349,10 +394,10 @@ def assert_supports_valid(chosen, weights, count, m):
 @pytest.mark.parametrize("count", [1, 5, 24, 576, 577, 40320])
 def test_random_supports_are_distinct_and_sized(count):
     m = min(count, 24)
-    chosen, weights = harmonic._random_supports(
+    chosen, sizes = harmonic._random_supports(
         np.random.default_rng(count), count, 500, m
     )
-    assert_supports_valid(chosen, weights, count, m)
+    assert_supports_valid(chosen, sizes, count, m)
 
 
 # The key draws' edges (m * m = 576) and either side of them, a small
@@ -369,11 +414,11 @@ def test_random_supports_match_the_partition_sampler(count):
     for seed in (0, 1, 2, 3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for trials in (1, 7, 42, 546):
-            chosen, weights = harmonic._random_supports(rng, count, trials, m)
+            chosen, sizes = harmonic._random_supports(rng, count, trials, m)
             expected = reference_random_supports(ref_rng, count, trials, m)
             assert chosen.dtype == expected[0].dtype
             assert chosen.tobytes() == expected[0].tobytes()
-            assert weights.tobytes() == expected[1].tobytes()
+            assert sizes.tobytes() == expected[1].tobytes()
         assert rng.random() == ref_rng.random()
 
 
@@ -407,7 +452,8 @@ def test_key_drawn_supports_keep_within_two_blocks():
 def test_norm_identity_trials_in_uneven_blocks(monkeypatch, rows):
     # A budget of a few trials per block, and a trial count that is not
     # a multiple of the block size: every trial is drawn once, in full
-    # blocks but the last, and every support is distinct and sized.
+    # blocks but the last, every support is distinct and sized, and every
+    # support row is checked.
     n, count = rows.shape[1], len(rows)
     m = min(count, 24)
     monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 7 * 16 * max(m * n, count))
@@ -424,14 +470,16 @@ def test_norm_identity_trials_in_uneven_blocks(monkeypatch, rows):
     blocks = [len(chosen) for chosen, _ in draws]
     assert 51 % blocks[0] and len(blocks) == -(-51 // blocks[0]) > 1
     assert blocks == [blocks[0]] * (len(blocks) - 1) + [51 % blocks[0]]
-    for chosen, weights in draws:
-        assert_supports_valid(chosen, weights, count, m)
+    for chosen, sizes in draws:
+        assert_supports_valid(chosen, sizes, count, m)
+    # Every support's rows are formed and checked, and no others.
+    assert report.rows_checked == sum(int(sizes.sum()) for _, sizes in draws)
 
 
 def test_norm_identity_zero_trials():
     report = norm_identity_trials(3, s3().element_array(), 0, np.random.default_rng(0))
-    assert report.trials == 0
-    assert report.max_deviation == 0.0 and report.ok
+    assert report.trials == report.rows_checked == report.non_bijective_rows == 0
+    assert report.ok
 
 
 def test_norm_identity_trials_build_no_element_objects(monkeypatch):
