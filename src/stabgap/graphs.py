@@ -176,8 +176,8 @@ def make_transitive_case(
             f"|S| = {len(connection)} differs from k*|G_v| = "
             f"{valency * stab.order()}"
         )
-    image = set(connection.rows[:, base_vertex].tolist())
-    if image != set(graph.neighbors(base_vertex)):
+    hit = np.bincount(connection.rows[:, base_vertex], minlength=graph.n) > 0
+    if not np.array_equal(hit, graph.adjacency[base_vertex]):
         raise StructureError("S({v}) differs from the neighborhood of v")
     return TransitiveCase(group, graph, base_vertex, connection, stab, valency)
 

@@ -7,11 +7,13 @@ own operator ``ConnectionSet.operator``, is the linear map of the
 bipartite matrix, cell for cell.  ``norm_identity_trials`` checks lemma
 4's norm identities exactly: the convolution identity holds for every
 distribution on the group because each element acts on V as a
-bijection, so the element rows in random supports, drawn as indices into
-the group's elements in chain order and formed from its stabilizer chain
-(``PermutationGroup._element_rows``), are checked to be bijections, one
-``bincount`` per block of trials; the shift, centering and scaling
-identities do not read the group and are decided once each in integers.
+bijection, so the elements of random supports, drawn as indices into the
+group's elements in chain order, are checked to be bijections: each
+distinct drawn element's row is formed once from the stabilizer chain
+(``PermutationGroup._element_rows``) and checked by one ``bincount`` per
+block of rows, and a bad one counts as often as it was drawn; the shift,
+centering and scaling identities do not read the group and are decided
+once each in integers.
 ``point_mass`` and ``uniform_distribution`` are the vertex-side
 distributions the chain reads.
 """
@@ -84,11 +86,14 @@ class NormIdentityReport:
     """Lemma 4's sub-checks.  The convolution identity
     ||q * (p +- u)|| = ||q * p +- u|| reads the group only through
     q * u = u, which holds for every distribution q exactly when every
-    element in q's support is a bijection of V: over ``trials`` random
-    supports, ``rows_checked`` element rows were formed and
-    ``non_bijective_rows`` of them miss some point.  The shift, centering
-    and scaling identities do not read the group; each is decided once,
-    exactly (``shift_ok``, ``centering_ok``, ``scaling_ok``)."""
+    element in q's support is a bijection of V: ``trials`` random
+    supports drew ``rows_checked`` elements, counted with multiplicity,
+    and ``non_bijective_rows`` of those draws are elements whose row
+    misses some point.  Each distinct element drawn is formed and checked
+    once, as whether it is a bijection does not depend on the draw.  The
+    shift, centering and scaling identities do not read the group; each
+    is decided once, exactly (``shift_ok``, ``centering_ok``,
+    ``scaling_ok``)."""
 
     trials: int
     rows_checked: int
@@ -107,10 +112,10 @@ class NormIdentityReport:
         )
 
 
-#: Bytes of one block's largest working set: its rows' offset images and
-#: hit counts, or the random keys that pick its supports and their ranks.
-#: The number of trials per block follows from it, so memory does not
-#: grow with the trial count or the group order.
+#: Bytes of one block's largest working set: the random keys that pick
+#: its supports and their ranks, or the support rows' offset images and
+#: hit counts.  The number of trials per block, and of rows per checked
+#: block, follow from it.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -150,8 +155,8 @@ def _random_supports(
     return chosen, sizes
 
 
-def _non_bijective_rows(rows: np.ndarray, n: int) -> int:
-    """How many rows of images miss some point of range(n), counted by one
+def _non_bijective(rows: np.ndarray, n: int) -> np.ndarray:
+    """Which rows of images miss some point of range(n), found by one
     ``bincount`` that gives each row a stretch of n + 1 counters: an
     image past n - 1 lands on the last, so it leaves a point unhit."""
     width = n + 1
@@ -159,8 +164,7 @@ def _non_bijective_rows(rows: np.ndarray, n: int) -> int:
     np.minimum(flat, n, out=flat)
     flat += np.arange(0, len(rows) * width, width)[:, None]
     hits = np.bincount(flat.ravel(), minlength=len(rows) * width)
-    hits = hits.reshape(len(rows), width)[:, :n]
-    return int(np.count_nonzero((hits != 1).any(axis=1)))
+    return (hits.reshape(len(rows), width)[:, :n] != 1).any(axis=1)
 
 
 def _group_free_identities(n: int) -> tuple[bool, bool, bool]:
@@ -197,18 +201,23 @@ def norm_identity_trials(
     or a group of order at most ``element_cap`` (SizeLimitError
     otherwise).  A group's elements are indexed as in its
     ``element_array()``, and only the drawn ones are formed, by
-    ``_element_rows``: a group with more elements than a block draws is
-    not listed.
+    ``_element_rows``: a group with more elements than a block of rows
+    is not listed.
 
     The trials are drawn in blocks, as many per block as fit
     ``_BLOCK_BYTES``.  A trial's support has between 1 and
     ``m = min(|G|, MAX_SUPPORT)`` distinct elements, the first ``size``
-    of a row of m drawn indices (``_random_supports``).  Only those rows
-    are formed, and one ``bincount`` per block checks in integers that
-    each of them hits every point of V once, which is exactly what the
-    convolution identity needs of them (q * u = u).  The other three
-    identities do not read the group and are decided once each
-    (``_group_free_identities``).
+    of a row of m drawn indices (``_random_supports``).  The support
+    indices of all blocks are kept, in the smallest unsigned type that
+    holds |G| - 1, and one ``np.unique`` counts how often each was drawn.
+    Only the distinct drawn elements' rows are formed, in blocks of about
+    half the rows a block of trials draws, and one ``bincount`` per
+    block (``_non_bijective``) checks in integers that each of them hits
+    every point of V once, which is exactly what the convolution identity
+    needs of them (q * u = u).  A row that fails counts once per draw of
+    its element, so the report is the one a check of every drawn row
+    would give.  The other three identities do not read the group and are
+    decided once each (``_group_free_identities``).
     """
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
@@ -231,12 +240,29 @@ def norm_identity_trials(
     keys = count if _draws_by_keys(count, m) else 0
     per_trial = 16 * max(m * n, keys)
     block = max(1, _BLOCK_BYTES // per_trial)
-    rows_checked = non_bijective = 0
+    # Whether a row is a bijection depends only on the element drawn, so
+    # each distinct index is formed and checked once and counted as often
+    # as it was drawn.  The draws are held in one array, allocated before
+    # the blocks, of the smallest unsigned type that holds |G| - 1.
+    drawn = np.empty(trials * m, np.min_scalar_type(count - 1))
+    filled = 0
     for done in range(0, trials, block):
         chosen, sizes = _random_supports(rng, count, min(block, trials - done), m)
-        rows = element_rows(chosen[np.arange(m) < sizes[:, None]])
-        rows_checked += len(rows)
-        non_bijective += _non_bijective_rows(rows, n)
+        picked = chosen[np.arange(m) < sizes[:, None]]
+        drawn[filled : filled + len(picked)] = picked
+        filled += len(picked)
+    distinct, times = np.unique(drawn[:filled], return_counts=True)
+    del drawn
+    # Per row: an intp index of n images that composes it, then n offset
+    # images and n + 1 hit counts, 8 bytes each.  A block of trials draws
+    # about _BLOCK_BYTES // (32 * n) rows, (m + 1)/2 per trial; a row
+    # block takes half as many.
+    step = max(1, _BLOCK_BYTES // (64 * n))
+    non_bijective = 0
+    for start in range(0, len(distinct), step):
+        index = distinct[start : start + step].astype(np.intp)
+        bad = _non_bijective(element_rows(index), n)
+        non_bijective += int(times[start : start + step][bad].sum())
     return NormIdentityReport(
-        trials, rows_checked, non_bijective, *_group_free_identities(n)
+        trials, filled, non_bijective, *_group_free_identities(n)
     )

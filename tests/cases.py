@@ -351,24 +351,33 @@ def reference_group_free_identities(n):
     )
 
 
+def reference_drawn_indices(n, count, trials, rng, max_support=24):
+    """The support indices ``harmonic.norm_identity_trials`` draws, one
+    array per block of trials: blocks sized as it sizes them, supports
+    drawn by ``reference_random_supports``, each trial's first ``size``
+    indices in trial order."""
+    m = min(count, max_support)
+    keys = count if _draws_by_keys(count, m) else 0
+    per_trial = 16 * max(m * n, keys)
+    block = max(1, _BLOCK_BYTES // per_trial)
+    for done in range(0, trials, block):
+        b = min(block, trials - done)
+        chosen, sizes = reference_random_supports(rng, count, b, m)
+        trial, j = np.nonzero(np.arange(m) < sizes[:, None])
+        yield chosen[trial, j]
+
+
 def reference_norm_identity_trials(n, rows, trials, rng, max_support=24):
     """Lemma 4's exact checks over group element rows, block by block as
     ``harmonic.norm_identity_trials`` draws them: supports drawn by
-    ``reference_random_supports``, their rows gathered by fancy indexing
-    and each tested as ``np.sort(row) == arange(n)``, and the group-free
-    identities decided by ``reference_group_free_identities``.
-    ``norm_identity_trials`` must reproduce the report and leave the
-    generator in the same state."""
-    m = min(len(rows), max_support)
-    keys = len(rows) if _draws_by_keys(len(rows), m) else 0
-    per_trial = 16 * max(m * n, keys)
-    block = max(1, _BLOCK_BYTES // per_trial)
+    ``reference_drawn_indices``, their rows gathered by fancy indexing,
+    one row per draw, and each tested as ``np.sort(row) == arange(n)``,
+    and the group-free identities decided by
+    ``reference_group_free_identities``.  ``norm_identity_trials`` must
+    reproduce the report and leave the generator in the same state."""
     rows_checked = non_bijective = 0
-    for done in range(0, trials, block):
-        b = min(block, trials - done)
-        chosen, sizes = reference_random_supports(rng, len(rows), b, m)
-        trial, j = np.nonzero(np.arange(m) < sizes[:, None])
-        picked = rows[chosen[trial, j]]
+    for index in reference_drawn_indices(n, len(rows), trials, rng, max_support):
+        picked = rows[index]
         rows_checked += len(picked)
         bijective = (np.sort(picked, axis=1) == np.arange(n)).all(axis=1)
         non_bijective += int(np.count_nonzero(~bijective))

@@ -205,6 +205,24 @@ def test_make_case_rejects_bad_actions():
         )
 
 
+def test_make_case_rejects_a_set_off_the_neighborhood(monkeypatch):
+    # S built over the other 2-element suborbit {v - 2, v + 2} of the
+    # dihedral cycle still has k * |G_v| elements, so only the S({v})
+    # check can reject it.
+    of_point = ConnectionSet.of_point.__func__
+
+    def other_suborbit(cls, group, point, targets, cap):
+        n = group.degree
+        return of_point(cls, group, point, [(point - 2) % n, (point + 2) % n], cap)
+
+    monkeypatch.setattr(ConnectionSet, "of_point", classmethod(other_suborbit))
+    connection = ConnectionSet.of_point(dihedral(7), 0, (1, 6), 5040)
+    assert len(connection) == 2 * 2
+    assert sorted(set(connection.rows[:, 0].tolist())) == [2, 5]
+    with pytest.raises(StructureError, match=r"S\(\{v\}\) differs"):
+        make_transitive_case(dihedral(7), cycle_graph(7))
+
+
 def test_extract_respects_group_cap():
     with pytest.raises(SizeLimitError):
         ConnectionSet.of_point(s3(), 0, triangle().neighbors(0), cap=4)

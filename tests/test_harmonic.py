@@ -25,6 +25,7 @@ from stabgap.spectral import (
 from cases import (
     petersen_case,
     reference_bipartite,
+    reference_drawn_indices,
     reference_norm_identity_trials,
     reference_random_supports,
     s3,
@@ -360,25 +361,58 @@ def test_norm_identity_trials_reject_a_row_that_repeats_an_image(monkeypatch):
     assert not analyze_case(spec).lemma4_ok
 
 
+def s6():
+    return PermutationGroup(
+        6, [Permutation([1, 0, 2, 3, 4, 5]), Permutation([1, 2, 3, 4, 5, 0])]
+    )
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
 def test_non_bijective_rows_are_counted_one_row_at_a_time(dtype):
-    # A repeated image and an image past n - 1 each make their own row
-    # fail, and neither spills into the row after it, the last row
-    # included.
+    # A repeated image and an image past n - 1 each mark their own row,
+    # and neither spills into the row after it, the last row included.
     rows = np.array(
         [[0, 1, 2, 3], [3, 3, 1, 0], [1, 2, 3, 0], [0, 1, 2, 4], [2, 3, 0, 1],
          [0, 1, 2, 9]],
         dtype=dtype,
     )
-    assert harmonic._non_bijective_rows(rows, 4) == 3
-    assert harmonic._non_bijective_rows(rows[[0, 2, 4]], 4) == 0
-    assert harmonic._non_bijective_rows(rows[:0], 4) == 0
+    bad = harmonic._non_bijective(rows, 4)
+    assert bad.tolist() == [False, True, False, True, False, True]
+    assert not harmonic._non_bijective(rows[[0, 2, 4]], 4).any()
+    assert harmonic._non_bijective(rows[:0], 4).shape == (0,)
 
 
-def s6():
-    return PermutationGroup(
-        6, [Permutation([1, 0, 2, 3, 4, 5]), Permutation([1, 2, 3, 4, 5, 0])]
+@pytest.mark.parametrize(
+    "make_group",
+    [lambda: realize_case(catalog._complete(5)).group, s6],
+    ids=["complete-5", "s6"],
+)
+def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_group):
+    # Each distinct drawn element is formed once, but a bad one counts as
+    # often as it was drawn: corrupting one element's row must make
+    # ``non_bijective_rows`` the number of times the reference draws it.
+    group = make_group()
+    n = group.degree
+    clean = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
+    drawn = np.concatenate(
+        list(reference_drawn_indices(n, group.order(), 1000, np.random.default_rng(3)))
     )
+    j = int(drawn[0])
+    assert np.count_nonzero(drawn == j) > 1
+    element_rows = PermutationGroup._element_rows
+    formed = []
+
+    def corrupting(self, index):
+        formed.extend(index.tolist())
+        rows = element_rows(self, index).copy()
+        rows[index == j, 1] = rows[index == j, 0]
+        return rows
+
+    monkeypatch.setattr(PermutationGroup, "_element_rows", corrupting)
+    report = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
+    assert report.non_bijective_rows == np.count_nonzero(drawn == j)
+    assert report.rows_checked == clean.rows_checked == len(drawn)
+    assert len(formed) == len(set(formed)) == len(np.unique(drawn))
 
 
 def assert_supports_valid(chosen, sizes, count, m):
