@@ -146,11 +146,12 @@ def make_transitive_case(
 ) -> TransitiveCase:
     """Validate an action and extract its connection set.
 
-    The set {g in G : g(v) is a neighbor of v} is built from G_v's left
-    cosets (``ConnectionSet.of_point``), so only G_v is enumerated; G's
-    order still counts against ``cap``.  Checks: action by automorphisms,
-    vertex-transitivity, regularity, positive valency, |S| = k * |G_v|,
-    and S({v}) = neighborhood of v.
+    The set {g in G : g(v) is a neighbor of v} is held as G_v and its
+    left cosets (``ConnectionSet.of_point``), so only G_v is enumerated
+    and S is not listed; G's order still counts against ``cap``.  Checks:
+    action by automorphisms, vertex-transitivity, regularity, positive
+    valency, |S| = k * |G_v|, and S({v}) = neighborhood of v, read off
+    column v of the coset rows.
     """
     if group.degree != graph.n:
         raise ValueError(
@@ -176,7 +177,8 @@ def make_transitive_case(
             f"|S| = {len(connection)} differs from k*|G_v| = "
             f"{valency * stab.order()}"
         )
-    hit = np.bincount(connection.rows[:, base_vertex], minlength=graph.n) > 0
+    # Each coset u_w*G_v sends v to u_w(v) alone.
+    hit = np.bincount(connection.cosets[:, base_vertex], minlength=graph.n) > 0
     if not np.array_equal(hit, graph.adjacency[base_vertex]):
         raise StructureError("S({v}) differs from the neighborhood of v")
     return TransitiveCase(group, graph, base_vertex, connection, stab, valency)

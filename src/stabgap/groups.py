@@ -55,22 +55,25 @@ G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
 generators for its stabilizer.  Orbits are component labels
 (``_component_minima``).
 
-A connection set S keeps its rows, their lookup table and one row per
-left coset s*H (``cosets``).  Its indicator operator, the n x n count
-K[x, y] = #{s in S : s(y) = x}, is counted on each call by one
-``bincount`` per block of rows of each column and not kept; only eq2
-reads it.  Given as elements, S finds its elements' inverses once,
-by one scatter into the rows' dtype, and looks them up to decide
-inverse closure; the inverse rows are not kept.  Its H-double-coset split looks up right
-products only: with S = S^-1 and S*h inside S for each generator h,
-h*s = (s^-1 * h^-1)^-1 is in S too, and the left moves are read off the
-right ones through the inverses.  Given as {g : g(p) in T}
-(``ConnectionSet.of_point``), it is built from Sabidussi's decomposition
-into the left cosets u_w*G_p, w in T, so the group itself is never
-enumerated and no inverse row is formed; its G_p-double cosets are read
-off G_p's orbits on T, each represented by the first row that sends p
-into its orbit, and inverse closure off the k transversal rows u_w:
-S = S^-1 exactly when every u_w^-1(p) lies in T.
+A connection set S is held as its subgroup H and one row per left coset
+s*H (``cosets``); its rows, their lookup table and its double cosets'
+smallest rows are formed only when read.  Its indicator operator, the
+n x n count K[x, y] = #{s in S : s(y) = x}, is counted on each call coset
+by coset, K[x, y] = sum_w C[u_w^-1(x), y] over the coset rows u_w with C
+counting H's elements by one ``bincount`` per block of H's rows, and not
+kept; only eq2 reads it.  Given as elements, S is listed from the start:
+it finds its elements' inverses once, by one scatter into the rows'
+dtype, and looks them up to decide inverse closure; the inverse rows are
+not kept.  Its H-double-coset split looks up right products only: with
+S = S^-1 and S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1
+is in S too, and the left moves are read off the right ones through the
+inverses.  Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is
+Sabidussi's decomposition into the left cosets u_w*G_p, w in T, so
+neither the group nor the set is listed and no row of S is inverted:
+its G_p-double cosets are counted as G_p's orbits on T, inverse closure
+is read off the k transversal rows u_w (S = S^-1 exactly when every
+u_w^-1(p) lies in T), and g is a member exactly when u_{g(p)}^-1 * g
+sifts through G_p's chain.
 """
 
 from __future__ import annotations
@@ -94,8 +97,8 @@ _SCHREIER_BLOCK = 1 << 20
 #: sort keys tie.
 _COMPARE_BLOCK = 1 << 20
 
-#: Rows per block of a column counted at once by ``ConnectionSet.operator``
-#: (128 KiB of the intp images ``bincount`` casts them to).
+#: Images per block of the subgroup's rows counted at once by
+#: ``ConnectionSet.operator`` (128 KiB of intp cells).
 _COUNT_BLOCK = 1 << 14
 
 #: An element set as ``Permutation`` objects or as rows of images.
@@ -538,12 +541,9 @@ class PermutationGroup:
     # -- stabilizer chain ---------------------------------------------------
 
     def _build_chain(self) -> list[_ChainLevel]:
+        # Each level spans its effective generators: the strong generators
+        # assigned to it and to every deeper level, deepest last.
         levels: list[_ChainLevel] = []
-
-        def effective_gens(i: int) -> np.ndarray:
-            # The group at level i is generated by the strong generators
-            # assigned to level i and to every deeper level.
-            return np.vstack([level.gens for level in levels[i:]])
 
         def add_first_moved(rows: np.ndarray, deeper: int) -> int | None:
             """Sift the rows through the levels from ``deeper`` on; add the
@@ -559,8 +559,11 @@ class PermutationGroup:
                 basepoint = int(np.flatnonzero(g != np.arange(self.degree))[0])
                 levels.append(_ChainLevel(basepoint, self._gen_rows[:0]))
             levels[j].gens = np.vstack([levels[j].gens, g])
-            for i in range(j + 1):
-                levels[i].span(effective_gens(i))
+            # One suffix pass: level i's span is its generators over i + 1's.
+            span = levels[j + 1]._span if j + 1 < len(levels) else levels[j].gens[:0]
+            for level in reversed(levels[: j + 1]):
+                span = np.vstack([level.gens, span])
+                level.span(span)
             return j
 
         for g in self._gen_rows:
@@ -577,7 +580,7 @@ class PermutationGroup:
         i = len(levels) - 1
         while i >= 0:
             added = None
-            for block in _schreier_blocks(levels[i], effective_gens(i)):
+            for block in _schreier_blocks(levels[i], levels[i]._span):
                 added = add_first_moved(block, i + 1)
                 if added is not None:
                     break
@@ -679,6 +682,18 @@ class PermutationGroup:
         return list(self._elements)
 
 
+def _query_rows(rows, degree: int) -> np.ndarray:
+    """Query rows as an array; ValueError unless it is 2-D with one column
+    per point."""
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != degree:
+        raise ValueError(
+            f"query rows must be a 2-D array of width {degree} (the degree), "
+            f"not of shape {rows.shape}"
+        )
+    return rows
+
+
 class _RowTable:
     """Distinct permutations of one degree as the rows of an integer array,
     sorted lexicographically, looked up by binary search on their keys.
@@ -720,13 +735,8 @@ class _RowTable:
         Matches are confirmed on the rows as given, so a row with an image
         outside 0..degree-1 is missing.  ValueError unless the rows form a
         2-D array with one column per point."""
-        rows = np.asarray(rows)
         n, degree = self.rows.shape
-        if rows.ndim != 2 or rows.shape[1] != degree:
-            raise ValueError(
-                f"query rows must be a 2-D array of width {degree} (the degree), "
-                f"not of shape {rows.shape}"
-            )
+        rows = _query_rows(rows, degree)
         if not n:
             return np.full(len(rows), -1)
         query = rows.astype(self.rows.dtype, copy=False)
@@ -827,35 +837,41 @@ _NOT_INVERSE_CLOSED = "connection set is not inverse-closed"
 class ConnectionSet:
     """An inverse-closed union of H-double cosets driving a coset graph.
 
-    The elements are held as the read-only ``rows``, distinct and in
-    lexicographic order; ``elements`` builds them as ``Permutation``
-    objects on first use.  The read-only ``representatives`` holds the
-    smallest row of each H-double coset, in increasing order, and the
-    read-only ``cosets`` one row per left coset s*H.
+    The set is held as its subgroup H, one row per left coset s*H (the
+    read-only ``cosets``) and ``n_double_cosets``, the number of its
+    H-double cosets; its size is the number of cosets times |H|.  Its
+    elements are listed only where they are read: the read-only ``rows``,
+    distinct and in lexicographic order, with their lookup table;
+    ``elements``, the rows as ``Permutation`` objects; and the read-only
+    ``representatives``, the smallest row of each H-double coset, in
+    increasing order.
 
-    Inverse closure is checked on construction.  The set's indicator
-    operator (``operator``), the n x n count
-    K[x, y] = #{s in S : s(y) = x}, is built anew on each call and not
-    kept: eq2 compares it with the bipartite matrix and drops it.
+    The set's indicator operator (``operator``), the n x n count
+    K[x, y] = #{s in S : s(y) = x}, is counted coset by coset on each call
+    and not kept: eq2 compares it with the bipartite matrix and drops it.
 
-    Built from elements (``Permutation`` objects or image rows), inverse
-    closure is decided by looking up every element's inverse, and
-    H-bi-invariance by splitting the set into its H-double cosets with
-    right products only: S*h inside S for each generator h, together with
-    S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S as well, and the smallest
-    row of each component of those products is a coset's.  ``of_point``
-    builds {g in G : g(p) in T} from cosets instead, decides both on its
-    transversal rows, and keeps them as its cosets; it finds each double
-    coset's smallest row without sorting S again.
+    Built from elements (``Permutation`` objects or image rows), the set
+    is listed from the start.  Inverse closure is decided by looking up
+    every element's inverse, and H-bi-invariance by splitting the set into
+    its H-double cosets with right products only: S*h inside S for each
+    generator h, together with S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S
+    as well.  The smallest row of each component of those products is a
+    double coset's, and of each component of the right products a left
+    coset's, and membership is a lookup in the table.  ``of_point`` builds
+    {g in G : g(p) in T} from its cosets instead: it decides both on its k
+    transversal rows, keeps them as its cosets, counts its double cosets
+    as H's orbits on T, and lists the set only when ``rows``,
+    ``elements`` or ``representatives`` is read.
     """
 
     __slots__ = (
         "degree",
         "subgroup",
-        "rows",
-        "representatives",
         "cosets",
+        "n_double_cosets",
+        "_point",
         "_table",
+        "_representatives",
         "_elements",
     )
 
@@ -869,7 +885,9 @@ class ConnectionSet:
         except StructureError:
             raise StructureError(_NOT_BI_INVARIANT) from None
         label = _component_minima(len(table.rows), moves[1::2])
-        self._fill(table, subgroup, reps, table.rows[label == np.arange(len(label))])
+        self._fill(subgroup, table.rows[label == np.arange(len(label))], len(reps))
+        reps.setflags(write=False)
+        self._table, self._representatives = table, reps
 
     @classmethod
     def of_point(
@@ -880,22 +898,23 @@ class ConnectionSet:
         cap: int = DEFAULT_ELEMENT_CAP,
     ) -> ConnectionSet:
         """The set {g in G : g(point) in targets}, over H = G_point, built
-        from cosets of H without enumerating G: SizeLimitError if the
-        group's order exceeds cap, as for ``element_array(cap)``.
+        from cosets of H without enumerating G or listing the set:
+        SizeLimitError if the group's order exceeds cap, as for
+        ``element_array(cap)``.
 
         By Sabidussi's decomposition the set is the disjoint union of the
         left cosets u_w*H, for w in targets within the point's orbit and
-        u_w the transversal row sending the point to w, so its rows are
-        the products u_w*h over H's elements h.  It is closed under right
-        products by H by construction, and under left products exactly
-        when H maps those targets into themselves, which is checked.  Then
-        H maps the other points into themselves too, so the inverse
-        (u_w*h)^-1 sends the point to h^-1(u_w^-1(point)), a target exactly
-        when u_w^-1(point) is: the set is inverse-closed exactly when every
-        u_w^-1(point) is a target, which is checked on the k transversal
-        rows, not on the set's.  Its H-double coset through g is
-        {g' : g'(point) in H.g(point)}, so the double cosets are H's orbits
-        on the targets.
+        u_w the transversal row sending the point to w, so it is held as
+        those k rows and H, whose element rows are listed here, once.  It
+        is closed under right products by H by construction, and under
+        left products exactly when H maps those targets into themselves,
+        which is checked.  Then H maps the other points into themselves
+        too, so the inverse (u_w*h)^-1 sends the point to
+        h^-1(u_w^-1(point)), a target exactly when u_w^-1(point) is: the
+        set is inverse-closed exactly when every u_w^-1(point) is a
+        target, which is checked on the k transversal rows.  Its H-double
+        coset through g is {g' : g'(point) in H.g(point)}, so the double
+        cosets are H's orbits on the targets, and they are counted so.
         """
         group._check_order(cap)
         subgroup = group.stabilizer(point)
@@ -908,55 +927,92 @@ class ConnectionSet:
         # u_w^-1(point) is the place where row u_w holds the point.
         if not inside[np.argmax(t == point, axis=1)].all():
             raise StructureError(_NOT_INVERSE_CLOSED)
-        rows = _compose_all(t, subgroup.element_array(cap)).reshape(-1, group.degree)
-        order, keys = _lex_order(rows)
-        rows = rows.take(order, axis=0)
-        rows.setflags(write=False)
-        # A double coset's smallest row is the first row that sends the point
-        # into its H-orbit: the least row index per orbit label, no sort of S.
-        first = np.full(group.degree, len(rows))
+        # H keeps its element rows, for the operator and the set's rows.
+        subgroup.element_array(cap)
+        # H keeps the targets, so each of its orbits on them holds its least
+        # point: the double cosets are the targets that are orbit minima.
         label = _component_minima(group.degree, subgroup._gen_rows)
-        np.minimum.at(first, label.take(rows[:, point]), np.arange(len(rows)))
-        reps = rows.take(np.sort(first[first < len(rows)]), axis=0)
+        count = int(np.count_nonzero(inside & (label == np.arange(group.degree))))
         connection = object.__new__(cls)
-        connection._fill(_RowTable._sorted(rows, keys), subgroup, reps, t)
+        connection._fill(subgroup, t, count, point)
         return connection
 
     def _fill(
         self,
-        table: _RowTable,
         subgroup: PermutationGroup,
-        reps: np.ndarray,
         cosets: np.ndarray,
+        n_double_cosets: int,
+        point: int | None = None,
     ) -> None:
-        """Hold the table's rows over the subgroup, and the double cosets'
-        and the left cosets' rows read-only."""
-        reps.setflags(write=False)
+        """Hold the set as its subgroup, its left cosets' rows, read-only,
+        and its double-coset count; ``point`` is an ``of_point`` set's
+        point, and None for a set given as elements."""
         cosets.setflags(write=False)
         self.degree = subgroup.degree
         self.subgroup = subgroup
-        self.rows = table.rows
-        self.representatives, self.cosets = reps, cosets
-        self._table = table
+        self.cosets = cosets
+        self.n_double_cosets = n_double_cosets
+        self._point = point
+        self._table = self._representatives = None
         self._elements: tuple[Permutation, ...] | None = None
+
+    def _row_table(self) -> _RowTable:
+        """The set's rows and their lookup table, formed when first read:
+        every coset row composed with every element of H, sorted."""
+        if self._table is None:
+            rows = _compose_all(self.cosets, self.subgroup._all_rows())
+            rows = rows.reshape(-1, self.degree)
+            order, keys = _lex_order(rows)
+            rows = rows.take(order, axis=0)
+            rows.setflags(write=False)
+            self._table = _RowTable._sorted(rows, keys)
+        return self._table
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._row_table().rows
+
+    @property
+    def representatives(self) -> np.ndarray:
+        if self._representatives is None:
+            # A double coset's smallest row is the first row that sends the
+            # point into its H-orbit: the least row index per orbit label.
+            rows = self.rows
+            first = np.full(self.degree, len(rows))
+            label = _component_minima(self.degree, self.subgroup._gen_rows)
+            at = label.take(rows[:, self._point])
+            np.minimum.at(first, at, np.arange(len(rows)))
+            reps = rows.take(np.sort(first[first < len(rows)]), axis=0)
+            reps.setflags(write=False)
+            self._representatives = reps
+        return self._representatives
 
     def operator(self) -> np.ndarray:
         """The n x n float matrix K of convolving by the set's indicator,
         K[x, y] = #{s in S : s(y) = x}, so that (K @ v)(x) =
         sum_s v(s^-1(x)); built on every call and not kept.
 
-        Column y counts the images s(y), column y of the rows, as the sum
-        of one ``bincount`` per block of ``_COUNT_BLOCK`` rows, so no
-        inverse rows, no |S| x n array and no |S|-long intp column are
-        formed.  The counts are exact, and the same as every sum over S's
-        elements of unit weights, in any order."""
+        S is the disjoint union of its left cosets u_w*H, and u_w*h sends
+        y to x exactly when h sends y to u_w^-1(x), so
+        K[x, y] = sum_w C[u_w^-1(x), y] with C[z, y] = #{h in H : h(y) = z}.
+        C counts every element of H, one ``bincount`` of the cells
+        (h(y), y) per block of H's rows of about ``_COUNT_BLOCK`` images,
+        and K adds C's rows gathered through each coset row's inverse, one
+        coset at a time.  That is the count of every element of S,
+        regrouped: exact, with no row of S and no |S| x n array formed."""
         n = self.degree
-        kernel = np.empty((n, n))
-        for y in range(n):
-            column = self.rows[:, y]
-            kernel[:, y] = np.bincount(column[:_COUNT_BLOCK], minlength=n)
-            for a in range(_COUNT_BLOCK, len(column), _COUNT_BLOCK):
-                kernel[:, y] += np.bincount(column[a : a + _COUNT_BLOCK], minlength=n)
+        h_rows = self.subgroup._all_rows()
+        counts = np.zeros(n * n, dtype=np.intp)
+        step = max(1, _COUNT_BLOCK // n)
+        for a in range(0, len(h_rows), step):
+            cells = h_rows[a : a + step].astype(np.intp)
+            cells *= n
+            cells += np.arange(n)
+            counts += np.bincount(cells.ravel(), minlength=n * n)
+        counts = counts.reshape(n, n)
+        kernel = np.zeros((n, n))
+        for u_inverse in _inverse_rows(self.cosets):
+            kernel += counts.take(u_inverse, axis=0)
         return kernel
 
     @property
@@ -966,7 +1022,7 @@ class ConnectionSet:
         return self._elements
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.cosets) * self.subgroup.order()
 
     def __iter__(self):
         return iter(self.elements)
@@ -979,8 +1035,26 @@ class ConnectionSet:
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether each row of images, of the set's degree, is in the set:
         a row with an image outside 0..degree-1 is not.  ValueError unless
-        the rows form a 2-D array of the set's width."""
-        return self._table.find(rows) >= 0
+        the rows form a 2-D array of the set's width.
+
+        A set given as elements looks the rows up in its table.  An
+        ``of_point`` set holds g exactly when g(p) is a target w and
+        u_w^-1 * g, which fixes p, is in H: it sifts through H's chain to
+        the identity, which no row that is not a permutation does."""
+        if self._point is None:
+            return self._table.find(rows) >= 0
+        rows = _query_rows(rows, self.degree)
+        g = np.clip(rows, 0, self.degree - 1).astype(self.cosets.dtype)
+        inside = np.flatnonzero((g == rows).all(axis=1))
+        g = g[inside]
+        coset = np.full(self.degree, -1)
+        coset[self.cosets[:, self._point]] = np.arange(len(self.cosets))
+        w = coset.take(g[:, self._point])
+        hit = w >= 0
+        back = _compose(_inverse_rows(self.cosets), w[hit], g[hit])
+        member = np.zeros(len(rows), dtype=bool)
+        member[inside[hit]] = self.subgroup._contains_rows(back)
+        return member
 
     def __repr__(self) -> str:
         return f"ConnectionSet(degree={self.degree}, size={len(self)})"

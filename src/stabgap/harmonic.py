@@ -63,11 +63,13 @@ def convolution_matches_matrix(
     exactly the linear map of the bipartite matrix: the set's operator K
     (``ConnectionSet.operator``) equals the matrix in every cell.
 
-    The two sides are two routes to one matrix.  K sums over every element
-    of the set, while ``spectral.build_bipartite`` assembles the matrix
-    from the subgroup's orbit counts and the set's ``cosets`` alone, so a
-    wrong orbit labelling or multiplicity shows here, and so do rows that
-    disagree with the cosets.  Both hold integer counts, so one exact
+    The two sides are two routes to one matrix.  K counts every element
+    of the set, u_w*h for each coset row u_w and each of the subgroup's
+    element rows h, while ``spectral.build_bipartite`` assembles the
+    matrix from the subgroup's orbits and order and the coset rows, with
+    no element of the subgroup read.  So a wrong orbit labelling or
+    multiplicity shows here, and so do element rows that disagree with
+    the subgroup's orbits.  Both hold integer counts, so one exact
     comparison decides the identity for every vector, and K is dropped
     when it returns.  ``trials`` and ``rng`` are read by nothing: they
     remain only for ``perfbench/mirror.py``, which still passes them,
@@ -118,6 +120,10 @@ class NormIdentityReport:
 #: block, follow from it.
 _BLOCK_BYTES = 1 << 20
 
+#: Bytes of the random keys and their ranks held at once while
+#: ``_random_supports`` ranks a block's keys, a chunk of rows at a time.
+_KEY_CHUNK_BYTES = 1 << 17
+
 
 def _draws_by_keys(count: int, m: int) -> bool:
     """Whether ``_random_supports`` picks m of count indices by random
@@ -135,23 +141,29 @@ def _random_supports(
 
     The indices of a row come in random order, so its first ``size`` are
     a uniform sample.  They are the m smallest of count random keys, in
-    key order, read off one ``argsort`` of each row's keys, or, for a
-    large count, a draw with replacement in which any row with a repeated
-    index is drawn again.
+    key order, read off an ``argsort`` of the keys of a chunk of rows at a
+    time, or, for a large count, a draw with replacement in which any row
+    with a repeated index is drawn again.
     """
     sizes = rng.integers(1, m + 1, size=trials)
     if _draws_by_keys(count, m):
-        keys = rng.random((trials, count))
-        # The copy lets the (trials, count) ranks go at once.
-        chosen = np.argsort(keys, axis=1)[:, :m].copy()
+        # The keys are drawn and ranked a chunk of rows at a time, into the
+        # m columns kept: the same stream as one (trials, count) draw.
+        chosen = np.empty((trials, m), dtype=np.intp)
+        step = max(1, _KEY_CHUNK_BYTES // (16 * count))
+        for a in range(0, trials, step):
+            keys = rng.random((min(step, trials - a), count))
+            chosen[a : a + step] = np.argsort(keys, axis=1)[:, :m]
     else:
         chosen = rng.integers(count, size=(trials, m))
+        # Only rows just redrawn can hold a repeat.
+        redraw = np.arange(trials)
         while True:
-            ordered = np.sort(chosen, axis=1)
-            repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-            if not len(repeated):
+            ordered = np.sort(chosen[redraw], axis=1)
+            redraw = redraw[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+            if not len(redraw):
                 break
-            chosen[repeated] = rng.integers(count, size=(len(repeated), m))
+            chosen[redraw] = rng.integers(count, size=(len(redraw), m))
     return chosen, sizes
 
 

@@ -1,7 +1,7 @@
 """End-to-end analysis of one case and assembly of its report row.
 
-The pipeline realizes the case, decomposes the connection set into
-double cosets, classifies the local action, checks the canonical coset
+The pipeline realizes the case, counts the connection set's double
+cosets, classifies the local action, checks the canonical coset
 isomorphism, builds the bipartite matrix, computes its spectrum densely
 and its second singular value again by power iteration, checks the
 convolution identity exactly and lemma 4's norm identities exactly (the
@@ -263,9 +263,9 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
     k = case.valency
     stabilizer_order = case.stabilizer.order()
 
-    representatives = case.connection.representatives
+    n_double_cosets = case.connection.n_double_cosets
     local = local_action(case)
-    local_agreement = local.locally_transitive == (len(representatives) == 1)
+    local_agreement = local.locally_transitive == (n_double_cosets == 1)
     sabidussi_ok = bool(sabidussi_isomorphism(case))
 
     adjacency = build_bipartite(case.connection, n)
@@ -315,7 +315,7 @@ def _analyze(spec: CaseSpec, options: AnalyzeOptions, dump_matrix: bool) -> Case
         group_order=group_order,
         stabilizer_order=stabilizer_order,
         s_size=len(case.connection),
-        n_double_cosets=len(representatives),
+        n_double_cosets=n_double_cosets,
         locally_transitive=local.locally_transitive,
         locally_primitive=local.locally_primitive,
         lambda1=lambda1,

@@ -10,11 +10,12 @@ connection set S, so it is a product with S's indicator operator
 (divided by |S| for the uniform distribution p_S).  eq2
 (``harmonic.convolution_matches_matrix``) proves that operator equal,
 cell for cell, to the bipartite matrix A, so the chain's lines read A;
-the Cauchy-Schwarz step alone counts p_S * p_v from S's elements, one
-column of S's rows.  A strict inequality holds only when its two sides
-are not equal to working precision, so an exact tie is never decided by
-the last bit of a float.  The derived disjunction is: either the graph
-is small (n < 2k) or m^2 < 2*lambda2^2/k.
+the Cauchy-Schwarz step alone counts p_S * p_v from S's elements, as
+|G_v| times one column of its left cosets' rows.  A strict inequality
+holds only when its two sides are not equal to working precision, so an
+exact tie is never decided by the last bit of a float.  The derived
+disjunction is: either the graph is small (n < 2k) or
+m^2 < 2*lambda2^2/k.
 """
 
 from __future__ import annotations
@@ -60,14 +61,17 @@ def cauchy_schwarz_step(case: TransitiveCase) -> CauchySchwarzResult:
     """Evaluate ||p_S * p_v||^2 and compare it against 1/k.
 
     p_S * p_v counts, at each vertex x, the elements s of S with
-    s(v) = x, divided by |S|: one ``bincount`` of column v of S's rows,
-    with no n x n array.  It is supported exactly on the base
-    neighborhood; any mass elsewhere is a structural failure, not a
-    tolerance matter (cells off it hold exact zeros).
+    s(v) = x, divided by |S|.  Every element of a left coset u_w*G_v of S
+    sends v to u_w(v), so the count is |G_v| times one ``bincount`` of
+    column v of the coset rows: the same integers, with no row of S and
+    no n x n array.  It is supported exactly on the base neighborhood;
+    any mass elsewhere is a structural failure, not a tolerance matter
+    (cells off it hold exact zeros).
     """
     n = case.graph.n
-    column = case.connection.rows[:, case.base_vertex]
-    conv = np.bincount(column, minlength=n) / len(column)
+    column = case.connection.cosets[:, case.base_vertex]
+    counts = np.bincount(column, minlength=n) * case.connection.subgroup.order()
+    conv = counts / len(case.connection)
     off_support = conv.copy()
     off_support[list(case.graph.neighbors(case.base_vertex))] = 0.0
     if float(np.abs(off_support).max()) != 0.0:

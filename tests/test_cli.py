@@ -277,14 +277,31 @@ def test_catalog_seed_changes_rows(tmp_path):
 if __name__ == "__main__":
     # Rewrite both captures, then print the sha256 of all their reports:
     # each report's ``json.dumps(report, sort_keys=True)``, concatenated,
-    # the catalog's first, then the ladder's.
-    dumps = []
+    # the catalog's first, then the ladder's.  With --check, write nothing
+    # and exit 1 if either capture's bytes would change.
+    import argparse
+    import sys
+
+    parser = argparse.ArgumentParser(description="Regenerate the seed-0 captures.")
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the captures instead of rewriting them",
+    )
+    check = parser.parse_args().check
+    dumps, changed = [], []
     for path, specs in (
         (CATALOG_SEED0_JSON, builtin_cases()),
         (LADDER_SEED0_JSON, ladder_cases()),
     ):
         reports = json_reports(specs)
-        path.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n")
+        text = json.dumps(reports, indent=1, sort_keys=True) + "\n"
+        if not check:
+            path.write_text(text)
+        elif text != path.read_text():
+            changed.append(path.name)
         dumps += [json.dumps(report, sort_keys=True) for report in reports]
     digest = hashlib.sha256("".join(dumps).encode("utf-8")).hexdigest()
     print(f"sha256 of the {len(dumps)} seed-0 reports: {digest}")
+    if changed:
+        sys.exit(f"differs from the capture: {', '.join(changed)}")

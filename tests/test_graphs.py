@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from cases import (
     double_coset,
     petersen_case,
     reference_local_action,
+    reference_operator,
     reference_preserves_edges,
     s3,
     symmetric,
@@ -487,6 +489,72 @@ def test_coset_graph_extraction_matches_masked_group(drawn):
         assert_extraction_matches_masked_group(case.group, graph, vertex)
 
 
+@settings(max_examples=40, deadline=None)
+@given(coset_graph_data, st.data())
+def test_of_point_set_reads_as_the_listed_set(drawn, data):
+    # An ``of_point`` set is held as its cosets and H and lists nothing
+    # until its rows are read; the same set given as elements is listed
+    # from the start.  Every read must agree, and so must membership of
+    # every group element, of permutations outside the group, of rows
+    # that repeat an image, and of rows with an image outside the degree.
+    group, subgroup_gens, reps = drawn
+    subgroup = PermutationGroup(group.degree, subgroup_gens)
+    try:
+        graph, case = build_coset_graph(CosetGraphSpec(group, subgroup, tuple(reps)))
+    except StructureError:
+        return
+    n = graph.n
+    vertex = data.draw(st.integers(0, n - 1))
+    group, targets = case.group, graph.neighbors(vertex)
+    conn = ConnectionSet.of_point(group, vertex, targets)
+    rows = group.element_array()
+    masked = rows[np.isin(rows[:, vertex], targets)]
+    listed = ConnectionSet(masked, group.stabilizer(vertex))
+    assert len(conn) == len(listed) == len(masked)
+    assert conn.n_double_cosets == listed.n_double_cosets
+    assert np.array_equal(conn.operator(), listed.operator())
+    assert np.array_equal(conn.operator(), reference_operator(masked))
+
+    queries = np.concatenate([rows, rows[:, ::-1]]).astype(np.int64)
+    member = masked[data.draw(st.integers(0, len(masked) - 1))].astype(np.int64)
+    column = data.draw(st.integers(0, n - 1))
+    bad = np.tile(member, (4, 1))
+    bad[0, column] = n  # an image past the degree
+    bad[1, column] += 256  # the member again, once cast to uint8
+    bad[2, column] = -1
+    bad[3, column] = member[(column + 1) % n]  # a repeated image
+    queries = np.concatenate([queries, bad])
+    members = set(map(tuple, masked.tolist()))
+    expected = [tuple(q) in members for q in queries.tolist()]
+    assert conn.contains_rows(queries).tolist() == expected
+    assert listed.contains_rows(queries).tolist() == expected
+    assert expected[-4:] == [False] * 4 and any(expected)
+    for wrong in (queries[0], queries[:, 1:]):
+        with pytest.raises(ValueError, match=f"width {n}"):
+            conn.contains_rows(wrong)
+    assert conn._table is None
+
+    assert np.array_equal(conn.rows, listed.rows)
+    assert np.array_equal(conn.representatives, listed.representatives)
+    assert len(listed.representatives) == listed.n_double_cosets
+
+
+def test_realize_forms_no_connection_sized_array():
+    # complete-9: |S| = 8 * 8! = 322 560 rows of 9 images, 2.9 MB.  The set
+    # is held as its 8 cosets and G_v, so realizing the case stays under
+    # |S| * n bytes, and the set's rows are never formed.
+    tracemalloc.start()
+    try:
+        case = realize_case(catalog._complete(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    connection = case.connection
+    assert len(connection) == 322_560 and len(connection.cosets) == 8
+    assert connection._table is None
+    assert peak < len(connection) * case.graph.n, peak
+
+
 # -- canonical isomorphism -------------------------------------------------------
 
 
@@ -664,11 +732,15 @@ def test_coset_graph_and_local_action_read_rows(monkeypatch):
         graph, case = build_coset_graph(spec)
     assert graph.n == 12 and case.stabilizer.order() == 2
     assert "__init__" not in calls
+    # The representatives are listed from H's rows when first read, before
+    # the calls are recorded.
+    representatives = case.connection.representatives
+    assert case.connection.n_double_cosets == len(representatives)
     calls.clear()
     _record_calls(monkeypatch, Permutation, calls)
     _record_calls(monkeypatch, PermutationGroup, calls)
     report = local_action(case)
-    assert report.orbit_count == len(case.connection.representatives)
+    assert report.orbit_count == len(representatives)
     assert calls == []
 
 

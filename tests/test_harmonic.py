@@ -23,10 +23,12 @@ from stabgap.spectral import (
 )
 
 from cases import (
+    ladder_cases,
     petersen_case,
-    reference_bipartite,
+    reference_compose_all,
     reference_drawn_indices,
     reference_norm_identity_trials,
+    reference_operator,
     reference_random_supports,
     s3,
     triangle_case,
@@ -151,27 +153,34 @@ def test_eq2_rejects_an_orbit_count_matrix_with_the_factor_off():
 
 
 def test_eq2_rejects_rows_that_disagree_with_the_cosets():
-    # The matrix is assembled from the cosets S carries, K from its rows.
-    # Keep the cosets of S at the base vertex and take the rows of the set
-    # at vertex 1, which has the same size: wherever the two sets have
-    # different matrices, eq2 must fail.
+    # The matrix is assembled from H's orbits and the cosets S carries, K
+    # from the cosets and H's element rows.  Keep G_v, its orbits and the
+    # cosets u_w, and swap in the element rows of G_1, which has the same
+    # order: K then counts the rows u_w * h over h in G_1, and wherever
+    # their matrix differs from the assembled one, eq2 must fail.  Only 13
+    # catalog cases have G_v > 1, so the ladder's cases join them.
     rejected = []
-    for spec in catalog.builtin_cases():
+    for spec in catalog.builtin_cases() + ladder_cases():
         case = realize_case(spec)
-        group, graph, v = case.group, case.graph, case.base_vertex
-        here = ConnectionSet.of_point(group, v, graph.neighbors(v))
-        there = ConnectionSet.of_point(group, 1, graph.neighbors(1))
+        here, n = case.connection, case.graph.n
+        h = here.subgroup
+        mixed = PermutationGroup(n, h._gen_rows)
+        mixed._chain = h._stabilizer_chain()
+        mixed._rows = case.group.stabilizer(1).element_array()
         swapped = object.__new__(ConnectionSet)
-        swapped._fill(there._table, here.subgroup, here.representatives, here.cosets)
-        adj = build_bipartite(swapped, graph.n)
-        assert np.array_equal(adj.matrix, build_bipartite(here, graph.n).matrix)
+        swapped._fill(mixed, here.cosets, here.n_double_cosets, case.base_vertex)
+        adj = build_bipartite(swapped, n)
+        assert np.array_equal(adj.matrix, build_bipartite(here, n).matrix)
         assert convolution_matches_matrix(here, adj)
-        if np.array_equal(reference_bipartite(there, graph.n), adj.matrix):
+        rows = reference_compose_all(here.cosets, mixed._rows).reshape(-1, n)
+        kernel = reference_operator(rows)
+        assert np.array_equal(swapped.operator(), kernel)
+        if np.array_equal(kernel, adj.matrix):
             assert convolution_matches_matrix(swapped, adj)
         else:
             assert not convolution_matches_matrix(swapped, adj)
             rejected.append(spec.name)
-    assert len(rejected) >= 14
+    assert len(rejected) >= 14, rejected
 
 
 @pytest.mark.parametrize("trials", [1, 7, 100])

@@ -227,3 +227,32 @@ def test_analysis_builds_no_permutation_at_all(monkeypatch):
     # The counters do count.
     Permutation([1, 0]).inverse()
     assert built == ["__init__", "_trusted"]
+
+
+def test_analysis_never_lists_the_connection_set(monkeypatch):
+    # S is held as its cosets and G_v: analysing the 28 hashed cases forms
+    # neither S's rows nor their lookup table, as lemma 4 lists no G.  An
+    # ``of_point`` set forms both in ``_row_table``, which the rows, the
+    # elements and the representatives all read.
+    specs = builtin_cases() + ladder_cases()
+    formed, connections = [], []
+    row_table, of_point = ConnectionSet._row_table, ConnectionSet.of_point.__func__
+
+    def recording(self):
+        formed.append(self)
+        return row_table(self)
+
+    def kept(cls, *args, **kwargs):
+        connections.append(of_point(cls, *args, **kwargs))
+        return connections[-1]
+
+    monkeypatch.setattr(ConnectionSet, "_row_table", recording)
+    monkeypatch.setattr(ConnectionSet, "of_point", classmethod(kept))
+    for spec in specs:
+        analyze_case(spec)
+    assert len(connections) == len(specs)
+    assert formed == []
+    assert all(connection._table is None for connection in connections)
+    # The recorder does record.
+    assert len(connections[0].rows) == len(connections[0])
+    assert formed == [connections[0]]
