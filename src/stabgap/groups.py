@@ -919,7 +919,11 @@ class ConnectionSet:
         group._check_order(cap)
         subgroup = group.stabilizer(point)
         t = group.transversal(point)
-        t = t[np.isin(t[:, point], list(targets))]
+        # A target outside 0..degree-1 selects nothing.
+        targets = np.array(list(targets), dtype=np.intp)
+        wanted = np.zeros(group.degree, dtype=bool)
+        wanted[targets[(0 <= targets) & (targets < group.degree)]] = True
+        t = t[wanted[t[:, point]]]
         inside = np.zeros(group.degree, dtype=bool)
         inside[t[:, point]] = True
         if not inside[subgroup._gen_rows[:, inside]].all():

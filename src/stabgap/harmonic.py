@@ -8,8 +8,9 @@ bipartite matrix, cell for cell.  ``norm_identity_trials`` checks lemma
 4's norm identities exactly: the convolution identity holds for every
 distribution on the group because each element acts on V as a
 bijection, so the elements of random supports, drawn as indices into the
-group's elements in chain order, are checked to be bijections: each
-distinct drawn element's row is formed once from the stabilizer chain
+group's elements in chain order, are checked to be bijections: the
+drawn indices are counted by one sort, each distinct drawn element's
+row is formed once from the stabilizer chain
 (``PermutationGroup._element_rows``) and checked by one ``bincount`` per
 block of rows, and a bad one counts as often as it was drawn; the shift,
 centering and scaling identities do not read the group and are decided
@@ -114,10 +115,10 @@ class NormIdentityReport:
         )
 
 
-#: Bytes of one block's largest working set: the random keys that pick
-#: its supports and their ranks, or the support rows' offset images and
-#: hit counts.  The number of trials per block, and of rows per checked
-#: block, follow from it.
+#: Bytes of one block's working set: a block of trials' sizes, drawn
+#: indices and their copies (``_drawn_counts``), or a block of support
+#: rows' offset images and hit counts.  The number of trials per block,
+#: and of rows per checked block, follow from it.
 _BLOCK_BYTES = 1 << 20
 
 #: Bytes of the random keys and their ranks held at once while
@@ -157,14 +158,63 @@ def _random_supports(
     else:
         chosen = rng.integers(count, size=(trials, m))
         # Only rows just redrawn can hold a repeat.
-        redraw = np.arange(trials)
+        redraw, ordered = np.arange(trials), np.sort(chosen, axis=1)
         while True:
-            ordered = np.sort(chosen[redraw], axis=1)
-            redraw = redraw[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+            # Neighbours compared in one flat pass, each row's last cell
+            # then cleared: it met the next row's first.
+            same = np.empty(ordered.shape, dtype=bool)
+            flat = ordered.reshape(-1)
+            np.equal(flat[1:], flat[:-1], out=same.reshape(-1)[:-1])
+            same[:, -1] = False
+            redraw = redraw[same.any(axis=1)]
             if not len(redraw):
                 break
             chosen[redraw] = rng.integers(count, size=(len(redraw), m))
+            ordered = np.sort(chosen[redraw], axis=1)
     return chosen, sizes
+
+
+def _drawn_counts(
+    rng: np.random.Generator, count: int, trials: int, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct index that the supports of ``trials`` random trials
+    in range(count) draw (``_random_supports``), ascending, and how often
+    it was drawn.
+
+    The trials are drawn in blocks, as many per block as fit
+    ``_BLOCK_BYTES`` at 8 + 33 m bytes a trial, which bounds what a block
+    holds: a trial's size, its m drawn indices, the with-replacement
+    branch's sorted copy and the copy it sorts, and its picked indices,
+    at most 8 bytes each, and its m-cell mask.  A block keeps only its
+    picked indices, in at least 16 bits, and one in-place sort of all of
+    them puts each index's draws in one run.
+    """
+    block = max(1, _BLOCK_BYTES // (8 + 33 * m))
+    dtype = np.promote_types(np.min_scalar_type(count - 1), np.uint16)
+    parts = [
+        _picked_indices(rng, count, min(block, trials - done), m, dtype)
+        for done in range(0, trials, block)
+    ] or [np.empty(0, dtype)]
+    drawn = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    del parts
+    # On 16-bit keys NumPy's stable sort is a radix sort; on wider ones it
+    # is a timsort, many times slower than the default.
+    drawn.sort(kind="stable" if drawn.itemsize == 2 else None)
+    # A run starts where the index changes; the end closes the last run.
+    edge = np.empty(len(drawn) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(drawn[1:], drawn[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return drawn[bounds[:-1]], np.diff(bounds)
+
+
+def _picked_indices(
+    rng: np.random.Generator, count: int, trials: int, m: int, dtype: np.dtype
+) -> np.ndarray:
+    """The indices of one block of ``trials`` random supports, trial by
+    trial, in ``dtype``; the block's draws are freed on return."""
+    chosen, sizes = _random_supports(rng, count, trials, m)
+    return chosen.astype(dtype)[np.arange(m) < sizes[:, None]]
 
 
 def _non_bijective(rows: np.ndarray, n: int) -> np.ndarray:
@@ -216,20 +266,20 @@ def norm_identity_trials(
     ``_element_rows``: a group with more elements than a block of rows
     is not listed.
 
-    The trials are drawn in blocks, as many per block as fit
-    ``_BLOCK_BYTES``.  A trial's support has between 1 and
-    ``m = min(|G|, MAX_SUPPORT)`` distinct elements, the first ``size``
-    of a row of m drawn indices (``_random_supports``).  The support
-    indices of all blocks are kept, in the smallest unsigned type that
-    holds |G| - 1, and one ``np.unique`` counts how often each was drawn.
-    Only the distinct drawn elements' rows are formed, in blocks of about
-    half the rows a block of trials draws, and one ``bincount`` per
-    block (``_non_bijective``) checks in integers that each of them hits
-    every point of V once, which is exactly what the convolution identity
-    needs of them (q * u = u).  A row that fails counts once per draw of
-    its element, so the report is the one a check of every drawn row
-    would give.  The other three identities do not read the group and are
-    decided once each (``_group_free_identities``).
+    A trial's support has between 1 and ``m = min(|G|, MAX_SUPPORT)``
+    distinct elements, the first ``size`` of a row of m drawn indices
+    (``_random_supports``).  The trials are drawn in blocks that fit
+    ``_BLOCK_BYTES`` (1310 trials at m = 24), and ``_drawn_counts``
+    counts how often each index was drawn by one sort of all the support
+    indices, held in at least 16 bits.  Only the distinct drawn elements'
+    rows are formed, in blocks of about half ``_BLOCK_BYTES``, and one
+    ``bincount`` per block (``_non_bijective``) checks in integers that
+    each of them hits every point of V once, which is exactly what the
+    convolution identity needs of them (q * u = u).  A row that fails
+    counts once per draw of its element, so the report is the one a
+    check of every drawn row would give.  The other three identities do
+    not read the group and are decided once each
+    (``_group_free_identities``).
     """
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
@@ -245,30 +295,10 @@ def norm_identity_trials(
             raise ValueError("group elements must be distinct")
         count = len(rows)
         element_rows = partial(rows.take, axis=0)
-    m = min(count, MAX_SUPPORT)
-    # Per trial: at most m rows of n offset images and n hit counts, or
-    # |G| random keys and their ranks where ``_random_supports`` draws by
-    # keys; 8 bytes each.
-    keys = count if _draws_by_keys(count, m) else 0
-    per_trial = 16 * max(m * n, keys)
-    block = max(1, _BLOCK_BYTES // per_trial)
-    # Whether a row is a bijection depends only on the element drawn, so
-    # each distinct index is formed and checked once and counted as often
-    # as it was drawn.  The draws are held in one array, allocated before
-    # the blocks, of the smallest unsigned type that holds |G| - 1.
-    drawn = np.empty(trials * m, np.min_scalar_type(count - 1))
-    filled = 0
-    for done in range(0, trials, block):
-        chosen, sizes = _random_supports(rng, count, min(block, trials - done), m)
-        picked = chosen[np.arange(m) < sizes[:, None]]
-        drawn[filled : filled + len(picked)] = picked
-        filled += len(picked)
-    distinct, times = np.unique(drawn[:filled], return_counts=True)
-    del drawn
+    distinct, times = _drawn_counts(rng, count, trials, min(count, MAX_SUPPORT))
     # Per row: an intp index of n images that composes it, then n offset
-    # images and n + 1 hit counts, 8 bytes each.  A block of trials draws
-    # about _BLOCK_BYTES // (32 * n) rows, (m + 1)/2 per trial; a row
-    # block takes half as many.
+    # images and n + 1 hit counts, 8 bytes each, so a block of rows holds
+    # about half of _BLOCK_BYTES.
     step = max(1, _BLOCK_BYTES // (64 * n))
     non_bijective = 0
     for start in range(0, len(distinct), step):
@@ -276,5 +306,5 @@ def norm_identity_trials(
         bad = _non_bijective(element_rows(index), n)
         non_bijective += int(times[start : start + step][bad].sum())
     return NormIdentityReport(
-        trials, filled, non_bijective, *_group_free_identities(n)
+        trials, int(times.sum()), non_bijective, *_group_free_identities(n)
     )

@@ -14,6 +14,7 @@ and random zero-sum vectors check the contraction that value bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,17 +179,19 @@ def _power_iteration(
     normalized.  It stops when consecutive estimates agree within tol,
     or when the image vanishes.
     """
-    a = adjacency.float_matrix
-    x = x / float(np.linalg.norm(x))
+    # math.sqrt(v.dot(v)) and z.sum() / n are what np.linalg.norm and
+    # z.mean() compute for a 1-D float64 vector, without their wrappers.
+    a, n = adjacency.float_matrix, len(x)
+    x = x / math.sqrt(x.dot(x))
     previous = None
     estimate = 0.0
     for _ in range(max_iter):
         y = a @ x
-        estimate = float(np.linalg.norm(y))
+        estimate = math.sqrt(y.dot(y))
         z = a @ y
         if zero_sum:
-            z -= z.mean()
-        norm = float(np.linalg.norm(z))
+            z -= z.sum() / n
+        norm = math.sqrt(z.dot(z))
         if norm <= 1e-300:
             return estimate
         x = z / norm

@@ -351,15 +351,15 @@ def reference_group_free_identities(n):
     )
 
 
-def reference_drawn_indices(n, count, trials, rng, max_support=24):
+def reference_drawn_indices(count, trials, rng, max_support=24):
     """The support indices ``harmonic.norm_identity_trials`` draws, one
     array per block of trials: blocks sized as it sizes them, supports
     drawn by ``reference_random_supports``, each trial's first ``size``
     indices in trial order."""
     m = min(count, max_support)
-    keys = count if _draws_by_keys(count, m) else 0
-    per_trial = 16 * max(m * n, keys)
-    block = max(1, _BLOCK_BYTES // per_trial)
+    # A trial's size, m indices, two sort copies and picked indices, 8
+    # bytes each, and its m-cell mask.
+    block = max(1, _BLOCK_BYTES // (8 + 33 * m))
     for done in range(0, trials, block):
         b = min(block, trials - done)
         chosen, sizes = reference_random_supports(rng, count, b, m)
@@ -376,7 +376,7 @@ def reference_norm_identity_trials(n, rows, trials, rng, max_support=24):
     ``reference_group_free_identities``.  ``norm_identity_trials`` must
     reproduce the report and leave the generator in the same state."""
     rows_checked = non_bijective = 0
-    for index in reference_drawn_indices(n, len(rows), trials, rng, max_support):
+    for index in reference_drawn_indices(len(rows), trials, rng, max_support):
         picked = rows[index]
         rows_checked += len(picked)
         bijective = (np.sort(picked, axis=1) == np.arange(n)).all(axis=1)

@@ -274,11 +274,49 @@ def test_catalog_seed_changes_rows(tmp_path):
     assert rows_a.rsplit(",", 1)[1] != rows_b.rsplit(",", 1)[1]
 
 
+MISSING = "<missing>"
+
+
+def differences(fresh, captured, path):
+    """Each JSON path at which two decoded reports differ, exactly, with
+    the captured and the fresh value there; a key or item that only one
+    side has is given as missing on the other."""
+    if isinstance(captured, dict) and isinstance(fresh, dict):
+        for key in sorted(captured.keys() | fresh.keys()):
+            yield from differences(
+                fresh.get(key, MISSING), captured.get(key, MISSING), f"{path}.{key}"
+            )
+    elif isinstance(captured, list) and isinstance(fresh, list):
+        for i in range(max(len(captured), len(fresh))):
+            yield from differences(
+                fresh[i] if i < len(fresh) else MISSING,
+                captured[i] if i < len(captured) else MISSING,
+                f"{path}[{i}]",
+            )
+    elif type(fresh) is not type(captured) or fresh != captured:
+        yield path, captured, fresh
+
+
+def test_differences_name_each_changed_path():
+    captured = [{"name": "a", "lemma4": {"rows_checked": 5, "ok": True}, "x": [1, 2]}]
+    fresh = [{"name": "a", "lemma4": {"rows_checked": 6, "ok": True}, "x": [1], "y": 0}]
+    assert list(differences(fresh, captured, "f")) == [
+        ("f[0].lemma4.rows_checked", 5, 6),
+        ("f[0].x[1]", 2, MISSING),
+        ("f[0].y", MISSING, 0),
+    ]
+    assert list(differences(captured, captured, "f")) == []
+    # 1 and 1.0 print differently, so they differ.
+    assert list(differences([1.0], [1], "f")) == [("f[0]", 1, 1.0)]
+
+
 if __name__ == "__main__":
     # Rewrite both captures, then print the sha256 of all their reports:
     # each report's ``json.dumps(report, sort_keys=True)``, concatenated,
-    # the catalog's first, then the ladder's.  With --check, write nothing
-    # and exit 1 if either capture's bytes would change.
+    # the catalog's first, then the ladder's.  With --check, write nothing;
+    # print the first 20 JSON paths at which a fresh report differs from
+    # its capture, with both values, and how many differ, and exit 1 if
+    # either capture's bytes would change.
     import argparse
     import sys
 
@@ -289,7 +327,7 @@ if __name__ == "__main__":
         help="compare with the captures instead of rewriting them",
     )
     check = parser.parse_args().check
-    dumps, changed = [], []
+    dumps, changed, differing = [], [], []
     for path, specs in (
         (CATALOG_SEED0_JSON, builtin_cases()),
         (LADDER_SEED0_JSON, ladder_cases()),
@@ -300,8 +338,14 @@ if __name__ == "__main__":
             path.write_text(text)
         elif text != path.read_text():
             changed.append(path.name)
+            captured = json.loads(path.read_text())
+            differing += differences(reports, captured, path.name)
         dumps += [json.dumps(report, sort_keys=True) for report in reports]
     digest = hashlib.sha256("".join(dumps).encode("utf-8")).hexdigest()
     print(f"sha256 of the {len(dumps)} seed-0 reports: {digest}")
+    for where, captured, fresh in differing[:20]:
+        print(f"{where}: captured {captured!r}, fresh {fresh!r}")
+    if differing:
+        print(f"{len(differing)} differing paths in all")
     if changed:
         sys.exit(f"differs from the capture: {', '.join(changed)}")

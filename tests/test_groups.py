@@ -1306,6 +1306,18 @@ def test_connection_set_of_point_validates_its_targets():
     assert ConnectionSet.of_point(two_orbits, 0, [1, 2]).rows.tolist() == [[1, 0, 2, 3]]
 
 
+def test_connection_set_of_point_ignores_targets_outside_the_points():
+    # A target outside 0..degree-1 selects nothing: not the point it would
+    # index from the end (-1 is 3, -3 is 1), nor any past the degree.
+    for extra in ([-1], [-3], [4], [7, -4], [-5, 99]):
+        conn = ConnectionSet.of_point(c4(), 0, [1, 3, *extra])
+        assert conn.rows.tolist() == [[1, 2, 3, 0], [3, 0, 1, 2]], extra
+    # Alone they select an empty set; -1 would otherwise pick 3 and fail
+    # as not inverse-closed.
+    for targets in ([-1], [4], []):
+        assert len(ConnectionSet.of_point(c4(), 0, targets)) == 0, targets
+
+
 def affine_7():
     """x -> a*x + b mod 7 with a in {1, 2, 4}: the group of order 21."""
     return PermutationGroup(

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from stabgap.harmonic import (
     uniform_distribution,
 )
 from stabgap.perms import Permutation
-from stabgap.pipeline import analyze_case
+from stabgap.pipeline import AnalyzeOptions, analyze_case
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
@@ -404,7 +405,7 @@ def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_
     n = group.degree
     clean = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
     drawn = np.concatenate(
-        list(reference_drawn_indices(n, group.order(), 1000, np.random.default_rng(3)))
+        list(reference_drawn_indices(group.order(), 1000, np.random.default_rng(3)))
     )
     j = int(drawn[0])
     assert np.count_nonzero(drawn == j) > 1
@@ -422,6 +423,44 @@ def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_
     assert report.non_bijective_rows == np.count_nonzero(drawn == j)
     assert report.rows_checked == clean.rows_checked == len(drawn)
     assert len(formed) == len(set(formed)) == len(np.unique(drawn))
+
+
+# complete-5's order, held in 16 bits rather than 8; complete-8's, in 16;
+# kneser-9-4's, past 2**16, in 32.
+@pytest.mark.parametrize(
+    "count", [120, 40320, 362880], ids=["complete-5", "complete-8", "kneser-9-4"]
+)
+@pytest.mark.parametrize("trials", [0, 1, 1000])
+def test_drawn_counts_match_a_counter_over_the_reference_draws(count, trials):
+    # One sort and its runs count the draws as a Counter over the
+    # reference's draws does, ascending, and leave the generator alike.
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    distinct, times = harmonic._drawn_counts(rng, count, trials, min(count, 24))
+    counter = Counter(
+        int(i) for part in reference_drawn_indices(count, trials, ref_rng) for i in part
+    )
+    assert distinct.dtype.itemsize >= 2
+    assert distinct.tolist() == sorted(counter)
+    assert dict(zip(distinct.tolist(), times.tolist())) == counter
+    assert rng.random() == ref_rng.random()
+
+
+def test_default_trials_draw_in_one_block_on_every_workload_case(monkeypatch):
+    # At the default 1000 trials, every case of both benchmark workloads
+    # (the catalog, and kneser-8-3 and complete-8) draws its supports in
+    # one block.
+    calls = []
+    random_supports = harmonic._random_supports
+
+    def recording(rng, count, trials, m):
+        calls.append(trials)
+        return random_supports(rng, count, trials, m)
+
+    monkeypatch.setattr(harmonic, "_random_supports", recording)
+    for spec in catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]:
+        calls.clear()
+        assert analyze_case(spec).lemma4_ok, spec.name
+        assert calls == [AnalyzeOptions.identity_trials], spec.name
 
 
 def assert_supports_valid(chosen, sizes, count, m):
@@ -445,7 +484,7 @@ def test_random_supports_are_distinct_and_sized(count):
 
 # The key draws' edges (m * m = 576) and either side of them, a small
 # count below m, and a group order far above it; blocks from one trial to
-# complete-5's whole block.
+# the 546 trials of complete-5's old blocks and the 1000 of its one block.
 @pytest.mark.parametrize(
     "count", [1, 5, 23, 24, 25, 64, 120, 575, 576, 577, 40320]
 )
@@ -456,7 +495,7 @@ def test_random_supports_match_the_partition_sampler(count):
     m = min(count, 24)
     for seed in (0, 1, 2, 3):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for trials in (1, 7, 42, 546):
+        for trials in (1, 7, 42, 546, 1000):
             chosen, sizes = harmonic._random_supports(rng, count, trials, m)
             expected = reference_random_supports(ref_rng, count, trials, m)
             assert chosen.dtype == expected[0].dtype
@@ -466,9 +505,10 @@ def test_random_supports_match_the_partition_sampler(count):
 
 
 def test_key_drawn_supports_keep_within_two_blocks():
-    # complete-5: |G| = 120 is drawn by keys, 546 trials a block.  Each
-    # block ranks (546, 120) keys; the ranks past the m kept must not
-    # outlive the draw, so the traced peak stays under two block budgets.
+    # complete-5: |G| = 120 is drawn by keys, its 1000 trials in one
+    # block.  The block ranks (1000, 120) keys a chunk of rows at a time;
+    # the ranks past the m kept must not outlive the chunk, so the traced
+    # peak stays under two block budgets.
     case = realize_case(catalog._complete(5))
     group, n = case.group, case.graph.n
     assert harmonic._draws_by_keys(group.order(), 24)
@@ -499,7 +539,8 @@ def test_norm_identity_trials_in_uneven_blocks(monkeypatch, rows):
     # support row is checked.
     n, count = rows.shape[1], len(rows)
     m = min(count, 24)
-    monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 7 * 16 * max(m * n, count))
+    # Seven trials' sizes, indices, sort copies, picks and masks.
+    monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 7 * (8 + 33 * m))
     draws = []
     random_supports = harmonic._random_supports
 
