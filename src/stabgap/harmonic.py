@@ -12,15 +12,18 @@ group's elements in chain order, are checked to be bijections: the
 drawn indices are counted by one sort, each distinct drawn element's
 row is formed once from the stabilizer chain
 (``PermutationGroup._element_rows``) and checked by one ``bincount`` per
-block of rows, and a bad one counts as often as it was drawn; the shift,
-centering and scaling identities do not read the group and are decided
-once each in integers.
+block of rows, and a bad one counts as often as it was drawn.  A group
+no larger than the trials, when they fit one block, is checked whole
+instead, and if every element is a bijection only the supports' sizes
+are drawn.  The shift, centering and scaling identities do not read the
+group and are decided once each in integers.
 ``point_mass`` and ``uniform_distribution`` are the vertex-side
 distributions the chain reads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
@@ -93,7 +96,9 @@ class NormIdentityReport:
     supports drew ``rows_checked`` elements, counted with multiplicity,
     and ``non_bijective_rows`` of those draws are elements whose row
     misses some point.  Each distinct element drawn is formed and checked
-    once, as whether it is a bijection does not depend on the draw.  The
+    once, as whether it is a bijection does not depend on the draw; on a
+    group no larger than the trials every element is, and when none is
+    bad ``rows_checked`` is the sum of the drawn support sizes.  The
     shift, centering and scaling identities do not read the group; each
     is decided once, exactly (``shift_ok``, ``centering_ok``,
     ``scaling_ok``)."""
@@ -133,6 +138,18 @@ def _draws_by_keys(count: int, m: int) -> bool:
     return count <= m * m
 
 
+def _trials_per_block(m: int) -> int:
+    """Trials drawn per block at support size m: as many as fit
+    ``_BLOCK_BYTES`` at 8 + 33 m bytes a trial (``_drawn_counts``)."""
+    return max(1, _BLOCK_BYTES // (8 + 33 * m))
+
+
+def _support_sizes(rng: np.random.Generator, trials: int, m: int) -> np.ndarray:
+    """Each trial's support size, drawn from 1..m: the first draw of a
+    block of ``_random_supports``."""
+    return rng.integers(1, m + 1, size=trials)
+
+
 def _random_supports(
     rng: np.random.Generator, count: int, trials: int, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -146,7 +163,7 @@ def _random_supports(
     time, or, for a large count, a draw with replacement in which any row
     with a repeated index is drawn again.
     """
-    sizes = rng.integers(1, m + 1, size=trials)
+    sizes = _support_sizes(rng, trials, m)
     if _draws_by_keys(count, m):
         # The keys are drawn and ranked a chunk of rows at a time, into the
         # m columns kept: the same stream as one (trials, count) draw.
@@ -189,7 +206,7 @@ def _drawn_counts(
     picked indices, in at least 16 bits, and one in-place sort of all of
     them puts each index's draws in one run.
     """
-    block = max(1, _BLOCK_BYTES // (8 + 33 * m))
+    block = _trials_per_block(m)
     dtype = np.promote_types(np.min_scalar_type(count - 1), np.uint16)
     parts = [
         _picked_indices(rng, count, min(block, trials - done), m, dtype)
@@ -226,7 +243,26 @@ def _non_bijective(rows: np.ndarray, n: int) -> np.ndarray:
     np.minimum(flat, n, out=flat)
     flat += np.arange(0, len(rows) * width, width)[:, None]
     hits = np.bincount(flat.ravel(), minlength=len(rows) * width)
-    return (hits.reshape(len(rows), width)[:, :n] != 1).any(axis=1)
+    # Compared while contiguous, then sliced: a compare of the strided
+    # slice would run through NumPy's buffered iterator.
+    return (hits != 1).reshape(len(rows), width)[:, :n].any(axis=1)
+
+
+def _non_bijective_elements(
+    element_rows: Callable[[np.ndarray], np.ndarray], index: np.ndarray, n: int
+) -> np.ndarray:
+    """Which of the elements at ``index`` miss some point of range(n),
+    their rows formed by ``element_rows`` and checked (``_non_bijective``)
+    a block at a time."""
+    # Per row: an intp index of n images that composes it, then n offset
+    # images and n + 1 hit counts, 8 bytes each, so a block of rows holds
+    # about half of _BLOCK_BYTES.
+    step = max(1, _BLOCK_BYTES // (64 * n))
+    bad = np.empty(len(index), dtype=bool)
+    for start in range(0, len(index), step):
+        block = index[start : start + step].astype(np.intp)
+        bad[start : start + step] = _non_bijective(element_rows(block), n)
+    return bad
 
 
 def _group_free_identities(n: int) -> tuple[bool, bool, bool]:
@@ -264,7 +300,7 @@ def norm_identity_trials(
     otherwise).  A group's elements are indexed as in its
     ``element_array()``, and only the drawn ones are formed, by
     ``_element_rows``: a group with more elements than a block of rows
-    is not listed.
+    is not listed.  A negative ``trials`` raises ValueError.
 
     A trial's support has between 1 and ``m = min(|G|, MAX_SUPPORT)``
     distinct elements, the first ``size`` of a row of m drawn indices
@@ -277,10 +313,21 @@ def norm_identity_trials(
     each of them hits every point of V once, which is exactly what the
     convolution identity needs of them (q * u = u).  A row that fails
     counts once per draw of its element, so the report is the one a
-    check of every drawn row would give.  The other three identities do
-    not read the group and are decided once each
+    check of every drawn row would give.
+
+    When |G| <= trials <= one block, every element's row is formed and
+    checked instead: each trial draws at least one element, so this forms
+    no more rows than the draws would.  If none is bad, only the sizes
+    are drawn (``_support_sizes``, the first draw of ``_random_supports``),
+    and ``rows_checked`` is their sum.  If one is, the supports are drawn
+    and counted as above, and the report and the random stream after it
+    are the drawn path's to the bit.  Either way the report is the one the
+    draws give; only the stream after a healthy small group moves.  The
+    other three identities do not read the group and are decided once each
     (``_group_free_identities``).
     """
+    if trials < 0:
+        raise ValueError(f"trial count must be non-negative, got {trials}")
     if isinstance(group_elements, PermutationGroup):
         if group_elements.degree != n:
             raise ValueError(f"degree mismatch: {group_elements.degree} vs {n}")
@@ -295,16 +342,21 @@ def norm_identity_trials(
             raise ValueError("group elements must be distinct")
         count = len(rows)
         element_rows = partial(rows.take, axis=0)
-    distinct, times = _drawn_counts(rng, count, trials, min(count, MAX_SUPPORT))
-    # Per row: an intp index of n images that composes it, then n offset
-    # images and n + 1 hit counts, 8 bytes each, so a block of rows holds
-    # about half of _BLOCK_BYTES.
-    step = max(1, _BLOCK_BYTES // (64 * n))
-    non_bijective = 0
-    for start in range(0, len(distinct), step):
-        index = distinct[start : start + step].astype(np.intp)
-        bad = _non_bijective(element_rows(index), n)
-        non_bijective += int(times[start : start + step][bad].sum())
+    m = min(count, MAX_SUPPORT)
+    if count <= trials <= _trials_per_block(m):
+        # Each trial draws at least one element, so checking all of G
+        # forms no more rows than the draws would.
+        bad = _non_bijective_elements(element_rows, np.arange(count), n)
+        if not bad.any():
+            sizes = _support_sizes(rng, trials, m)
+            return NormIdentityReport(
+                trials, int(sizes.sum()), 0, *_group_free_identities(n)
+            )
+        distinct, times = _drawn_counts(rng, count, trials, m)
+        bad = bad[distinct]
+    else:
+        distinct, times = _drawn_counts(rng, count, trials, m)
+        bad = _non_bijective_elements(element_rows, distinct, n)
     return NormIdentityReport(
-        trials, int(times.sum()), non_bijective, *_group_free_identities(n)
+        trials, int(times.sum()), int(times[bad].sum()), *_group_free_identities(n)
     )

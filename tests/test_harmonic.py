@@ -285,7 +285,9 @@ def test_norm_identity_trials_rows_match_permutations():
 )
 def test_norm_identity_trials_match_the_fancy_index_loop(spec):
     # The same report, to the bit, as the loop that gathers its trial rows
-    # by fancy indexing, and the same random stream after it.
+    # by fancy indexing.  A group no larger than the 1000 trials is checked
+    # whole and draws only the support sizes; a larger one leaves the
+    # random stream where the reference's draws leave it.
     case = realize_case(spec)
     rows = case.group.element_array()
     for seed in (0, 7):
@@ -293,7 +295,49 @@ def test_norm_identity_trials_match_the_fancy_index_loop(spec):
         report = norm_identity_trials(case.graph.n, case.group, 1000, rng)
         reference = reference_norm_identity_trials(case.graph.n, rows, 1000, ref_rng)
         assert report == reference
+        if len(rows) <= 1000:
+            ref_rng = np.random.default_rng(seed)
+            ref_rng.integers(1, min(len(rows), 24) + 1, size=1000)
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["group", "rows"])
+def test_norm_identity_trials_check_the_whole_group_from_as_many_trials(
+    monkeypatch, kind
+):
+    # S3: 6 trials are at least |G|, so every element is checked and only
+    # the sizes are drawn; 5 trials draw their supports.  Both reports
+    # are the reference's.
+    group = s3()
+    elements = group if kind == "group" else group.element_array()
+    calls = []
+    random_supports = harmonic._random_supports
+
+    def recording(rng, count, trials, m):
+        calls.append(trials)
+        return random_supports(rng, count, trials, m)
+
+    monkeypatch.setattr(harmonic, "_random_supports", recording)
+    for trials, drawn in ((6, []), (5, [5])):
+        calls.clear()
+        rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
+        report = norm_identity_trials(3, elements, trials, rng)
+        assert report == reference_norm_identity_trials(
+            3, group.element_array(), trials, ref_rng
+        )
+        assert calls == drawn
+        if not drawn:
+            ref_rng = np.random.default_rng(trials)
+            ref_rng.integers(1, 7, size=trials)
+        assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["group", "rows"])
+def test_norm_identity_trials_reject_a_negative_trial_count(kind):
+    group = s3()
+    elements = group if kind == "group" else group.element_array()
+    with pytest.raises(ValueError, match="-5"):
+        norm_identity_trials(3, elements, -5, np.random.default_rng(0))
 
 
 def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
@@ -398,14 +442,16 @@ def test_non_bijective_rows_are_counted_one_row_at_a_time(dtype):
     ids=["complete-5", "s6"],
 )
 def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_group):
-    # Each distinct drawn element is formed once, but a bad one counts as
-    # often as it was drawn: corrupting one element's row must make
-    # ``non_bijective_rows`` the number of times the reference draws it.
+    # Each element is formed at most once, but a bad one counts as often
+    # as it was drawn: corrupting one element's row must make
+    # ``non_bijective_rows`` the number of times the reference draws it,
+    # and leave the random stream where the reference's draws leave it.
     group = make_group()
     n = group.degree
     clean = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
+    ref_rng = np.random.default_rng(3)
     drawn = np.concatenate(
-        list(reference_drawn_indices(group.order(), 1000, np.random.default_rng(3)))
+        list(reference_drawn_indices(group.order(), 1000, ref_rng))
     )
     j = int(drawn[0])
     assert np.count_nonzero(drawn == j) > 1
@@ -419,9 +465,13 @@ def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_
         return rows
 
     monkeypatch.setattr(PermutationGroup, "_element_rows", corrupting)
-    report = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    report = norm_identity_trials(n, group, 1000, rng)
+    assert rng.random() == ref_rng.random()
     assert report.non_bijective_rows == np.count_nonzero(drawn == j)
     assert report.rows_checked == clean.rows_checked == len(drawn)
+    # Both groups are at most 1000 elements, so the whole group is formed,
+    # and the 1000 trials draw every element of either.
     assert len(formed) == len(set(formed)) == len(np.unique(drawn))
 
 
@@ -447,8 +497,9 @@ def test_drawn_counts_match_a_counter_over_the_reference_draws(count, trials):
 
 def test_default_trials_draw_in_one_block_on_every_workload_case(monkeypatch):
     # At the default 1000 trials, every case of both benchmark workloads
-    # (the catalog, and kneser-8-3 and complete-8) draws its supports in
-    # one block.
+    # (the catalog, and kneser-8-3 and complete-8) with more elements than
+    # trials draws its supports in one block; a smaller group is checked
+    # whole and draws no supports.
     calls = []
     random_supports = harmonic._random_supports
 
@@ -459,8 +510,10 @@ def test_default_trials_draw_in_one_block_on_every_workload_case(monkeypatch):
     monkeypatch.setattr(harmonic, "_random_supports", recording)
     for spec in catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]:
         calls.clear()
-        assert analyze_case(spec).lemma4_ok, spec.name
-        assert calls == [AnalyzeOptions.identity_trials], spec.name
+        report = analyze_case(spec)
+        assert report.lemma4_ok, spec.name
+        trials = AnalyzeOptions.identity_trials
+        assert calls == ([] if report.group_order <= trials else [trials]), spec.name
 
 
 def assert_supports_valid(chosen, sizes, count, m):
@@ -505,21 +558,21 @@ def test_random_supports_match_the_partition_sampler(count):
 
 
 def test_key_drawn_supports_keep_within_two_blocks():
-    # complete-5: |G| = 120 is drawn by keys, its 1000 trials in one
+    # |G| = 120 (complete-5's order) is drawn by keys, 1000 trials in one
     # block.  The block ranks (1000, 120) keys a chunk of rows at a time;
     # the ranks past the m kept must not outlive the chunk, so the traced
-    # peak stays under two block budgets.
-    case = realize_case(catalog._complete(5))
-    group, n = case.group, case.graph.n
-    assert harmonic._draws_by_keys(group.order(), 24)
+    # peak stays under two block budgets.  The draws are counted directly:
+    # lemma 4 checks a group this small whole and draws no supports.
+    count = 120
+    assert harmonic._draws_by_keys(count, 24)
     rng = np.random.default_rng(0)
     tracemalloc.start()
     try:
-        report = norm_identity_trials(n, group, 1000, rng)
+        distinct, times = harmonic._drawn_counts(rng, count, 1000, 24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.ok
+    assert distinct.tolist() == list(range(count)) and times.sum() >= 1000
     assert peak < 2 * harmonic._BLOCK_BYTES, peak
 
 
