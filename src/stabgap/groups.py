@@ -13,11 +13,8 @@ A group's elements are numbered by the chain: element r is
 u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
 where i_0, i_1, ... are r's mixed-radix digits over the transversals'
 sizes, level 0 the most significant (|G| is their product).
-``element_array`` lists them in that order, and ``_element_rows`` forms
-any of them from the first level's transversal and the first base
-point's stabilizer, without listing a group that has more elements than
-are asked for.  Only a lookup table of the group (``_element_table``)
-sorts them, lexicographically.
+``element_array`` lists them in that order.  Only a lookup table of the
+group (``_element_table``) sorts them, lexicographically.
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets) are held as rows of an integer array of images, converted
@@ -460,7 +457,6 @@ class PermutationGroup:
         self._gen_rows = _distinct_moved(_image_rows(generators, degree))
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
-        self._below: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
 
     @classmethod
@@ -641,29 +637,6 @@ class PermutationGroup:
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
-
-    def _element_rows(self, index: np.ndarray) -> np.ndarray:
-        """Rows ``element_array()[index]`` for an intp array of indices in
-        range(order), whatever the cap.
-
-        Row r is u_0 * g for the first level's transversal row
-        u_0 = reps[r // |G_b|] and row r % |G_b| of G_b, the stabilizer of
-        the first base point b, listed from the levels past the first:
-        |G|/n rows for a transitive group, kept for later calls.  A chain
-        of one level takes the rows straight from its transversal.  The
-        group itself is listed only when it is listed already or has no
-        more rows than are asked for, so that the list costs no more
-        memory than the answer and less time than the products."""
-        chain = self._stabilizer_chain()
-        if len(chain) < 2:
-            rows = chain[0].reps if chain else self._all_rows()
-            return rows.take(index, axis=0)
-        if self._rows is not None or self.order() <= len(index):
-            return self._all_rows().take(index, axis=0)
-        if self._below is None:
-            self._below = _chain_products(chain[1:], self.degree)
-        digit, rest = np.divmod(index, len(self._below))
-        return _compose(chain[0].reps, digit, self._below.take(rest, axis=0))
 
     def _element_table(self, cap: int = DEFAULT_ELEMENT_CAP) -> _RowTable:
         """``element_array(cap)``'s rows as a table, in lexicographic order;

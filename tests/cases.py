@@ -11,11 +11,7 @@ from stabgap.casefile import CaseSpec
 from stabgap.errors import ConvergenceError, SizeLimitError
 from stabgap.graphs import LocalActionReport, SimpleGraph, make_transitive_case
 from stabgap.groups import DEFAULT_ELEMENT_CAP, PermutationGroup
-from stabgap.harmonic import (
-    _BLOCK_BYTES,
-    NormIdentityReport,
-    _draws_by_keys,
-)
+from stabgap.harmonic import NormIdentityReport
 from stabgap.perms import Permutation
 
 
@@ -309,29 +305,6 @@ def reference_compose_all(table, rows):
     return table[..., rows]
 
 
-def reference_random_supports(rng, count, trials, m):
-    """``harmonic._random_supports`` as a partition, sort and two gathers:
-    the m smallest of each row's keys by ``argpartition``, put in key
-    order by an ``argsort`` of those m keys.  It must return the same
-    indices and sizes, to the bit, and leave the generator in the same
-    state."""
-    sizes = rng.integers(1, m + 1, size=trials)
-    if _draws_by_keys(count, m):
-        keys = rng.random((trials, count))
-        chosen = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        order = np.argsort(np.take_along_axis(keys, chosen, axis=1), axis=1)
-        chosen = np.take_along_axis(chosen, order, axis=1)
-    else:
-        chosen = rng.integers(count, size=(trials, m))
-        while True:
-            ordered = np.sort(chosen, axis=1)
-            repeated = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))
-            if not len(repeated):
-                break
-            chosen[repeated] = rng.integers(count, size=(len(repeated), m))
-    return chosen, sizes
-
-
 def reference_group_free_identities(n):
     """Lemma 4's shift, centering and scaling identities on one instance
     in exact rationals: p(x) proportional to x + 1, f = p - u, c = 3/2."""
@@ -351,38 +324,19 @@ def reference_group_free_identities(n):
     )
 
 
-def reference_drawn_indices(count, trials, rng, max_support=24):
-    """The support indices ``harmonic.norm_identity_trials`` draws, one
-    array per block of trials: blocks sized as it sizes them, supports
-    drawn by ``reference_random_supports``, each trial's first ``size``
-    indices in trial order."""
-    m = min(count, max_support)
-    # A trial's size, m indices, two sort copies and picked indices, 8
-    # bytes each, and its m-cell mask.
-    block = max(1, _BLOCK_BYTES // (8 + 33 * m))
-    for done in range(0, trials, block):
-        b = min(block, trials - done)
-        chosen, sizes = reference_random_supports(rng, count, b, m)
-        trial, j = np.nonzero(np.arange(m) < sizes[:, None])
-        yield chosen[trial, j]
-
-
-def reference_norm_identity_trials(n, rows, trials, rng, max_support=24):
-    """Lemma 4's exact checks over group element rows, block by block as
-    ``harmonic.norm_identity_trials`` draws them: supports drawn by
-    ``reference_drawn_indices``, their rows gathered by fancy indexing,
-    one row per draw, and each tested as ``np.sort(row) == arange(n)``,
-    and the group-free identities decided by
-    ``reference_group_free_identities``.  ``norm_identity_trials`` must
-    reproduce the report and leave the generator in the same state."""
-    rows_checked = non_bijective = 0
-    for index in reference_drawn_indices(len(rows), trials, rng, max_support):
-        picked = rows[index]
-        rows_checked += len(picked)
-        bijective = (np.sort(picked, axis=1) == np.arange(n)).all(axis=1)
-        non_bijective += int(np.count_nonzero(~bijective))
+def reference_norm_identity_trials(n, rows, trials):
+    """Lemma 4's exact checks over the rows given, one row at a time: the
+    points a row hits are marked by fancy indexing, an image past n - 1
+    on a spare cell, and its n images are a bijection exactly when they
+    mark all n points.  The group-free identities are decided by
+    ``reference_group_free_identities``."""
+    non_bijective = 0
+    for row in rows:
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[np.minimum(row.astype(np.intp), n)] = True
+        non_bijective += not hit[:n].all()
     return NormIdentityReport(
-        trials, rows_checked, non_bijective, *reference_group_free_identities(n)
+        trials, len(rows), non_bijective, *reference_group_free_identities(n)
     )
 
 

@@ -1,12 +1,12 @@
+import math
 import tracemalloc
-from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stabgap import catalog, harmonic
+from stabgap import catalog, harmonic, pipeline
 from stabgap.casefile import realize_case
-from stabgap.errors import SizeLimitError
 from stabgap.groups import ConnectionSet, PermutationGroup
 from stabgap.harmonic import (
     convolution_matches_matrix,
@@ -15,7 +15,7 @@ from stabgap.harmonic import (
     uniform_distribution,
 )
 from stabgap.perms import Permutation
-from stabgap.pipeline import AnalyzeOptions, analyze_case
+from stabgap.pipeline import analyze_case
 from stabgap.spectral import (
     BipartiteAdjacency,
     build_bipartite,
@@ -27,10 +27,8 @@ from cases import (
     ladder_cases,
     petersen_case,
     reference_compose_all,
-    reference_drawn_indices,
     reference_norm_identity_trials,
     reference_operator,
-    reference_random_supports,
     s3,
     triangle_case,
 )
@@ -188,8 +186,8 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
 @pytest.mark.parametrize("make_case", [triangle_case, petersen_case])
 def test_matrix_consistency_draws_probe_blocks(make_case, trials):
     # eq2 compares two matrices exactly, so the probe block it draws is
-    # empty whatever trials asks for: what follows (the lemma-4 trials in
-    # the pipeline) starts where it would without eq2, whatever the verdict.
+    # empty whatever trials asks for: what follows starts where it would
+    # without eq2, whatever the verdict.
     case = make_case()
     n = case.graph.n
     right = build_bipartite(case.connection, n)
@@ -226,7 +224,7 @@ def test_norm_identity_trials_triangle_and_petersen():
         )
         assert report.ok, report
         assert report.trials == 1000
-        assert 1000 <= report.rows_checked <= 1000 * min(case.group.order(), 24)
+        assert report.rows_checked == case.group.order()
         assert report.non_bijective_rows == 0
         assert report.shift_ok and report.centering_ok and report.scaling_ok
 
@@ -255,18 +253,17 @@ def test_convolution_shift_identity_uniform_case():
 
 
 def test_norm_identity_trials_rows_match_permutations():
+    # Rows and Permutation objects check the same |G| rows; the group
+    # itself checks its chain's transversal rows, and nothing else differs.
     for case in [triangle_case(), petersen_case()]:
+        group = case.group
         reports = [
-            norm_identity_trials(
-                case.graph.n, elements, 200, np.random.default_rng(29)
-            )
-            for elements in (
-                case.group.element_array(),
-                case.group.elements(),
-                case.group,
-            )
+            norm_identity_trials(case.graph.n, elements, 200, np.random.default_rng(29))
+            for elements in (group.element_array(), group.elements(), group)
         ]
-        assert reports[0] == reports[1] == reports[2]
+        assert reports[0] == reports[1]
+        assert reports[0].rows_checked == group.order()
+        assert reports[2] == replace(reports[0], rows_checked=len(chain_rows(group)))
     with pytest.raises(ValueError, match="distinct"):
         twice = [Permutation.identity(3)] * 2
         norm_identity_trials(3, twice, 1, np.random.default_rng(0))
@@ -274,8 +271,13 @@ def test_norm_identity_trials_rows_match_permutations():
         norm_identity_trials(4, s3().element_array(), 1, np.random.default_rng(0))
     with pytest.raises(ValueError, match="degree"):
         norm_identity_trials(4, s3(), 1, np.random.default_rng(0))
-    with pytest.raises(SizeLimitError):
-        norm_identity_trials(3, s3(), 1, np.random.default_rng(0), element_cap=5)
+
+
+def chain_rows(group):
+    """The transversal rows of every level of the group's chain, level by
+    level, or the identity row for a chain of no levels."""
+    parts = [level.reps for level in group._stabilizer_chain()]
+    return np.concatenate(parts) if parts else np.arange(group.degree)[None, :]
 
 
 @pytest.mark.parametrize(
@@ -284,52 +286,66 @@ def test_norm_identity_trials_rows_match_permutations():
     ids=lambda spec: spec.name,
 )
 def test_norm_identity_trials_match_the_fancy_index_loop(spec):
-    # The same report, to the bit, as the loop that gathers its trial rows
-    # by fancy indexing.  A group no larger than the 1000 trials is checked
-    # whole and draws only the support sizes; a larger one leaves the
-    # random stream where the reference's draws leave it.
+    # The same report as the loop that marks each row's images by fancy
+    # indexing: over the chain's transversal rows, sum |Delta_i| of them
+    # (their product is |G|), for the group, and over every element for
+    # its rows up to 5040 of them.
     case = realize_case(spec)
-    rows = case.group.element_array()
-    for seed in (0, 7):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        report = norm_identity_trials(case.graph.n, case.group, 1000, rng)
-        reference = reference_norm_identity_trials(case.graph.n, rows, 1000, ref_rng)
-        assert report == reference
-        if len(rows) <= 1000:
-            ref_rng = np.random.default_rng(seed)
-            ref_rng.integers(1, min(len(rows), 24) + 1, size=1000)
-        assert rng.random() == ref_rng.random()
+    group, n = case.group, case.graph.n
+    sizes = [len(level.reps) for level in group._stabilizer_chain()]
+    assert math.prod(sizes) == group.order()
+    report = norm_identity_trials(n, group, 1000, np.random.default_rng(0))
+    assert report.rows_checked == sum(sizes)
+    assert report == reference_norm_identity_trials(n, chain_rows(group), 1000)
+    assert report.ok
+    if group.order() <= 5040:
+        rows = group.element_array()
+        listed = norm_identity_trials(n, rows, 1000, np.random.default_rng(0))
+        assert listed == reference_norm_identity_trials(n, rows, 1000)
 
 
 @pytest.mark.parametrize("kind", ["group", "rows"])
-def test_norm_identity_trials_check_the_whole_group_from_as_many_trials(
-    monkeypatch, kind
-):
-    # S3: 6 trials are at least |G|, so every element is checked and only
-    # the sizes are drawn; 5 trials draw their supports.  Both reports
-    # are the reference's.
+def test_norm_identity_trials_check_the_whole_group_from_as_many_trials(kind):
+    # S3, at fewer trials than |G|, as many, and more: the trial count is
+    # only recorded, so the same rows are checked whatever it is, all six
+    # elements given as rows, or the chain's transversal rows, which
+    # certify all six, given the group.
     group = s3()
     elements = group if kind == "group" else group.element_array()
-    calls = []
-    random_supports = harmonic._random_supports
+    expected = 6 if kind == "rows" else len(chain_rows(group))
+    reports = [
+        norm_identity_trials(3, elements, trials, np.random.default_rng(trials))
+        for trials in (0, 5, 6, 1000)
+    ]
+    for trials, report in zip((0, 5, 6, 1000), reports):
+        assert report == replace(reports[-1], trials=trials)
+    assert reports[-1].ok and reports[-1].rows_checked == expected
 
-    def recording(rng, count, trials, m):
-        calls.append(trials)
-        return random_supports(rng, count, trials, m)
 
-    monkeypatch.setattr(harmonic, "_random_supports", recording)
-    for trials, drawn in ((6, []), (5, [5])):
-        calls.clear()
-        rng, ref_rng = np.random.default_rng(trials), np.random.default_rng(trials)
-        report = norm_identity_trials(3, elements, trials, rng)
-        assert report == reference_norm_identity_trials(
-            3, group.element_array(), trials, ref_rng
-        )
-        assert calls == drawn
-        if not drawn:
-            ref_rng = np.random.default_rng(trials)
-            ref_rng.integers(1, 7, size=trials)
-        assert rng.random() == ref_rng.random()
+def test_norm_identity_trials_of_the_trivial_group():
+    # A chain of no levels: the identity row alone is checked.
+    group = PermutationGroup.trivial(3)
+    assert group._stabilizer_chain() == []
+    report = norm_identity_trials(3, group, 1000, np.random.default_rng(0))
+    assert report.ok and report.rows_checked == 1 and report.non_bijective_rows == 0
+    assert report == reference_norm_identity_trials(3, np.arange(3)[None, :], 1000)
+
+
+@pytest.mark.parametrize("kind", ["group", "rows", "permutations"])
+def test_norm_identity_trials_draw_no_random_numbers(kind):
+    # Lemma 4 is decided without the generator, so the stream after it is
+    # the stream before it.
+    case = petersen_case()
+    elements = {
+        "group": case.group,
+        "rows": case.group.element_array(),
+        "permutations": case.group.elements(),
+    }[kind]
+    rng = np.random.default_rng(41)
+    rng.random()
+    before = rng.bit_generator.state
+    assert norm_identity_trials(case.graph.n, elements, 1000, rng).ok
+    assert rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize("kind", ["group", "rows"])
@@ -341,8 +357,8 @@ def test_norm_identity_trials_reject_a_negative_trial_count(kind):
 
 
 def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
-    # A group's rows are formed from its chain (``_element_rows``) and are
-    # distinct by construction, so they are not checked; outside rows are.
+    # A group's rows are its chain's transversal rows, distinct by
+    # construction, so they are not checked; outside rows are.
     def refuse(*args, **kwargs):
         raise AssertionError("group rows re-checked")
 
@@ -360,10 +376,10 @@ def test_norm_identity_trials_read_a_group_rows_unchecked(monkeypatch):
 
 
 def test_norm_identity_trials_never_list_the_group(monkeypatch):
-    # kneser-9-4: |G| = 9! rows of 126 images would take 45.7 MB.  The
-    # draws list only G_b, 2880 rows, so the traced peak stays under a
-    # tenth of |G| * n bytes.  ``element_array`` lists through
-    # ``_all_rows``.
+    # kneser-9-4: |G| = 9! rows of 126 images would take 45.7 MB.  Lemma 4
+    # reads only the chain's transversal rows, 160 of them, so the traced
+    # peak stays under a tenth of |G| * n bytes.  ``element_array`` lists
+    # through ``_all_rows``.
     case = realize_case(catalog._kneser(9, 4))
     group, n = case.group, case.graph.n
     listed = []
@@ -385,34 +401,49 @@ def test_norm_identity_trials_never_list_the_group(monkeypatch):
     assert peak < group.order() * n / 10, peak
 
 
+def corrupt_transversal_row(group, level, row):
+    """Make row ``row`` of the chain level's transversal send its second
+    point where it sends its first, after the chain is built: no longer a
+    bijection.  The level's rows are replaced, not written into."""
+    chain = group._stabilizer_chain()
+    reps = chain[level].reps.copy()
+    reps[row, 1] = reps[row, 0]
+    chain[level]._reps = reps
+
+
 def test_norm_identity_trials_reject_a_row_that_repeats_an_image(monkeypatch):
-    # A group's rows are not re-checked by ``_image_rows``, so a row formed
-    # wrong by the chain reaches lemma 4 as it is.  One that sends two
-    # points to one image is no bijection: lemma 4 must count it and fail,
-    # in the report and in the pipeline's verdict.
-    element_rows = PermutationGroup._element_rows
-
-    def repeating(self, index):
-        rows = element_rows(self, index).copy()
-        rows[0, 1] = rows[0, 0]
-        return rows
-
+    # A group's rows are not re-checked by ``_image_rows``, so a
+    # transversal row formed wrong reaches lemma 4 as it is.  One that
+    # sends two points to one image is no bijection: lemma 4 must count
+    # it, whichever level it is in, and fail, in the report and in the
+    # pipeline's verdict.
     spec = catalog._kneser(5, 2)
     case = realize_case(spec)
-    clean = norm_identity_trials(
-        case.graph.n, case.group, 1000, np.random.default_rng(0)
-    )
+    n = case.graph.n
+    clean = norm_identity_trials(n, case.group, 1000, np.random.default_rng(0))
     assert clean.ok and clean.non_bijective_rows == 0
     assert analyze_case(spec).lemma4_ok
-    monkeypatch.setattr(PermutationGroup, "_element_rows", repeating)
-    report = norm_identity_trials(
-        case.graph.n, case.group, 1000, np.random.default_rng(0)
-    )
-    assert report.rows_checked == clean.rows_checked
-    assert report.non_bijective_rows >= 1
-    assert report.ok is False
-    assert report.shift_ok and report.centering_ok and report.scaling_ok
-    assert not analyze_case(spec).lemma4_ok
+    depth = len(case.group._stabilizer_chain())
+    assert depth > 1
+    for level in range(depth):
+        group = realize_case(spec).group
+        corrupt_transversal_row(group, level, -1)
+        report = norm_identity_trials(n, group, 1000, np.random.default_rng(0))
+        assert report.rows_checked == clean.rows_checked
+        assert report.non_bijective_rows == 1
+        assert report.ok is False
+        assert report.shift_ok and report.centering_ok and report.scaling_ok
+
+    lemma4 = pipeline.norm_identity_trials
+
+    def corrupting(n, group, trials, rng):
+        corrupt_transversal_row(group, depth - 1, 0)
+        return lemma4(n, group, trials, rng)
+
+    monkeypatch.setattr(pipeline, "norm_identity_trials", corrupting)
+    report = analyze_case(spec)
+    assert report.identity_report.non_bijective_rows == 1
+    assert not report.lemma4_ok
 
 
 def s6():
@@ -437,191 +468,60 @@ def test_non_bijective_rows_are_counted_one_row_at_a_time(dtype):
 
 
 @pytest.mark.parametrize(
-    "make_group",
-    [lambda: realize_case(catalog._complete(5)).group, s6],
+    "make_spec",
+    [lambda: catalog._complete(5), lambda: None],
     ids=["complete-5", "s6"],
 )
-def test_non_bijective_rows_count_every_draw_of_a_bad_element(monkeypatch, make_group):
-    # Each element is formed at most once, but a bad one counts as often
-    # as it was drawn: corrupting one element's row must make
-    # ``non_bijective_rows`` the number of times the reference draws it,
-    # and leave the random stream where the reference's draws leave it.
+def test_non_bijective_rows_count_each_bad_transversal_row_once(
+    monkeypatch, make_spec
+):
+    # Corrupting any one transversal row of any one chain level, after the
+    # chain is built, makes exactly that row non-bijective: the count is
+    # 1, the rows checked are as many as before, and lemma 4 fails, in
+    # the report and, for a catalog case, in the pipeline's verdict.
+    spec = make_spec()
+
+    def make_group():
+        return s6() if spec is None else realize_case(spec).group
+
     group = make_group()
     n = group.degree
     clean = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
-    ref_rng = np.random.default_rng(3)
-    drawn = np.concatenate(
-        list(reference_drawn_indices(group.order(), 1000, ref_rng))
-    )
-    j = int(drawn[0])
-    assert np.count_nonzero(drawn == j) > 1
-    element_rows = PermutationGroup._element_rows
-    formed = []
+    assert clean.ok
+    sizes = [len(level.reps) for level in group._stabilizer_chain()]
+    assert clean.rows_checked == sum(sizes) and len(sizes) > 1
+    for level, size in enumerate(sizes):
+        for row in sorted({0, size // 2, size - 1}):
+            group = make_group()
+            corrupt_transversal_row(group, level, row)
+            report = norm_identity_trials(n, group, 1000, np.random.default_rng(3))
+            assert report.non_bijective_rows == 1, (level, row)
+            assert report.rows_checked == clean.rows_checked
+            assert not report.ok
+    if spec is None:
+        return
+    lemma4 = pipeline.norm_identity_trials
 
-    def corrupting(self, index):
-        formed.extend(index.tolist())
-        rows = element_rows(self, index).copy()
-        rows[index == j, 1] = rows[index == j, 0]
-        return rows
+    def corrupting(n, group, trials, rng):
+        corrupt_transversal_row(group, 0, len(group._stabilizer_chain()[0].reps) - 1)
+        return lemma4(n, group, trials, rng)
 
-    monkeypatch.setattr(PermutationGroup, "_element_rows", corrupting)
-    rng = np.random.default_rng(3)
-    report = norm_identity_trials(n, group, 1000, rng)
-    assert rng.random() == ref_rng.random()
-    assert report.non_bijective_rows == np.count_nonzero(drawn == j)
-    assert report.rows_checked == clean.rows_checked == len(drawn)
-    # Both groups are at most 1000 elements, so the whole group is formed,
-    # and the 1000 trials draw every element of either.
-    assert len(formed) == len(set(formed)) == len(np.unique(drawn))
-
-
-# complete-5's order, held in 16 bits rather than 8; complete-8's, in 16;
-# kneser-9-4's, past 2**16, in 32.
-@pytest.mark.parametrize(
-    "count", [120, 40320, 362880], ids=["complete-5", "complete-8", "kneser-9-4"]
-)
-@pytest.mark.parametrize("trials", [0, 1, 1000])
-def test_drawn_counts_match_a_counter_over_the_reference_draws(count, trials):
-    # One sort and its runs count the draws as a Counter over the
-    # reference's draws does, ascending, and leave the generator alike.
-    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    distinct, times = harmonic._drawn_counts(rng, count, trials, min(count, 24))
-    counter = Counter(
-        int(i) for part in reference_drawn_indices(count, trials, ref_rng) for i in part
-    )
-    assert distinct.dtype.itemsize >= 2
-    assert distinct.tolist() == sorted(counter)
-    assert dict(zip(distinct.tolist(), times.tolist())) == counter
-    assert rng.random() == ref_rng.random()
-
-
-def test_default_trials_draw_in_one_block_on_every_workload_case(monkeypatch):
-    # At the default 1000 trials, every case of both benchmark workloads
-    # (the catalog, and kneser-8-3 and complete-8) with more elements than
-    # trials draws its supports in one block; a smaller group is checked
-    # whole and draws no supports.
-    calls = []
-    random_supports = harmonic._random_supports
-
-    def recording(rng, count, trials, m):
-        calls.append(trials)
-        return random_supports(rng, count, trials, m)
-
-    monkeypatch.setattr(harmonic, "_random_supports", recording)
-    for spec in catalog.builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]:
-        calls.clear()
-        report = analyze_case(spec)
-        assert report.lemma4_ok, spec.name
-        trials = AnalyzeOptions.identity_trials
-        assert calls == ([] if report.group_order <= trials else [trials]), spec.name
-
-
-def assert_supports_valid(chosen, sizes, count, m):
-    assert chosen.shape == (len(chosen), m) and sizes.shape == (len(chosen),)
-    assert ((0 <= chosen) & (chosen < count)).all()
-    ordered = np.sort(chosen, axis=1)
-    assert (ordered[:, 1:] != ordered[:, :-1]).all()
-    assert ((1 <= sizes) & (sizes <= min(count, m))).all()
-
-
-# |G| = 1, |G| below max_support, at the largest key draw (24 * 24), and
-# above it, where rows are drawn with replacement and redrawn.
-@pytest.mark.parametrize("count", [1, 5, 24, 576, 577, 40320])
-def test_random_supports_are_distinct_and_sized(count):
-    m = min(count, 24)
-    chosen, sizes = harmonic._random_supports(
-        np.random.default_rng(count), count, 500, m
-    )
-    assert_supports_valid(chosen, sizes, count, m)
-
-
-# The key draws' edges (m * m = 576) and either side of them, a small
-# count below m, and a group order far above it; blocks from one trial to
-# the 546 trials of complete-5's old blocks and the 1000 of its one block.
-@pytest.mark.parametrize(
-    "count", [1, 5, 23, 24, 25, 64, 120, 575, 576, 577, 40320]
-)
-def test_random_supports_match_the_partition_sampler(count):
-    # One argsort of the keys picks the same indices, in the same order,
-    # as a partition, a sort of the m picked keys and two gathers, and the
-    # generator moves on alike.
-    m = min(count, 24)
-    for seed in (0, 1, 2, 3):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for trials in (1, 7, 42, 546, 1000):
-            chosen, sizes = harmonic._random_supports(rng, count, trials, m)
-            expected = reference_random_supports(ref_rng, count, trials, m)
-            assert chosen.dtype == expected[0].dtype
-            assert chosen.tobytes() == expected[0].tobytes()
-            assert sizes.tobytes() == expected[1].tobytes()
-        assert rng.random() == ref_rng.random()
-
-
-def test_key_drawn_supports_keep_within_two_blocks():
-    # |G| = 120 (complete-5's order) is drawn by keys, 1000 trials in one
-    # block.  The block ranks (1000, 120) keys a chunk of rows at a time;
-    # the ranks past the m kept must not outlive the chunk, so the traced
-    # peak stays under two block budgets.  The draws are counted directly:
-    # lemma 4 checks a group this small whole and draws no supports.
-    count = 120
-    assert harmonic._draws_by_keys(count, 24)
-    rng = np.random.default_rng(0)
-    tracemalloc.start()
-    try:
-        distinct, times = harmonic._drawn_counts(rng, count, 1000, 24)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert distinct.tolist() == list(range(count)) and times.sum() >= 1000
-    assert peak < 2 * harmonic._BLOCK_BYTES, peak
-
-
-@pytest.mark.parametrize(
-    "rows",
-    [
-        np.arange(3)[None, :],
-        s3().element_array(),
-        s6().element_array(),
-    ],
-    ids=["order-1", "order-6", "order-720"],
-)
-def test_norm_identity_trials_in_uneven_blocks(monkeypatch, rows):
-    # A budget of a few trials per block, and a trial count that is not
-    # a multiple of the block size: every trial is drawn once, in full
-    # blocks but the last, every support is distinct and sized, and every
-    # support row is checked.
-    n, count = rows.shape[1], len(rows)
-    m = min(count, 24)
-    # Seven trials' sizes, indices, sort copies, picks and masks.
-    monkeypatch.setattr(harmonic, "_BLOCK_BYTES", 7 * (8 + 33 * m))
-    draws = []
-    random_supports = harmonic._random_supports
-
-    def recording(*args):
-        draws.append(random_supports(*args))
-        return draws[-1]
-
-    monkeypatch.setattr(harmonic, "_random_supports", recording)
-    report = norm_identity_trials(n, rows, 51, np.random.default_rng(31))
-    assert report.ok and report.trials == 51
-    blocks = [len(chosen) for chosen, _ in draws]
-    assert 51 % blocks[0] and len(blocks) == -(-51 // blocks[0]) > 1
-    assert blocks == [blocks[0]] * (len(blocks) - 1) + [51 % blocks[0]]
-    for chosen, sizes in draws:
-        assert_supports_valid(chosen, sizes, count, m)
-    # Every support's rows are formed and checked, and no others.
-    assert report.rows_checked == sum(int(sizes.sum()) for _, sizes in draws)
+    monkeypatch.setattr(pipeline, "norm_identity_trials", corrupting)
+    report = analyze_case(spec)
+    assert report.identity_report.non_bijective_rows == 1
+    assert not report.lemma4_ok
 
 
 def test_norm_identity_zero_trials():
+    # trials is only recorded: zero trials still check every row given.
     report = norm_identity_trials(3, s3().element_array(), 0, np.random.default_rng(0))
-    assert report.trials == report.rows_checked == report.non_bijective_rows == 0
+    assert report.trials == report.non_bijective_rows == 0
+    assert report.rows_checked == 6
     assert report.ok
 
 
 def test_norm_identity_trials_build_no_element_objects(monkeypatch):
-    # The trials draw and convolve whole blocks of rows; no per-trial
-    # Permutation is built.
+    # The rows are checked as one array; no per-row Permutation is built.
     case = petersen_case()
     rows = case.group.element_array()
     built = []
@@ -642,5 +542,3 @@ def test_norm_identity_trials_build_no_element_objects(monkeypatch):
     report = norm_identity_trials(case.graph.n, rows, 1000, np.random.default_rng(37))
     assert report.ok
     assert built == []
-
-

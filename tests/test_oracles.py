@@ -48,8 +48,7 @@ ORACLES = (
     + [(catalog._complete(8), 1)]
     + [(catalog._cycle_dihedral(n), cycle_lambda(n)) for n in (3, 10, 13, 20, 101)]
     + [(catalog._cycle_cyclic(n), cycle_lambda(n)) for n in (11, 16)]
-    # Paley P(p) from p = 37 on: |G| = p(p-1)/2 is above 24 * 24, so
-    # lemma 4 draws its supports with replacement.
+    # Paley P(p) for primes up to 101, |G| = p(p-1)/2 up to 5050.
     + [
         (paley(p), (1 + math.sqrt(p)) / 2)
         for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97, 101)

@@ -38,3 +38,15 @@ def test_benchmark_command_runs_correctly(workload):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["attempted"] > 0
+
+
+def test_benchmark_command_runs_traced():
+    # The traced mode reads every report's lemma 4 trial count and writes
+    # its spans under perfbench/out/.
+    done = run(
+        str(ROOT / "perfbench" / "run.py"),
+        "--workload", "group-ladder", "--seconds", "0", "--trace", "1",
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
