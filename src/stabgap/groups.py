@@ -23,12 +23,11 @@ time by ``take``, not by fancy indexing: ``_compose`` composes rows
 pairwise with rows of a table, as one ``take`` from the flattened table,
 and ``_compose_all`` composes every row of a table with every row, as one
 ``take`` along the table's images.  Rows are gathered by ``take`` along
-the rows too.  They are indexed by one ``uint64`` key per row, its first
-eight bytes of big-endian images (``_row_keys``): ``_lex_order`` sorts
-and deduplicates rows by their keys, and a ``_RowTable`` looks rows up
-by binary search on its sorted keys.  Only rows that share a key and
-differ are compared whole, through ``_row_view``, whose values sort as
-the rows do, so every order and lookup is that of whole rows.
+the rows too.  They are indexed whole, by one void value per row over
+its big-endian images (``_row_view``), whose values sort as the rows
+do: ``_lex_order`` sorts and deduplicates rows by their values, and a
+``_RowTable`` looks rows up by binary search on its sorted values, so
+every order and lookup is that of whole rows.
 
 Rows are the only form in which elements cross a boundary inside the
 package: a group keeps its generators, given as rows or ``Permutation``
@@ -90,10 +89,6 @@ DEFAULT_ELEMENT_CAP = 10**6
 #: intp index temporaries).
 _SCHREIER_BLOCK = 1 << 20
 
-#: Images per block of rows compared or re-sorted at once where their
-#: sort keys tie.
-_COMPARE_BLOCK = 1 << 20
-
 #: Images per block of the subgroup's rows counted at once by
 #: ``ConnectionSet.operator`` (128 KiB of intp cells).
 _COUNT_BLOCK = 1 << 14
@@ -110,89 +105,28 @@ def _image_dtype(degree: int) -> np.dtype:
 def _row_view(rows: np.ndarray) -> np.ndarray:
     """Each row of a 2-D array as one void value over its big-endian
     images, so that the values' byte order is the rows' lexicographic
-    order whatever the row dtype.  Read only where rows share a key and
-    differ, to break the tie."""
+    order whatever the row dtype.  The one index of element rows: they
+    are sorted, deduplicated and looked up by these values alone."""
     rows = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
     return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).reshape(-1)
-
-
-def _key_width(rows: np.ndarray) -> int:
-    """The number of leading images a row's key holds: eight bytes' worth."""
-    return 8 // rows.itemsize
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each row's first eight bytes of big-endian images (the whole row
-    when it is shorter, zero-padded) as one ``uint64``, so that the keys'
-    order is the rows' lexicographic order on those images.  The rows must
-    be unsigned.
-
-    The images are written straight into the keys' lanes: in a
-    little-endian key the last lane is the most significant, so the first
-    image goes there."""
-    n = len(rows)
-    keys = np.zeros(n, dtype="<u8")
-    lanes = keys.view(rows.dtype.newbyteorder("<")).reshape(n, _key_width(rows))
-    lanes = lanes[:, ::-1]
-    span = min(rows.shape[1], lanes.shape[1])
-    lanes[:, :span] = rows[:, :span]
-    return keys
-
-
-def _equal_rows(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Whether rows[a[i]] equals rows[b[i]], for each i, compared a block
-    of about ``_COMPARE_BLOCK`` images at a time."""
-    equal = np.ones(len(a), dtype=bool)
-    step = max(1, _COMPARE_BLOCK // max(rows.shape[1], 1))
-    for i in range(0, len(a), step):
-        block = slice(i, i + step)
-        left, right = rows.take(a[block], axis=0), rows.take(b[block], axis=0)
-        equal[block] = (left == right).all(1)
-    return equal
 
 
 def _lex_order(
     rows: np.ndarray, distinct: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stable lexicographic argsort of unsigned 2-D rows, or with
-    ``distinct`` its first index of each distinct row; and the keys
-    (``_row_keys``) of the rows it orders, in that order.
-
-    The rows are sorted by their keys.  Rows that share a key are compared
-    on the images past it: a run of equal keys over identical rows is a
-    duplicate, and only a run that holds two different rows is re-sorted,
-    by whole-row void values, which leaves the sorted keys as they are."""
-    keys = _row_keys(rows)
-    order = np.argsort(keys, kind="stable")
-    keys = keys.take(order)
-    tie = np.flatnonzero(keys[1:] == keys[:-1])
-    if not len(tie):
-        return order, keys
-    rest = rows[:, _key_width(rows) :]
-    equal = _equal_rows(rest, order[tie], order[tie + 1])
-    if not equal.all():
-        # The positions of the runs to re-sort, cut at run starts into
-        # blocks of about ``_COMPARE_BLOCK`` images.  Whole-row order keeps
-        # the runs in key order, and a stable sort keeps identical rows in
-        # index order.
-        run = np.concatenate([[0], np.cumsum(keys[1:] != keys[:-1])])
-        differ = np.zeros(run[-1] + 1, dtype=bool)
-        differ[run[tie[~equal]]] = True
-        at = np.flatnonzero(differ[run])
-        first = np.flatnonzero(np.diff(run[at], prepend=-1))
-        step = max(1, _COMPARE_BLOCK // rows.shape[1])
-        cuts = first[np.unique(first // step, return_index=True)[1]]
-        for a, b in zip(cuts, np.append(cuts[1:], len(at))):
-            block = order[at[a:b]]
-            view = _row_view(rows.take(block, axis=0))
-            order[at[a:b]] = block[np.argsort(view, kind="stable")]
-        if distinct:
-            equal = _equal_rows(rest, order[tie], order[tie + 1])
+    ``distinct`` its first index of each distinct row; and the rows'
+    values (``_row_view``) in that order.  One stable ``argsort`` of the
+    values; a row equal to the one before it in that order is a
+    duplicate."""
+    view = _row_view(rows)
+    order = np.argsort(view, kind="stable")
+    view = view.take(order)
     if distinct:
-        keep = np.ones(len(order), dtype=bool)
-        keep[tie[equal] + 1] = False
-        order, keys = order[keep], keys[keep]
-    return order, keys
+        keep = np.ones(len(view), dtype=bool)
+        keep[1:] = view[1:] != view[:-1]
+        order, view = order[keep], view[keep]
+    return order, view
 
 
 def _image_rows(elements: _Elements, degree: int | None = None) -> np.ndarray:
@@ -641,11 +575,7 @@ class PermutationGroup:
     def _element_table(self, cap: int = DEFAULT_ELEMENT_CAP) -> _RowTable:
         """``element_array(cap)``'s rows as a table, in lexicographic order;
         they are distinct permutations, so they are not re-checked."""
-        rows = self.element_array(cap)
-        order, keys = _lex_order(rows)
-        rows = rows.take(order, axis=0)
-        rows.setflags(write=False)
-        return _RowTable._sorted(rows, keys)
+        return _RowTable._of_rows(self.element_array(cap))
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
         """All elements, in the order of ``element_array``, if order <= cap."""
@@ -669,38 +599,42 @@ def _query_rows(rows, degree: int) -> np.ndarray:
 
 class _RowTable:
     """Distinct permutations of one degree as the rows of an integer array,
-    sorted lexicographically, looked up by binary search on their keys.
+    sorted lexicographically, looked up by binary search on their values.
 
-    The table keeps its rows' sorted keys (``_row_keys``).  A query is
-    found by ``searchsorted`` on them and confirmed on the images past
-    the key.  Where two table rows share a key, a query with that key
-    takes a binary search on whole-row void values instead; the table
-    views its rows that way only if it has such a tie."""
+    The table keeps its sorted rows and their values (``_row_view``).  A
+    query is found by one ``searchsorted`` on the values; only a query
+    that had to be cast to the rows' dtype is confirmed again, on the
+    rows as given."""
 
-    __slots__ = ("rows", "_keys", "_view")
+    __slots__ = ("rows", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
-        rows = _image_rows(elements, degree)
-        order, keys = _lex_order(rows, distinct=True)
-        rows = rows.take(order, axis=0)
-        rows.setflags(write=False)
-        self._fill(rows, keys)
+        self._sort(_image_rows(elements, degree))
 
     @classmethod
-    def _sorted(cls, rows: np.ndarray, keys: np.ndarray) -> _RowTable:
-        """A table over read-only rows known to be distinct permutations in
-        lexicographic order, such as a group's sorted elements
-        (``_element_table``), and their keys, as ``_lex_order`` returns
-        them; neither is re-checked nor copied."""
+    def _of_rows(cls, rows: np.ndarray) -> _RowTable:
+        """A table over rows known to be permutations, such as a group's
+        elements (``_element_table``): sorted and deduplicated as the
+        constructor does, but not re-checked."""
         table = object.__new__(cls)
-        table._fill(rows, keys)
+        table._sort(rows)
         return table
 
-    def _fill(self, rows: np.ndarray, keys: np.ndarray) -> None:
-        self.rows = rows
-        self._keys = keys
-        tied = (self._keys[1:] == self._keys[:-1]).any()
-        self._view = _row_view(rows) if tied else None
+    @classmethod
+    def _sorted(cls, rows: np.ndarray, view: np.ndarray) -> _RowTable:
+        """A table over read-only rows known to be distinct permutations in
+        lexicographic order, and their values, as ``_lex_order`` returns
+        them; neither is re-checked nor copied."""
+        table = object.__new__(cls)
+        table.rows, table._view = rows, view
+        return table
+
+    def _sort(self, rows: np.ndarray) -> None:
+        """Hold the distinct rows in lexicographic order, read-only, and
+        their values: the one path that sorts rows into a table."""
+        order, self._view = _lex_order(rows, distinct=True)
+        self.rows = rows.take(order, axis=0)
+        self.rows.setflags(write=False)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """The index of each given row, or -1 where the row is missing.
@@ -713,17 +647,12 @@ class _RowTable:
         if not n:
             return np.full(len(rows), -1)
         query = rows.astype(self.rows.dtype, copy=False)
-        keys = _row_keys(query)
-        at = np.searchsorted(self._keys, keys)
-        if self._view is not None:
-            # ``at`` is the first row with the query's key, if any.
-            tied = (at + 1 < n) & (self._keys[np.minimum(at + 1, n - 1)] == keys)
-            at[tied] = np.searchsorted(self._view, _row_view(query[tied]))
-        at = np.minimum(at, n - 1)
-        hit = self._keys[at] == keys
-        # A cast query's key may have wrapped: confirm it whole.
-        cols = slice(_key_width(query), None) if query is rows else slice(None)
-        hit[hit] = (self.rows[at[hit], cols] == rows[hit, cols]).all(axis=1)
+        view = _row_view(query)
+        at = np.minimum(np.searchsorted(self._view, view), n - 1)
+        hit = self._view[at] == view
+        if query is not rows:
+            # A cast query may have wrapped onto a row: confirm it whole.
+            hit[hit] = (self.rows[at[hit]] == rows[hit]).all(axis=1)
         return np.where(hit, at, -1)
 
 
@@ -938,11 +867,7 @@ class ConnectionSet:
         every coset row composed with every element of H, sorted."""
         if self._table is None:
             rows = _compose_all(self.cosets, self.subgroup._all_rows())
-            rows = rows.reshape(-1, self.degree)
-            order, keys = _lex_order(rows)
-            rows = rows.take(order, axis=0)
-            rows.setflags(write=False)
-            self._table = _RowTable._sorted(rows, keys)
+            self._table = _RowTable._of_rows(rows.reshape(-1, self.degree))
         return self._table
 
     @property

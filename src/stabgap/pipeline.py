@@ -106,6 +106,9 @@ class AnalyzeOptions:
         # Every check tol governs passes at inf and fails at NaN or below 0.
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be a finite number >= 0, got {self.tol!r}")
+        for key in ("max_vertices", "max_group_order"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         # Every case is solved densely, so no larger case can finish.
         if self.max_vertices > DENSE_SIZE_CAP:
             raise ValueError(

@@ -152,6 +152,17 @@ def test_max_vertices_beyond_the_dense_cap_is_operational_error(
     assert main(["analyze", "--input", str(path)]) == 0
 
 
+@pytest.mark.parametrize("key,value", [("max_vertices", 0), ("max_group_order", -5)])
+def test_cap_flag_below_one_is_one_operational_error(key, value, tmp_path, capsys):
+    out_path = tmp_path / "report.csv"
+    flag = "--" + key.replace("_", "-")
+    argv = ["catalog", "--families", "all", "--out", str(out_path), flag, str(value)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} must be at least 1, got {value}\n"
+    assert not out_path.exists()
+
+
 def test_one_option_table():
     # AnalyzeOptions' settable fields, the document options, the option
     # table and both commands' option flags name the same options.

@@ -445,7 +445,7 @@ def test_row_order_and_lookup_at_two_byte_degree():
     assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
 
     # A group's own sorted rows make a table without a copy.
-    own = _RowTable._sorted(rows, groups._row_keys(rows))
+    own = _RowTable._sorted(rows, groups._row_view(rows))
     assert own.rows is rows
     assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
     assert own.find(missing).tolist() == [-1, 7]
@@ -470,23 +470,24 @@ def test_lookup_confirms_uncast_queries():
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 @pytest.mark.parametrize("width", [3, 12])
-def test_key_order_of_empty_and_one_row_sets(dtype, width):
+def test_row_order_of_empty_and_one_row_sets(dtype, width):
     row = np.arange(width, dtype=dtype)[::-1][None, :]
     for rows in (row[:0], row):
-        order, keys = groups._lex_order(rows)
+        order, view = groups._lex_order(rows)
         assert order.tolist() == list(range(len(rows)))
-        assert np.array_equal(keys, groups._row_keys(rows))
+        assert np.array_equal(view, groups._row_view(rows[order]))
         assert np.array_equal(_sorted_distinct(rows), rows)
         assert np.array_equal(groups._distinct_moved(rows), rows)
-        table = _RowTable._sorted(rows, keys)
+        table = _RowTable._sorted(rows, view)
         queries = np.concatenate([row, row[:, ::-1], row + 1]).astype(np.int64)
         assert table.find(queries).tolist() == [len(rows) - 1, -1, -1]
 
 
 @st.composite
-def key_rows(draw):
-    """Rows of uint8 or uint16 images, some wider and some narrower than a
-    key, with repeated rows and, sometimes, one shared leading key."""
+def lex_rows(draw):
+    """Rows of uint8 or uint16 images, some wider and some narrower than
+    eight bytes, with repeated rows and, sometimes, the same first eight
+    bytes in every row."""
     dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16])))
     width = draw(st.integers(1, 12))
     top = int(np.iinfo(dtype).max)
@@ -501,28 +502,28 @@ def key_rows(draw):
 
 
 @settings(max_examples=50, deadline=None)
-@given(key_rows(), st.data())
-def test_key_order_and_lookup_match_python(rows, data):
+@given(lex_rows(), st.data())
+def test_row_order_and_lookup_match_python(rows, data):
     tuples = [tuple(row) for row in rows.tolist()]
     n, width = rows.shape
     by_row = sorted(range(n), key=lambda i: tuples[i])
-    # The keys handed back are those of the rows in the order returned.
-    order, keys = groups._lex_order(rows)
+    # The values handed back are those of the rows in the order returned.
+    order, view = groups._lex_order(rows)
     assert order.tolist() == by_row
-    assert np.array_equal(keys, groups._row_keys(rows[order]))
+    assert np.array_equal(view, groups._row_view(rows[order]))
     first = {}
     for i in by_row:
         first.setdefault(tuples[i], i)
-    order, keys = groups._lex_order(rows, distinct=True)
+    order, view = groups._lex_order(rows, distinct=True)
     assert order.tolist() == list(first.values())
-    assert np.array_equal(keys, groups._row_keys(rows[order]))
+    assert np.array_equal(view, groups._row_view(rows[order]))
     distinct = sorted(set(tuples))
     assert [tuple(row) for row in _sorted_distinct(rows).tolist()] == distinct
     identity = tuple(range(width))
     moved = list(dict.fromkeys(t for t in tuples if t != identity))
     assert [tuple(row) for row in groups._distinct_moved(rows).tolist()] == moved
 
-    table = _RowTable._sorted(rows[order], keys)
+    table = _RowTable._sorted(rows[order], view)
     index = {t: i for i, t in enumerate(distinct)}
     top = int(np.iinfo(rows.dtype).max)
     value = st.sampled_from([0, 1, 2, 3, top])
@@ -551,7 +552,8 @@ def test_chain_base_follows_the_generators():
 
 def s4_on_last_points(degree):
     """S_4 acting on the last 4 of the degree's points: every element has
-    the same images on the first degree - 4 points, so rows share keys."""
+    the same images on the first degree - 4 points, so rows differ only
+    past their first eight bytes."""
     fixed = list(range(degree - 4))
     a, b, c, d = range(degree - 4, degree)
     return PermutationGroup(
@@ -560,21 +562,10 @@ def s4_on_last_points(degree):
 
 
 @pytest.mark.parametrize("degree", [12, 300])
-def test_tied_keys_keep_whole_row_order(degree, monkeypatch):
-    views = []
-    row_view = groups._row_view
-
-    def counting(rows):
-        views.append(len(rows))
-        return row_view(rows)
-
-    monkeypatch.setattr(groups, "_row_view", counting)
+def test_tied_keys_keep_whole_row_order(degree):
     group = s4_on_last_points(degree)
-    # The element table sorts the group's rows: all 24 share a key.
+    # The element table sorts the group's rows.
     rows = group._element_table().rows
-    keys = groups._row_keys(rows)
-    assert len(set(keys.tolist())) == 1
-    assert views
     tuples = [tuple(row) for row in rows.tolist()]
     brute = brute_closure(degree, group.generators)
     assert tuples == sorted(p.images for p in brute)
@@ -601,8 +592,6 @@ def test_johnson_connection_set_keeps_whole_row_order():
     # Johnson(8, 4) acts on 70 points and its rows tie on their first 8.
     case = realize_case(catalog._johnson(8, 4))
     rows, v = case.connection.rows, case.base_vertex
-    keys = groups._row_keys(rows)
-    assert len(set(keys.tolist())) < len(rows)
     tuples = [tuple(row) for row in rows.tolist()]
     assert tuples == sorted(set(tuples))
     orbit = {q: min(case.stabilizer.orbit(q)) for q in {t[v] for t in tuples}}
@@ -1000,22 +989,29 @@ def test_chain_paths_form_no_permutation_products(monkeypatch):
     assert calls == []
 
 
-def test_benchmark_cases_sort_and_look_up_by_keys_alone(monkeypatch):
-    # No set these cases build has two different rows with one key, so no
-    # sort, deduplication or lookup falls back to whole-row void values.
-    calls = []
-    row_view = groups._row_view
+def test_benchmark_cases_sort_and_look_up_small_row_sets(monkeypatch):
+    # Rows are sorted and looked up by whole-row void values, which cost
+    # about twice a fixed-width key on large sets; the analyses of these
+    # cases sort and look up only small ones.
+    sorted_rows, found_rows = [], []
+    lex_order, find = groups._lex_order, _RowTable.find
 
-    def counting(rows):
-        calls.append(rows.shape)
-        return row_view(rows)
+    def counted_lex_order(rows, *args, **kwargs):
+        sorted_rows.append(len(rows))
+        return lex_order(rows, *args, **kwargs)
 
-    monkeypatch.setattr(groups, "_row_view", counting)
+    def counted_find(self, rows):
+        found_rows.append(len(rows))
+        return find(self, rows)
+
     specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
     assert len(specs) == 26
+    monkeypatch.setattr(groups, "_lex_order", counted_lex_order)
+    monkeypatch.setattr(_RowTable, "find", counted_find)
     for spec in specs:
         analyze_case(spec)
-    assert calls == []
+    assert sorted_rows and found_rows
+    assert max(sorted_rows) <= 64 and max(found_rows) <= 64
 
 
 # -- double cosets ---------------------------------------------------------

@@ -103,6 +103,17 @@ def test_options_reject_a_bad_tol(tol):
     assert AnalyzeOptions(tol=0.0).tol == 0.0
 
 
+@pytest.mark.parametrize("key,value", [("max_vertices", 0), ("max_group_order", -5)])
+def test_options_reject_a_cap_below_one(key, value):
+    with pytest.raises(ValueError, match=f"{key} must be at least 1, got {value}"):
+        AnalyzeOptions(**{key: value})
+    doc = {**json.loads(TRIANGLE_DOC), "options": {key: value}}
+    with pytest.raises(CaseAnalysisError, match=f"case 'triangle': {key}") as caught:
+        analyze_case(parse_case(json.dumps(doc)))
+    assert isinstance(caught.value.cause, ValueError)
+    assert getattr(AnalyzeOptions(**{key: 1}), key) == 1
+
+
 def test_non_transitive_action_reports_case_name():
     doc = {
         "name": "stuck",
