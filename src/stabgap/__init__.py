@@ -33,6 +33,7 @@ from .spectral import (
     SpectralSummary,
     build_bipartite,
     lambda1_power_iteration,
+    lambda2_bracket_ok,
     lambda2_power_iteration,
     reconstruction_report,
     singular_values,

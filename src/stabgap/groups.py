@@ -392,6 +392,7 @@ class PermutationGroup:
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
+        self._transversals: dict[int, np.ndarray] = {}
 
     @classmethod
     def trivial(cls, degree: int) -> PermutationGroup:
@@ -421,8 +422,15 @@ class PermutationGroup:
     def transversal(self, point: int) -> np.ndarray:
         """The transversal of the point's orbit as rows of images: one row
         u_q with u_q(point) = q per orbit point q, in the breadth-first
-        order the orbit is grown in (generators in their given order)."""
-        return _transversal(self._point(point), self._gen_rows)[0]
+        order the orbit is grown in (generators in their given order).
+        It is grown once per point and kept, read-only."""
+        point = self._point(point)
+        rows = self._transversals.get(point)
+        if rows is None:
+            rows = _transversal(point, self._gen_rows)[0]
+            rows.setflags(write=False)
+            self._transversals[point] = rows
+        return rows
 
     def is_transitive(self) -> bool:
         return not _component_minima(self.degree, self._gen_rows).any()

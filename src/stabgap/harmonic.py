@@ -147,7 +147,7 @@ def norm_identity_trials(
     n: int,
     group_elements: _Elements | PermutationGroup,
     trials: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None = None,
 ) -> NormIdentityReport:
     """Exact check of lemma 4's four norm identities.  The convolution
     identity holds for every distribution on the group exactly when every

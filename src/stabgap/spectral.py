@@ -7,9 +7,16 @@ the orbits of S's subgroup and the one row per left coset S carries
 the matrix is symmetric, its singular values are the absolute values of
 its eigenvalues, and one dense eigendecomposition (LAPACK's
 ``numpy.linalg.eigh``) gives every singular value and, in one family of
-eigenvectors, both singular vector families.  A deflated power
-iteration provides an independent route to the second singular value,
-and random zero-sum vectors check the contraction that value bounds.
+eigenvectors, both singular vector families; above ``RECONSTRUCTION_CAP``
+vertices only the values are computed (``numpy.linalg.eigvalsh``).
+
+``lambda2_bracket_ok`` certifies the second singular value by Sylvester's
+law of inertia: two Cholesky factorizations show that every zero-sum
+vector contracts by less than lambda2 (1 + delta) and that some zero-sum
+vector does not contract by lambda2 (1 - delta).  It reads no random
+numbers.  The deflated power iteration and the random zero-sum
+contraction draws remain for the benchmark's traced copy of the
+pipeline; the analysis calls neither.
 """
 
 from __future__ import annotations
@@ -26,8 +33,15 @@ from .groups import ConnectionSet, _component_minima, _inverse_rows
 #: ``max_vertices`` an analysis accepts.
 DENSE_SIZE_CAP = 4000
 
+#: Largest size whose eigenvectors ``singular_values`` computes, and so the
+#: largest the reconstruction check reads.
+RECONSTRUCTION_CAP = 200
+
 #: Relative slack of the zero-sum contraction check ||A f|| <= lambda2 ||f||.
 CONTRACTION_SLACK = 1e-9
+
+#: Relative width of the bracket ``lambda2_bracket_ok`` puts around lambda2.
+BRACKET_DELTA = 1e-9
 
 
 class BipartiteAdjacency:
@@ -131,12 +145,12 @@ class SpectralSummary:
     ``values[i]``, and its product with the eigenvalue's sign the left
     one, so one family serves both.  For repeated values the vectors are
     an arbitrary orthonormal completion; only spans and residuals are
-    meaningful.
+    meaningful.  ``vectors`` is None when only the values were computed.
     """
 
     eigenvalues: np.ndarray
     values: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
 
     @property
     def lambda1(self) -> float:
@@ -149,7 +163,9 @@ class SpectralSummary:
 
 def singular_values(adjacency: BipartiteAdjacency) -> SpectralSummary:
     """Dense eigendecomposition of the (symmetric) matrix, ordered by
-    absolute value.
+    absolute value: ``eigh`` up to ``RECONSTRUCTION_CAP`` vertices, and
+    above it ``eigvalsh``, which computes no eigenvectors and takes about
+    half the time.
 
     Sizes above ``DENSE_SIZE_CAP`` raise ``SizeLimitError``.  A LAPACK
     failure to converge raises ``numpy.linalg.LinAlgError``.
@@ -159,10 +175,15 @@ def singular_values(adjacency: BipartiteAdjacency) -> SpectralSummary:
         raise SizeLimitError(
             f"size {n} exceeds dense eigensolve cap {DENSE_SIZE_CAP}"
         )
-    w, vecs = np.linalg.eigh(adjacency.float_matrix)
+    if n > RECONSTRUCTION_CAP:
+        w, vecs = np.linalg.eigvalsh(adjacency.float_matrix), None
+    else:
+        w, vecs = np.linalg.eigh(adjacency.float_matrix)
     order = np.argsort(-np.abs(w), kind="stable")
     eigenvalues = w[order]
-    return SpectralSummary(eigenvalues, np.abs(eigenvalues), vecs[:, order])
+    if vecs is not None:
+        vecs = vecs[:, order]
+    return SpectralSummary(eigenvalues, np.abs(eigenvalues), vecs)
 
 
 def _power_iteration(
@@ -255,6 +276,56 @@ def top_value_matches_degree(
     return abs(summary.lambda1 - expected) <= rel_tol * max(1.0, expected)
 
 
+def lambda2_bracket_ok(adjacency: BipartiteAdjacency, lambda2: float) -> bool:
+    """Whether the second singular value lies strictly between
+    lambda2 (1 - delta) and lambda2 (1 + delta), delta = ``BRACKET_DELTA``,
+    decided for every zero-sum vector at once.
+
+    A is symmetric with row sums |S|, so A^2 fixes the all-ones vector
+    with value |S|^2 and M(t) = t^2 I - A^2 + (|S|^2 / n) J has the value
+    t^2 there and t^2 - mu^2 on the zero-sum eigenvector of each other
+    eigenvalue mu of A.  By Sylvester's law of inertia M(t) is positive
+    definite, so its Cholesky factorization succeeds, exactly when every
+    zero-sum f has ||A f|| < t ||f||.  The bracket holds when that
+    succeeds at t = lambda2 (1 + delta) and fails at t = lambda2 (1 - delta).
+
+    n M(t) = n t^2 I - n A^2 + |S|^2 J is factored.  Its entries, but for
+    the diagonal n t^2 term, are integers of absolute value at most
+    n |S|^2: exact in float64 while that is below 2**53, and
+    ``SizeLimitError`` names the sizes where it is not.
+    Every eigenvalue of n M(t) is at most n t^2 and, at either end, at
+    least about 2 delta n t^2 away from zero, so the rounding of the
+    diagonal and of the factorization cannot turn a verdict while
+    n * machine epsilon stays far below delta.
+
+    The second singular value is 0 exactly when n A = |S| J, which is
+    decided in integers, and for n = 1 always; then the bracket holds
+    when lambda2 is at most delta |S|, the solver's rounding of 0.
+    """
+    n, s, delta = adjacency.n, adjacency.s_size, BRACKET_DELTA
+    if n * s * s >= 2**53:
+        raise SizeLimitError(
+            f"lambda2 bracket needs n |S|^2 below 2**53, got n = {n}, |S| = {s}"
+        )
+    a = adjacency.float_matrix
+    if (n * a == s).all():
+        return lambda2 <= delta * s
+    integer_part = s * s - n * (a @ a)
+
+    def contracts_below(t: float) -> bool:
+        m = integer_part.copy()
+        m.flat[:: n + 1] += n * t * t
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    return contracts_below(lambda2 * (1 + delta)) and not contracts_below(
+        lambda2 * (1 - delta)
+    )
+
+
 @dataclass(frozen=True)
 class ReconstructionReport:
     residual: float
@@ -270,6 +341,8 @@ def reconstruction_report(
     number, since it differs from them by column signs only)."""
     a = adjacency.float_matrix
     v = summary.vectors
+    if v is None:
+        raise ValueError("the summary holds no eigenvectors to reconstruct from")
     recon = (v * summary.eigenvalues) @ v.T
     denom = float(np.linalg.norm(a))
     diff = float(np.linalg.norm(recon - a))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -308,6 +309,20 @@ def differences(fresh, captured, path):
         yield path, captured, fresh
 
 
+def field_counts(differing):
+    """The number of reports in which each field differs, by field name:
+    a path's part after its report's index, with list indices dropped
+    (``catalog-seed0.json[3].singular_values[2]`` names the field
+    ``singular_values`` of report 3), sorted by name.  A report that only
+    one side has is counted under ``<report>``."""
+    reports = {}
+    for where, _, _ in differing:
+        report, field = re.match(r"(.*?\[\d+\])\.?(.*)", where).groups()
+        field = re.sub(r"\[\d+\]", "", field) or "<report>"
+        reports.setdefault(field, set()).add(report)
+    return {field: len(reports[field]) for field in sorted(reports)}
+
+
 def test_differences_name_each_changed_path():
     captured = [{"name": "a", "lemma4": {"rows_checked": 5, "ok": True}, "x": [1, 2]}]
     fresh = [{"name": "a", "lemma4": {"rows_checked": 6, "ok": True}, "x": [1], "y": 0}]
@@ -319,6 +334,16 @@ def test_differences_name_each_changed_path():
     assert list(differences(captured, captured, "f")) == []
     # 1 and 1.0 print differently, so they differ.
     assert list(differences([1.0], [1], "f")) == [("f[0]", 1, 1.0)]
+    # The summary counts each field once per report it differs in.
+    captured.append({"name": "b", "lemma4": {"rows_checked": 7}, "x": [3, 4]})
+    fresh.extend([{"name": "b", "lemma4": {"rows_checked": 8}, "x": [4, 5]}, {}])
+    assert field_counts(differences(fresh, captured, "f")) == {
+        "<report>": 1,
+        "lemma4.rows_checked": 2,
+        "x": 2,
+        "y": 1,
+    }
+    assert field_counts([]) == {}
 
 
 if __name__ == "__main__":
@@ -326,7 +351,8 @@ if __name__ == "__main__":
     # each report's ``json.dumps(report, sort_keys=True)``, concatenated,
     # the catalog's first, then the ladder's.  With --check, write nothing;
     # print the first 20 JSON paths at which a fresh report differs from
-    # its capture, with both values, and how many differ, and exit 1 if
+    # its capture, with both values, and how many differ, then each field
+    # that differs with the number of reports it differs in, and exit 1 if
     # either capture's bytes would change, or if the seed-0 catalog CSV
     # differs from its checked-in bytes.
     import argparse
@@ -366,5 +392,7 @@ if __name__ == "__main__":
         print(f"{where}: captured {captured!r}, fresh {fresh!r}")
     if differing:
         print(f"{len(differing)} differing paths in all")
+        for field, count in field_counts(differing).items():
+            print(f"{field}: differs in {count} reports")
     if changed:
         sys.exit(f"differs from the capture: {', '.join(changed)}")

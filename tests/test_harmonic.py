@@ -436,7 +436,7 @@ def test_norm_identity_trials_reject_a_row_that_repeats_an_image(monkeypatch):
 
     lemma4 = pipeline.norm_identity_trials
 
-    def corrupting(n, group, trials, rng):
+    def corrupting(n, group, trials, rng=None):
         corrupt_transversal_row(group, depth - 1, 0)
         return lemma4(n, group, trials, rng)
 
@@ -502,7 +502,7 @@ def test_non_bijective_rows_count_each_bad_transversal_row_once(
         return
     lemma4 = pipeline.norm_identity_trials
 
-    def corrupting(n, group, trials, rng):
+    def corrupting(n, group, trials, rng=None):
         corrupt_transversal_row(group, 0, len(group._stabilizer_chain()[0].reps) - 1)
         return lemma4(n, group, trials, rng)
 

@@ -78,3 +78,14 @@ def test_the_triangle_is_the_exact_tie_of_the_proof_form():
     assert report.lambda2 == pytest.approx(2.0, rel=1e-12)
     assert not report.proof_form_ok
     assert report.prop5_branch == "small-graph" and report.normative_ok
+
+
+def test_a_slow_gap_cycle_is_decided_at_default_options():
+    # C_1000: lambda* = 2 (the alternating vector) and the next |theta| is
+    # 2cos(2 pi / 1000), so a power iteration stopped when two steps agree
+    # ended 1.3e-8 below lambda2 and failed lemma 3; the bracket decides it.
+    report = analyze_case(catalog._cycle_dihedral(1000))
+    assert report.n_vertices == 1000 and report.stabilizer_order == 2
+    assert abs(report.lambda2 - 4.0) <= 1e-9
+    assert report.bracket_ok and report.lemma3_ok
+    assert report.normative_ok

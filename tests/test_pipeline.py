@@ -1,8 +1,11 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from stabgap import catalog
+from stabgap import catalog, graphs, groups, pipeline, spectral
 from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.groups import ConnectionSet, PermutationGroup
@@ -267,3 +270,90 @@ def test_analysis_never_lists_the_connection_set(monkeypatch):
     # The recorder does record.
     assert len(connections[0].rows) == len(connections[0])
     assert formed == [connections[0]]
+
+
+def test_analysis_draws_no_random_number(monkeypatch):
+    # lambda2 is bracketed by two Cholesky factorizations, so neither the
+    # power iteration nor the contraction draws run, and no stage draws;
+    # the seed is only reported, so seed 1's reports are seed 0's but for
+    # it.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the analysis drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    for module in (pipeline, spectral):
+        for name in ("lambda2_power_iteration", "zero_sum_contraction_ok"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    specs = builtin_cases() + ladder_cases()
+    assert len(specs) == 28
+    for spec in specs:
+        reports = [analyze_case(spec, AnalyzeOptions(seed=seed)) for seed in (0, 1)]
+        docs = [report.to_json_dict() for report in reports]
+        assert docs[0].pop("seed") == case_seed(0, spec.name)
+        assert docs[1].pop("seed") == case_seed(1, spec.name)
+        assert docs[0] == docs[1], spec.name
+        assert docs[0]["bracket_ok"] and docs[0]["lemma3_ok"], spec.name
+
+
+def test_report_json_carries_the_bracket_not_the_power_iteration():
+    report = analyze_case(triangle_spec())
+    doc = report.to_json_dict()
+    assert doc["bracket_ok"] is True and doc["bracket_delta"] == 1e-9
+    assert not {"power_lambda2", "power_gap", "contraction_ok"} & doc.keys()
+    # The power iteration's fields are left out of ==, as are the bracket's.
+    assert report == replace(
+        report,
+        power_lambda2=1.0,
+        power_gap=1.0,
+        contraction_ok=False,
+        bracket_delta=0.5,
+        bracket_ok=False,
+    )
+    assert report != replace(report, lemma3_ok=False)
+
+
+def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
+    # ConnectionSet.of_point and sabidussi_isomorphism both read G's
+    # transversal at v; the group grows it once and keeps it.  Every
+    # breadth-first search made through PermutationGroup.transversal is
+    # counted, per group and point.
+    asked, grown, inside = Counter(), Counter(), []
+    transversal, bfs = groups.PermutationGroup.transversal, groups._transversal
+
+    def counted_transversal(self, point):
+        asked[id(self), point] += 1
+        inside.append((id(self), point))
+        try:
+            return transversal(self, point)
+        finally:
+            inside.pop()
+
+    def counted_bfs(point, gen_rows, first=None):
+        if inside:
+            grown[inside[-1]] += 1
+        return bfs(point, gen_rows, first)
+
+    monkeypatch.setattr(groups.PermutationGroup, "transversal", counted_transversal)
+    monkeypatch.setattr(groups, "_transversal", counted_bfs)
+    monkeypatch.setattr(graphs, "_transversal", counted_bfs)
+    specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+    for spec in specs:
+        asked.clear()
+        grown.clear()
+        report = analyze_case(spec)
+        assert report.sabidussi_ok, spec.name
+        # One group and point, read twice, grown once.
+        assert len(asked) == 1 and sum(asked.values()) == 2, spec.name
+        assert grown == Counter(asked.keys()), spec.name
+
+
+def test_transversal_is_kept_read_only():
+    group = realize_case(catalog._kneser(5, 2)).group
+    rows = group.transversal(3)
+    assert group.transversal(3) is rows
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1
+    other = group.transversal(4)
+    assert other is not rows
+    assert sorted(other[:, 4].tolist()) == sorted(rows[:, 3].tolist()) == list(range(10))

@@ -9,10 +9,13 @@ from stabgap.casefile import realize_case
 from stabgap.errors import ConvergenceError, SizeLimitError, StructureError
 from stabgap.graphs import CosetGraphSpec, build_coset_graph, make_transitive_case
 from stabgap.groups import ConnectionSet, PermutationGroup
+from stabgap.pipeline import AnalyzeOptions
 from stabgap.spectral import (
+    BRACKET_DELTA,
     BipartiteAdjacency,
     build_bipartite,
     lambda1_power_iteration,
+    lambda2_bracket_ok,
     lambda2_power_iteration,
     reconstruction_report,
     singular_values,
@@ -281,6 +284,123 @@ def test_reconstruction_swap_matrix_tight():
     adj = BipartiteAdjacency(np.array([[0, 1], [1, 0]]))
     report = reconstruction_report(singular_values(adj), adj)
     assert report.residual <= 1e-12
+
+
+def test_values_alone_above_the_reconstruction_cap():
+    # cycle-dihedral-256 is past the reconstruction cap, so only its values
+    # are computed; they are eigh's to rounding.
+    case = realize_case(catalog._cycle_dihedral(256))
+    adj = build_bipartite(case.connection, case.graph.n)
+    assert adj.n > AnalyzeOptions.reconstruction_cap == spectral.RECONSTRUCTION_CAP
+    summary = singular_values(adj)
+    assert summary.vectors is None
+    # Values tied in absolute value may come in either order, so the signed
+    # eigenvalues are compared as sorted.
+    w = np.linalg.eigh(adj.float_matrix)[0]
+    tol = 1e-12 * adj.s_size
+    assert np.sort(summary.eigenvalues) == pytest.approx(w, rel=0, abs=tol)
+    assert summary.values == pytest.approx(-np.sort(-np.abs(w)), rel=0, abs=tol)
+    assert (np.diff(summary.values) <= 0).all()
+    assert summary.lambda2 == pytest.approx(4.0, rel=1e-15)
+    with pytest.raises(ValueError, match="no eigenvectors"):
+        reconstruction_report(summary, adj)
+
+
+def test_vectors_up_to_the_reconstruction_cap(monkeypatch):
+    adj = build_bipartite(petersen_case().connection, 10)
+    monkeypatch.setattr(spectral, "RECONSTRUCTION_CAP", 10)
+    assert singular_values(adj).vectors.shape == (10, 10)
+    monkeypatch.setattr(spectral, "RECONSTRUCTION_CAP", 9)
+    assert singular_values(adj).vectors is None
+
+
+# -- the lambda2 bracket ------------------------------------------------------
+
+
+def lazy_cycle(n, loops):
+    """The n-cycle with ``loops`` loops at every vertex: |S| = loops + 2 and
+    the eigenvalues loops + 2cos(2 pi j / n), all within a relative
+    4 / loops of each other, so the power iteration's gap is slow."""
+    a = loops * np.eye(n, dtype=np.int64)
+    i = np.arange(n)
+    a[i, (i + 1) % n] += 1
+    a[(i + 1) % n, i] += 1
+    return BipartiteAdjacency(a)
+
+
+def test_bracket_holds_where_the_power_iteration_misses():
+    # Consecutive estimates agree within power_tol long before the estimate
+    # is within POWER_AGREEMENT_TOL of lambda2; the bracket decides it.
+    adj = lazy_cycle(300, 5 * 10**6)
+    lam2 = singular_values(adj).lambda2
+    assert lam2 == pytest.approx(5 * 10**6 + 2 * np.cos(2 * np.pi / 300), rel=1e-15)
+    power = lambda2_power_iteration(
+        adj, tol=AnalyzeOptions.power_tol, max_iter=AnalyzeOptions.power_max_iter
+    )
+    assert abs(power - lam2) / lam2 > 1e-8
+    assert lambda2_bracket_ok(adj, lam2)
+    assert not lambda2_bracket_ok(adj, power)
+
+
+def test_bracket_rejects_a_lambda2_off_by_one_in_a_million(reference_matrices):
+    for name, adj in reference_matrices.items():
+        lam2 = singular_values(adj).lambda2
+        assert lam2 > 0, name
+        assert lambda2_bracket_ok(adj, lam2), name
+        assert not lambda2_bracket_ok(adj, lam2 * (1 + 1e-6)), name
+        assert not lambda2_bracket_ok(adj, lam2 * (1 - 1e-6)), name
+
+
+def test_bracket_width_is_delta():
+    adj = build_bipartite(petersen_case().connection, 10)
+    for factor in (1, 1 + BRACKET_DELTA / 3, 1 - BRACKET_DELTA / 3):
+        assert lambda2_bracket_ok(adj, 24.0 * factor)
+    for factor in (1 + 3 * BRACKET_DELTA, 1 - 3 * BRACKET_DELTA):
+        assert not lambda2_bracket_ok(adj, 24.0 * factor)
+
+
+def test_bracket_of_a_single_vertex():
+    # n = 1: no zero-sum vector but 0, so lambda2 = 0, decided in integers.
+    adj = BipartiteAdjacency(np.array([[5]]))
+    assert singular_values(adj).lambda2 == 0.0
+    assert lambda2_bracket_ok(adj, 0.0)
+    assert not lambda2_bracket_ok(adj, 1.0)
+
+
+@pytest.mark.parametrize("n, count", [(2, 1), (3, 2), (7, 3)])
+def test_bracket_of_a_flat_matrix(n, count):
+    # n A = |S| J: A kills every zero-sum vector, so lambda2 = 0 exactly;
+    # eigh gives it to rounding (about 1e-15 here), which the bracket takes.
+    adj = BipartiteAdjacency(np.full((n, n), count))
+    lam2 = singular_values(adj).lambda2
+    assert lam2 <= 1e-13
+    assert lambda2_bracket_ok(adj, 0.0)
+    assert lambda2_bracket_ok(adj, lam2)
+    assert not lambda2_bracket_ok(adj, 1e-6)
+
+
+def test_bracket_of_a_zero_lambda2_that_is_not():
+    # The swap's lambda2 is 1, so 0 fails at the upper factorization.
+    adj = BipartiteAdjacency(np.array([[0, 1], [1, 0]]))
+    assert not lambda2_bracket_ok(adj, 0.0)
+    assert lambda2_bracket_ok(adj, 1.0)
+
+
+def test_bracket_refuses_counts_it_cannot_hold_exactly():
+    big = 2**26
+    adj = BipartiteAdjacency(np.array([[0, big], [big, 0]]))
+    with pytest.raises(SizeLimitError, match=f"n = 2, \\|S\\| = {big}"):
+        lambda2_bracket_ok(adj, float(big))
+    smaller = BipartiteAdjacency(np.array([[0, big - 1], [big - 1, 0]]))
+    assert lambda2_bracket_ok(smaller, float(big - 1))
+
+
+def test_bracket_reads_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bracket drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert lambda2_bracket_ok(triangle_adjacency(), 2.0)
 
 
 # -- second singular value via power iteration -----------------------------------
