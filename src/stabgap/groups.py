@@ -3,11 +3,11 @@
 Orbits, point stabilizers read off the stabilizer chain, exact orders,
 bounded element enumeration, and double-coset machinery.  Every
 operation is deterministic: transversals are grown breadth-first with
-the generators in their given order, a chain's next base point is the
-smallest point moved by the first row that sifts through all its levels
-so far without becoming the identity (the generators in their given
-order, then the Schreier generators of the fixpoint scan), so the base
-need not be 0, 1, 2, ....
+the generators in their given order, a chain's first base point is the
+smallest point moved by the first generator, and each later one the
+smallest point moved by the first residue of the fixpoint scan that
+sifts through all the levels so far without becoming the identity, so
+the base need not be 0, 1, 2, ....
 
 A group's elements are numbered by the chain: element r is
 u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
@@ -38,18 +38,28 @@ objects are built only by the accessors that hand them to callers:
 ``double_coset_representatives``.
 
 The stabilizer chain is held in the same layout (Seress, *Permutation
-Group Algorithms*, 2003): each level keeps its strong generators, its
-transversal and the transversal's inverses as rows, the last two computed
-when first read.  One breadth-first routine (``_transversal``) grows
-every transversal, the chain's and the coset graph's, one batched
-``_sift`` strips rows through the chain, and ``_schreier`` forms a
-level's Schreier generators a block of orbit points at a time.  The
-chain is built once per group: a point stabilizer in the first base
-point b's orbit takes its chain from the group's, the levels past the
-first conjugated by the transversal row u with u(b) = point, since
-G_u(b) = u * G_b * u^-1; only a point outside that orbit forms Schreier
-generators for its stabilizer.  Orbits are component labels
-(``_component_minima``).
+Group Algorithms*, 2003, sections 4.1-4.2): each level keeps its strong
+generators, the generator rows it spans, its transversal and the
+transversal's inverses as rows.  It is built by a deterministic
+incremental Schreier-Sims.  Level 0 spans the group's own generators,
+whose Schreier generators generate G_b (Schreier's lemma), so its
+transversal is the group's kept ``transversal(b)``, grown once.  A
+deeper level spans the strong generators found for it and the levels
+below, and only grows: a new span row is applied to the orbit points
+so far and the orbit grown breadth-first from the points it reaches, so
+every transversal row is composed once.  Each level counts, per orbit
+point, the span rows whose Schreier generator is known to sift to the
+identity, and the fixpoint scan forms only the other pairs.  One
+breadth-first routine (``_grow``) grows every transversal, the chain's
+and the coset graph's, one batched ``_sift`` strips rows through the
+chain, and ``_schreier`` forms a level's Schreier generators for a
+block of pairs at a time.  The chain is built once per group: a point
+stabilizer in the first base point b's orbit takes its chain from the
+group's, the levels past the first conjugated by the transversal row u
+with u(b) = point, since G_u(b) = u * G_b * u^-1; only a point outside
+that orbit forms Schreier generators for its stabilizer.  Orbits are
+component labels (``_component_minima``), kept per group
+(``orbit_labels``).
 
 A connection set S is held as its subgroup H and one row per left coset
 s*H (``cosets``); its rows, their lookup table and its double cosets'
@@ -199,6 +209,63 @@ def _compose_all(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return table.take(rows, axis=-1)
 
 
+def _grow(
+    reps: np.ndarray,
+    index: np.ndarray,
+    orbit: np.ndarray,
+    gen_rows: np.ndarray,
+    start: int = 0,
+) -> np.ndarray:
+    """Grow the transversal of an orbit closed under ``gen_rows[:start]``
+    into the transversal of the orbit under all the generator rows, and
+    return the grown ``reps`` (see ``_transversal``).  ``orbit`` lists the
+    orbit's points in the rows' order and ``index`` (updated in place)
+    numbers them; the rows already there are kept as they are.
+
+    The first layer is each orbit point, in order, under each row from
+    ``start`` on: one ``take`` finds the points it reaches.  Later layers
+    are grown breadth-first from the new points alone, under every row in
+    order, u_q = g * u_p for the first generator g that reaches q.  The
+    breadth-first tree (each new point's parent and generator) is walked
+    on Python ints; the new rows are then composed one layer at a time, so
+    the work is one gather per layer, not one product per point."""
+    images = gen_rows[start:].take(orbit, axis=1).T.ravel()
+    fresh = np.flatnonzero(index.take(images) < 0)
+    if not len(fresh):
+        return reps
+    n, width = len(reps), len(gen_rows) - start
+    look = index.tolist()
+    points, parent, via = [], [], []
+    for f, q in zip(fresh.tolist(), images.take(fresh).tolist()):
+        if look[q] < 0:
+            look[q] = n + len(points)
+            points.append(q)
+            parent.append(f // width)
+            via.append(start + f % width)
+    layers = [n, n + len(points)]
+    rows = gen_rows.tolist()
+    while layers[-2] < layers[-1]:
+        for at in range(layers[-2], layers[-1]):
+            p = points[at - n]
+            for i, g in enumerate(rows):
+                q = g[p]
+                if look[q] < 0:
+                    look[q] = n + len(points)
+                    points.append(q)
+                    parent.append(at)
+                    via.append(i)
+        layers.append(n + len(points))
+    index[points] = np.arange(n, layers[-1])
+    parent, via = np.array(parent), np.array(via)
+    grown = np.empty((layers[-1], reps.shape[1]), dtype=reps.dtype)
+    grown[:n] = reps
+    for a, b in zip(layers[:-2], layers[1:-1]):
+        grown[a:b] = _compose(
+            gen_rows, via[a - n : b - n], grown.take(parent[a - n : b - n], axis=0)
+        )
+    return grown
+
+
 def _transversal(
     point: int, gen_rows: np.ndarray, first: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -207,88 +274,71 @@ def _transversal(
     ``index``, the row of u_q at q (-1 off the orbit).  Given ``first``, a
     row of points, ``reps`` holds u_q(first) in place of u_q.
 
-    The orbit is grown breadth-first with the generators in their given
-    order, u_q = g * u_p for the first generator g that reaches q.  The
-    breadth-first tree (each point's parent and generator) is walked on
-    Python ints; the rows are then composed one layer at a time, so the
-    work is one gather per layer, not one product per point."""
+    The orbit is grown breadth-first from the point (``_grow``), with the
+    generators in their given order."""
     degree = gen_rows.shape[1]
-    images = gen_rows.tolist()
-    index = [-1] * degree
-    index[point] = 0
-    orbit, parent, via = [point], [0], [0]
-    layers = [0, 1]
-    while layers[-2] < layers[-1]:
-        for at in range(layers[-2], layers[-1]):
-            for i, g in enumerate(images):
-                q = g[orbit[at]]
-                if index[q] < 0:
-                    index[q] = len(orbit)
-                    orbit.append(q)
-                    parent.append(at)
-                    via.append(i)
-        layers.append(len(orbit))
-    parent, via = np.array(parent), np.array(via)
     first = np.arange(degree) if first is None else first
-    reps = np.empty((len(orbit), len(first)), dtype=gen_rows.dtype)
-    reps[0] = first
-    for a, b in zip(layers[1:], layers[2:]):
-        reps[a:b] = _compose(gen_rows, via[a:b], reps.take(parent[a:b], axis=0))
-    return reps, np.array(index)
+    index = np.full(degree, -1)
+    index[point] = 0
+    reps = np.array(first, dtype=gen_rows.dtype)[None, :]
+    return _grow(reps, index, np.array([point]), gen_rows), index
 
 
 class _ChainLevel:
-    """One level of a stabilizer chain: a base point, the strong generators
-    assigned to this level as rows (they fix all earlier base points and
-    move this one), and the transversal of the base point's orbit under
-    the group at this level: its ``reps`` and ``index`` (see
-    ``_transversal``) and the reps' inverses.
+    """One level of a stabilizer chain: a base point b; its strong
+    generators as rows (``gens``: they fix all earlier base points and
+    move b); the generator rows it spans (``span``), which generate the
+    group at this level; and the transversal of b's orbit under them: its
+    ``reps`` and ``index`` (see ``_transversal``) and the reps' inverses.
+    ``verified`` counts, per transversal row u_q, the span rows s, from
+    the first on, whose Schreier generator u_{s(q)}^-1 * s * u_q is known
+    to sift to the identity through the deeper levels.
 
-    The transversal and its inverses are computed when first read, from
-    the generator rows the level last spanned, so a level that is spanned
-    again before it is read grows its orbit once."""
+    Level 0 spans the group's own generators and takes the group's kept
+    transversal (``PermutationGroup.transversal``); a deeper level spans
+    the strong generators of its own and the deeper levels, in the order
+    they were found.  A deeper level only grows (``extend``): a new span row is
+    appended and the orbit extended from it, and the rows, index entries,
+    inverses and counts already there stay as they are."""
 
-    __slots__ = ("basepoint", "gens", "_span", "_reps", "_index", "_inverse")
+    __slots__ = ("basepoint", "gens", "span", "reps", "index", "inverse", "verified")
 
-    def __init__(self, basepoint: int, gen_rows: np.ndarray):
+    def __init__(self, basepoint: int, span: np.ndarray, reps: np.ndarray):
+        """The level of ``span`` over the transversal ``reps`` of b's orbit
+        under it, with no pair verified; its strong generators are the
+        span rows that move b."""
         self.basepoint = basepoint
-        self.gens = gen_rows[:0]
-        self.span(gen_rows)
+        self.span = span
+        self.gens = span[span[:, basepoint] != basepoint]
+        self.reps = reps
+        self.index = np.full(reps.shape[1], -1)
+        self.index[reps[:, basepoint]] = np.arange(len(reps))
+        self.inverse = _inverse_rows(reps)
+        self.verified = np.zeros(len(reps), dtype=np.intp)
 
-    def span(self, gen_rows: np.ndarray) -> None:
-        """Set the transversal to the base point's orbit under gen_rows."""
-        self._span = gen_rows
-        self._reps = self._index = self._inverse = None
-
-    def _grow(self) -> None:
-        if self._reps is None:
-            self._reps, self._index = _transversal(self.basepoint, self._span)
-
-    @property
-    def reps(self) -> np.ndarray:
-        self._grow()
-        return self._reps
-
-    @property
-    def index(self) -> np.ndarray:
-        self._grow()
-        return self._index
-
-    @property
-    def inverse(self) -> np.ndarray:
-        if self._inverse is None:
-            self._inverse = _inverse_rows(self.reps)
-        return self._inverse
+    def extend(self, g: np.ndarray) -> None:
+        """Append the row g to the span and grow the orbit from it
+        (``_grow``): the new points' rows, index entries and inverses are
+        appended, and their pairs counted unverified."""
+        self.span = np.concatenate([self.span, g[None, :]])
+        n = len(self.reps)
+        orbit = self.reps[:, self.basepoint]
+        reps = _grow(self.reps, self.index, orbit, self.span, len(self.span) - 1)
+        if len(reps) > n:
+            self.inverse = np.concatenate([self.inverse, _inverse_rows(reps[n:])])
+            self.verified = np.concatenate(
+                [self.verified, np.zeros(len(reps) - n, dtype=np.intp)]
+            )
+            self.reps = reps
 
     def conjugated(self, u: np.ndarray, u_inverse: np.ndarray) -> _ChainLevel:
         """This level conjugated by the row u, given with its inverse: the
         base point u(b), each generator, span, transversal and inverse row
         x as u * x * u^-1, and the index read through u^-1.
 
-        It is the level ``_transversal`` grows from the conjugated span:
-        the conjugated generators send u(q) to u(g(q)), so the
-        breadth-first search visits u(q) where this level's visits q, by
-        the same generator, and u_q becomes u * u_q * u^-1."""
+        The conjugated generators send u(q) to u(g(q)), so u * u_q * u^-1
+        sends u(b) to u(q): the rows are a transversal of u(b)'s orbit, in
+        the same order."""
 
         def conjugate(rows: np.ndarray) -> np.ndarray:
             return u.take(_compose_all(rows, u_inverse))
@@ -296,10 +346,11 @@ class _ChainLevel:
         level = object.__new__(_ChainLevel)
         level.basepoint = int(u[self.basepoint])
         level.gens = conjugate(self.gens)
-        level._span = conjugate(self._span)
-        level._reps = conjugate(self.reps)
-        level._index = self.index.take(u_inverse)
-        level._inverse = conjugate(self.inverse)
+        level.span = conjugate(self.span)
+        level.reps = conjugate(self.reps)
+        level.index = self.index.take(u_inverse)
+        level.inverse = conjugate(self.inverse)
+        level.verified = self.verified
         return level
 
 
@@ -323,8 +374,10 @@ def _sift(
 
     Only the rows still passing are carried from level to level; a row
     that fails is written to the residues as it stands."""
-    residues = np.empty_like(rows)
     at = np.full(len(rows), len(levels))
+    if not levels:
+        return rows, at
+    residues = np.empty_like(rows)
     live = np.arange(len(rows))
     for i, level in enumerate(levels):
         pos = level.index.take(rows[:, level.basepoint])
@@ -339,24 +392,50 @@ def _sift(
     return residues, at
 
 
-def _schreier(
-    level: _ChainLevel, gen_rows: np.ndarray, at: slice = slice(None)
-) -> np.ndarray:
+def _schreier(level: _ChainLevel, at: np.ndarray, which: np.ndarray) -> np.ndarray:
     """The Schreier generators u_{s(q)}^-1 * s * u_q of the level's
-    transversal, one row for each orbit point q in increasing order (the
-    slice ``at`` of them) and, within it, each generator row s in order."""
-    u = level.reps.take(level.index[level.index >= 0][at], axis=0)
-    su = _compose_all(gen_rows, u).swapaxes(0, 1)
-    back = level.index.take(su[..., level.basepoint])
-    return _compose(level.inverse, back, su).reshape(-1, u.shape[1])
+    transversal, one row per pair: u_q the transversal row at each
+    position of ``at`` and s the span row at the same position of
+    ``which``."""
+    su = _compose(level.span, which, level.reps.take(at, axis=0))
+    back = level.index.take(su[:, level.basepoint])
+    return _compose(level.inverse, back, su)
 
 
-def _schreier_blocks(level: _ChainLevel, gen_rows: np.ndarray):
-    """The level's Schreier generators in the order ``_schreier`` forms
-    them, in blocks of orbit points of about ``_SCHREIER_BLOCK`` images."""
-    step = max(1, _SCHREIER_BLOCK // max(gen_rows.size, 1))
-    for a in range(0, len(level.reps), step):
-        yield _schreier(level, gen_rows, slice(a, a + step))
+def _schreier_blocks(level: _ChainLevel, at: np.ndarray, which: np.ndarray):
+    """The level's Schreier generators for the pairs (``at``, ``which``)
+    (``_schreier``), in order, in blocks of about ``_SCHREIER_BLOCK``
+    images: each block's first pair and its rows."""
+    step = max(1, _SCHREIER_BLOCK // level.reps.shape[1])
+    for a in range(0, len(at), step):
+        yield a, _schreier(level, at[a : a + step], which[a : a + step])
+
+
+def _verify(levels: Sequence[_ChainLevel], i: int) -> tuple[np.ndarray, int] | None:
+    """Sift level i's unverified Schreier generators through the deeper
+    levels, and count the pairs that sift to the identity as verified.
+
+    The pairs are formed in flat order (transversal rows in order, each
+    row's unverified span rows in order), a block at a time
+    (``_schreier_blocks``), and each block is sifted whole.  At the first
+    block with a residue that is not the identity, at flat position t,
+    the pairs before t count as verified and that residue is returned
+    with the level where it failed to sift.  None once every
+    pair is verified.  A verified pair stays verified as the chain
+    grows: the deeper levels only append rows, so its sift is unchanged."""
+    level = levels[i]
+    done, count = level.verified, len(level.span)
+    at, which = np.nonzero(np.arange(count) >= done[:, None])
+    for a, rows in _schreier_blocks(level, at, which):
+        residues, failed = _sift(levels[i + 1 :], rows)
+        bad = np.flatnonzero(_moved(residues))
+        t = a + (int(bad[0]) if len(bad) else len(rows))
+        done[at[a:t]] = count
+        if t < len(at):
+            done[at[t]] = which[t]
+        if len(bad):
+            return residues[bad[0]], i + 1 + int(failed[bad[0]])
+    return None
 
 
 def _moved(rows: np.ndarray) -> np.ndarray:
@@ -375,13 +454,14 @@ class PermutationGroup:
     ``Permutation`` objects or a 2-D integer array of image rows (each
     checked by ``_image_rows``), and kept as rows.
 
-    The stabilizer chain and the element list are built lazily, once, and
-    cached.  A new chain level is opened by the first residue that sifts
-    through every existing level without becoming the identity (the
-    generators are sifted in their given order, then the Schreier
-    generators), and its base point is the smallest point that residue
-    moves.  So the base follows the generators, not the points' order: a
-    level's base point need not be the smallest point its group moves.
+    The stabilizer chain, the element list, the orbit labels and each
+    transversal asked for are built lazily, once, and cached.  The chain's
+    level 0 is opened by the first generator, at the smallest point it
+    moves; a later level is opened by the first residue of the fixpoint
+    scan that sifts through every existing level without becoming the
+    identity, at the smallest point that residue moves.  So the base
+    follows the generators, not the points' order: a level's base point
+    need not be the smallest point its group moves.
     """
 
     def __init__(self, degree: int, generators: _Elements = ()):
@@ -393,6 +473,7 @@ class PermutationGroup:
         self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._transversals: dict[int, np.ndarray] = {}
+        self._labels: np.ndarray | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> PermutationGroup:
@@ -414,9 +495,19 @@ class PermutationGroup:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
         return point
 
+    def orbit_labels(self) -> np.ndarray:
+        """Each point's orbit label, the least point of its orbit
+        (``_component_minima`` over the generator rows).  They are
+        computed once and kept, read-only."""
+        if self._labels is None:
+            labels = _component_minima(self.degree, self._gen_rows)
+            labels.setflags(write=False)
+            self._labels = labels
+        return self._labels
+
     def orbit(self, point: int) -> set[int]:
         """The orbit of a point under the group."""
-        label = _component_minima(self.degree, self._gen_rows)
+        label = self.orbit_labels()
         return set(np.flatnonzero(label == label[self._point(point)]).tolist())
 
     def transversal(self, point: int) -> np.ndarray:
@@ -433,7 +524,7 @@ class PermutationGroup:
         return rows
 
     def is_transitive(self) -> bool:
-        return not _component_minima(self.degree, self._gen_rows).any()
+        return not self.orbit_labels().any()
 
     def stabilizer(self, point: int) -> PermutationGroup:
         """The point stabilizer, by one of three routes.
@@ -469,60 +560,44 @@ class PermutationGroup:
             )
             stab._chain = deeper
             return stab
-        level = _ChainLevel(point, self._gen_rows)
-        blocks = _schreier_blocks(level, self._gen_rows)
+        level = _ChainLevel(point, self._gen_rows, self.transversal(point))
+        k = len(self._gen_rows)
+        at = np.repeat(level.index[level.index >= 0], k)
+        which = np.tile(np.arange(k), len(level.reps))
+        blocks = _schreier_blocks(level, at, which)
         return PermutationGroup(
             self.degree,
-            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for b in blocks]),
+            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for _, b in blocks]),
         )
 
     # -- stabilizer chain ---------------------------------------------------
 
     def _build_chain(self) -> list[_ChainLevel]:
-        # Each level spans its effective generators: the strong generators
-        # assigned to it and to every deeper level, deepest last.
-        levels: list[_ChainLevel] = []
-
-        def add_first_moved(rows: np.ndarray, deeper: int) -> int | None:
-            """Sift the rows through the levels from ``deeper`` on; add the
-            first residue that is not the identity, as a strong generator
-            of the level where it failed, and return that level (None if
-            every residue is the identity)."""
-            residues, at = _sift(levels[deeper:], rows)
-            moved = np.flatnonzero(_moved(residues))
-            if not len(moved):
-                return None
-            g, j = residues[moved[0]], deeper + int(at[moved[0]])
-            if j == len(levels):
-                basepoint = int(np.flatnonzero(g != np.arange(self.degree))[0])
-                levels.append(_ChainLevel(basepoint, self._gen_rows[:0]))
-            levels[j].gens = np.vstack([levels[j].gens, g])
-            # One suffix pass: level i's span is its generators over i + 1's.
-            span = levels[j + 1]._span if j + 1 < len(levels) else levels[j].gens[:0]
-            for level in reversed(levels[: j + 1]):
-                span = np.vstack([level.gens, span])
-                level.span(span)
-            return j
-
-        for g in self._gen_rows:
-            add_first_moved(g[None, :], 0)
-
+        # Level 0 spans the generators over the group's kept transversal.
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; on a
-        # violation, assign the residue to the level j where sifting
-        # failed and resume the scan at j: the levels deeper than j keep
-        # their generators and were verified already, so rescanning them
-        # would add nothing.  A level's Schreier generators are formed a
-        # block of orbit points at a time, q ascending, up to the first
-        # block that adds a residue: the whole batch's first.
-        i = len(levels) - 1
+        # violation, give the residue to the level j where sifting failed
+        # (a new level past the last if it sifted through them all) and to
+        # the spans of levels 1..j, and resume the scan at j.  Only the
+        # unverified pairs are formed (``_verify``).
+        if not len(self._gen_rows):
+            return []
+        identity = np.arange(self.degree, dtype=self._gen_rows.dtype)
+        b = int(np.flatnonzero(self._gen_rows[0] != identity)[0])
+        levels = [_ChainLevel(b, self._gen_rows, self.transversal(b))]
+        i = 0
         while i >= 0:
-            added = None
-            for block in _schreier_blocks(levels[i], levels[i]._span):
-                added = add_first_moved(block, i + 1)
-                if added is not None:
-                    break
-            i = i - 1 if added is None else added
+            found = _verify(levels, i)
+            if found is None:
+                i -= 1
+                continue
+            g, i = found
+            if i == len(levels):
+                b = int(np.flatnonzero(g != identity)[0])
+                levels.append(_ChainLevel(b, self._gen_rows[:0], identity[None, :]))
+            levels[i].gens = np.concatenate([levels[i].gens, g[None, :]])
+            for level in levels[1 : i + 1]:
+                level.extend(g)
         return levels
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:
@@ -845,7 +920,7 @@ class ConnectionSet:
         subgroup.element_array(cap)
         # H keeps the targets, so each of its orbits on them holds its least
         # point: the double cosets are the targets that are orbit minima.
-        label = _component_minima(group.degree, subgroup._gen_rows)
+        label = subgroup.orbit_labels()
         count = int(np.count_nonzero(inside & (label == np.arange(group.degree))))
         connection = object.__new__(cls)
         connection._fill(subgroup, t, count, point)
@@ -889,8 +964,7 @@ class ConnectionSet:
             # point into its H-orbit: the least row index per orbit label.
             rows = self.rows
             first = np.full(self.degree, len(rows))
-            label = _component_minima(self.degree, self.subgroup._gen_rows)
-            at = label.take(rows[:, self._point])
+            at = self.subgroup.orbit_labels().take(rows[:, self._point])
             np.minimum.at(first, at, np.arange(len(rows)))
             reps = rows.take(np.sort(first[first < len(rows)]), axis=0)
             reps.setflags(write=False)

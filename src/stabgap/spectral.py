@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SizeLimitError, StructureError
-from .groups import ConnectionSet, _component_minima, _inverse_rows
+from .groups import ConnectionSet, _inverse_rows
 
 #: Largest size the dense eigensolve accepts, and so the largest
 #: ``max_vertices`` an analysis accepts.
@@ -122,7 +122,7 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     subgroup = connection.subgroup
     order = subgroup.order()
     inverse = _inverse_rows(connection.cosets)
-    label = _component_minima(n, subgroup._gen_rows)
+    label = subgroup.orbit_labels()
     # H's orbits numbered in the order of their least points: a point's
     # orbit is the rank of its label among the labels x with label[x] = x.
     orbit = (np.cumsum(label == np.arange(n)) - 1)[label]

@@ -235,26 +235,36 @@ def test_elements_are_numbered_by_their_chain_digits(spec):
     ids=lambda spec: spec.name,
 )
 def test_conjugated_levels_are_the_transversals_of_their_spans(spec):
-    # Each conjugated level holds what ``_transversal`` grows from its own
-    # conjugated span, and spans the conjugated generators of its level
-    # and the deeper ones, as a level of a chain built from them would.
+    # Each conjugated level is the group's level conjugated by u: its base
+    # point u(b), and its rows u * x * u^-1 in the same order, which form
+    # a transversal of u(b)'s orbit under its own conjugated span, with
+    # their index and inverses.  The span rows fix the earlier base points
+    # and the generators move the level's own.
     group = realize_case(spec).group
-    first = group._stabilizer_chain()[0].basepoint
+    full = group._stabilizer_chain()
+    first = full[0].basepoint
     for point in range(group.degree):
         chain = group.stabilizer(point)._stabilizer_chain()
-        for i, level in enumerate(chain):
-            reps, index = groups._transversal(level.basepoint, level._span)
-            assert level.reps.dtype == reps.dtype
-            assert np.array_equal(level.reps, reps)
-            assert np.array_equal(level.index, index)
-            assert np.array_equal(level.inverse, _inverse_rows(reps))
-            spanned = np.vstack([group._gen_rows[:0]] + [lv.gens for lv in chain[i:]])
-            assert np.array_equal(level._span, spanned)
-            assert (level.gens[:, level.basepoint] != level.basepoint).all()
+        assert len(chain) == len(full) - 1
+        u = full[0].reps[full[0].index[point]]
+        u_inverse = np.argsort(u)
+        for i, (level, own) in enumerate(zip(chain, full[1:])):
+            b = level.basepoint
+            assert b == u[own.basepoint]
+            for name in ("gens", "span", "reps", "inverse"):
+                rows = getattr(level, name)
+                assert rows.dtype == getattr(own, name).dtype
+                assert np.array_equal(rows, u[getattr(own, name)][:, u_inverse])
+            orbit = set(groups._transversal(b, level.span)[0][:, b].tolist())
+            assert sorted(level.reps[:, b].tolist()) == sorted(orbit)
+            assert np.array_equal(level.index[level.reps[:, b]], np.arange(len(level.reps)))
+            assert (level.index >= 0).sum() == len(level.reps)
+            assert np.array_equal(level.inverse, _inverse_rows(level.reps))
+            assert (level.gens[:, b] != b).all()
             fixed = [lv.basepoint for lv in chain[:i]]
-            assert (level._span[:, fixed] == fixed).all()
+            assert (level.span[:, fixed] == fixed).all()
         if point == first:
-            assert chain == group._stabilizer_chain()[1:]
+            assert chain == full[1:]
 
 
 @st.composite
@@ -544,7 +554,7 @@ def test_row_order_and_lookup_match_python(rows, data):
 def test_chain_base_follows_the_generators():
     # Each level's base point is the smallest point moved by the residue
     # that opened it, not the smallest point the level's group moves.
-    bases = {"kneser-8-3": [6, 1, 0, 2, 3, 4], "complete-8": [0, 1, 2, 6, 5, 4, 3]}
+    bases = {"kneser-8-3": [6, 0, 4, 3, 2], "complete-8": [0, 1, 2, 6, 5, 4, 3]}
     for spec in (catalog._kneser(8, 3), catalog._complete(8)):
         chain = realize_case(spec).group._stabilizer_chain()
         assert [level.basepoint for level in chain] == bases[spec.name]
@@ -637,12 +647,37 @@ def test_elements_match_brute_force_closure_random(gen_images):
 
 
 class RefLevel:
-    """A chain level holding Permutation objects: the reference layout."""
+    """A chain level holding Permutation objects: the reference layout.
+    ``transversal`` keeps its points in the order they were reached, and
+    ``verified`` counts, per point in that order, the span generators
+    whose Schreier generator was seen to sift to the identity."""
 
-    def __init__(self, basepoint, degree):
+    def __init__(self, basepoint, span, transversal):
         self.basepoint = basepoint
-        self.gens = []
-        self.transversal = {basepoint: Permutation.identity(degree)}
+        self.span = list(span)
+        self.gens = [g for g in span if g(basepoint) != basepoint]
+        self.transversal = transversal
+        self.verified = [0] * len(transversal)
+
+    def extend(self, g):
+        """Append g to the span: the old points under g first, in order,
+        then breadth-first from the new points under the whole span."""
+        self.span.append(g)
+        t = self.transversal
+        queue = []
+        for p in list(t):
+            q = g(p)
+            if q not in t:
+                t[q] = g * t[p]
+                queue.append(q)
+        while queue:
+            p = queue.pop(0)
+            for s in self.span:
+                q = s(p)
+                if q not in t:
+                    t[q] = s * t[p]
+                    queue.append(q)
+        self.verified += [0] * (len(t) - len(self.verified))
 
 
 def ref_transversal(point, degree, gens):
@@ -673,54 +708,42 @@ def ref_sift(levels, g):
 
 
 def ref_build_chain(degree, generators):
-    """The stabilizer chain built one Permutation product at a time."""
-    levels = []
-
-    def effective_gens(i):
-        gens = []
-        for level in levels[i:]:
-            gens.extend(level.gens)
-        return gens
-
-    def add_at(g, j):
-        if j == len(levels):
-            basepoint = min(p for p in range(degree) if g(p) != p)
-            levels.append(RefLevel(basepoint, degree))
-        levels[j].gens.append(g)
-        for i in range(j + 1):
-            levels[i].transversal = ref_transversal(
-                levels[i].basepoint, degree, effective_gens(i)
-            )
-
-    for g in generators:
-        residue, at = ref_sift(levels, g)
-        if not residue.is_identity():
-            add_at(residue, at)
-
-    done = False
-    while not done:
-        done = True
-        for i in range(len(levels) - 1, -1, -1):
-            level = levels[i]
-            gens = effective_gens(i)
-            violation = None
-            for q in sorted(level.transversal):
-                u_q = level.transversal[q]
-                for s in gens:
-                    u_sq = level.transversal[s(q)]
-                    schreier = u_sq.inverse() * (s * u_q)
-                    if schreier.is_identity():
-                        continue
-                    residue, at = ref_sift(levels[i + 1 :], schreier)
-                    if not residue.is_identity():
-                        violation = (residue, i + 1 + at)
-                        break
-                if violation is not None:
+    """The stabilizer chain built one Permutation product and one
+    Schreier generator at a time.  Level 0 spans the generators; the
+    scan goes bottom-up over each level's unverified pairs, adds the
+    first residue that is not the identity to the level where it failed
+    and to the spans of levels 1.., and resumes at that level."""
+    if not generators:
+        return []
+    first = generators[0]
+    basepoint = min(p for p in range(degree) if first(p) != p)
+    levels = [RefLevel(basepoint, generators, ref_transversal(basepoint, degree, generators))]
+    i = 0
+    while i >= 0:
+        level = levels[i]
+        found = None
+        for at, q in enumerate(list(level.transversal)):
+            for which in range(level.verified[at], len(level.span)):
+                s = level.span[which]
+                t = level.transversal
+                schreier = t[s(q)].inverse() * (s * t[q])
+                residue, failed = ref_sift(levels[i + 1 :], schreier)
+                if not residue.is_identity():
+                    found = (residue, i + 1 + failed)
                     break
-            if violation is not None:
-                add_at(*violation)
-                done = False
+                level.verified[at] = which + 1
+            if found is not None:
                 break
+        if found is None:
+            i -= 1
+            continue
+        g, i = found
+        if i == len(levels):
+            basepoint = min(p for p in range(degree) if g(p) != p)
+            levels.append(RefLevel(basepoint, [], {basepoint: Permutation.identity(degree)}))
+        levels[i].gens.append(g)
+        for level in levels[1 : i + 1]:
+            level.extend(g)
     return levels
 
 
@@ -833,14 +856,14 @@ def test_chain_matches_permutation_reference_random(gen_images):
 
 
 def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatch):
-    # One orbit point per block: the fixpoint scan sifts each level's
-    # Schreier generators in many blocks and must still add the residues
-    # the one-batch scan adds.
+    # One pair per block: the fixpoint scan sifts each level's Schreier
+    # generators in many blocks and must still add the residues the
+    # one-batch scan adds.
     blocks = []
 
-    def recording(level, gen_rows, at=slice(None)):
-        blocks.append(at)
-        return schreier(level, gen_rows, at)
+    def recording(level, at, which):
+        blocks.append(len(at))
+        return schreier(level, at, which)
 
     schreier = groups._schreier
     monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
@@ -850,7 +873,204 @@ def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatc
         blocks.clear()
         group._chain = None
         assert_chain_matches_reference(group, points=(0, 1))
-        assert slice(0, 1) in blocks and len(blocks) > len(group._stabilizer_chain())
+        assert set(blocks) == {1} and len(blocks) > len(group._stabilizer_chain())
+
+
+# -- the stabilizer chain's certificate and the work its build does --------
+
+_WORKLOAD_CASES = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
+
+
+def reference_schreier_rows(level):
+    """Every Schreier generator u_{s(q)}^-1 * s * u_q of the level, one
+    per pair of a transversal row u_q and a span row s, by fancy
+    indexing."""
+    reps, span = level.reps.astype(np.intp), level.span.astype(np.intp)
+    pairs = np.arange(len(reps) * len(span))
+    u = reps[pairs // len(span)]
+    su = span[pairs % len(span)][pairs[:, None], u] if len(pairs) else u
+    back = reps[level.index[su[:, level.basepoint]]]
+    return np.argsort(back, axis=1)[pairs[:, None], su] if len(pairs) else su
+
+
+def reference_sifts_to_identity(levels, rows):
+    """Whether each row sifts to the identity through the levels, each
+    strip step by fancy indexing."""
+    rows = rows.astype(np.intp)
+    ok = np.ones(len(rows), dtype=bool)
+    for level in levels:
+        pos = level.index[rows[:, level.basepoint]]
+        ok &= pos >= 0
+        inverse = np.argsort(level.reps[np.maximum(pos, 0)].astype(np.intp), axis=1)
+        rows = inverse[np.arange(len(rows))[:, None], rows]
+    return ok & (rows == np.arange(rows.shape[1])).all(axis=1)
+
+
+def assert_chain_certificate(group):
+    """The chain certifies itself, level by level: each transversal row
+    sends the base point to its own orbit point, the index and inverses
+    agree with the rows, the orbit is closed under the span, the
+    generators and the span fix the earlier base points and the
+    generators move the level's own, level 0 spans the group's generators
+    and each deeper level the generators of it and the deeper levels, and
+    every Schreier generator over the span sifts to the identity through
+    the deeper levels."""
+    chain = group._stabilizer_chain()
+    degree = group.degree
+    assert group.order() == math.prod(len(level.reps) for level in chain)
+    for i, level in enumerate(chain):
+        b, reps = level.basepoint, level.reps
+        orbit = reps[:, b].astype(np.intp)
+        assert len(set(orbit.tolist())) == len(reps) and orbit[0] == b
+        assert np.array_equal(level.index[orbit], np.arange(len(reps)))
+        assert (level.index >= 0).sum() == len(reps)
+        product = reps.astype(np.intp)[np.arange(len(reps))[:, None], level.inverse]
+        assert (product == np.arange(degree)).all()
+        assert (level.index[level.span[:, orbit]] >= 0).all()
+        earlier = [lv.basepoint for lv in chain[:i]]
+        assert (level.span[:, earlier] == earlier).all()
+        assert (level.gens[:, earlier] == earlier).all()
+        assert len(level.gens) and (level.gens[:, b] != b).all()
+        if i == 0:
+            assert np.array_equal(level.span, group._gen_rows)
+        else:
+            deeper = np.vstack([lv.gens for lv in chain[i:]])
+            assert np.array_equal(sorted_rows(level.span), sorted_rows(deeper))
+        schreier = reference_schreier_rows(level)
+        assert reference_sifts_to_identity(chain[i + 1 :], schreier).all()
+
+
+@pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
+def test_chain_certifies_itself(spec):
+    assert_chain_certificate(realize_case(spec).group)
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_groups())
+def test_chain_certifies_itself_random(group):
+    assert_chain_certificate(group)
+
+
+def brute_order(gen_rows):
+    """The order of the group the rows generate, by closing the identity
+    under left products, every row of a frontier at once; rows are keyed
+    by their base-degree value."""
+    degree = gen_rows.shape[1]
+    weight = degree ** np.arange(degree, dtype=np.int64)
+    known = frontier = np.arange(degree)[None, :]
+    keys = known @ weight
+    while len(frontier):
+        products = np.unique(gen_rows[:, frontier].reshape(-1, degree), axis=0)
+        fresh = products[~np.isin(products @ weight, keys)]
+        known, frontier = np.vstack([known, fresh]), fresh
+        keys = np.concatenate([keys, fresh @ weight])
+    return len(known)
+
+
+@st.composite
+def s8_subgroups(draw):
+    """One to three generators on 8 points, each moving a random number of
+    points, relabelled by one random permutation: from small subgroups of
+    S_8 up to S_8 itself."""
+    relabel = np.array(draw(st.permutations(range(8))))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        moved = draw(st.integers(2, 8))
+        g = np.array(list(draw(st.permutations(range(moved)))) + list(range(moved, 8)))
+        gens.append(relabel[g[np.argsort(relabel)]])
+    return np.array(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s8_subgroups())
+def test_order_matches_brute_force_closure_in_s8(gen_rows):
+    group = PermutationGroup(8, gen_rows)
+    assert group.order() == brute_order(gen_rows)
+    assert_chain_certificate(group)
+
+
+@pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
+def test_chain_build_is_deterministic(spec):
+    chains = [
+        PermutationGroup(spec.degree, np.array(spec.generators))._stabilizer_chain()
+        for _ in range(2)
+    ]
+    for a, b in zip(*chains):
+        assert a.basepoint == b.basepoint
+        for name in ("gens", "span", "reps", "index", "inverse"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert len(chains[0]) == len(chains[1])
+
+
+def watch_chain_build(monkeypatch):
+    """Record, during ``_build_chain`` only: the rows passed to ``_sift``
+    and those whose residue is the identity, the rows each ``_grow``
+    appends, and the ``_transversal`` calls."""
+    seen = {"sifted": 0, "identity": set(), "grown": 0, "searches": 0}
+    building = []
+    sift, grow, search = groups._sift, groups._grow, groups._transversal
+    build = PermutationGroup._build_chain
+
+    def watched_sift(levels, rows):
+        residues, at = sift(levels, rows)
+        if building:
+            seen["sifted"] += len(rows)
+            identity = ~groups._moved(residues)
+            seen["identity"].update(row.tobytes() for row in rows[identity])
+        return residues, at
+
+    def watched_grow(reps, *args):
+        grown = grow(reps, *args)
+        if building:
+            seen["grown"] += len(grown) - len(reps)
+        return grown
+
+    def watched_search(*args):
+        if building:
+            seen["searches"] += 1
+        return search(*args)
+
+    def watched_build(group):
+        building.append(group)
+        try:
+            return build(group)
+        finally:
+            building.pop()
+
+    monkeypatch.setattr(groups, "_sift", watched_sift)
+    monkeypatch.setattr(groups, "_grow", watched_grow)
+    monkeypatch.setattr(groups, "_transversal", watched_search)
+    monkeypatch.setattr(PermutationGroup, "_build_chain", watched_build)
+    return seen
+
+
+@pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
+def test_chain_build_composes_each_transversal_row_once(spec, monkeypatch):
+    # Level 0 takes the group's transversal, the one breadth-first search
+    # of the build, and every deeper level only appends its new rows: the
+    # build composes sum(|orbit_i| - 1) rows.  Every Schreier generator of
+    # the finished chain was seen to sift to the identity while it was
+    # built, so a pair counts as verified only once it has.
+    seen = watch_chain_build(monkeypatch)
+    group = PermutationGroup(spec.degree, np.array(spec.generators))
+    chain = group._stabilizer_chain()
+    assert seen["searches"] == 1
+    assert seen["grown"] == sum(len(level.reps) - 1 for level in chain)
+    for level in chain:
+        rows = reference_schreier_rows(level).astype(level.reps.dtype)
+        moved = rows[(rows != np.arange(group.degree)).any(axis=1)]
+        assert {row.tobytes() for row in moved} <= seen["identity"]
+
+
+def test_group_ladder_chains_sift_few_rows(monkeypatch):
+    # The two group-ladder chains sifted 1 922 rows when every new strong
+    # generator re-spanned its levels and the scan re-sifted verified
+    # pairs; the verified pairs bound it well below.
+    seen = watch_chain_build(monkeypatch)
+    for spec in (catalog._kneser(8, 3), catalog._complete(8)):
+        PermutationGroup(spec.degree, np.array(spec.generators)).order()
+    assert 0 < seen["sifted"] <= 1200
 
 
 def direct_product(*groups_):
@@ -874,9 +1094,9 @@ def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatc
     # generator rows must be those of one batch over the whole transversal.
     blocks = []
 
-    def recording(level, gen_rows, at=slice(None)):
-        blocks.append(at)
-        return schreier(level, gen_rows, at)
+    def recording(level, at, which):
+        blocks.append(len(at))
+        return schreier(level, at, which)
 
     schreier = groups._schreier
     monkeypatch.setattr(groups, "_schreier", recording)
@@ -898,7 +1118,8 @@ def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatc
             monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
             blocks.clear()
             blocked = group.stabilizer(point)
-            assert len(blocks) == len(group.orbit(point)) > 1
+            pairs = len(group.orbit(point)) * len(group._gen_rows)
+            assert set(blocks) == {1} and len(blocks) == pairs > 1
             assert blocked._gen_rows.dtype == batch._gen_rows.dtype
             assert blocked._gen_rows.tolist() == batch._gen_rows.tolist()
             assert blocked.generators == tuple(ref_schreier_generators(group, point))

@@ -408,7 +408,7 @@ def corrupt_transversal_row(group, level, row):
     chain = group._stabilizer_chain()
     reps = chain[level].reps.copy()
     reps[row, 1] = reps[row, 0]
-    chain[level]._reps = reps
+    chain[level].reps = reps
 
 
 def test_norm_identity_trials_reject_a_row_that_repeats_an_image(monkeypatch):
