@@ -56,23 +56,7 @@ class SimpleGraph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        if isinstance(edges, np.ndarray):
-            edges = edges.tolist()
-        pairs = []
-        for item in edges:
-            try:
-                u, v = item
-            except (TypeError, ValueError):
-                raise ValueError(f"edge {item!r} is not a pair of vertices") from None
-            if not all(isinstance(x, (int, np.integer)) for x in (u, v)):
-                raise ValueError(f"edge {item!r} has a vertex that is not an integer")
-            for x in (u, v):
-                if not 0 <= x < n:
-                    raise ValueError(f"vertex {x} out of range for {n} vertices")
-            if u == v:
-                raise StructureError(f"loop at vertex {u} not allowed")
-            pairs.append((u, v))
-        u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        u, v = _edge_rows(n, edges).T
         adjacency = np.zeros((n, n), dtype=bool)
         adjacency[u, v] = adjacency[v, u] = True
         adjacency.setflags(write=False)
@@ -112,6 +96,57 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
 
 
+def _edge_rows(n: int, edges: Iterable[Sequence[int]]) -> np.ndarray:
+    """The edges as an m x 2 intp array, checked whole: ValueError at the
+    first item, in the order given, that is not a pair of integers or
+    names a vertex outside 0..n-1, and StructureError at the first loop.
+
+    An integer array of pairs, or a list that NumPy reads as one, is
+    checked by array comparisons alone.  Otherwise the items are read one
+    at a time only up to the first that is not a pair of integers; the
+    pairs before it are checked as an array first, so an earlier bad
+    vertex or loop is still named first."""
+    items = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        rows = np.asarray(items) if len(items) else np.empty((0, 2), np.intp)
+    except ValueError:
+        rows = None
+    if rows is not None and rows.dtype.kind in "iu" and rows.shape[1:] == (2,):
+        return _checked_edge_rows(n, rows)
+    if isinstance(items, np.ndarray):
+        items = items.tolist()
+    pairs = []
+    for item in items:
+        try:
+            pair = tuple(item)
+        except TypeError:
+            pair = ()
+        if len(pair) != 2:
+            error = f"edge {item!r} is not a pair of vertices"
+        elif not all(isinstance(x, (int, np.integer)) for x in pair):
+            error = f"edge {item!r} has a vertex that is not an integer"
+        else:
+            pairs.append(pair)
+            continue
+        _checked_edge_rows(n, np.array(pairs, dtype=object).reshape(-1, 2))
+        raise ValueError(error)
+    return _checked_edge_rows(n, np.array(pairs, dtype=object).reshape(-1, 2))
+
+
+def _checked_edge_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """The m x 2 rows of integer vertices as intp, or the error for the
+    first row that names a vertex out of range (its first such vertex)
+    or is a loop."""
+    outside = (rows < 0) | (rows >= n)
+    bad = np.flatnonzero(outside.any(axis=1) | (rows[:, 0] == rows[:, 1]))
+    if len(bad):
+        row, far = rows[bad[0]], outside[bad[0]]
+        if far.any():
+            raise ValueError(f"vertex {row[np.argmax(far)]} out of range for {n} vertices")
+        raise StructureError(f"loop at vertex {row[0]} not allowed")
+    return rows.astype(np.intp)
+
+
 def preserves_edges(group: PermutationGroup, graph: SimpleGraph) -> bool:
     """True iff every generator maps edges to edges (hence acts by
     automorphisms): one gather of the adjacency at the images of every
@@ -149,9 +184,10 @@ def make_transitive_case(
     The set {g in G : g(v) is a neighbor of v} is held as G_v and its
     left cosets (``ConnectionSet.of_point``), so only G_v is enumerated
     and S is not listed; G's order still counts against ``cap``.  Checks:
-    action by automorphisms, vertex-transitivity, regularity, positive
-    valency, |S| = k * |G_v|, and S({v}) = neighborhood of v, read off
-    column v of the coset rows.
+    action by automorphisms, vertex-transitivity (v's orbit is read off
+    G's kept transversal at v, which ``of_point`` and Sabidussi read
+    too), regularity, positive valency, |S| = k * |G_v|, and
+    S({v}) = neighborhood of v, read off column v of the coset rows.
     """
     if group.degree != graph.n:
         raise ValueError(
@@ -161,7 +197,7 @@ def make_transitive_case(
         raise ValueError(f"base vertex {base_vertex} out of range")
     if not preserves_edges(group, graph):
         raise StructureError("action is not by graph automorphisms")
-    if not group.is_transitive():
+    if len(group.transversal(base_vertex)) != graph.n:
         raise StructureError("action is not vertex-transitive")
     if not graph.is_regular():
         raise StructureError("graph is not regular")

@@ -5,9 +5,9 @@ bounded element enumeration, and double-coset machinery.  Every
 operation is deterministic: transversals are grown breadth-first with
 the generators in their given order, a chain's first base point is the
 smallest point moved by the first generator, and each later one the
-smallest point moved by the first residue of the fixpoint scan that
-sifts through all the levels so far without becoming the identity, so
-the base need not be 0, 1, 2, ....
+smallest point moved by the residue of the fixpoint scan that opened
+it, one that sifted through all the levels so far without becoming the
+identity, so the base need not be 0, 1, 2, ....
 
 A group's elements are numbered by the chain: element r is
 u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
@@ -47,9 +47,14 @@ transversal is the group's kept ``transversal(b)``, grown once.  A
 deeper level spans the strong generators found for it and the levels
 below, and only grows: a new span row is applied to the orbit points
 so far and the orbit grown breadth-first from the points it reaches, so
-every transversal row is composed once.  Each level counts, per orbit
-point, the span rows whose Schreier generator is known to sift to the
-identity, and the fixpoint scan forms only the other pairs.  One
+every transversal row is composed once.  Each level flags, per pair of
+an orbit point and a span row, whether the pair's Schreier generator has
+sifted to the identity, and the fixpoint scan forms only the other
+pairs, a block at a time.  A block absorbs every residue it meets
+before the scan moves on: the first residue that is not the identity
+becomes a strong generator, the block's rows not yet verified are
+sifted again through the grown chain, and so on until none is left;
+the scan then resumes at the deepest level that took a residue.  One
 breadth-first routine (``_grow``) grows every transversal, the chain's
 and the coset graph's, one batched ``_sift`` strips rows through the
 chain, and ``_schreier`` forms a level's Schreier generators for a
@@ -290,16 +295,17 @@ class _ChainLevel:
     move b); the generator rows it spans (``span``), which generate the
     group at this level; and the transversal of b's orbit under them: its
     ``reps`` and ``index`` (see ``_transversal``) and the reps' inverses.
-    ``verified`` counts, per transversal row u_q, the span rows s, from
-    the first on, whose Schreier generator u_{s(q)}^-1 * s * u_q is known
-    to sift to the identity through the deeper levels.
+    ``verified`` is a |reps| x |span| boolean array: entry (q, s) is set
+    once the Schreier generator u_{s(q)}^-1 * s * u_q of transversal row
+    u_q and span row s has sifted to the identity through the deeper
+    levels, so that pair is never formed again.
 
     Level 0 spans the group's own generators and takes the group's kept
     transversal (``PermutationGroup.transversal``); a deeper level spans
     the strong generators of its own and the deeper levels, in the order
     they were found.  A deeper level only grows (``extend``): a new span row is
     appended and the orbit extended from it, and the rows, index entries,
-    inverses and counts already there stay as they are."""
+    inverses and flags already there stay as they are."""
 
     __slots__ = ("basepoint", "gens", "span", "reps", "index", "inverse", "verified")
 
@@ -314,22 +320,23 @@ class _ChainLevel:
         self.index = np.full(reps.shape[1], -1)
         self.index[reps[:, basepoint]] = np.arange(len(reps))
         self.inverse = _inverse_rows(reps)
-        self.verified = np.zeros(len(reps), dtype=np.intp)
+        self.verified = np.zeros((len(reps), len(span)), dtype=bool)
 
     def extend(self, g: np.ndarray) -> None:
         """Append the row g to the span and grow the orbit from it
         (``_grow``): the new points' rows, index entries and inverses are
-        appended, and their pairs counted unverified."""
+        appended, and the flags grow by a column for g and a row per new
+        point, all unverified."""
         self.span = np.concatenate([self.span, g[None, :]])
         n = len(self.reps)
         orbit = self.reps[:, self.basepoint]
         reps = _grow(self.reps, self.index, orbit, self.span, len(self.span) - 1)
         if len(reps) > n:
             self.inverse = np.concatenate([self.inverse, _inverse_rows(reps[n:])])
-            self.verified = np.concatenate(
-                [self.verified, np.zeros(len(reps) - n, dtype=np.intp)]
-            )
             self.reps = reps
+        verified = np.zeros((len(reps), len(self.span)), dtype=bool)
+        verified[:n, :-1] = self.verified
+        self.verified = verified
 
     def conjugated(self, u: np.ndarray, u_inverse: np.ndarray) -> _ChainLevel:
         """This level conjugated by the row u, given with its inverse: the
@@ -411,31 +418,56 @@ def _schreier_blocks(level: _ChainLevel, at: np.ndarray, which: np.ndarray):
         yield a, _schreier(level, at[a : a + step], which[a : a + step])
 
 
-def _verify(levels: Sequence[_ChainLevel], i: int) -> tuple[np.ndarray, int] | None:
-    """Sift level i's unverified Schreier generators through the deeper
-    levels, and count the pairs that sift to the identity as verified.
+def _verify(levels: list[_ChainLevel], i: int) -> int | None:
+    """Scan level i's unverified Schreier generators, a block at a time,
+    until a block adds a strong generator; return the deepest level that
+    took one, or None once every pair of level i is verified.
 
     The pairs are formed in flat order (transversal rows in order, each
-    row's unverified span rows in order), a block at a time
-    (``_schreier_blocks``), and each block is sifted whole.  At the first
-    block with a residue that is not the identity, at flat position t,
-    the pairs before t count as verified and that residue is returned
-    with the level where it failed to sift.  None once every
-    pair is verified.  A verified pair stays verified as the chain
-    grows: the deeper levels only append rows, so its sift is unchanged."""
+    row's unverified span rows in order), in blocks of about
+    ``_SCHREIER_BLOCK`` images (``_schreier_blocks``).  A block's rows are
+    sifted whole through the deeper levels, and each pair whose row sifts
+    to the identity is flagged verified.  The first residue that is not
+    the identity is absorbed (``_absorb``), and the block's rows still
+    unverified, the Schreier rows themselves, are sifted again through the
+    grown chain, until none is left.  Every level from 1 to the deepest
+    that took a residue has new unverified pairs, so the scan resumes
+    there.  A verified pair stays verified as the chain grows: the levels
+    only append rows, so its sift is unchanged."""
     level = levels[i]
-    done, count = level.verified, len(level.span)
-    at, which = np.nonzero(np.arange(count) >= done[:, None])
+    at, which = np.nonzero(~level.verified)
     for a, rows in _schreier_blocks(level, at, which):
-        residues, failed = _sift(levels[i + 1 :], rows)
-        bad = np.flatnonzero(_moved(residues))
-        t = a + (int(bad[0]) if len(bad) else len(rows))
-        done[at[a:t]] = count
-        if t < len(at):
-            done[at[t]] = which[t]
-        if len(bad):
-            return residues[bad[0]], i + 1 + int(failed[bad[0]])
+        pairs = np.arange(a, a + len(rows))
+        deepest = i
+        while True:
+            residues, failed = _sift(levels[i + 1 :], rows)
+            bad = _moved(residues)
+            good = pairs[~bad]
+            level.verified[at[good], which[good]] = True
+            if not bad.any():
+                break
+            first = int(np.argmax(bad))
+            j = i + 1 + int(failed[first])
+            _absorb(levels, residues[first], j)
+            deepest = max(deepest, j)
+            pairs, rows = pairs[bad], rows[bad]
+        if deepest > i:
+            return deepest
     return None
+
+
+def _absorb(levels: list[_ChainLevel], g: np.ndarray, j: int) -> None:
+    """Make the row g a strong generator of level j, which its sift
+    failed at: a new level past the last opens at the smallest point g
+    moves.  Levels 1..j take g into their spans
+    (``_ChainLevel.extend``); level 0 spans the group's own generators."""
+    if j == len(levels):
+        identity = np.arange(len(g), dtype=g.dtype)[None, :]
+        b = int(np.flatnonzero(g != identity[0])[0])
+        levels.append(_ChainLevel(b, identity[:0], identity))
+    levels[j].gens = np.concatenate([levels[j].gens, g[None, :]])
+    for level in levels[1 : j + 1]:
+        level.extend(g)
 
 
 def _moved(rows: np.ndarray) -> np.ndarray:
@@ -457,8 +489,8 @@ class PermutationGroup:
     The stabilizer chain, the element list, the orbit labels and each
     transversal asked for are built lazily, once, and cached.  The chain's
     level 0 is opened by the first generator, at the smallest point it
-    moves; a later level is opened by the first residue of the fixpoint
-    scan that sifts through every existing level without becoming the
+    moves; a later level is opened by a residue of the fixpoint scan
+    that sifts through every existing level without becoming the
     identity, at the smallest point that residue moves.  So the base
     follows the generators, not the points' order: a level's base point
     need not be the smallest point its group moves.
@@ -575,29 +607,18 @@ class PermutationGroup:
     def _build_chain(self) -> list[_ChainLevel]:
         # Level 0 spans the generators over the group's kept transversal.
         # Fixpoint: every Schreier generator of every level must sift to
-        # the identity through the deeper levels.  Scan bottom-up; on a
-        # violation, give the residue to the level j where sifting failed
-        # (a new level past the last if it sifted through them all) and to
-        # the spans of levels 1..j, and resume the scan at j.  Only the
-        # unverified pairs are formed (``_verify``).
+        # the identity through the deeper levels.  Scan bottom-up; a block
+        # of level i's unverified pairs absorbs each residue it meets into
+        # the chain (``_verify``), and the scan resumes at the deepest
+        # level that took one.
         if not len(self._gen_rows):
             return []
-        identity = np.arange(self.degree, dtype=self._gen_rows.dtype)
-        b = int(np.flatnonzero(self._gen_rows[0] != identity)[0])
+        b = int(np.flatnonzero(self._gen_rows[0] != np.arange(self.degree))[0])
         levels = [_ChainLevel(b, self._gen_rows, self.transversal(b))]
         i = 0
         while i >= 0:
-            found = _verify(levels, i)
-            if found is None:
-                i -= 1
-                continue
-            g, i = found
-            if i == len(levels):
-                b = int(np.flatnonzero(g != identity)[0])
-                levels.append(_ChainLevel(b, self._gen_rows[:0], identity[None, :]))
-            levels[i].gens = np.concatenate([levels[i].gens, g[None, :]])
-            for level in levels[1 : i + 1]:
-                level.extend(g)
+            deepest = _verify(levels, i)
+            i = i - 1 if deepest is None else deepest
         return levels
 
     def _stabilizer_chain(self) -> list[_ChainLevel]:

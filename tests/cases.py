@@ -91,6 +91,46 @@ def paley(p):
     )
 
 
+def praeger_xu(r, s):
+    """The Praeger-Xu graph C(2, r, s), 1 <= s < r and r >= 3, as a
+    stabilize-mode spec (Praeger & Xu 1989): vertices (x, i) for x in
+    Z_2^s and i in Z_r, numbered i * 2^s + sum(x_j * 2^j), and
+    (x_0..x_{s-1}, i) adjacent to (x_1..x_{s-1}, y, i + 1) for y in Z_2.
+    Read x_j as the bit at place i + j of a cyclic word of length r.  The
+    group is generated by the rotation (x, i) -> (x, i + 1), the
+    reflection (x, i) -> (reverse x, -i - s + 1), and the flip of the bit
+    at place 0, x_j -> x_j + 1 where i + j = 0 mod r: Z_2^r x| D_r, of
+    order 2^r * 2r, with |G_v| = 2^(r - s + 1) on the 2^s * r vertices.
+    Each generator is checked to map the edge set onto itself."""
+    assert 1 <= s < r and r >= 3
+    vertices = [(x, i) for i in range(r) for x in itertools.product((0, 1), repeat=s)]
+    number = {vertex: at for at, vertex in enumerate(vertices)}
+    edges = {
+        frozenset((number[x, i], number[x[1:] + (y,), (i + 1) % r]))
+        for x, i in vertices
+        for y in (0, 1)
+    }
+
+    def flip(x, i):
+        return tuple(b ^ ((i + j) % r == 0) for j, b in enumerate(x)), i
+
+    moves = (
+        lambda x, i: (x, (i + 1) % r),
+        lambda x, i: (x[::-1], (-i - s + 1) % r),
+        flip,
+    )
+    generators = tuple(tuple(number[move(x, i)] for x, i in vertices) for move in moves)
+    for g in generators:
+        assert {frozenset(g[a] for a in edge) for edge in edges} == edges
+    return CaseSpec(
+        name=f"px-2-{r}-{s}",
+        degree=len(vertices),
+        generators=generators,
+        stabilize_point=0,
+        edges=tuple(sorted(tuple(sorted(edge)) for edge in edges)),
+    )
+
+
 def triangle_case():
     return make_transitive_case(s3(), triangle())
 

@@ -94,6 +94,18 @@ def test_graph_first_bad_edge_decides_the_error():
         SimpleGraph(3, [(0, 1, 2), (0, 0)])
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+def test_graph_checks_edge_arrays_whole_and_names_the_first_bad_row(dtype):
+    with pytest.raises(StructureError, match="loop at vertex 1"):
+        SimpleGraph(3, np.array([[0, 1], [1, 1], [0, 9]], dtype=dtype))
+    with pytest.raises(ValueError, match="vertex 9 out of range"):
+        SimpleGraph(3, np.array([[0, 2], [2, 9], [1, 1]], dtype=dtype))
+    with pytest.raises(ValueError, match="vertex 7 out of range"):
+        SimpleGraph(3, [[0, 2], [7, 9], [1, 1]])
+    graph = SimpleGraph(3, np.array([[0, 1], [2, 1], [1, 0]], dtype=dtype))
+    assert graph.edges() == [(0, 1), (1, 2)]
+
+
 def test_graph_is_one_read_only_adjacency_matrix():
     g = SimpleGraph(4, np.array([[0, 1], [1, 2], [2, 1], [3, 0]]))
     assert type(g).__slots__ == ("n", "adjacency")

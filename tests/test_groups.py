@@ -26,6 +26,7 @@ from cases import (
     coset_graph_data,
     cyclic,
     double_coset,
+    praeger_xu,
     reference_compose,
     reference_compose_all,
     reference_operator,
@@ -554,7 +555,7 @@ def test_row_order_and_lookup_match_python(rows, data):
 def test_chain_base_follows_the_generators():
     # Each level's base point is the smallest point moved by the residue
     # that opened it, not the smallest point the level's group moves.
-    bases = {"kneser-8-3": [6, 0, 4, 3, 2], "complete-8": [0, 1, 2, 6, 5, 4, 3]}
+    bases = {"kneser-8-3": [6, 0, 4, 2, 3], "complete-8": [0, 1, 2, 6, 4, 3, 5]}
     for spec in (catalog._kneser(8, 3), catalog._complete(8)):
         chain = realize_case(spec).group._stabilizer_chain()
         assert [level.basepoint for level in chain] == bases[spec.name]
@@ -649,15 +650,15 @@ def test_elements_match_brute_force_closure_random(gen_images):
 class RefLevel:
     """A chain level holding Permutation objects: the reference layout.
     ``transversal`` keeps its points in the order they were reached, and
-    ``verified`` counts, per point in that order, the span generators
-    whose Schreier generator was seen to sift to the identity."""
+    ``verified`` holds the pairs (point, span index) whose Schreier
+    generator was seen to sift to the identity."""
 
     def __init__(self, basepoint, span, transversal):
         self.basepoint = basepoint
         self.span = list(span)
         self.gens = [g for g in span if g(basepoint) != basepoint]
         self.transversal = transversal
-        self.verified = [0] * len(transversal)
+        self.verified = set()
 
     def extend(self, g):
         """Append g to the span: the old points under g first, in order,
@@ -677,7 +678,6 @@ class RefLevel:
                 if q not in t:
                     t[q] = s * t[p]
                     queue.append(q)
-        self.verified += [0] * (len(t) - len(self.verified))
 
 
 def ref_transversal(point, degree, gens):
@@ -707,43 +707,57 @@ def ref_sift(levels, g):
     return g, len(levels)
 
 
+def ref_absorb(levels, degree, g, j):
+    """Add g to level j's generators (a new level past the last opens at
+    the smallest point g moves) and to the spans of levels 1..j."""
+    if j == len(levels):
+        basepoint = min(p for p in range(degree) if g(p) != p)
+        levels.append(RefLevel(basepoint, [], {basepoint: Permutation.identity(degree)}))
+    levels[j].gens.append(g)
+    for level in levels[1 : j + 1]:
+        level.extend(g)
+
+
 def ref_build_chain(degree, generators):
     """The stabilizer chain built one Permutation product and one
     Schreier generator at a time.  Level 0 spans the generators; the
-    scan goes bottom-up over each level's unverified pairs, adds the
-    first residue that is not the identity to the level where it failed
-    and to the spans of levels 1.., and resumes at that level."""
+    scan goes bottom-up over each level's unverified pairs, in blocks of
+    the pairs ``groups._SCHREIER_BLOCK`` allows at the degree.  Each pair
+    of a block in turn is sifted through the deeper levels until it
+    sifts to the identity, every residue that is not the identity added
+    to the level where it failed and to the spans of levels 1..; after
+    a block that added one, the scan resumes at the deepest level that
+    took one."""
     if not generators:
         return []
+    block = max(1, groups._SCHREIER_BLOCK // degree)
     first = generators[0]
     basepoint = min(p for p in range(degree) if first(p) != p)
     levels = [RefLevel(basepoint, generators, ref_transversal(basepoint, degree, generators))]
     i = 0
     while i >= 0:
         level = levels[i]
-        found = None
-        for at, q in enumerate(list(level.transversal)):
-            for which in range(level.verified[at], len(level.span)):
-                s = level.span[which]
-                t = level.transversal
+        pairs = [
+            (q, which)
+            for q in list(level.transversal)
+            for which in range(len(level.span))
+            if (q, which) not in level.verified
+        ]
+        deepest = None
+        for a in range(0, len(pairs), block):
+            for q, which in pairs[a : a + block]:
+                s, t = level.span[which], level.transversal
                 schreier = t[s(q)].inverse() * (s * t[q])
-                residue, failed = ref_sift(levels[i + 1 :], schreier)
-                if not residue.is_identity():
-                    found = (residue, i + 1 + failed)
-                    break
-                level.verified[at] = which + 1
-            if found is not None:
+                while True:
+                    residue, failed = ref_sift(levels[i + 1 :], schreier)
+                    if residue.is_identity():
+                        break
+                    ref_absorb(levels, degree, residue, i + 1 + failed)
+                    deepest = max(i + 1 + failed, deepest or 0)
+                level.verified.add((q, which))
+            if deepest is not None:
                 break
-        if found is None:
-            i -= 1
-            continue
-        g, i = found
-        if i == len(levels):
-            basepoint = min(p for p in range(degree) if g(p) != p)
-            levels.append(RefLevel(basepoint, [], {basepoint: Permutation.identity(degree)}))
-        levels[i].gens.append(g)
-        for level in levels[1 : i + 1]:
-            level.extend(g)
+        i = i - 1 if deepest is None else deepest
     return levels
 
 
@@ -856,9 +870,9 @@ def test_chain_matches_permutation_reference_random(gen_images):
 
 
 def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatch):
-    # One pair per block: the fixpoint scan sifts each level's Schreier
-    # generators in many blocks and must still add the residues the
-    # one-batch scan adds.
+    # One pair per block: the fixpoint scan resumes at the deepest level
+    # after every pair that added a residue, and must add the residues
+    # the reference adds in blocks of one pair.
     blocks = []
 
     def recording(level, at, which):
@@ -874,6 +888,32 @@ def test_chain_matches_permutation_reference_in_small_schreier_blocks(monkeypatc
         group._chain = None
         assert_chain_matches_reference(group, points=(0, 1))
         assert set(blocks) == {1} and len(blocks) > len(group._stabilizer_chain())
+
+
+@pytest.mark.parametrize("block", [60, 200])
+def test_chain_matches_permutation_reference_in_mid_size_schreier_blocks(
+    block, monkeypatch
+):
+    # A few pairs per block: a level's scan runs over several blocks and
+    # resumes at the deepest level after each block that took a residue.
+    # At these sizes the S_7 and S_8 chains differ from those of a scan
+    # that stops at each block's first residue; the chain must equal the
+    # reference scanned in the same blocks.
+    sizes = []
+
+    def recording(level, at, which):
+        sizes.append(len(at))
+        return schreier(level, at, which)
+
+    schreier = groups._schreier
+    monkeypatch.setattr(groups, "_SCHREIER_BLOCK", block)
+    monkeypatch.setattr(groups, "_schreier", recording)
+    cases = [catalog._complete(7), catalog._complete(8), catalog._kneser(6, 2)]
+    for group in [realize_case(spec).group for spec in cases] + [pair_action_s5()[0]]:
+        sizes.clear()
+        group._chain = None
+        assert_chain_matches_reference(group, points=(0, 1))
+        assert 0 < max(sizes) <= max(1, block // group.degree)
 
 
 # -- the stabilizer chain's certificate and the work its build does --------
@@ -914,7 +954,7 @@ def assert_chain_certificate(group):
     generators move the level's own, level 0 spans the group's generators
     and each deeper level the generators of it and the deeper levels, and
     every Schreier generator over the span sifts to the identity through
-    the deeper levels."""
+    the deeper levels, and the build flagged every pair verified."""
     chain = group._stabilizer_chain()
     degree = group.degree
     assert group.order() == math.prod(len(level.reps) for level in chain)
@@ -938,6 +978,8 @@ def assert_chain_certificate(group):
             assert np.array_equal(sorted_rows(level.span), sorted_rows(deeper))
         schreier = reference_schreier_rows(level)
         assert reference_sifts_to_identity(chain[i + 1 :], schreier).all()
+        assert level.verified.shape == (len(reps), len(level.span))
+        assert level.verified.all()
 
 
 @pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
@@ -948,6 +990,18 @@ def test_chain_certifies_itself(spec):
 @settings(max_examples=50, deadline=None)
 @given(small_groups())
 def test_chain_certifies_itself_random(group):
+    assert_chain_certificate(group)
+
+
+@pytest.mark.parametrize("r, s", [(5, 1), (7, 2), (15, 3), (16, 1), (20, 1)])
+def test_chain_certifies_itself_on_praeger_xu_groups(r, s):
+    # Z_2^r x| D_r on the 2^s * r vertices of C(2, r, s): |G_v| = 2^(r-s+1)
+    # grows at fixed valency 4, and the chains are up to 20 levels deep,
+    # where one block absorbs the most residues.
+    spec = praeger_xu(r, s)
+    group = PermutationGroup(spec.degree, np.array(spec.generators))
+    assert group.order() == 2**r * 2 * r
+    assert group.stabilizer(0).order() == 2 ** (r - s + 1)
     assert_chain_certificate(group)
 
 
@@ -1004,10 +1058,10 @@ def test_chain_build_is_deterministic(spec):
 
 
 def watch_chain_build(monkeypatch):
-    """Record, during ``_build_chain`` only: the rows passed to ``_sift``
-    and those whose residue is the identity, the rows each ``_grow``
+    """Record, during ``_build_chain`` only: the ``_sift`` calls, the rows
+    passed to them and those whose residue is the identity, the rows each ``_grow``
     appends, and the ``_transversal`` calls."""
-    seen = {"sifted": 0, "identity": set(), "grown": 0, "searches": 0}
+    seen = {"sifts": 0, "sifted": 0, "identity": set(), "grown": 0, "searches": 0}
     building = []
     sift, grow, search = groups._sift, groups._grow, groups._transversal
     build = PermutationGroup._build_chain
@@ -1015,6 +1069,7 @@ def watch_chain_build(monkeypatch):
     def watched_sift(levels, rows):
         residues, at = sift(levels, rows)
         if building:
+            seen["sifts"] += 1
             seen["sifted"] += len(rows)
             identity = ~groups._moved(residues)
             seen["identity"].update(row.tobytes() for row in rows[identity])
@@ -1066,11 +1121,14 @@ def test_chain_build_composes_each_transversal_row_once(spec, monkeypatch):
 def test_group_ladder_chains_sift_few_rows(monkeypatch):
     # The two group-ladder chains sifted 1 922 rows when every new strong
     # generator re-spanned its levels and the scan re-sifted verified
-    # pairs; the verified pairs bound it well below.
+    # pairs, and 1 108 rows in 46 sifts when the scan stopped at each
+    # block's first residue and formed the block again on its next visit.
+    # A block that absorbs its residues in place sifts 668 rows in 30.
     seen = watch_chain_build(monkeypatch)
     for spec in (catalog._kneser(8, 3), catalog._complete(8)):
         PermutationGroup(spec.degree, np.array(spec.generators)).order()
-    assert 0 < seen["sifted"] <= 1200
+    assert 0 < seen["sifts"] <= 36
+    assert 0 < seen["sifted"] <= 800
 
 
 def direct_product(*groups_):

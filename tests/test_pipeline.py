@@ -386,3 +386,24 @@ def test_analysis_labels_no_orbits_twice(monkeypatch):
         calls.clear()
         analyze_case(spec)
         assert max(calls.values(), default=1) == 1, spec.name
+
+
+def test_analysis_labels_no_orbits_of_the_group(monkeypatch):
+    # Transitivity is read off G's kept transversal at v, so no analysis
+    # labels the orbits of G's own generator rows.
+    calls = []
+    minima = groups._component_minima
+
+    def recorded(size, moves):
+        calls.append((size, [np.asarray(m).tolist() for m in moves]))
+        return minima(size, moves)
+
+    for spec in builtin_cases() + ladder_cases():
+        group = realize_case(spec).group
+        own = (group.degree, group._gen_rows.tolist())
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_component_minima", recorded)
+            patch.setattr(graphs, "_component_minima", recorded)
+            analyze_case(spec)
+        assert calls and own not in calls, spec.name
