@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 
 from .casefile import CaseSpec
-from .groups import PermutationGroup, _compose_all, _image_rows
 from .perms import Permutation
 
 FAMILY_NAMES = (
@@ -140,22 +139,16 @@ def _regular_cayley(
     base_generators: list[Permutation],
     connection: list[Permutation],
 ) -> CaseSpec:
-    """A Cayley graph case through the coset-graph path: lift the base
-    group to its left-regular action (on its own sorted element rows) and
-    use the trivial subgroup with the lifted connection set.  The lift of
-    g sends element i to the index of g * x_i, for every g at once: one
-    ``_compose_all`` with the element rows and one lookup in their table."""
-    base = PermutationGroup(base_generators[0].degree, base_generators)
-    table = base._element_table()
-    products = _compose_all(_image_rows(base_generators + connection), table.rows)
-    found = table.find(products.reshape(-1, base.degree)).reshape(len(products), -1)
-    lifts = [tuple(images) for images in found.tolist()]
+    """A Cayley graph case through the coset-graph path: the coset graph
+    of the base group over the trivial subgroup, with the connection set
+    as representatives, is the Cayley graph, its cosets the group's
+    elements."""
     return CaseSpec(
         name=name,
-        degree=len(table.rows),
-        generators=tuple(lifts[: len(base_generators)]),
+        degree=base_generators[0].degree,
+        generators=tuple(g.images for g in base_generators),
         subgroup_generators=(),
-        connection_reps=tuple(lifts[len(base_generators) :]),
+        connection_reps=tuple(s.images for s in connection),
     )
 
 

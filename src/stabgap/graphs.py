@@ -11,14 +11,14 @@ degrees and edges are read off it, the automorphism check is one gather
 of it at the images of every directed edge under every generator row,
 and Sabidussi's check compares the coset adjacency with it.
 
-A coset graph is built on the ambient group's image rows, so the group's
-order counts against the element cap: the left cosets xH are the
-components of right multiplication by H's generators on those rows.
-Vertex 0 is H, and the other cosets are numbered breadth-first from it
-under the group's generators in their given order, by the group layer's
-transversal search, which carries H's neighbors to every coset.  The
-graph layer reads rows, not ``Permutation`` objects, and tests
-membership by sifting whole batches of rows through a group's chain.
+A coset graph lists no element of the ambient group, though the group's
+order still counts against the element cap: each left coset xH is held
+as one canonical row of it, read off H's stabilizer chain.  Vertex 0 is
+H, and the other cosets are numbered once, breadth-first from it under
+the group's generators in their given order; the induced group's kept
+transversal at H then carries H's neighbors to every coset.  The graph
+layer reads rows, not ``Permutation`` objects, and tests membership by
+sifting whole batches of rows through a group's chain.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .groups import (
     _Elements,
     _image_rows,
     _inverse_rows,
-    _transversal,
+    _row_view,
 )
 from .spectral import DENSE_SIZE_CAP
 
@@ -244,13 +244,15 @@ def build_coset_graph(
     x^-1 y lies in the connection set, the union of the double cosets
     HaH of the representatives a.
 
-    The group is enumerated as image rows, so its order counts against
-    ``element_cap``, and the cosets are the components of right
-    multiplication by H's generators on those rows.  Vertex 0 is H; the
-    other cosets are numbered breadth-first from it under the group's
-    generators in their given order.  H's neighbors are the orbits of
-    the representatives' cosets under H, and every other coset's
-    neighbors are H's, moved by the breadth-first path to it (one gather).
+    No element of the group is listed, but its order still counts
+    against ``element_cap``.  A coset is held as its key, one row of it
+    read off H's chain (``PermutationGroup._coset_keys``).  Vertex 0 is
+    H, and the others are numbered breadth-first from it, coset by coset
+    under the group's generators in their given order, so the search's
+    products are the induced action; it stops at the first layer past
+    ``max_cosets``.  H's neighbors are the orbits of the representatives'
+    cosets under the induced stabilizer of H, and every coset's are H's,
+    moved by the kept transversal row that sends H to it (one gather).
 
     The left-multiplication action of the group is attached (as the
     induced permutation group on the cosets) and is vertex-transitive.
@@ -269,48 +271,42 @@ def build_coset_graph(
     if not len(reps):
         raise StructureError("empty connection set")
 
-    table = group._element_table(element_cap)
-    rows = table.rows
-    h_rows = subgroup._gen_rows
-    label = _component_minima(
-        len(rows), [table.find(_compose_all(rows, h)) for h in h_rows]
-    )
-    minima = np.flatnonzero(label == np.arange(len(rows)))
-    n = len(minima)
-    if n > max_cosets:
-        raise SizeLimitError(f"coset enumeration exceeds cap {max_cosets}")
+    group._check_order(element_cap)
+    gens = group._gen_rows
+    keys = subgroup._coset_keys(np.arange(group.degree, dtype=gens.dtype)[None, :])
+    number = {key: 0 for key in _row_view(keys).tolist()}
+    layers, moves = [keys], []
+    # Breadth-first over the cosets in number order, each under the
+    # generators in their given order: a whole layer's products at once.
+    for layer in layers:
+        products = _compose_all(gens, layer).swapaxes(0, 1).reshape(-1, group.degree)
+        products, size = subgroup._coset_keys(products), len(number)
+        images = [number.setdefault(k, len(number)) for k in _row_view(products).tolist()]
+        if len(number) > max_cosets:
+            raise SizeLimitError(f"coset enumeration exceeds cap {max_cosets}")
+        moves.append(np.array(images, dtype=np.intp).reshape(len(layer), -1))
+        found, at = np.unique(moves[-1], return_index=True)
+        if len(number) > size:
+            layers.append(products.take(at[found >= size], axis=0))
+    n = len(number)
     if n * subgroup.order() != group.order():
         raise StructureError("coset count disagrees with the subgroup index")
-    # Each row's coset, numbered by the cosets' smallest rows: the
-    # identity is row 0, so H is coset 0.
-    coset = np.searchsorted(minima, label)
-    starts = coset[table.find(reps)]
-    if (starts == 0).any():
+    starts = [number[key] for key in _row_view(subgroup._coset_keys(reps)).tolist()]
+    if 0 in starts:
         raise StructureError(
             "connection set would contain the identity's double coset"
         )
-
-    def induced(gen_rows: np.ndarray) -> np.ndarray:
-        products = _compose_all(gen_rows, rows.take(minima, axis=0))
-        products = products.reshape(-1, group.degree)
-        return coset[table.find(products)].reshape(len(gen_rows), n)
-
-    moves = induced(group._gen_rows)
-    orbit = _component_minima(n, induced(h_rows))
+    induced_group = PermutationGroup(n, np.concatenate(moves).T)
+    orbit = induced_group.stabilizer(0).orbit_labels()
     first = np.flatnonzero(np.isin(orbit, orbit[starts]))
-    # Row j of neighbors is u(first) for the breadth-first path u from H to
-    # the j-th coset reached; position[c] is the coset c's breadth-first
-    # number, which every coset carries from here on.
-    neighbors, position = _transversal(0, moves, first)
-    neighbors = position[neighbors]
-    moves = position[moves[:, np.argsort(position)]]
+    # Row u of the transversal at H sends H to the coset u(0) and H's
+    # neighbors to that coset's.
+    t = induced_group.transversal(0)
     adjacency = np.zeros((n, n), dtype=bool)
-    adjacency[np.arange(n)[:, None], neighbors] = True
+    adjacency[t[:, :1], t[:, first]] = True
     if not np.array_equal(adjacency, adjacency.T):
         raise StructureError("connection set is not inverse-closed")
     graph = SimpleGraph(n, np.argwhere(np.triu(adjacency, 1)))
-
-    induced_group = PermutationGroup(n, moves)
     case = make_transitive_case(induced_group, graph, base_vertex=0, cap=element_cap)
     return graph, case
 

@@ -13,8 +13,8 @@ A group's elements are numbered by the chain: element r is
 u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
 where i_0, i_1, ... are r's mixed-radix digits over the transversals'
 sizes, level 0 the most significant (|G| is their product).
-``element_array`` lists them in that order.  Only a lookup table of the
-group (``_element_table``) sorts them, lexicographically.
+``element_array`` lists them in that order.  The chain also names each
+left coset xH by one of its rows (``_coset_keys``).
 
 Element sets (the enumerated group, connection sets, the sets split into
 double cosets) are held as rows of an integer array of images, converted
@@ -56,7 +56,7 @@ becomes a strong generator, the block's rows not yet verified are
 sifted again through the grown chain, and so on until none is left;
 the scan then resumes at the deepest level that took a residue.  One
 breadth-first routine (``_grow``) grows every transversal, the chain's
-and the coset graph's, one batched ``_sift`` strips rows through the
+and each one a group keeps, one batched ``_sift`` strips rows through the
 chain, and ``_schreier`` forms a level's Schreier generators for a
 block of pairs at a time.  The chain is built once per group: a point
 stabilizer in the first base point b's orbit takes its chain from the
@@ -271,21 +271,17 @@ def _grow(
     return grown
 
 
-def _transversal(
-    point: int, gen_rows: np.ndarray, first: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _transversal(point: int, gen_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The transversal of the point's orbit under the generator rows:
     ``reps``, one row u_q with u_q(point) = q per orbit point q, and
-    ``index``, the row of u_q at q (-1 off the orbit).  Given ``first``, a
-    row of points, ``reps`` holds u_q(first) in place of u_q.
+    ``index``, the row of u_q at q (-1 off the orbit).
 
     The orbit is grown breadth-first from the point (``_grow``), with the
     generators in their given order."""
     degree = gen_rows.shape[1]
-    first = np.arange(degree) if first is None else first
     index = np.full(degree, -1)
     index[point] = 0
-    reps = np.array(first, dtype=gen_rows.dtype)[None, :]
+    reps = np.arange(degree, dtype=gen_rows.dtype)[None, :]
     return _grow(reps, index, np.array([point]), gen_rows), index
 
 
@@ -653,6 +649,18 @@ class PermutationGroup:
         residues, _ = _sift(self._stabilizer_chain(), rows)
         return ~_moved(residues)
 
+    def _coset_keys(self, rows: np.ndarray) -> np.ndarray:
+        """One fixed row of the left coset xH of this group H for each row
+        x, the same for every row of a coset (Seress 2003, section 4).
+        Level by level, x becomes x * u_p for the orbit point p of the
+        level's base point b at which x is least: the rows of x * H_i that
+        send b to that value are x * u_p * H_(i+1), so one row is left."""
+        everyone = np.arange(len(rows))
+        for level in self._stabilizer_chain():
+            at = np.argmin(rows.take(level.reps[:, level.basepoint], axis=1), axis=1)
+            rows = _compose(rows, everyone, level.reps.take(at, axis=0))
+        return rows
+
     # -- enumeration --------------------------------------------------------
 
     def element_array(self, cap: int = DEFAULT_ELEMENT_CAP) -> np.ndarray:
@@ -675,11 +683,6 @@ class PermutationGroup:
             rows.setflags(write=False)
             self._rows = rows
         return self._rows
-
-    def _element_table(self, cap: int = DEFAULT_ELEMENT_CAP) -> _RowTable:
-        """``element_array(cap)``'s rows as a table, in lexicographic order;
-        they are distinct permutations, so they are not re-checked."""
-        return _RowTable._of_rows(self.element_array(cap))
 
     def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
         """All elements, in the order of ``element_array``, if order <= cap."""
@@ -718,8 +721,8 @@ class _RowTable:
     @classmethod
     def _of_rows(cls, rows: np.ndarray) -> _RowTable:
         """A table over rows known to be permutations, such as a group's
-        elements (``_element_table``): sorted and deduplicated as the
-        constructor does, but not re-checked."""
+        elements: sorted and deduplicated as the constructor does, but not
+        re-checked."""
         table = object.__new__(cls)
         table._sort(rows)
         return table

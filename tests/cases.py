@@ -69,6 +69,85 @@ def ladder_cases():
     ]
 
 
+def _cycle_images(n, points):
+    """The images of the cycle through the points, in order, on n points."""
+    images = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return tuple(images)
+
+
+def _symmetric_twin(name, n, blocks, rep):
+    """S_n, generated as in the catalog by (0 1) and i -> i + 1, over the
+    subgroup that keeps each block of points, with one representative."""
+    subgroup = []
+    for block in blocks:
+        if len(block) > 1:
+            subgroup += [_cycle_images(n, block[:2]), _cycle_images(n, block)]
+    return CaseSpec(
+        name=name,
+        degree=n,
+        generators=(_cycle_images(n, [0, 1]), _cycle_images(n, list(range(n)))),
+        subgroup_generators=tuple(subgroup),
+        connection_reps=(rep,),
+    )
+
+
+def kneser_twin(n, m):
+    """The catalog's kneser-n-m as a coset graph: S_n over S_m x S_(n-m),
+    the stabilizer of the m-set {0..m-1}, with the representative that
+    swaps it with {m..2m-1} point by point."""
+    swap = list(range(n))
+    swap[:m], swap[m : 2 * m] = range(m, 2 * m), range(m)
+    blocks = [list(range(m)), list(range(m, n))]
+    return _symmetric_twin(f"kneser-{n}-{m}-coset", n, blocks, tuple(swap))
+
+
+def johnson_twin(n, m):
+    """The catalog's johnson-n-m as a coset graph: S_n over S_m x S_(n-m)
+    with the transposition of the points m - 1 and m as representative."""
+    blocks = [list(range(m)), list(range(m, n))]
+    rep = _cycle_images(n, [m - 1, m])
+    return _symmetric_twin(f"johnson-{n}-{m}-coset", n, blocks, rep)
+
+
+def complete_twin(n):
+    """The catalog's complete-n as a coset graph: S_n over S_(n-1), the
+    stabilizer of the point 0, with the transposition (0 1)."""
+    rep = _cycle_images(n, [0, 1])
+    return _symmetric_twin(f"complete-{n}-coset", n, [[0], list(range(1, n))], rep)
+
+
+def cycle_dihedral_twin(n):
+    """The catalog's cycle-dihedral-n as a coset graph: D_n over the
+    reflection i -> -i, with the rotation i -> i + 1 as representative."""
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple((-i) % n for i in range(n))
+    return CaseSpec(
+        name=f"cycle-dihedral-{n}-coset",
+        degree=n,
+        generators=(rotation, reflection),
+        subgroup_generators=(reflection,),
+        connection_reps=(rotation,),
+    )
+
+
+def coset_twins():
+    """Coset-mode twins of stabilize-mode cases, each with a nontrivial
+    subgroup: pairs of the stabilize-mode spec and its twin."""
+    return [
+        (catalog._kneser(5, 2), kneser_twin(5, 2)),
+        (catalog._kneser(7, 3), kneser_twin(7, 3)),
+        (catalog._kneser(8, 3), kneser_twin(8, 3)),
+        (catalog._johnson(5, 2), johnson_twin(5, 2)),
+        (catalog._johnson(6, 3), johnson_twin(6, 3)),
+        (catalog._cycle_dihedral(8), cycle_dihedral_twin(8)),
+        (catalog._cycle_dihedral(12), cycle_dihedral_twin(12)),
+        (catalog._complete(3), complete_twin(3)),
+        (catalog._complete(6), complete_twin(6)),
+    ]
+
+
 def paley(p):
     """The Paley graph P(p), p a prime 1 mod 4, as a stabilize-mode spec:
     edges {x, y} for a nonzero square x - y, under the group generated by

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from stabgap import catalog
+from stabgap import catalog, groups
 from stabgap.casefile import realize_case
 from stabgap.catalog import builtin_cases
 from stabgap.errors import SizeLimitError, StructureError
@@ -35,6 +35,7 @@ from cases import (
     cyclic,
     dihedral,
     double_coset,
+    kneser_twin,
     petersen_case,
     reference_local_action,
     reference_operator,
@@ -471,8 +472,85 @@ def _reference_coset_graph(group, subgroup, reps):
     return edges, [g.images for g in induced.generators]
 
 
+@settings(max_examples=40, deadline=None)
+@given(coset_graph_data)
+def test_coset_keys_name_each_left_coset_by_one_of_its_rows(drawn):
+    # Checked against H's listed elements: key(x) = x*h for some h in H,
+    # and key(x) == key(y) exactly when x^-1 y is in H.
+    group, subgroup_gens, _ = drawn
+    subgroup = PermutationGroup(group.degree, subgroup_gens)
+    rows, h = group.element_array(), subgroup.element_array()
+    keys = subgroup._coset_keys(rows)
+    weights = group.degree ** np.arange(group.degree, dtype=np.int64)
+
+    def in_h(products):
+        return np.isin(products.astype(np.int64) @ weights, h.astype(np.int64) @ weights)
+
+    inverse = np.argsort(rows, axis=1)
+    m = len(rows)
+    assert in_h(inverse[np.arange(m)[:, None], keys]).all()
+    quotients = inverse[np.arange(m)[:, None, None], rows[None, :, :]]
+    same_key = (keys[:, None, :] == keys[None, :, :]).all(axis=2)
+    assert np.array_equal(same_key, in_h(quotients))
+
+
+def test_coset_graph_lists_no_element_of_the_group(monkeypatch):
+    # S_10 over S_3 x S_7 (kneser-10-3's 120 cosets): the only element
+    # rows listed are the induced stabilizer's, on the 120 cosets.
+    degrees = []
+    products = groups._chain_products
+
+    def recorded(levels, degree):
+        degrees.append(degree)
+        return products(levels, degree)
+
+    monkeypatch.setattr(groups, "_chain_products", recorded)
+    case = realize_case(kneser_twin(10, 3), element_cap=10**7)
+    assert case.graph.n == 120 and case.group.order() == 3628800
+    assert degrees == [120]
+
+
+def test_coset_graph_of_a_large_group_stays_small():
+    # S_10's 3 628 800 element rows alone would take 36 MB.
+    tracemalloc.start()
+    try:
+        realize_case(kneser_twin(10, 3), element_cap=10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_coset_graph_refuses_one_coset_past_the_cap(monkeypatch):
+    spec = kneser_twin(7, 3)
+    assert realize_case(spec, max_vertices=35).graph.n == 35
+    with pytest.raises(SizeLimitError, match="exceeds cap 34"):
+        realize_case(spec, max_vertices=34)
+    # The search stops at the coset past the cap: over D_150 on its 300
+    # elements and a cap of 2, H and its two products are all it keys.
+    keyed, keys = [], PermutationGroup._coset_keys
+
+    def counted(self, rows):
+        keyed.append(len(rows))
+        return keys(self, rows)
+
+    monkeypatch.setattr(PermutationGroup, "_coset_keys", counted)
+    r = Permutation([(i + 1) % 150 for i in range(150)])
+    spec = CosetGraphSpec(dihedral(150), PermutationGroup.trivial(150), (r, r.inverse()))
+    with pytest.raises(SizeLimitError, match="exceeds cap 2"):
+        build_coset_graph(spec, max_cosets=2)
+    assert sum(keyed) == 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(coset_graph_data)
+@example(
+    (
+        symmetric(5),
+        [Permutation.from_cycles(5, (0, 1)), Permutation.from_cycles(5, (2, 3, 4))],
+        [Permutation.from_cycles(5, (1, 2))],
+    )
+)
 def test_coset_graph_matches_pairwise_reference(drawn):
     group, subgroup_gens, reps = drawn
     subgroup = PermutationGroup(group.degree, subgroup_gens)

@@ -19,7 +19,7 @@ from stabgap.pipeline import (
     case_seed,
 )
 
-from cases import ladder_cases
+from cases import coset_twins, ladder_cases
 
 TRIANGLE_DOC = json.dumps(
     {
@@ -317,8 +317,8 @@ def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
     # transversal at v, and the stabilizer chain's first level reads one
     # at its base point; the group grows each once and keeps it.  Every
     # breadth-first search is counted: per group and point when made
-    # through PermutationGroup.transversal, and otherwise only the coset
-    # graph's own search, once, may run.
+    # through PermutationGroup.transversal, and none may run outside it
+    # (the coset graph reads the induced group's kept transversal at H).
     asked, grown, inside, outside = Counter(), Counter(), [], []
     transversal, bfs = groups.PermutationGroup.transversal, groups._transversal
 
@@ -330,16 +330,15 @@ def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
         finally:
             inside.pop()
 
-    def counted_bfs(point, gen_rows, first=None):
+    def counted_bfs(point, gen_rows):
         if inside:
             grown[inside[-1]] += 1
         else:
-            outside.append(first is not None)
-        return bfs(point, gen_rows, first)
+            outside.append(point)
+        return bfs(point, gen_rows)
 
     monkeypatch.setattr(groups.PermutationGroup, "transversal", counted_transversal)
     monkeypatch.setattr(groups, "_transversal", counted_bfs)
-    monkeypatch.setattr(graphs, "_transversal", counted_bfs)
     specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
     for spec in specs:
         asked.clear()
@@ -350,7 +349,7 @@ def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
         # At most once per group and point; G's at v is read twice or more.
         assert grown == Counter(asked.keys()), spec.name
         assert max(asked.values()) >= 2, spec.name
-        assert outside == ([True] if spec.mode == "coset" else []), spec.name
+        assert outside == [], spec.name
 
 
 def test_transversal_is_kept_read_only():
@@ -407,3 +406,22 @@ def test_analysis_labels_no_orbits_of_the_group(monkeypatch):
             patch.setattr(graphs, "_component_minima", recorded)
             analyze_case(spec)
         assert calls and own not in calls, spec.name
+
+
+@pytest.mark.parametrize(
+    "spec, twin", coset_twins(), ids=[twin.name for _, twin in coset_twins()]
+)
+def test_coset_twins_report_as_their_stabilize_mode_cases(spec, twin):
+    # The same graph and group, built by coset mode over a nontrivial H.
+    assert twin.mode == "coset" and twin.subgroup_generators
+    report, coset_report = analyze_case(spec), analyze_case(twin)
+    row, coset_row = report.csv_row(), coset_report.csv_row()
+    skip = {CSV_COLUMNS.index("name"), CSV_COLUMNS.index("seed")}
+    assert [x for i, x in enumerate(row) if i not in skip] == [
+        x for i, x in enumerate(coset_row) if i not in skip
+    ]
+    tol = AnalyzeOptions().tol
+    assert coset_report.lambda2 == pytest.approx(report.lambda2, rel=tol)
+    assert np.allclose(
+        coset_report.singular_spectrum, report.singular_spectrum, rtol=tol, atol=tol
+    )
