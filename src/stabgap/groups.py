@@ -3,11 +3,11 @@
 Orbits, point stabilizers read off the stabilizer chain, exact orders,
 bounded element enumeration, and double-coset machinery.  Every
 operation is deterministic: transversals are grown breadth-first with
-the generators in their given order, a chain's first base point is the
-smallest point moved by the first generator, and each later one the
-smallest point moved by the residue of the fixpoint scan that opened
-it, one that sifted through all the levels so far without becoming the
-identity, so the base need not be 0, 1, 2, ....
+the generators in their given order, a group's chain starts at the
+smallest point any generator moves (0 for a transitive group), and each
+later base point is the smallest point moved by the residue of the
+fixpoint scan that opened it, one that sifted through all the levels so
+far without becoming the identity, so the base need not be 0, 1, 2, ....
 
 A group's elements are numbered by the chain: element r is
 u_0 * u_1 * ... for the transversal rows u_i = reps[i_i] of each level i,
@@ -58,13 +58,12 @@ the scan then resumes at the deepest level that took a residue.  One
 breadth-first routine (``_grow``) grows every transversal, the chain's
 and each one a group keeps, one batched ``_sift`` strips rows through the
 chain, and ``_schreier`` forms a level's Schreier generators for a
-block of pairs at a time.  The chain is built once per group: a point
-stabilizer in the first base point b's orbit takes its chain from the
-group's, the levels past the first conjugated by the transversal row u
-with u(b) = point, since G_u(b) = u * G_b * u^-1; only a point outside
-that orbit forms Schreier generators for its stabilizer.  Orbits are
-component labels (``_component_minima``), kept per group
-(``orbit_labels``).
+block of pairs at a time.  A point stabilizer G_p is read off a chain
+based at p, as the group at its second level: the group's own chain
+when p is its first base point, and otherwise one built at p, whose
+first level is the group's kept ``transversal(p)``.  Each stabilizer is
+built once per point and kept.  Orbits are component labels
+(``_component_minima``), kept per group (``orbit_labels``).
 
 A connection set S is held as its subgroup H and one row per left coset
 s*H (``cosets``); its rows, their lookup table and its double cosets'
@@ -297,7 +296,9 @@ class _ChainLevel:
     levels, so that pair is never formed again.
 
     Level 0 spans the group's own generators and takes the group's kept
-    transversal (``PermutationGroup.transversal``); a deeper level spans
+    transversal at its base point (``PermutationGroup.transversal``),
+    which is the group's first base point or a point whose stabilizer is
+    asked for (``PermutationGroup.stabilizer``); a deeper level spans
     the strong generators of its own and the deeper levels, in the order
     they were found.  A deeper level only grows (``extend``): a new span row is
     appended and the orbit extended from it, and the rows, index entries,
@@ -333,28 +334,6 @@ class _ChainLevel:
         verified = np.zeros((len(reps), len(self.span)), dtype=bool)
         verified[:n, :-1] = self.verified
         self.verified = verified
-
-    def conjugated(self, u: np.ndarray, u_inverse: np.ndarray) -> _ChainLevel:
-        """This level conjugated by the row u, given with its inverse: the
-        base point u(b), each generator, span, transversal and inverse row
-        x as u * x * u^-1, and the index read through u^-1.
-
-        The conjugated generators send u(q) to u(g(q)), so u * u_q * u^-1
-        sends u(b) to u(q): the rows are a transversal of u(b)'s orbit, in
-        the same order."""
-
-        def conjugate(rows: np.ndarray) -> np.ndarray:
-            return u.take(_compose_all(rows, u_inverse))
-
-        level = object.__new__(_ChainLevel)
-        level.basepoint = int(u[self.basepoint])
-        level.gens = conjugate(self.gens)
-        level.span = conjugate(self.span)
-        level.reps = conjugate(self.reps)
-        level.index = self.index.take(u_inverse)
-        level.inverse = conjugate(self.inverse)
-        level.verified = self.verified
-        return level
 
 
 def _chain_products(levels: Sequence[_ChainLevel], degree: int) -> np.ndarray:
@@ -483,13 +462,15 @@ class PermutationGroup:
     checked by ``_image_rows``), and kept as rows.
 
     The stabilizer chain, the element list, the orbit labels and each
-    transversal asked for are built lazily, once, and cached.  The chain's
-    level 0 is opened by the first generator, at the smallest point it
-    moves; a later level is opened by a residue of the fixpoint scan
-    that sifts through every existing level without becoming the
-    identity, at the smallest point that residue moves.  So the base
-    follows the generators, not the points' order: a level's base point
-    need not be the smallest point its group moves.
+    transversal and point stabilizer asked for are built lazily, once, and
+    cached.  The chain's level 0 is based at the smallest point any
+    generator moves; a later level is opened by a residue of the fixpoint
+    scan that sifts through every existing level without becoming the
+    identity, at the smallest point that residue moves.  So past level 0
+    the base follows the generators, not the points' order: a level's
+    base point need not be the smallest point its group moves.  A point
+    stabilizer shares the deeper levels of the chain it was read off, so
+    its own chain starts wherever that chain's second level does.
     """
 
     def __init__(self, degree: int, generators: _Elements = ()):
@@ -501,6 +482,7 @@ class PermutationGroup:
         self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
         self._transversals: dict[int, np.ndarray] = {}
+        self._stabilizers: dict[int, PermutationGroup] = {}
         self._labels: np.ndarray | None = None
 
     @classmethod
@@ -555,62 +537,49 @@ class PermutationGroup:
         return not self.orbit_labels().any()
 
     def stabilizer(self, point: int) -> PermutationGroup:
-        """The point stabilizer, by one of three routes.
-
-        - At the first base point b of the group's stabilizer chain it is
-          the group at the chain's second level: generated by the strong
-          generators of the deeper levels, which are its chain (shared,
-          not rebuilt).
-        - At another point of b's orbit it is that group conjugated by
-          the first level's transversal row u with u(b) = point, since
-          G_u(b) = u * G_b * u^-1: its generators and its chain are the
-          deeper levels' conjugated (``_ChainLevel.conjugated``), with no
-          Schreier generator formed and no chain built.
-        - At a point outside b's orbit (only an intransitive group has
-          one) it is generated by the Schreier generators of the point's
-          transversal, formed in blocks that each drop their identity
-          rows and repeats; its chain is built when first needed.
+        """The point stabilizer G_p, the group at the second level of a
+        stabilizer chain based at p: generated by the strong generators of
+        the deeper levels, which are its chain (shared, not rebuilt).  At
+        the first base point of the group's own chain that chain is the
+        group's; at any other point one is built at p (``_build_chain``).
+        It is built once per point and kept.
 
         Satisfies the orbit-stabilizer identity
         order(self) == len(orbit(point)) * order(stabilizer(point)).
         """
-        self._point(point)
-        chain = self._stabilizer_chain()
-        if chain and chain[0].index[point] >= 0:
+        point = self._point(point)
+        stab = self._stabilizers.get(point)
+        if stab is None:
+            chain = self._stabilizer_chain()
+            if not chain or chain[0].basepoint != point:
+                chain = self._build_chain(point)
             deeper = chain[1:]
-            if point != chain[0].basepoint:
-                at = chain[0].index[point]
-                u, u_inverse = chain[0].reps[at], chain[0].inverse[at]
-                deeper = [level.conjugated(u, u_inverse) for level in deeper]
             stab = PermutationGroup(
                 self.degree,
                 np.vstack([self._gen_rows[:0]] + [level.gens for level in deeper]),
             )
             stab._chain = deeper
-            return stab
-        level = _ChainLevel(point, self._gen_rows, self.transversal(point))
-        k = len(self._gen_rows)
-        at = np.repeat(level.index[level.index >= 0], k)
-        which = np.tile(np.arange(k), len(level.reps))
-        blocks = _schreier_blocks(level, at, which)
-        return PermutationGroup(
-            self.degree,
-            np.vstack([self._gen_rows[:0]] + [_distinct_moved(b) for _, b in blocks]),
-        )
+            self._stabilizers[point] = stab
+        return stab
 
     # -- stabilizer chain ---------------------------------------------------
 
-    def _build_chain(self) -> list[_ChainLevel]:
+    def _build_chain(self, first: int | None = None) -> list[_ChainLevel]:
+        """A stabilizer chain based first at the point ``first``, by
+        default the smallest point any generator moves (none for the
+        trivial group, whose default chain is empty)."""
         # Level 0 spans the generators over the group's kept transversal.
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; a block
         # of level i's unverified pairs absorbs each residue it meets into
         # the chain (``_verify``), and the scan resumes at the deepest
         # level that took one.
-        if not len(self._gen_rows):
-            return []
-        b = int(np.flatnonzero(self._gen_rows[0] != np.arange(self.degree))[0])
-        levels = [_ChainLevel(b, self._gen_rows, self.transversal(b))]
+        if first is None:
+            moved = (self._gen_rows != np.arange(self.degree)).any(axis=0)
+            if not moved.any():
+                return []
+            first = int(np.argmax(moved))
+        levels = [_ChainLevel(first, self._gen_rows, self.transversal(first))]
         i = 0
         while i >= 0:
             deepest = _verify(levels, i)
@@ -725,15 +694,6 @@ class _RowTable:
         re-checked."""
         table = object.__new__(cls)
         table._sort(rows)
-        return table
-
-    @classmethod
-    def _sorted(cls, rows: np.ndarray, view: np.ndarray) -> _RowTable:
-        """A table over read-only rows known to be distinct permutations in
-        lexicographic order, and their values, as ``_lex_order`` returns
-        them; neither is re-checked nor copied."""
-        table = object.__new__(cls)
-        table.rows, table._view = rows, view
         return table
 
     def _sort(self, rows: np.ndarray) -> None:

@@ -204,7 +204,7 @@ def test_orbit_stabilizer_identity():
 )
 def test_stabilizer_of_every_catalog_case(spec):
     # Every vertex: the chain's first base point shares the group's chain,
-    # and every other vertex of these transitive actions conjugates it.
+    # and every other vertex of these transitive actions builds one at it.
     group = realize_case(spec).group
     rows = group.element_array()
     for point in range(group.degree):
@@ -223,7 +223,8 @@ def test_stabilizer_of_every_catalog_case(spec):
 )
 def test_elements_are_numbered_by_their_chain_digits(spec):
     # The group, and its stabilizer at every point: the first base point's
-    # shares the group's deeper levels, the others conjugate them.
+    # shares the group's deeper levels, the others those of a chain built
+    # at the point.
     group = realize_case(spec).group
     assert_chain_order(group)
     for point in range(group.degree):
@@ -236,36 +237,36 @@ def test_elements_are_numbered_by_their_chain_digits(spec):
     ids=lambda spec: spec.name,
 )
 def test_conjugated_levels_are_the_transversals_of_their_spans(spec):
-    # Each conjugated level is the group's level conjugated by u: its base
-    # point u(b), and its rows u * x * u^-1 in the same order, which form
-    # a transversal of u(b)'s orbit under its own conjugated span, with
-    # their index and inverses.  The span rows fix the earlier base points
-    # and the generators move the level's own.
+    # G_u(b) = u * G_b * u^-1 for the first level's row u with u(b) = point,
+    # an oracle independent of the chain built at the point.  The group's
+    # deeper levels, conjugated here by u, are transversals of the orbits
+    # of their base points u(b_i) under their own conjugated spans, with
+    # their inverses, and the spans fix the earlier base points; and they
+    # list the elements of the stabilizer at u(b).
     group = realize_case(spec).group
     full = group._stabilizer_chain()
-    first = full[0].basepoint
+    shared = group.stabilizer(full[0].basepoint).element_array()
     for point in range(group.degree):
-        chain = group.stabilizer(point)._stabilizer_chain()
-        assert len(chain) == len(full) - 1
-        u = full[0].reps[full[0].index[point]]
+        u = full[0].reps[full[0].index[point]].astype(np.intp)
         u_inverse = np.argsort(u)
-        for i, (level, own) in enumerate(zip(chain, full[1:])):
-            b = level.basepoint
-            assert b == u[own.basepoint]
-            for name in ("gens", "span", "reps", "inverse"):
-                rows = getattr(level, name)
-                assert rows.dtype == getattr(own, name).dtype
-                assert np.array_equal(rows, u[getattr(own, name)][:, u_inverse])
-            orbit = set(groups._transversal(b, level.span)[0][:, b].tolist())
-            assert sorted(level.reps[:, b].tolist()) == sorted(orbit)
-            assert np.array_equal(level.index[level.reps[:, b]], np.arange(len(level.reps)))
-            assert (level.index >= 0).sum() == len(level.reps)
-            assert np.array_equal(level.inverse, _inverse_rows(level.reps))
-            assert (level.gens[:, b] != b).all()
-            fixed = [lv.basepoint for lv in chain[:i]]
-            assert (level.span[:, fixed] == fixed).all()
-        if point == first:
-            assert chain == full[1:]
+
+        def conjugate(rows):
+            return u[rows][:, u_inverse]
+
+        fixed = []
+        for level in full[1:]:
+            b = int(u[level.basepoint])
+            span, reps = conjugate(level.span), conjugate(level.reps)
+            orbit = groups._transversal(b, span)[0][:, b]
+            assert reps[0].tolist() == list(range(group.degree))
+            assert sorted(reps[:, b].tolist()) == sorted(orbit.tolist())
+            assert np.array_equal(conjugate(level.inverse), np.argsort(reps, axis=1))
+            assert (span[:, fixed] == fixed).all()
+            fixed.append(b)
+        stab = group.stabilizer(point)
+        assert np.array_equal(
+            sorted_rows(stab.element_array()), sorted_rows(conjugate(shared))
+        )
 
 
 @st.composite
@@ -290,13 +291,17 @@ def small_groups(draw):
 @settings(max_examples=50, deadline=None)
 @given(small_groups())
 def test_stabilizer_routes_match_brute_force_random(group):
+    # One route at every point, in and off the first base point's orbit:
+    # the deeper levels of a chain based at the point, the group's own at
+    # its first base point, each stabilizer built once and kept.
     brute = sorted(brute_closure(group.degree, group.generators))
     chain = group._stabilizer_chain()
     for point in range(group.degree):
         stab = group.stabilizer(point)
-        # Only the Schreier route leaves the chain to be built.
-        in_first_orbit = bool(chain) and chain[0].index[point] >= 0
-        assert (stab._chain is not None) == in_first_orbit
+        assert group.stabilizer(point) is stab
+        assert stab._chain is not None
+        if chain and point == chain[0].basepoint:
+            assert all(a is b for a, b in zip(stab._chain, chain[1:], strict=True))
         fixing = [list(g.images) for g in brute if g(point) == point]
         assert sorted(stab.element_array().tolist()) == fixing
         assert stab.order() * len(group.orbit(point)) == len(brute)
@@ -307,8 +312,8 @@ def test_stabilizer_routes_match_brute_force_random(group):
 @settings(max_examples=50, deadline=None)
 @given(small_groups())
 def test_elements_are_numbered_by_their_chain_digits_random(group):
-    # Intransitive groups too, whose stabilizers off the first base
-    # point's orbit build their own chains.
+    # Intransitive groups too, whose stabilizers off the first base point
+    # read a chain built at the point.
     assert_chain_order(group)
     for point in range(group.degree):
         assert_chain_order(group.stabilizer(point))
@@ -365,42 +370,41 @@ def test_group_generators_are_checked():
     assert PermutationGroup(3, np.zeros((0, 3), dtype=np.intp)).order() == 1
 
 
-_GUARDED_CASES = [
-    catalog._kneser(5, 2),
-    catalog._kneser(7, 3),
-    catalog._johnson(6, 3),
-    catalog._kneser(8, 3),
-    catalog._complete(8),
-]
+#: The 26 benchmark cases: the catalog and the group ladder.
+_WORKLOAD_CASES = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
 
 
-@pytest.mark.parametrize("spec", _GUARDED_CASES, ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
 def test_realize_builds_one_stabilizer_chain(spec, monkeypatch):
-    # The vertex stabilizer's chain is the group's, conjugated: realizing
-    # a case runs Schreier-Sims once, and the stabilizer at the base
-    # vertex forms no Schreier generator.
+    # The base vertex is the first base point of G's chain, so the vertex
+    # stabilizer shares G's deeper levels: realizing a case runs
+    # Schreier-Sims once for G, and asking for the stabilizer at the base
+    # vertex again forms no Schreier generator and returns the kept group.
+    # (Coset mode builds the chains of its other groups too.)
     built = []
     build_chain = PermutationGroup._build_chain
 
-    def counting(group):
-        built.append(group)
-        return build_chain(group)
+    def counting(group, *args):
+        built.append((group, *args))
+        return build_chain(group, *args)
 
     monkeypatch.setattr(PermutationGroup, "_build_chain", counting)
     case = realize_case(spec)
-    assert built == [case.group]
+
+    def builds_of_g():
+        return [args for args in built if args[0] is case.group]
+
+    assert builds_of_g() == [(case.group,)]
     case.stabilizer.order()
     case.stabilizer.element_array()
-    assert built == [case.group]
 
     def refuse(*args):
         raise AssertionError("stabilizer formed Schreier generators")
 
     monkeypatch.setattr(groups, "_schreier", refuse)
-    for point in (case.base_vertex, case.group._stabilizer_chain()[0].basepoint):
-        stab = case.group.stabilizer(point)
-        assert stab.order() == case.stabilizer.order()
-    assert built == [case.group]
+    assert case.group._stabilizer_chain()[0].basepoint == case.base_vertex
+    assert case.group.stabilizer(case.base_vertex) is case.stabilizer
+    assert builds_of_g() == [(case.group,)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,9 +459,9 @@ def test_row_order_and_lookup_at_two_byte_degree():
     empty = _RowTable(rows[:0])
     assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
 
-    # A group's own sorted rows make a table without a copy.
-    own = _RowTable._sorted(rows, groups._row_view(rows))
-    assert own.rows is rows
+    # A table over a group's own rows, which are not re-checked.
+    own = _RowTable._of_rows(rows)
+    assert np.array_equal(own.rows, rows)
     assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
     assert own.find(missing).tolist() == [-1, 7]
 
@@ -489,7 +493,7 @@ def test_row_order_of_empty_and_one_row_sets(dtype, width):
         assert np.array_equal(view, groups._row_view(rows[order]))
         assert np.array_equal(_sorted_distinct(rows), rows)
         assert np.array_equal(groups._distinct_moved(rows), rows)
-        table = _RowTable._sorted(rows, view)
+        table = _RowTable._of_rows(rows)
         queries = np.concatenate([row, row[:, ::-1], row + 1]).astype(np.int64)
         assert table.find(queries).tolist() == [len(rows) - 1, -1, -1]
 
@@ -534,7 +538,7 @@ def test_row_order_and_lookup_match_python(rows, data):
     moved = list(dict.fromkeys(t for t in tuples if t != identity))
     assert [tuple(row) for row in groups._distinct_moved(rows).tolist()] == moved
 
-    table = _RowTable._sorted(rows[order], view)
+    table = _RowTable._of_rows(rows)
     index = {t: i for i, t in enumerate(distinct)}
     top = int(np.iinfo(rows.dtype).max)
     value = st.sampled_from([0, 1, 2, 3, top])
@@ -553,9 +557,10 @@ def test_row_order_and_lookup_match_python(rows, data):
 
 
 def test_chain_base_follows_the_generators():
-    # Each level's base point is the smallest point moved by the residue
+    # Level 0 is based at the smallest point the generators move; each
+    # later level's base point is the smallest point moved by the residue
     # that opened it, not the smallest point the level's group moves.
-    bases = {"kneser-8-3": [6, 0, 4, 2, 3], "complete-8": [0, 1, 2, 6, 4, 3, 5]}
+    bases = {"kneser-8-3": [0, 6, 4, 2, 3], "complete-8": [0, 1, 2, 6, 4, 3, 5]}
     for spec in (catalog._kneser(8, 3), catalog._complete(8)):
         chain = realize_case(spec).group._stabilizer_chain()
         assert [level.basepoint for level in chain] == bases[spec.name]
@@ -718,9 +723,10 @@ def ref_absorb(levels, degree, g, j):
         level.extend(g)
 
 
-def ref_build_chain(degree, generators):
-    """The stabilizer chain built one Permutation product and one
-    Schreier generator at a time.  Level 0 spans the generators; the
+def ref_build_chain(degree, generators, first=None):
+    """The stabilizer chain based first at the point ``first`` (by default
+    the smallest point any generator moves), built one Permutation product
+    and one Schreier generator at a time.  Level 0 spans the generators; the
     scan goes bottom-up over each level's unverified pairs, in blocks of
     the pairs ``groups._SCHREIER_BLOCK`` allows at the degree.  Each pair
     of a block in turn is sifted through the deeper levels until it
@@ -728,12 +734,13 @@ def ref_build_chain(degree, generators):
     to the level where it failed and to the spans of levels 1..; after
     a block that added one, the scan resumes at the deepest level that
     took one."""
-    if not generators:
-        return []
+    if first is None:
+        moved = [p for p in range(degree) if any(g(p) != p for g in generators)]
+        if not moved:
+            return []
+        first = moved[0]
     block = max(1, groups._SCHREIER_BLOCK // degree)
-    first = generators[0]
-    basepoint = min(p for p in range(degree) if first(p) != p)
-    levels = [RefLevel(basepoint, generators, ref_transversal(basepoint, degree, generators))]
+    levels = [RefLevel(first, generators, ref_transversal(first, degree, generators))]
     i = 0
     while i >= 0:
         level = levels[i]
@@ -761,54 +768,11 @@ def ref_build_chain(degree, generators):
     return levels
 
 
-def ref_schreier_generators(group, point):
-    """The distinct non-identity Schreier generators of the point's
-    transversal, q ascending and the group's generators in order."""
-    t = ref_transversal(point, group.degree, group.generators)
-    gens, seen = [], set()
-    for q in sorted(t):
-        u_q = t[q]
-        for g in group.generators:
-            schreier = t[g(q)].inverse() * (g * u_q)
-            if not schreier.is_identity() and schreier not in seen:
-                gens.append(schreier)
-                seen.add(schreier)
-    return gens
-
-
-def ref_conjugated_tail(ref, point):
-    """The reference chain's levels past the first, conjugated by the first
-    level's transversal element u with u(first base point) = point: for
-    each level its base point, generators and transversal, as
-    ``PermutationGroup.stabilizer`` must give them at a point of the first
-    base point's orbit.  Also the stabilizer's generators: every deeper
-    level's conjugated generators in order, each once."""
-    u = ref[0].transversal[point]
-    u_inv = u.inverse()
-    levels = [
-        (
-            u(level.basepoint),
-            [u * g * u_inv for g in level.gens],
-            [u * r * u_inv for r in level.transversal.values()],
-        )
-        for level in ref[1:]
-    ]
-    gens = []
-    for _, level_gens, _ in levels:
-        gens += [g for g in level_gens if g not in gens]
-    return levels, tuple(gens)
-
-
-def assert_chain_matches_reference(group, points=None):
-    """The same chain as the reference, and at each of the points (all by
-    default) the same transversal and the same stabilizer generators:
-    in the chain's first orbit, those of the reference chain's tail
-    conjugated into the point's stabilizer, with that chain; off it, the
-    Schreier generators."""
-    ref = ref_build_chain(group.degree, group.generators)
-    chain = group._stabilizer_chain()
-    assert [level.basepoint for level in chain] == [level.basepoint for level in ref]
-    for level, ref_level in zip(chain, ref):
+def assert_levels_match_reference(levels, ref):
+    """The same base points, strong generators, transversals and index as
+    the reference levels."""
+    assert [level.basepoint for level in levels] == [level.basepoint for level in ref]
+    for level, ref_level in zip(levels, ref):
         assert level.gens.tolist() == [list(g.images) for g in ref_level.gens]
         assert level.reps.tolist() == [
             list(u.images) for u in ref_level.transversal.values()
@@ -816,20 +780,22 @@ def assert_chain_matches_reference(group, points=None):
         orbit = list(ref_level.transversal)
         assert level.index[orbit].tolist() == list(range(len(orbit)))
         assert (level.index >= 0).sum() == len(orbit)
+
+
+def assert_chain_matches_reference(group, points=None):
+    """The same chain as the reference, and at each of the points (all by
+    default) the same transversal, and a stabilizer whose chain is the
+    reference chain based at the point past its first level, generated
+    by those levels' strong generators in order, each once."""
+    assert_levels_match_reference(
+        group._stabilizer_chain(), ref_build_chain(group.degree, group.generators)
+    )
     for point in range(group.degree) if points is None else points:
         stab = group.stabilizer(point)
-        if ref and point in ref[0].transversal:
-            levels, gens = ref_conjugated_tail(ref, point)
-            assert stab.generators == gens
-            assert [
-                (level.basepoint, level.gens.tolist(), level.reps.tolist())
-                for level in stab._chain
-            ] == [
-                (b, [list(g.images) for g in g_list], [list(r.images) for r in reps])
-                for b, g_list, reps in levels
-            ]
-        else:
-            assert stab.generators == tuple(ref_schreier_generators(group, point))
+        ref = ref_build_chain(group.degree, group.generators, point)[1:]
+        assert_levels_match_reference(stab._chain, ref)
+        gens = [g for level in ref for g in level.gens]
+        assert stab.generators == tuple(dict.fromkeys(gens))
         transversal = group.transversal(point)
         assert transversal.tolist() == [
             list(u.images)
@@ -917,8 +883,6 @@ def test_chain_matches_permutation_reference_in_mid_size_schreier_blocks(
 
 
 # -- the stabilizer chain's certificate and the work its build does --------
-
-_WORKLOAD_CASES = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
 
 
 def reference_schreier_rows(level):
@@ -1086,10 +1050,10 @@ def watch_chain_build(monkeypatch):
             seen["searches"] += 1
         return search(*args)
 
-    def watched_build(group):
+    def watched_build(group, *args):
         building.append(group)
         try:
-            return build(group)
+            return build(group, *args)
         finally:
             building.pop()
 
@@ -1147,9 +1111,10 @@ def direct_product(*groups_):
 
 
 def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatch):
-    # Off the first base point's orbit the stabilizer takes the Schreier
-    # route.  Each block drops its own identity rows and repeats; the
-    # generator rows must be those of one batch over the whole transversal.
+    # Off the first base point's orbit the stabilizer is read off a chain
+    # built at the point.  In blocks of one pair or of every pair at once,
+    # that chain must be the reference chain at the point scanned in the
+    # same blocks.
     blocks = []
 
     def recording(level, at, which):
@@ -1165,23 +1130,18 @@ def test_stabilizer_off_the_first_base_point_in_small_schreier_blocks(monkeypatc
         (direct_product(s3(), pair_s5), (3, 12)),
         (direct_product(cyclic(2), pair_s5, s4), (2, 11, 12, 15)),
     ]
-    for group, points in cases:
-        chain = group._stabilizer_chain()
-        for point in points:
-            assert chain[0].index[point] < 0
-            monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1 << 62)
-            blocks.clear()
-            batch = group.stabilizer(point)
-            assert len(blocks) == 1
-            monkeypatch.setattr(groups, "_SCHREIER_BLOCK", 1)
-            blocks.clear()
-            blocked = group.stabilizer(point)
-            pairs = len(group.orbit(point)) * len(group._gen_rows)
-            assert set(blocks) == {1} and len(blocks) == pairs > 1
-            assert blocked._gen_rows.dtype == batch._gen_rows.dtype
-            assert blocked._gen_rows.tolist() == batch._gen_rows.tolist()
-            assert blocked.generators == tuple(ref_schreier_generators(group, point))
-            assert blocked.order() * len(group.orbit(point)) == group.order()
+    for product, points in cases:
+        for block in (1 << 62, 1):
+            monkeypatch.setattr(groups, "_SCHREIER_BLOCK", block)
+            group = PermutationGroup(product.degree, product._gen_rows)
+            chain = group._stabilizer_chain()
+            for point in points:
+                assert chain[0].index[point] < 0
+                blocks.clear()
+                assert_chain_matches_reference(group, points=(point,))
+                assert blocks and max(blocks) <= max(1, block // group.degree)
+                stab = group.stabilizer(point)
+                assert stab.order() * len(group.orbit(point)) == group.order()
 
 
 @pytest.mark.parametrize("degree", [56, 300])

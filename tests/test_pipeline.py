@@ -425,3 +425,58 @@ def test_coset_twins_report_as_their_stabilize_mode_cases(spec, twin):
     assert np.allclose(
         coset_report.singular_spectrum, report.singular_spectrum, rtol=tol, atol=tol
     )
+
+
+@pytest.mark.parametrize(
+    "spec, twin", coset_twins(), ids=[twin.name for _, twin in coset_twins()]
+)
+def test_coset_mode_labels_the_induced_stabilizer_once(spec, twin, monkeypatch):
+    # build_coset_graph reads the orbits of the induced group's stabilizer
+    # at H, and ConnectionSet.of_point reads them again: the group keeps
+    # that stabilizer, and the stabilizer its labels.
+    calls = []
+    minima = groups._component_minima
+
+    def counted(size, moves):
+        calls.append(size)
+        return minima(size, moves)
+
+    monkeypatch.setattr(groups, "_component_minima", counted)
+    monkeypatch.setattr(graphs, "_component_minima", counted)
+    case = realize_case(twin)
+    assert len(calls) == 1
+    assert case.stabilizer is case.group.stabilizer(0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        catalog._kneser(7, 3),
+        catalog._johnson(6, 3),
+        catalog._cycle_dihedral(12),
+        catalog._complete(6),
+    ],
+    ids=lambda spec: spec.name,
+)
+def test_analysis_at_the_last_vertex_builds_a_second_chain(spec, monkeypatch):
+    # A document that stabilizes a vertex other than the first base point
+    # of G's chain (the smallest point G moves) reads G_v off a chain
+    # built at v: G's own chain, for its order, and that one.  The report
+    # is the one at vertex 0.
+    last = replace(spec, name=f"{spec.name}-last", stabilize_point=spec.degree - 1)
+    built = []
+    build_chain = PermutationGroup._build_chain
+
+    def counting(group, *args):
+        built.append((group, args))
+        return build_chain(group, *args)
+
+    monkeypatch.setattr(PermutationGroup, "_build_chain", counting)
+    report = analyze_case(last)
+    assert len({id(group) for group, _ in built}) == 1
+    assert [args for _, args in built] == [(), (spec.degree - 1,)]
+    row, last_row = analyze_case(spec).csv_row(), report.csv_row()
+    skip = {CSV_COLUMNS.index("name"), CSV_COLUMNS.index("seed")}
+    assert [x for i, x in enumerate(row) if i not in skip] == [
+        x for i, x in enumerate(last_row) if i not in skip
+    ]
