@@ -25,8 +25,9 @@ and ``_compose_all`` composes every row of a table with every row, as one
 ``take`` along the table's images.  Rows are gathered by ``take`` along
 the rows too.  They are indexed whole, by one void value per row over
 its big-endian images (``_row_view``), whose values sort as the rows
-do: ``_lex_order`` sorts and deduplicates rows by their values, and a
-``_RowTable`` looks rows up by binary search on its sorted values, so
+do: ``_lex_order`` sorts and deduplicates rows by their values, and the
+``_RowTable`` that ``double_coset_representatives`` splits a set with
+looks its own products up by binary search on its sorted values, so
 every order and lookup is that of whole rows.
 
 Rows are the only form in which elements cross a boundary inside the
@@ -65,25 +66,20 @@ first level is the group's kept ``transversal(p)``.  Each stabilizer is
 built once per point and kept.  Orbits are component labels
 (``_component_minima``), kept per group (``orbit_labels``).
 
-A connection set S is held as its subgroup H and one row per left coset
-s*H (``cosets``); its rows, their lookup table and its double cosets'
-smallest rows are formed only when read.  Its indicator operator, the
+A connection set S = {g : g(p) in T} is built from its point p alone
+(``ConnectionSet.of_point``): by Sabidussi's decomposition it is the
+union of the left cosets u_w*G_p, w in T, so it is held as H = G_p and
+the k transversal rows u_w (``cosets``), and neither the group nor the
+set is listed.  Its rows and its double cosets' smallest rows are
+formed only when read.  Its G_p-double cosets are counted as G_p's
+orbits on T, inverse closure is read off the k rows u_w (S = S^-1
+exactly when every u_w^-1(p) lies in T), and g is a member exactly when
+u_{g(p)}^-1 * g sifts through G_p's chain.  Its indicator operator, the
 n x n count K[x, y] = #{s in S : s(y) = x}, is counted on each call coset
-by coset, K[x, y] = sum_w C[u_w^-1(x), y] over the coset rows u_w with C
-counting H's elements by one ``bincount`` per block of H's rows, and not
-kept; only eq2 reads it.  Given as elements, S is listed from the start:
-it finds its elements' inverses once, by one scatter into the rows'
-dtype, and looks them up to decide inverse closure; the inverse rows are
-not kept.  Its H-double-coset split looks up right products only: with
-S = S^-1 and S*h inside S for each generator h, h*s = (s^-1 * h^-1)^-1
-is in S too, and the left moves are read off the right ones through the
-inverses.  Given as {g : g(p) in T} (``ConnectionSet.of_point``), it is
-Sabidussi's decomposition into the left cosets u_w*G_p, w in T, so
-neither the group nor the set is listed and no row of S is inverted:
-its G_p-double cosets are counted as G_p's orbits on T, inverse closure
-is read off the k transversal rows u_w (S = S^-1 exactly when every
-u_w^-1(p) lies in T), and g is a member exactly when u_{g(p)}^-1 * g
-sifts through G_p's chain.
+by coset, K[x, y] = sum_w C[u_w^-1(x), y] with C counting H's elements
+by one ``bincount`` per block of H's rows, and not kept; only eq2 reads
+it.  ``double_coset_representatives`` splits any set given as elements
+into its H-double cosets by looking up products of its own rows.
 """
 
 from __future__ import annotations
@@ -675,52 +671,27 @@ def _query_rows(rows, degree: int) -> np.ndarray:
 
 class _RowTable:
     """Distinct permutations of one degree as the rows of an integer array,
-    sorted lexicographically, looked up by binary search on their values.
-
-    The table keeps its sorted rows and their values (``_row_view``).  A
-    query is found by one ``searchsorted`` on the values; only a query
-    that had to be cast to the rows' dtype is confirmed again, on the
-    rows as given."""
+    sorted lexicographically, looked up by binary search on their values
+    (``_row_view``)."""
 
     __slots__ = ("rows", "_view")
 
     def __init__(self, elements: _Elements, degree: int | None = None):
-        self._sort(_image_rows(elements, degree))
-
-    @classmethod
-    def _of_rows(cls, rows: np.ndarray) -> _RowTable:
-        """A table over rows known to be permutations, such as a group's
-        elements: sorted and deduplicated as the constructor does, but not
-        re-checked."""
-        table = object.__new__(cls)
-        table._sort(rows)
-        return table
-
-    def _sort(self, rows: np.ndarray) -> None:
-        """Hold the distinct rows in lexicographic order, read-only, and
-        their values: the one path that sorts rows into a table."""
+        rows = _image_rows(elements, degree)
         order, self._view = _lex_order(rows, distinct=True)
         self.rows = rows.take(order, axis=0)
         self.rows.setflags(write=False)
 
     def find(self, rows: np.ndarray) -> np.ndarray:
-        """The index of each given row, or -1 where the row is missing.
-
-        Matches are confirmed on the rows as given, so a row with an image
-        outside 0..degree-1 is missing.  ValueError unless the rows form a
-        2-D array with one column per point."""
-        n, degree = self.rows.shape
-        rows = _query_rows(rows, degree)
+        """The index of each given row, or -1 where the row is missing.  The
+        rows are of the table's width and dtype: products and inverses of
+        its own rows."""
+        n = len(self.rows)
         if not n:
             return np.full(len(rows), -1)
-        query = rows.astype(self.rows.dtype, copy=False)
-        view = _row_view(query)
+        view = _row_view(rows)
         at = np.minimum(np.searchsorted(self._view, view), n - 1)
-        hit = self._view[at] == view
-        if query is not rows:
-            # A cast query may have wrapped onto a row: confirm it whole.
-            hit[hit] = (self.rows[at[hit]] == rows[hit]).all(axis=1)
-        return np.where(hit, at, -1)
+        return np.where(self._view[at] == view, at, -1)
 
 
 def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
@@ -743,41 +714,6 @@ def _component_minima(size: int, moves: Sequence[np.ndarray]) -> np.ndarray:
         label = new
 
 
-def _double_coset_split(
-    table: _RowTable, h: PermutationGroup, inverse: np.ndarray | None = None
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The smallest row of each H-double coset of the table's set, in
-    increasing order, and the moves s -> h*s, s -> s*h per generator h
-    that split it; StructureError unless the set is a union of them.
-
-    ``inverse``, the index of each element's inverse, is given only for an
-    inverse-closed set.  Then closure under right products by the
-    generators is the whole check: h*s = (s^-1 * h^-1)^-1 lies in the set
-    for every h in H.  The right move s -> s*h read through the inverses
-    is s -> h^-1 * s, whose edges are those of left multiplication, so no
-    left product is looked up.  Without ``inverse`` both sides are.
-    """
-
-    def move(products: np.ndarray) -> np.ndarray:
-        found = table.find(products)
-        if (found < 0).any():
-            raise StructureError(
-                "set is not a union of full double cosets of the subgroup"
-            )
-        return found
-
-    moves = []
-    for g_row in h._gen_rows:
-        right = move(_compose_all(table.rows, g_row))
-        if inverse is None:
-            left = move(_compose_all(g_row, table.rows))
-        else:
-            left = inverse[right[inverse]]
-        moves += [left, right]
-    label = _component_minima(len(table.rows), moves)
-    return table.rows[label == np.arange(len(label))], moves
-
-
 def double_coset_representatives(
     elements: _Elements, h: PermutationGroup
 ) -> list[Permutation]:
@@ -791,12 +727,33 @@ def double_coset_representatives(
     under multiplication by each generator of H on either side; the
     double cosets are then the components of the graph those products
     draw on the set.  For an inverse-closed set only the right products
-    are looked up (see ``_double_coset_split``).
+    are looked up: with S = S^-1 and S*h inside S, h*s = (s^-1 * h^-1)^-1
+    lies in S for every h in H, and the right move s -> s*h read through
+    the inverses is s -> h^-1 * s, whose edges are those of left
+    multiplication.
     """
     table = _RowTable(elements, h.degree)
     inverse = table.find(_inverse_rows(table.rows))
-    reps, _ = _double_coset_split(table, h, inverse if (inverse >= 0).all() else None)
-    return list(_permutations(reps))
+    closed = (inverse >= 0).all()
+
+    def move(products: np.ndarray) -> np.ndarray:
+        found = table.find(products)
+        if (found < 0).any():
+            raise StructureError(
+                "set is not a union of full double cosets of the subgroup"
+            )
+        return found
+
+    moves = []
+    for g_row in h._gen_rows:
+        right = move(_compose_all(table.rows, g_row))
+        if closed:
+            left = inverse[right[inverse]]
+        else:
+            left = move(_compose_all(g_row, table.rows))
+        moves += [left, right]
+    label = _component_minima(len(table.rows), moves)
+    return list(_permutations(table.rows[label == np.arange(len(label))]))
 
 
 _NOT_BI_INVARIANT = "connection set is not bi-invariant under the subgroup"
@@ -804,33 +761,23 @@ _NOT_INVERSE_CLOSED = "connection set is not inverse-closed"
 
 
 class ConnectionSet:
-    """An inverse-closed union of H-double cosets driving a coset graph.
+    """An inverse-closed union of H-double cosets driving a coset graph,
+    the set {g in G : g(p) in T} for H = G_p, built by ``of_point`` alone.
 
-    The set is held as its subgroup H, one row per left coset s*H (the
-    read-only ``cosets``) and ``n_double_cosets``, the number of its
-    H-double cosets; its size is the number of cosets times |H|.  Its
-    elements are listed only where they are read: the read-only ``rows``,
-    distinct and in lexicographic order, with their lookup table;
-    ``elements``, the rows as ``Permutation`` objects; and the read-only
-    ``representatives``, the smallest row of each H-double coset, in
-    increasing order.
+    The set is held as its subgroup H, one row per left coset u_w*H, w in
+    T (the read-only ``cosets``) and ``n_double_cosets``, the number of
+    its H-double cosets; its size is the number of cosets times |H|.  Its
+    elements are listed only where they are read, and kept: the read-only
+    ``rows``, every coset row composed with every element of H, distinct
+    and in lexicographic order; ``elements``, the rows as ``Permutation``
+    objects; and the read-only ``representatives``, the smallest row of
+    each H-double coset, in increasing order.
 
     The set's indicator operator (``operator``), the n x n count
     K[x, y] = #{s in S : s(y) = x}, is counted coset by coset on each call
     and not kept: eq2 compares it with the bipartite matrix and drops it.
-
-    Built from elements (``Permutation`` objects or image rows), the set
-    is listed from the start.  Inverse closure is decided by looking up
-    every element's inverse, and H-bi-invariance by splitting the set into
-    its H-double cosets with right products only: S*h inside S for each
-    generator h, together with S = S^-1, puts h*s = (s^-1 * h^-1)^-1 in S
-    as well.  The smallest row of each component of those products is a
-    double coset's, and of each component of the right products a left
-    coset's, and membership is a lookup in the table.  ``of_point`` builds
-    {g in G : g(p) in T} from its cosets instead: it decides both on its k
-    transversal rows, keeps them as its cosets, counts its double cosets
-    as H's orbits on T, and lists the set only when ``rows``,
-    ``elements`` or ``representatives`` is read.
+    Membership is decided by sifting, not by looking the set's rows up
+    (``contains_rows``).
     """
 
     __slots__ = (
@@ -839,24 +786,13 @@ class ConnectionSet:
         "cosets",
         "n_double_cosets",
         "_point",
-        "_table",
+        "_rows",
         "_representatives",
         "_elements",
     )
 
-    def __init__(self, elements: _Elements, subgroup: PermutationGroup):
-        table = _RowTable(elements, subgroup.degree)
-        inverse = table.find(_inverse_rows(table.rows))
-        if (inverse < 0).any():
-            raise StructureError(_NOT_INVERSE_CLOSED)
-        try:
-            reps, moves = _double_coset_split(table, subgroup, inverse)
-        except StructureError:
-            raise StructureError(_NOT_BI_INVARIANT) from None
-        label = _component_minima(len(table.rows), moves[1::2])
-        self._fill(subgroup, table.rows[label == np.arange(len(label))], len(reps))
-        reps.setflags(write=False)
-        self._table, self._representatives = table, reps
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a ConnectionSet is built by ConnectionSet.of_point")
 
     @classmethod
     def of_point(
@@ -906,40 +842,38 @@ class ConnectionSet:
         # point: the double cosets are the targets that are orbit minima.
         label = subgroup.orbit_labels()
         count = int(np.count_nonzero(inside & (label == np.arange(group.degree))))
-        connection = object.__new__(cls)
-        connection._fill(subgroup, t, count, point)
-        return connection
+        return cls._held(subgroup, point, t, count)
 
-    def _fill(
-        self,
+    @classmethod
+    def _held(
+        cls,
         subgroup: PermutationGroup,
+        point: int,
         cosets: np.ndarray,
         n_double_cosets: int,
-        point: int | None = None,
-    ) -> None:
-        """Hold the set as its subgroup, its left cosets' rows, read-only,
-        and its double-coset count; ``point`` is an ``of_point`` set's
-        point, and None for a set given as elements."""
+    ) -> ConnectionSet:
+        """The set held as its subgroup, its point, its left cosets' rows,
+        made read-only, and its double-coset count, none of them checked:
+        ``of_point`` checks them first."""
         cosets.setflags(write=False)
-        self.degree = subgroup.degree
-        self.subgroup = subgroup
-        self.cosets = cosets
-        self.n_double_cosets = n_double_cosets
-        self._point = point
-        self._table = self._representatives = None
-        self._elements: tuple[Permutation, ...] | None = None
-
-    def _row_table(self) -> _RowTable:
-        """The set's rows and their lookup table, formed when first read:
-        every coset row composed with every element of H, sorted."""
-        if self._table is None:
-            rows = _compose_all(self.cosets, self.subgroup._all_rows())
-            self._table = _RowTable._of_rows(rows.reshape(-1, self.degree))
-        return self._table
+        connection = object.__new__(cls)
+        connection.degree = subgroup.degree
+        connection.subgroup = subgroup
+        connection.cosets = cosets
+        connection.n_double_cosets = n_double_cosets
+        connection._point = point
+        connection._rows = connection._representatives = None
+        connection._elements = None
+        return connection
 
     @property
     def rows(self) -> np.ndarray:
-        return self._row_table().rows
+        if self._rows is None:
+            rows = _compose_all(self.cosets, self.subgroup._all_rows())
+            rows = _sorted_distinct(rows.reshape(-1, self.degree))
+            rows.setflags(write=False)
+            self._rows = rows
+        return self._rows
 
     @property
     def representatives(self) -> np.ndarray:
@@ -1005,12 +939,9 @@ class ConnectionSet:
         a row with an image outside 0..degree-1 is not.  ValueError unless
         the rows form a 2-D array of the set's width.
 
-        A set given as elements looks the rows up in its table.  An
-        ``of_point`` set holds g exactly when g(p) is a target w and
-        u_w^-1 * g, which fixes p, is in H: it sifts through H's chain to
-        the identity, which no row that is not a permutation does."""
-        if self._point is None:
-            return self._table.find(rows) >= 0
+        The set holds g exactly when g(p) is a target w and u_w^-1 * g,
+        which fixes p, is in H: it sifts through H's chain to the identity,
+        which no row that is not a permutation does."""
         rows = _query_rows(rows, self.degree)
         g = np.clip(rows, 0, self.degree - 1).astype(self.cosets.dtype)
         inside = np.flatnonzero((g == rows).all(axis=1))

@@ -12,12 +12,15 @@ sets, double cosets) holds them as rows of an integer array instead.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Iterable, Iterator, Sequence
 
 
+@functools.total_ordering
 class Permutation:
-    """A bijection of {0, ..., degree-1} given by its tuple of images."""
+    """A bijection of {0, ..., degree-1} given by its tuple of images,
+    ordered by its images (only against another ``Permutation``)."""
 
     __slots__ = ("images", "_inv")
 
@@ -115,17 +118,10 @@ class Permutation:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
-    def __lt__(self, other: Permutation) -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         return self.images < other.images
-
-    def __le__(self, other: Permutation) -> bool:
-        return self.images <= other.images
-
-    def __gt__(self, other: Permutation) -> bool:
-        return self.images > other.images
-
-    def __ge__(self, other: Permutation) -> bool:
-        return self.images >= other.images
 
     def __hash__(self) -> int:
         return hash(self.images)

@@ -1,6 +1,7 @@
 """Shared case builders for the test suite."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,49 @@ def coset_twins():
         (catalog._cycle_dihedral(12), cycle_dihedral_twin(12)),
         (catalog._complete(3), complete_twin(3)),
         (catalog._complete(6), complete_twin(6)),
+    ]
+
+
+def petersen_a5():
+    """The catalog's kneser-5-2, the Petersen graph, under A_5 on the
+    2-subsets in place of S_5: generated by (0 1 2) and (0 1 2 3 4), with
+    G_v of order 6 in place of 12."""
+    subsets = sorted(itertools.combinations(range(5), 2))
+    index = {s: i for i, s in enumerate(subsets)}
+
+    def induce(images):
+        return tuple(index[tuple(sorted(images[x] for x in s))] for s in subsets)
+
+    return replace(
+        catalog._kneser(5, 2),
+        name="petersen-a5",
+        generators=(induce((1, 2, 0, 3, 4)), induce((1, 2, 3, 4, 0))),
+    )
+
+
+def hypercube_full(d):
+    """The catalog's hypercube-d, under Z_2^d x| S_d in place of the
+    translations Z_2^d alone: the coordinate swap of bits 0 and 1 and the
+    cycle of the bits join the translations, so G_v = S_d."""
+    spec = catalog._hypercube(d)
+
+    def move_bits(to):
+        return tuple(
+            sum(((x >> i) & 1) << to[i] for i in range(d)) for x in range(1 << d)
+        )
+
+    coordinates = (move_bits([1, 0] + list(range(2, d))), move_bits([*range(1, d), 0]))
+    return replace(spec, name=f"hypercube-{d}-full", generators=spec.generators + coordinates)
+
+
+def two_group_pairs():
+    """One graph under two vertex-transitive groups, the larger first:
+    pairs of specs whose stabilizer orders m differ."""
+    return [
+        (catalog._cycle_dihedral(5), catalog._cycle_cyclic(5)),
+        (catalog._cycle_dihedral(8), catalog._cycle_cyclic(8)),
+        (catalog._kneser(5, 2), petersen_a5()),
+        (hypercube_full(4), catalog._hypercube(4)),
     ]
 
 
@@ -395,6 +439,26 @@ def reference_bipartite(connection, n):
     x."""
     cells = (np.arange(n) * n + connection.rows.astype(np.int64)).ravel()
     return np.bincount(cells, minlength=n * n).reshape(n, n)
+
+
+class ListedSet:
+    """A test-only stand-in for a ``ConnectionSet`` over any subgroup H,
+    for ``build_bipartite``, which holds for any H: an H-bi-invariant set
+    given as ``Permutation`` objects, held as what the assembly and
+    ``reference_bipartite`` read (its degree, H, the smallest row of each
+    left coset sH, its sorted rows and its size).  Unlike
+    ``ConnectionSet.of_point`` it needs no point that splits the set into
+    its left cosets, and it checks nothing."""
+
+    def __init__(self, elements, subgroup):
+        n, h = subgroup.degree, subgroup.elements()
+        self.degree, self.subgroup = n, subgroup
+        self.rows = np.array(sorted(g.images for g in elements)).reshape(-1, n)
+        cosets = {min(s * x for x in h).images for s in elements}
+        self.cosets = np.array(sorted(cosets)).reshape(-1, n)
+
+    def __len__(self):
+        return len(self.rows)
 
 
 def reference_operator(rows, weights=None):

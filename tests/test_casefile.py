@@ -2,9 +2,11 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stabgap.casefile import CaseParseError, CaseSpec, parse_case, realize_case
 from stabgap.errors import SizeLimitError
+from stabgap.pipeline import CaseAnalysisError, analyze_case
 
 TRIANGLE_DOC = {
     "name": "triangle",
@@ -161,3 +163,75 @@ def test_spec_mode_property():
     )
     assert stab.mode == "stabilize"
     assert coset.mode == "coset"
+
+
+#: Any JSON value, kept small: small integers, so that no document asks for
+#: a large degree, and every float JSON can spell (NaN and infinities too).
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Where a document is mutated: a top-level field, or one of the group's.
+_FIELDS = (
+    "name",
+    "group",
+    "stabilize_point",
+    "edges",
+    "subgroup_generators",
+    "connection_reps",
+    "options",
+    "other",
+)
+
+
+@st.composite
+def case_documents(draw):
+    """A well-formed case document of degree at most 5, in either mode,
+    with some options, then with up to two fields dropped or replaced by
+    any JSON value."""
+    degree = draw(st.integers(1, 5))
+    point = st.integers(0, degree - 1)
+    perms = st.lists(st.permutations(range(degree)), max_size=3)
+    doc = {"name": draw(st.text(min_size=1, max_size=3))}
+    doc["group"] = {"degree": degree, "generators": draw(perms)}
+    if draw(st.booleans()):
+        doc["stabilize_point"] = draw(point)
+        doc["edges"] = draw(st.lists(st.lists(point, min_size=2, max_size=2), max_size=8))
+    else:
+        doc["subgroup_generators"] = draw(perms)
+        doc["connection_reps"] = draw(perms)
+    keys = st.sampled_from(["tol", "seed", "max_vertices", "max_group_order"])
+    doc["options"] = draw(st.dictionaries(keys, st.integers(-1, 200) | st.floats(), max_size=2))
+    for _ in range(draw(st.integers(0, 2))):
+        where = doc
+        if draw(st.booleans()) and isinstance(doc.get("group"), dict):
+            where = doc["group"]
+            key = draw(st.sampled_from(["degree", "generators", "other"]))
+        else:
+            key = draw(st.sampled_from(_FIELDS))
+        if draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=80, deadline=None)
+@given(case_documents() | json_values)
+def test_any_json_value_parses_or_is_refused_and_then_analyzes_or_is_refused(value):
+    # The only errors are the two the command line reports by case.
+    try:
+        spec = parse_case(json.dumps(value))
+    except CaseParseError:
+        return
+    try:
+        analyze_case(spec)
+    except CaseAnalysisError:
+        pass

@@ -423,7 +423,7 @@ def test_order_matches_closure_count_random(gen_images):
 
 
 def test_empty_connection_set_has_no_members():
-    empty = ConnectionSet([], c4())
+    empty = ConnectionSet.of_point(c4(), 0, [])
     assert len(empty) == 0
     assert empty.representatives.shape == (0, 4)
     assert Permutation.identity(4) not in empty
@@ -445,40 +445,34 @@ def test_row_order_and_lookup_at_two_byte_degree():
     shuffled = np.random.default_rng(0).permutation(np.concatenate([rows, rows]))
     assert [tuple(r) for r in _sorted_distinct(shuffled).tolist()] == tuples
 
-    connection = ConnectionSet(rows[:0:-1], PermutationGroup.trivial(degree))
+    # The group is regular, so every rotation but the identity is the set.
+    connection = ConnectionSet.of_point(group, 0, range(1, degree))
     assert [tuple(r) for r in connection.rows.tolist()] == tuples[1:]
     assert len(connection.representatives) == degree - 1
 
     table = _RowTable(rows[::-1])
+    assert np.array_equal(table.rows, rows)
     assert table.find(rows).tolist() == list(range(degree))
+    assert table.find(rows[::-1]).tolist() == list(range(degree))[::-1]
     swap = Permutation([1, 0] + list(range(2, degree)))
-    missing = np.array([swap.images, rows[7]])
+    missing = np.array([swap.images, rows[7]], dtype=rows.dtype)
     assert table.find(missing).tolist() == [-1, 7]
     assert swap not in connection and Permutation.identity(degree) not in connection
     assert rotation in connection
     empty = _RowTable(rows[:0])
     assert empty.find(rows[:3]).tolist() == [-1, -1, -1]
 
-    # A table over a group's own rows, which are not re-checked.
-    own = _RowTable._of_rows(rows)
-    assert np.array_equal(own.rows, rows)
-    assert own.find(rows[::-1]).tolist() == list(range(degree))[::-1]
-    assert own.find(missing).tolist() == [-1, 7]
-
 
 def test_lookup_confirms_uncast_queries():
-    r = Permutation([1, 2, 3, 0])
-    connection = ConnectionSet([r, r.inverse()], PermutationGroup.trivial(4))
-    # 256 and -256 wrap onto 0 in the rows' uint8 dtype, making r.
+    # {r, r^-1} for the rotation r; membership is decided on the images as
+    # given: 256 and -256 wrap onto 0 in the rows' uint8 dtype, making r.
+    connection = ConnectionSet.of_point(c4(), 0, [1, 3])
     for image in (256, -256, 4, -1):
         query = np.array([[1, 2, 3, image]])
         assert connection.contains_rows(query).tolist() == [False]
-    table = connection._table
     queries = np.array([[1, 2, 3, 0], [257, 2, 3, 0], [3, 0, 1, 2], [3, 0, 1, 2 - 512]])
-    assert table.find(queries).tolist() == [0, -1, 1, -1]
+    assert connection.contains_rows(queries).tolist() == [True, False, True, False]
     for bad in (np.array([1, 2, 3, 0]), np.array([[1, 2, 3]]), np.zeros((1, 1, 4))):
-        with pytest.raises(ValueError, match="width 4"):
-            table.find(bad)
         with pytest.raises(ValueError, match="width 4"):
             connection.contains_rows(bad)
 
@@ -493,9 +487,10 @@ def test_row_order_of_empty_and_one_row_sets(dtype, width):
         assert np.array_equal(view, groups._row_view(rows[order]))
         assert np.array_equal(_sorted_distinct(rows), rows)
         assert np.array_equal(groups._distinct_moved(rows), rows)
-        table = _RowTable._of_rows(rows)
-        queries = np.concatenate([row, row[:, ::-1], row + 1]).astype(np.int64)
-        assert table.find(queries).tolist() == [len(rows) - 1, -1, -1]
+        table = _RowTable(rows)
+        queries = np.concatenate([row, row[:, ::-1], row + 1])
+        found = table.find(queries.astype(table.rows.dtype))
+        assert found.tolist() == [len(rows) - 1, -1, -1]
 
 
 @st.composite
@@ -538,22 +533,20 @@ def test_row_order_and_lookup_match_python(rows, data):
     moved = list(dict.fromkeys(t for t in tuples if t != identity))
     assert [tuple(row) for row in groups._distinct_moved(rows).tolist()] == moved
 
-    table = _RowTable._of_rows(rows)
+    # A table holds permutations, and is asked for rows of its own dtype:
+    # members, other permutations, and rows that are not permutations.
+    perms = data.draw(st.lists(st.permutations(range(width)), max_size=8))
+    perms += data.draw(st.lists(st.sampled_from(perms), max_size=3)) if perms else []
+    table = _RowTable(np.array(perms, dtype=np.int64).reshape(-1, width))
+    distinct = sorted(set(map(tuple, perms)))
+    assert [tuple(row) for row in table.rows.tolist()] == distinct
     index = {t: i for i, t in enumerate(distinct)}
-    top = int(np.iinfo(rows.dtype).max)
-    value = st.sampled_from([0, 1, 2, 3, top])
+    value = st.integers(0, int(np.iinfo(table.rows.dtype).max))
     drawn = data.draw(st.lists(st.tuples(*[value] * width), max_size=6))
-    queries = distinct + drawn
-    # Images outside the dtype's range, equal to a member's after a cast.
-    for t in distinct[:3]:
-        column = data.draw(st.integers(0, width - 1))
-        queries.append(t[:column] + (t[column] + top + 1,) + t[column + 1 :])
-        queries.append(t[:column] + (t[column] - top - 1,) + t[column + 1 :])
-    found = table.find(np.array(queries, dtype=np.int64).reshape(-1, width))
+    drawn += data.draw(st.lists(st.permutations(range(width)), max_size=4))
+    queries = distinct[::-1] + [tuple(q) for q in drawn]
+    found = table.find(np.array(queries, dtype=table.rows.dtype).reshape(-1, width))
     assert found.tolist() == [index.get(q, -1) for q in queries]
-    if queries:
-        own = np.array(queries[: len(distinct)], dtype=rows.dtype).reshape(-1, width)
-        assert table.find(own).tolist() == list(range(len(distinct)))
 
 
 def test_chain_base_follows_the_generators():
@@ -581,7 +574,7 @@ def s4_on_last_points(degree):
 def test_tied_keys_keep_whole_row_order(degree):
     group = s4_on_last_points(degree)
     # A table of the group's elements sorts their rows.
-    rows = _RowTable._of_rows(group.element_array()).rows
+    rows = _RowTable(group.element_array()).rows
     tuples = [tuple(row) for row in rows.tolist()]
     brute = brute_closure(degree, group.generators)
     assert tuples == sorted(p.images for p in brute)
@@ -590,16 +583,14 @@ def test_tied_keys_keep_whole_row_order(degree):
     h = group.stabilizer(point)
     s = [g for g in brute if g(point) != point]
     reps = sorted({min(double_coset(h, g)) for g in s})
-    connection = ConnectionSet(np.array([g.images for g in s]), h)
+    connection = ConnectionSet.of_point(group, point, range(point + 1, degree))
     assert connection.rows.tolist() == [list(t) for t in tuples if t[point] != point]
     assert connection.representatives.tolist() == [list(g.images) for g in reps]
-    assert double_coset_representatives(s, h) == reps
+    assert double_coset_representatives(np.array([g.images for g in s]), h) == reps
+    # Under the 4-cycle alone the one step forward misses its inverse.
     cycle = Permutation(list(range(point)) + [point + 1, point + 2, point + 3, point])
     with pytest.raises(StructureError, match="inverse"):
-        ConnectionSet([g for g in s if g != cycle], PermutationGroup.trivial(degree))
-    of_point = ConnectionSet.of_point(group, point, range(point + 1, degree))
-    assert np.array_equal(of_point.rows, connection.rows)
-    assert np.array_equal(of_point.representatives, connection.representatives)
+        ConnectionSet.of_point(PermutationGroup(degree, [cycle]), point, [point + 1])
     assert connection.contains_rows(_inverse_rows(connection.rows)).all()
     assert not connection.contains_rows(rows[:1]).any()
 
@@ -1358,42 +1349,64 @@ def test_decompose_cosets_partition_the_set():
 # -- inverse closure and connection sets ------------------------------------
 
 
+def klein_4():
+    """Z_2 x Z_2 acting regularly on 4 points: three involutions."""
+    return PermutationGroup(4, [Permutation([1, 0, 3, 2]), Permutation([2, 3, 0, 1])])
+
+
+def test_connection_set_has_one_constructor():
+    # A set is built from a point's targets, and checked there; no public
+    # path holds a set that skipped the checks.
+    s = double_coset(h12(), Permutation([1, 0, 2]))
+    for args in ((s, h12()), (np.array([g.images for g in s]), h12()), ()):
+        with pytest.raises(TypeError, match="of_point"):
+            ConnectionSet(*args)
+
+
 def test_connection_set_validates_inverse_closure():
+    # Z_3 is regular and {g : g(0) = 1} = {(0 1 2)} misses its inverse.
     with pytest.raises(StructureError, match="inverse"):
-        ConnectionSet({Permutation([1, 2, 0])}, PermutationGroup.trivial(3))
-    assert len(ConnectionSet(double_coset(h12(), Permutation([1, 0, 2])), h12())) == 4
-    involutions = {Permutation([1, 0, 2]), Permutation([2, 1, 0])}
-    assert len(ConnectionSet(involutions, PermutationGroup.trivial(3))) == 2
+        ConnectionSet.of_point(cyclic(3), 0, [1])
+    assert len(ConnectionSet.of_point(s3(), 0, [1, 2])) == 4
+    involutions = ConnectionSet.of_point(klein_4(), 0, [1, 2])
+    assert len(involutions) == 2 and involutions.subgroup.order() == 1
+    assert all(g * g == Permutation.identity(4) for g in involutions)
 
 
 def test_connection_set_validates_bi_invariance():
-    bad = {Permutation([1, 0, 2]), Permutation([2, 1, 0])}
+    # S_5 on pairs: G_{01} does not keep {02}, which it moves to {03}.
+    group, pairs, idx = pair_action_s5()
     with pytest.raises(StructureError, match="bi-invariant"):
-        ConnectionSet(bad, h12())
+        ConnectionSet.of_point(group, idx[(0, 1)], [idx[(0, 2)]])
+    bad = {Permutation([1, 0, 2]), Permutation([2, 1, 0])}
+    with pytest.raises(StructureError, match="not a union of full double cosets"):
+        double_coset_representatives(bad, h12())
 
 
 def test_connection_set_holds_sorted_elements():
     s = double_coset(h12(), Permutation([1, 0, 2]))
-    conn = ConnectionSet(s, h12())
+    conn = ConnectionSet.of_point(s3(), 0, [1, 2])
     assert list(conn.elements) == sorted(s)
     assert len(conn) == 4
     assert Permutation([1, 0, 2]) in conn
 
 
 def test_connection_set_keeps_its_double_coset_split():
-    h = h12()
-    s = double_coset(h, Permutation([1, 0, 2]))
-    assert ConnectionSet(s, h).representatives.tolist() == [
-        list(g.images) for g in double_coset_representatives(s, h)
+    conn = ConnectionSet.of_point(s3(), 0, [1, 2])
+    s = double_coset(h12(), Permutation([1, 0, 2]))
+    assert conn.representatives.tolist() == [
+        list(g.images) for g in double_coset_representatives(s, conn.subgroup)
     ]
+    assert conn.n_double_cosets == 1
     group, pairs, idx = pair_action_s5()
-    stab = group.stabilizer(idx[(0, 1)])
-    s = {g for g in group.elements(cap=200) if g(idx[(0, 1)]) != idx[(0, 1)]}
-    conn = ConnectionSet(s, stab)
+    point = idx[(0, 1)]
+    stab = group.stabilizer(point)
+    s = {g for g in group.elements(cap=200) if g(point) != point}
+    conn = ConnectionSet.of_point(group, point, set(range(10)) - {point})
     assert conn.representatives.tolist() == [
         list(g.images) for g in double_coset_representatives(s, stab)
     ]
-    assert len(conn.representatives) == 2
+    assert len(conn.representatives) == conn.n_double_cosets == 2
 
 
 s4_images = st.permutations(list(range(4)))
@@ -1442,6 +1455,8 @@ def test_double_coset_split_rejects_any_missing_element_random(h_images, seeds):
     st.randoms(use_true_random=False),
 )
 def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, rnd):
+    # The double-coset split of an inverse-closed set, given as shuffled
+    # rows or as permutations, against brute-force double cosets.
     h_gens = [Permutation(p) for p in h_images]
     h = PermutationGroup(4, h_gens)
     h_elements = brute_closure(4, h_gens)
@@ -1452,40 +1467,37 @@ def test_connection_set_from_rows_matches_permutations_random(h_images, seeds, r
         s |= brute_double_coset(h_elements, a.inverse())
     shuffled = sorted(s)
     rnd.shuffle(shuffled)
-    from_perms = ConnectionSet(s, h)
-    from_rows = ConnectionSet(np.array([g.images for g in shuffled]), h)
-    assert np.array_equal(from_rows.rows, from_perms.rows)
-    assert not from_rows.rows.flags.writeable
-    assert from_rows.elements == from_perms.elements == tuple(sorted(s))
-    assert np.array_equal(from_rows.representatives, from_perms.representatives)
-    assert_cosets_partition_the_set(from_rows)
-    for p in itertools.permutations(range(4)):
-        g = Permutation(p)
-        assert (g in from_rows) == (g in from_perms) == (g in s)
-    # Dropping any one element: right closure plus inverse closure reject
-    # exactly the sets that are not inverse-closed unions of double
-    # cosets, a dropped involution (still inverse-closed) included.
+    from_perms = double_coset_representatives(s, h)
+    from_rows = double_coset_representatives(np.array([g.images for g in shuffled]), h)
+    brute = sorted({min(brute_double_coset(h_elements, g)) for g in s})
+    assert from_rows == from_perms == brute
+    # Dropping any one element: the split (right products read through the
+    # inverses while the set stays inverse-closed) rejects exactly the
+    # sets that are not unions of double cosets, a dropped involution
+    # (still inverse-closed) included.
     for x in s:
         rest = s - {x}
-        valid = all(t.inverse() in rest for t in rest) and all(
+        valid = all(
             a * t * b in rest for t in rest for a in h_elements for b in h_elements
         )
         if valid:
-            assert ConnectionSet(rest, h).elements == tuple(sorted(rest))
+            brute = sorted({min(brute_double_coset(h_elements, g)) for g in rest})
+            assert double_coset_representatives(rest, h) == brute
         else:
             with pytest.raises(StructureError):
-                ConnectionSet(rest, h)
+                double_coset_representatives(rest, h)
 
 
 def test_connection_set_looks_up_right_products_only(monkeypatch):
     # One lookup of the inverses, then one of S*h per generator h of the
     # stabilizer; h*S follows from S*h and S = S^-1 and is never looked up.
     group, pairs, idx = pair_action_s5()
-    stab = group.stabilizer(idx[(0, 1)])
+    point = idx[(0, 1)]
+    stab = group.stabilizer(point)
     gens = len(stab.generators)
     assert gens >= 2
     rows = group.element_array()
-    s = rows[rows[:, idx[(0, 1)]] != idx[(0, 1)]]
+    s = rows[rows[:, point] != point]
     calls = []
     find = _RowTable.find
 
@@ -1494,15 +1506,12 @@ def test_connection_set_looks_up_right_products_only(monkeypatch):
         return find(self, products)
 
     monkeypatch.setattr(_RowTable, "find", counting)
-    conn = ConnectionSet(s, stab)
-    assert calls == [len(s)] * (1 + gens)
-    assert len(conn.representatives) == 2
-
-    calls.clear()
+    conn = ConnectionSet.of_point(group, point, set(range(10)) - {point})
+    assert len(conn.representatives) == 2 and calls == []
     assert [g.images for g in double_coset_representatives(s, stab)] == [
         tuple(g) for g in conn.representatives.tolist()
     ]
-    assert len(calls) == 1 + gens
+    assert calls == [len(s)] * (1 + gens)
     # A double coset that is not inverse-closed has its left products
     # looked up too: H = <(3 4)> commutes with the 3-cycle a.
     a, t = Permutation([1, 2, 0, 3, 4]), Permutation([0, 1, 2, 4, 3])
@@ -1559,8 +1568,9 @@ def test_of_point_decides_inverse_closure_on_the_transversal():
         ConnectionSet.of_point(group, 0, [1, 2, 4])
     rows = group.element_array()
     masked = rows[np.isin(rows[:, 0], [1, 2, 4])]
-    with pytest.raises(StructureError, match="inverse-closed"):
-        ConnectionSet(masked, group.stabilizer(0))
+    members = set(map(tuple, masked.tolist()))
+    inverses = set(map(tuple, np.argsort(masked, axis=1).tolist()))
+    assert inverses.isdisjoint(members)
     # All non-zero points: the whole of G - H, which is inverse-closed.
     conn = ConnectionSet.of_point(group, 0, range(1, 7))
     assert len(conn) == 18
@@ -1577,9 +1587,9 @@ def test_of_point_decides_inverse_closure_on_the_transversal():
 )
 def test_of_point_accepts_exactly_the_inverse_closed_sets(group, data):
     # For a target set that the point's stabilizer H keeps, the set is a
-    # union of H-double cosets, so both constructions accept it exactly
-    # when it is inverse-closed: of_point on its transversal rows, the
-    # element constructor by looking up every inverse.
+    # union of H-double cosets, so of_point accepts it, deciding on its
+    # transversal rows, exactly when the masked rows of G, inverted by
+    # ``argsort``, are the same Python set.
     point = data.draw(st.integers(0, group.degree - 1))
     h = group.stabilizer(point)
     label = groups._component_minima(group.degree, h._gen_rows)
@@ -1588,19 +1598,17 @@ def test_of_point_accepts_exactly_the_inverse_closed_sets(group, data):
     targets = np.flatnonzero(np.isin(label, chosen)).tolist()
     rows = group.element_array()
     masked = rows[np.isin(rows[:, point], targets)]
-    try:
-        reference = ConnectionSet(masked, h)
-    except StructureError as e:
-        assert "inverse-closed" in str(e)
+    members = set(map(tuple, masked.tolist()))
+    if set(map(tuple, np.argsort(masked, axis=1).tolist())) != members:
         with pytest.raises(StructureError, match="inverse-closed"):
             ConnectionSet.of_point(group, point, targets)
         return
     conn = ConnectionSet.of_point(group, point, targets)
-    assert np.array_equal(conn.rows, reference.rows)
+    assert np.array_equal(conn.rows, sorted_rows(masked))
     assert_cosets_partition_the_set(conn)
-    assert_cosets_partition_the_set(reference)
-    assert np.array_equal(conn.representatives, reference.representatives)
-    assert np.array_equal(_inverse_rows(conn.rows), _inverse_rows(reference.rows))
+    reps = double_coset_representatives(masked, h)
+    assert conn.representatives.tolist() == [list(g.images) for g in reps]
+    assert conn.n_double_cosets == len(reps) == len(chosen)
     assert conn.contains_rows(_inverse_rows(conn.rows)).all()
 
 
@@ -1648,14 +1656,11 @@ def assert_cosets_partition_the_set(conn):
     ids=lambda spec: spec.name,
 )
 def test_cosets_partition_the_set(spec):
-    # of_point keeps its transversal rows u_w; the element constructor
-    # keeps the smallest row of each left coset, in increasing order.
-    conn = realize_case(spec).connection
+    # of_point keeps the transversal rows u_w, one per neighbour w of v.
+    case = realize_case(spec)
+    conn, v = case.connection, case.base_vertex
     assert_cosets_partition_the_set(conn)
-    from_rows = ConnectionSet(conn.rows, conn.subgroup)
-    assert_cosets_partition_the_set(from_rows)
-    assert np.array_equal(_sorted_distinct(from_rows.cosets), from_rows.cosets)
-    assert from_rows.cosets[0].tolist() == conn.rows[0].tolist()
+    assert sorted(conn.cosets[:, v].tolist()) == sorted(case.graph.neighbors(v))
 
 
 @pytest.mark.parametrize(
@@ -1681,11 +1686,10 @@ def test_connection_set_of_point_caps_the_group_order():
 
 def test_element_rows_are_checked():
     h = h12()
-    good = np.array([[1, 0, 2], [2, 1, 0]])
-    assert ConnectionSet(good, PermutationGroup.trivial(3)).rows.tolist() == [
-        [1, 0, 2],
-        [2, 1, 0],
-    ]
+    good = np.array([[2, 1, 0], [1, 0, 2]])
+    reps = double_coset_representatives(good, PermutationGroup.trivial(3))
+    assert [g.images for g in reps] == [(1, 0, 2), (2, 1, 0)]
+    assert _RowTable(good).rows.tolist() == [[1, 0, 2], [2, 1, 0]]
     for bad in (
         np.array([[1, 0, 2], [1, 1, 0]]),  # not a bijection
         np.array([[1, 0, 3], [2, 1, 0]]),  # image out of range
@@ -1694,13 +1698,13 @@ def test_element_rows_are_checked():
         np.array([1, 0, 2]),  # not 2-D
     ):
         with pytest.raises(ValueError):
-            ConnectionSet(bad, h)
+            PermutationGroup(3, bad)
         with pytest.raises(ValueError):
             double_coset_representatives(bad, h)
 
 
 def test_connection_set_membership_wrong_degree_or_type_is_false():
-    conn = ConnectionSet(double_coset(h12(), Permutation([1, 0, 2])), h12())
+    conn = ConnectionSet.of_point(s3(), 0, [1, 2])
     assert Permutation([1, 0, 2]) in conn
     assert Permutation([1, 0, 2, 3]) not in conn
     assert Permutation([1, 0]) not in conn

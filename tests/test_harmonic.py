@@ -24,6 +24,7 @@ from stabgap.spectral import (
 )
 
 from cases import (
+    cyclic,
     ladder_cases,
     petersen_case,
     reference_compose_all,
@@ -43,14 +44,18 @@ def test_convolve_indicator_with_point_mass_triangle():
 def test_convolve_with_identity_point_mass_is_identity():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(4)
-    identity = ConnectionSet([Permutation.identity(4)], PermutationGroup.trivial(4))
+    # Z_4 is regular: {g : g(0) = 0} is the identity alone.
+    identity = ConnectionSet.of_point(cyclic(4), 0, [0])
+    assert identity.elements == (Permutation.identity(4),)
     assert np.array_equal(identity.operator() @ f, f)
 
 
 def test_convolve_uniform_over_group_averages():
     rng = np.random.default_rng(5)
     f = rng.standard_normal(3)
-    group = ConnectionSet(s3().element_array(), PermutationGroup.trivial(3))
+    # {g : g(0) in {0, 1, 2}} is the whole group.
+    group = ConnectionSet.of_point(s3(), 0, range(3))
+    assert len(group) == 6
     out = group.operator() @ f / len(group)
     assert np.allclose(out, np.full(3, f.sum() / 3), atol=1e-15)
 
@@ -166,8 +171,9 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
         mixed = PermutationGroup(n, h._gen_rows)
         mixed._chain = h._stabilizer_chain()
         mixed._rows = case.group.stabilizer(1).element_array()
-        swapped = object.__new__(ConnectionSet)
-        swapped._fill(mixed, here.cosets, here.n_double_cosets, case.base_vertex)
+        swapped = ConnectionSet._held(
+            mixed, case.base_vertex, here.cosets, here.n_double_cosets
+        )
         adj = build_bipartite(swapped, n)
         assert np.array_equal(adj.matrix, build_bipartite(here, n).matrix)
         assert convolution_matches_matrix(here, adj)

@@ -57,6 +57,24 @@ def test_ordering_is_lexicographic_on_images():
     c = Permutation([1, 0, 2])
     assert a < b < c
     assert sorted([c, a, b]) == [a, b, c]
+    assert a <= a <= b and c >= c >= b and c > a and not b > c
+
+
+def test_ordering_against_other_types_raises_type_error():
+    # Each operator hands a non-Permutation to the other operand, so
+    # Python raises TypeError, not the AttributeError of reading .images.
+    p = Permutation([1, 0])
+    for compare in (
+        lambda: p < 3,
+        lambda: p <= 3,
+        lambda: p > 3,
+        lambda: p >= 3,
+        lambda: 3 < p,
+        lambda: p < (1, 0),
+        lambda: sorted([p, None]),
+    ):
+        with pytest.raises(TypeError, match="not supported"):
+            compare()
 
 
 perm_images = st.permutations(list(range(5)))

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from stabgap.pipeline import (
     case_seed,
 )
 
-from cases import coset_twins, ladder_cases
+from cases import coset_twins, ladder_cases, two_group_pairs
 
 TRIANGLE_DOC = json.dumps(
     {
@@ -245,28 +246,27 @@ def test_analysis_builds_no_permutation_at_all(monkeypatch):
 
 def test_analysis_never_lists_the_connection_set(monkeypatch):
     # S is held as its cosets and G_v: analysing the 28 hashed cases forms
-    # neither S's rows nor their lookup table, as lemma 4 lists no G.  An
-    # ``of_point`` set forms both in ``_row_table``, which the rows, the
-    # elements and the representatives all read.
+    # no row of S, as lemma 4 lists no G.  A set forms its rows in
+    # ``rows``, which the elements and the representatives read too.
     specs = builtin_cases() + ladder_cases()
     formed, connections = [], []
-    row_table, of_point = ConnectionSet._row_table, ConnectionSet.of_point.__func__
+    rows, of_point = ConnectionSet.rows.fget, ConnectionSet.of_point.__func__
 
     def recording(self):
         formed.append(self)
-        return row_table(self)
+        return rows(self)
 
     def kept(cls, *args, **kwargs):
         connections.append(of_point(cls, *args, **kwargs))
         return connections[-1]
 
-    monkeypatch.setattr(ConnectionSet, "_row_table", recording)
+    monkeypatch.setattr(ConnectionSet, "rows", property(recording))
     monkeypatch.setattr(ConnectionSet, "of_point", classmethod(kept))
     for spec in specs:
         analyze_case(spec)
     assert len(connections) == len(specs)
     assert formed == []
-    assert all(connection._table is None for connection in connections)
+    assert all(connection._rows is None for connection in connections)
     # The recorder does record.
     assert len(connections[0].rows) == len(connections[0])
     assert formed == [connections[0]]
@@ -425,6 +425,31 @@ def test_coset_twins_report_as_their_stabilize_mode_cases(spec, twin):
     assert np.allclose(
         coset_report.singular_spectrum, report.singular_spectrum, rtol=tol, atol=tol
     )
+
+
+@pytest.mark.parametrize(
+    "spec, other", two_group_pairs(), ids=[other.name for _, other in two_group_pairs()]
+)
+def test_two_groups_on_one_graph_agree_on_lambda2_over_m(spec, other):
+    # The matrix is m times the graph's adjacency (A = m * Adj), so
+    # lambda2 / m is the graph's own, whichever group draws it; each
+    # verdict is the one its own m and lambda2 give.
+    reports = analyze_case(spec), analyze_case(other)
+    assert reports[0].stabilizer_order > reports[1].stabilizer_order
+    tol = AnalyzeOptions().tol
+    lam, other_lam = (r.lambda2 / r.stabilizer_order for r in reports)
+    assert lam == pytest.approx(other_lam, rel=tol)
+    for r in reports:
+        n, k, m, lambda2 = r.n_vertices, r.valency_k, r.stabilizer_order, r.lambda2
+        assert r.normative_ok
+        assert r.prop5_branch == ("small-graph" if n < 2 * k else "bound")
+        assert r.proof_form_ok == (m * m < 2 * lambda2**2 / k)
+        assert r.statement_form_ok == (m < math.sqrt(2) * lambda2 / k)
+        assert r.converse_ok == (lambda2 <= k * m * (1 + tol))
+        assert r.s_size == k * m
+    # m cancels from both forms of the bound, so the verdicts agree too.
+    verdicts = [(r.prop5_branch, r.proof_form_ok, r.statement_form_ok) for r in reports]
+    assert verdicts[0] == verdicts[1]
 
 
 @pytest.mark.parametrize(

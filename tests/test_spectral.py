@@ -24,6 +24,7 @@ from stabgap.spectral import (
 )
 
 from cases import (
+    ListedSet,
     coset_graph_data,
     cycle_graph,
     cyclic,
@@ -66,10 +67,7 @@ def test_build_four_cycle_matrix_is_graph_adjacency():
 
 
 def test_build_single_swap():
-    from stabgap.groups import ConnectionSet, PermutationGroup
-    from stabgap.perms import Permutation
-
-    conn = ConnectionSet({Permutation([1, 0])}, PermutationGroup.trivial(2))
+    conn = ConnectionSet.of_point(cyclic(2), 0, [1])
     adj = build_bipartite(conn, 2)
     assert adj.matrix.tolist() == [[0, 1], [1, 0]]
 
@@ -137,11 +135,12 @@ def test_orbit_count_matrix_matches_explicit_reference_on_random_sets(drawn):
         adj = build_bipartite(case.connection, graph.n)
         assert np.array_equal(adj.matrix, reference_bipartite(case.connection, graph.n))
     # On the group's own points, for S = the union of the H a^(+-1) H, whose
-    # left cosets need not be split by any point H fixes.
+    # left cosets need not be split by any point H fixes: no point
+    # stabilizer gives such a set, so a listed stand-in carries it.
     elements = set()
     for a in reps:
         elements |= double_coset(subgroup, a) | double_coset(subgroup, a.inverse())
-    connection = ConnectionSet(elements, subgroup)
+    connection = ListedSet(elements, subgroup)
     adj = build_bipartite(connection, group.degree)
     assert np.array_equal(adj.matrix, reference_bipartite(connection, group.degree))
 
@@ -149,11 +148,12 @@ def test_orbit_count_matrix_matches_explicit_reference_on_random_sets(drawn):
 def test_set_with_no_splitting_fixed_point_is_refused():
     # No point splits S_3 into its left cosets: the trivial subgroup fixes
     # every point, but none has six distinct images under S_3, and S_3
-    # itself fixes no point.  The set's cosets assemble the matrix all the
-    # same: each point goes to each point under two of the six elements.
+    # itself fixes no point, so no ``ConnectionSet`` holds it; a listed
+    # stand-in does.  The set's cosets assemble the matrix all the same:
+    # each point goes to each point under two of the six elements.
     elements = s3().elements()
     for subgroup in (PermutationGroup.trivial(3), s3()):
-        connection = ConnectionSet(elements, subgroup)
+        connection = ListedSet(elements, subgroup)
         adj = build_bipartite(connection, 3)
         assert adj.matrix.tolist() == [[2, 2, 2]] * 3
         assert np.array_equal(adj.matrix, reference_bipartite(connection, 3))
@@ -229,10 +229,7 @@ def test_four_cycle_singular_values():
 
 
 def test_swap_matrix_singular_values():
-    from stabgap.groups import ConnectionSet, PermutationGroup
-    from stabgap.perms import Permutation
-
-    conn = ConnectionSet({Permutation([1, 0])}, PermutationGroup.trivial(2))
+    conn = ConnectionSet.of_point(cyclic(2), 0, [1])
     summary = singular_values(build_bipartite(conn, 2))
     assert np.allclose(summary.values, [1.0, 1.0], atol=1e-12)
 
