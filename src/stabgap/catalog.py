@@ -34,43 +34,43 @@ def _reflection(n: int) -> tuple[int, ...]:
     return tuple((-i) % n for i in range(n))
 
 
-def _cycle_edges(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, (i + 1) % n) for i in range(n))
+def _transposition(n: int) -> tuple[int, ...]:
+    return tuple([1, 0] + list(range(2, n)))
+
+
+def _cycle(name: str, n: int, generators: tuple) -> CaseSpec:
+    """The n-cycle under the given generators, named ``name-n``."""
+    return CaseSpec(
+        name=f"{name}-{n}",
+        degree=n,
+        generators=generators,
+        stabilize_point=0,
+        edges=tuple((i, (i + 1) % n) for i in range(n)),
+    )
 
 
 def _cycle_dihedral(n: int) -> CaseSpec:
-    return CaseSpec(
-        name=f"cycle-dihedral-{n}",
-        degree=n,
-        generators=(_rotation(n), _reflection(n)),
-        stabilize_point=0,
-        edges=_cycle_edges(n),
-    )
+    return _cycle("cycle-dihedral", n, (_rotation(n), _reflection(n)))
 
 
 def _cycle_cyclic(n: int) -> CaseSpec:
-    return CaseSpec(
-        name=f"cycle-cyclic-{n}",
-        degree=n,
-        generators=(_rotation(n),),
-        stabilize_point=0,
-        edges=_cycle_edges(n),
-    )
+    return _cycle("cycle-cyclic", n, (_rotation(n),))
 
 
 def _complete(n: int) -> CaseSpec:
-    transposition = tuple([1, 0] + list(range(2, n)))
     return CaseSpec(
         name=f"complete-{n}",
         degree=n,
-        generators=(transposition, _rotation(n)),
+        generators=(_transposition(n), _rotation(n)),
         stabilize_point=0,
         edges=tuple(itertools.combinations(range(n), 2)),
     )
 
 
-def _subset_action(n: int, m: int) -> tuple[list[tuple[int, ...]], tuple, tuple]:
-    """The induced action of S_n on m-subsets, lexicographically indexed."""
+def _subset_graph(name: str, n: int, m: int, meet: int) -> CaseSpec:
+    """The m-subsets of range(n), lexicographically indexed, two adjacent
+    when they share exactly ``meet`` points, under the induced action of
+    S_n; named ``name-n-m``."""
     subsets = sorted(itertools.combinations(range(n), m))
     index = {s: i for i, s in enumerate(subsets)}
 
@@ -79,42 +79,26 @@ def _subset_action(n: int, m: int) -> tuple[list[tuple[int, ...]], tuple, tuple]
             index[tuple(sorted(images[x] for x in s))] for s in subsets
         )
 
-    transposition = tuple([1, 0] + list(range(2, n)))
-    return subsets, induce(transposition), induce(_rotation(n))
+    edges = tuple(
+        (index[a], index[b])
+        for a, b in itertools.combinations(subsets, 2)
+        if len(set(a) & set(b)) == meet
+    )
+    return CaseSpec(
+        name=f"{name}-{n}-{m}",
+        degree=len(subsets),
+        generators=(induce(_transposition(n)), induce(_rotation(n))),
+        stabilize_point=0,
+        edges=edges,
+    )
 
 
 def _kneser(n: int, m: int) -> CaseSpec:
-    subsets, g1, g2 = _subset_action(n, m)
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = tuple(
-        (index[a], index[b])
-        for a, b in itertools.combinations(subsets, 2)
-        if not set(a) & set(b)
-    )
-    return CaseSpec(
-        name=f"kneser-{n}-{m}",
-        degree=len(subsets),
-        generators=(g1, g2),
-        stabilize_point=0,
-        edges=edges,
-    )
+    return _subset_graph("kneser", n, m, 0)
 
 
 def _johnson(n: int, m: int) -> CaseSpec:
-    subsets, g1, g2 = _subset_action(n, m)
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = tuple(
-        (index[a], index[b])
-        for a, b in itertools.combinations(subsets, 2)
-        if len(set(a) & set(b)) == m - 1
-    )
-    return CaseSpec(
-        name=f"johnson-{n}-{m}",
-        degree=len(subsets),
-        generators=(g1, g2),
-        stabilize_point=0,
-        edges=edges,
-    )
+    return _subset_graph("johnson", n, m, m - 1)
 
 
 def _hypercube(d: int) -> CaseSpec:

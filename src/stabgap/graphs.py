@@ -37,7 +37,6 @@ from .groups import (
     _compose_all,
     _Elements,
     _image_rows,
-    _inverse_rows,
     _row_view,
 )
 from .spectral import DENSE_SIZE_CAP
@@ -335,16 +334,20 @@ def sabidussi_isomorphism(case: TransitiveCase) -> SabidussiResult:
     With u_w sending v to w, w1 < w2 are coset-adjacent when u_w1^-1 u_w2 is
     in S.  That element lies in u_z G_v for z = u_w1^-1(w2), and S is a union
     of G_v double cosets, so it is in S exactly when u_z is: the adjacency is
-    one gather from the n transversal rows' membership.
+    one gather from the n transversal rows' membership, through the
+    inverses and the index of G's kept level at v, with nothing inverted
+    or sorted here.
     """
     n, v, connection = case.graph.n, case.base_vertex, case.connection
     if not connection.subgroup._contains_rows(case.stabilizer._gen_rows).all():
         raise StructureError("connection set is not split over the stabilizer")
-    t = case.group.transversal(v)
-    if len(t) != n:
+    level = case.group._level(v)
+    if len(level.reps) != n:
         return SabidussiResult(False, (v, v))
-    t = t[np.argsort(t[:, v])]
-    coset_adjacency = connection.contains_rows(t)[_inverse_rows(t)]
+    # member[z]: whether u_z is in S.  The inverse row u_w1^-1, moved to
+    # row w1, holds z = u_w1^-1(w2) at each w2.
+    member = connection.contains_rows(level.reps).take(level.index)
+    coset_adjacency = member[level.inverse][level.index]
     mismatch = np.flatnonzero(np.triu(coset_adjacency != case.graph.adjacency, 1))
     if len(mismatch):
         return SabidussiResult(False, divmod(int(mismatch[0]), n))

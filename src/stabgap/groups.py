@@ -43,8 +43,10 @@ Group Algorithms*, 2003, sections 4.1-4.2): each level keeps its strong
 generators, the generator rows it spans, its transversal and the
 transversal's inverses as rows.  It is built by a deterministic
 incremental Schreier-Sims.  Level 0 spans the group's own generators,
-whose Schreier generators generate G_b (Schreier's lemma), so its
-transversal is the group's kept ``transversal(b)``, grown once.  A
+whose Schreier generators generate G_b (Schreier's lemma): it is the
+level the group keeps at b (``_level``), its orbit grown, indexed and
+inverted once per point and shared with every reader of the transversal
+at b, with flags of its own in each chain built on it.  A
 deeper level spans the strong generators found for it and the levels
 below, and only grows: a new span row is applied to the orbit points
 so far and the orbit grown breadth-first from the points it reaches, so
@@ -56,34 +58,37 @@ before the scan moves on: the first residue that is not the identity
 becomes a strong generator, the block's rows not yet verified are
 sifted again through the grown chain, and so on until none is left;
 the scan then resumes at the deepest level that took a residue.  One
-breadth-first routine (``_grow``) grows every transversal, the chain's
-and each one a group keeps, one batched ``_sift`` strips rows through the
-chain, and ``_schreier`` forms a level's Schreier generators for a
-block of pairs at a time.  A point stabilizer G_p is read off a chain
-based at p, as the group at its second level: the group's own chain
-when p is its first base point, and otherwise one built at p, whose
-first level is the group's kept ``transversal(p)``.  Each stabilizer is
-built once per point and kept.  Orbits are component labels
-(``_component_minima``), kept per group (``orbit_labels``).
+breadth-first routine (``_grow``) grows every transversal, from a
+level's base point when the level is built and from a new span row when
+it grows, one batched ``_sift`` strips rows through the chain, and
+``_schreier`` forms a level's Schreier generators for a block of pairs
+at a time.  A point stabilizer G_p is read off a chain based at p, as
+the group at its second level: the group's own chain when p is its
+first base point, and otherwise one built at p, whose first level is
+the group's kept level at p.  Each stabilizer is built once per point
+and kept.  Orbits are component labels (``_component_minima``), kept
+per group (``orbit_labels``).
 
 A connection set S = {g : g(p) in T} is built from its point p alone
 (``ConnectionSet.of_point``): by Sabidussi's decomposition it is the
-union of the left cosets u_w*G_p, w in T, so it is held as H = G_p and
-the k transversal rows u_w (``cosets``), and neither the group nor the
-set is listed.  Its rows and its double cosets' smallest rows are
-formed only when read.  Its G_p-double cosets are counted as G_p's
-orbits on T, inverse closure is read off the k rows u_w (S = S^-1
-exactly when every u_w^-1(p) lies in T), and g is a member exactly when
-u_{g(p)}^-1 * g sifts through G_p's chain.  Its indicator operator, the
-n x n count K[x, y] = #{s in S : s(y) = x}, is counted on each call coset
-by coset, K[x, y] = sum_w C[u_w^-1(x), y] with C counting H's elements
-by one ``bincount`` per block of H's rows, and not kept; only eq2 reads
-it.  ``double_coset_representatives`` splits any set given as elements
-into its H-double cosets by looking up products of its own rows.
+union of the left cosets u_w*G_p, w in T, so it is held as H = G_p, the
+k transversal rows u_w (``cosets``) and their inverses, both selected
+from the group's kept level at p, and neither the group nor the set is
+listed.  Its rows and its double cosets' smallest rows are formed only
+when read.  Its G_p-double cosets are counted as G_p's orbits on T,
+inverse closure is read off the k inverses (S = S^-1 exactly when every
+u_w^-1(p) lies in T), and g is a member exactly when u_{g(p)}^-1 * g
+sifts through G_p's chain.  Its indicator operator, the n x n count
+K[x, y] = #{s in S : s(y) = x}, is counted on each call coset by coset,
+K[u_w(z), y] += C[z, y] with C counting H's elements by one
+``bincount`` per block of H's rows, and not kept; only eq2 reads it.
+``double_coset_representatives`` splits any set given as elements into
+its H-double cosets by looking up products of its own rows.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -218,7 +223,7 @@ def _grow(
 ) -> np.ndarray:
     """Grow the transversal of an orbit closed under ``gen_rows[:start]``
     into the transversal of the orbit under all the generator rows, and
-    return the grown ``reps`` (see ``_transversal``).  ``orbit`` lists the
+    return the grown ``reps`` (see ``_ChainLevel``).  ``orbit`` lists the
     orbit's points in the rows' order and ``index`` (updated in place)
     numbers them; the rows already there are kept as they are.
 
@@ -266,54 +271,46 @@ def _grow(
     return grown
 
 
-def _transversal(point: int, gen_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The transversal of the point's orbit under the generator rows:
-    ``reps``, one row u_q with u_q(point) = q per orbit point q, and
-    ``index``, the row of u_q at q (-1 off the orbit).
-
-    The orbit is grown breadth-first from the point (``_grow``), with the
-    generators in their given order."""
-    degree = gen_rows.shape[1]
-    index = np.full(degree, -1)
-    index[point] = 0
-    reps = np.arange(degree, dtype=gen_rows.dtype)[None, :]
-    return _grow(reps, index, np.array([point]), gen_rows), index
-
-
 class _ChainLevel:
     """One level of a stabilizer chain: a base point b; its strong
     generators as rows (``gens``: they fix all earlier base points and
     move b); the generator rows it spans (``span``), which generate the
-    group at this level; and the transversal of b's orbit under them: its
-    ``reps`` and ``index`` (see ``_transversal``) and the reps' inverses.
-    ``verified`` is a |reps| x |span| boolean array: entry (q, s) is set
-    once the Schreier generator u_{s(q)}^-1 * s * u_q of transversal row
-    u_q and span row s has sifted to the identity through the deeper
-    levels, so that pair is never formed again.
+    group at this level; and the transversal of b's orbit under them, as
+    ``reps``, one row u_q with u_q(b) = q per orbit point q in the order
+    the orbit is grown, ``index``, the row of u_q at q (-1 off the orbit),
+    and ``inverse``, the reps' inverses.  ``verified`` is a |reps| x
+    |span| boolean array: entry (q, s) is set once the Schreier generator
+    u_{s(q)}^-1 * s * u_q of transversal row u_q and span row s has
+    sifted to the identity through the deeper levels, so that pair is
+    never formed again.
 
-    Level 0 spans the group's own generators and takes the group's kept
-    transversal at its base point (``PermutationGroup.transversal``),
-    which is the group's first base point or a point whose stabilizer is
-    asked for (``PermutationGroup.stabilizer``); a deeper level spans
-    the strong generators of its own and the deeper levels, in the order
-    they were found.  A deeper level only grows (``extend``): a new span row is
-    appended and the orbit extended from it, and the rows, index entries,
-    inverses and flags already there stay as they are."""
+    Level 0 spans the group's own generators: it is a copy, with flags of
+    its own, of the level the group keeps at its base point
+    (``PermutationGroup._level``), which is the group's first base point
+    or a point whose stabilizer is asked for
+    (``PermutationGroup.stabilizer``).  A deeper level spans the strong
+    generators of its own and the deeper levels, in the order they were
+    found, and only grows (``extend``): a new span row is appended and
+    the orbit extended from it, and the rows, index entries, inverses and
+    flags already there stay as they are."""
 
     __slots__ = ("basepoint", "gens", "span", "reps", "index", "inverse", "verified")
 
-    def __init__(self, basepoint: int, span: np.ndarray, reps: np.ndarray):
-        """The level of ``span`` over the transversal ``reps`` of b's orbit
-        under it, with no pair verified; its strong generators are the
-        span rows that move b."""
+    def __init__(self, basepoint: int, span: np.ndarray):
+        """The level of ``span`` at b, with b's orbit grown breadth-first
+        from b (``_grow``, the generators in their given order) and no
+        pair verified; its strong generators are the span rows that move
+        b."""
+        degree = span.shape[1]
         self.basepoint = basepoint
         self.span = span
         self.gens = span[span[:, basepoint] != basepoint]
-        self.reps = reps
-        self.index = np.full(reps.shape[1], -1)
-        self.index[reps[:, basepoint]] = np.arange(len(reps))
-        self.inverse = _inverse_rows(reps)
-        self.verified = np.zeros((len(reps), len(span)), dtype=bool)
+        self.index = np.full(degree, -1)
+        self.index[basepoint] = 0
+        identity = np.arange(degree, dtype=span.dtype)[None, :]
+        self.reps = _grow(identity, self.index, np.array([basepoint]), span)
+        self.inverse = _inverse_rows(self.reps)
+        self.verified = np.zeros((len(self.reps), len(span)), dtype=bool)
 
     def extend(self, g: np.ndarray) -> None:
         """Append the row g to the span and grow the orbit from it
@@ -433,9 +430,8 @@ def _absorb(levels: list[_ChainLevel], g: np.ndarray, j: int) -> None:
     moves.  Levels 1..j take g into their spans
     (``_ChainLevel.extend``); level 0 spans the group's own generators."""
     if j == len(levels):
-        identity = np.arange(len(g), dtype=g.dtype)[None, :]
-        b = int(np.flatnonzero(g != identity[0])[0])
-        levels.append(_ChainLevel(b, identity[:0], identity))
+        b = int(np.flatnonzero(g != np.arange(len(g)))[0])
+        levels.append(_ChainLevel(b, np.empty((0, len(g)), dtype=g.dtype)))
     levels[j].gens = np.concatenate([levels[j].gens, g[None, :]])
     for level in levels[1 : j + 1]:
         level.extend(g)
@@ -477,7 +473,7 @@ class PermutationGroup:
         self._chain: list[_ChainLevel] | None = None
         self._rows: np.ndarray | None = None
         self._elements: tuple[Permutation, ...] | None = None
-        self._transversals: dict[int, np.ndarray] = {}
+        self._levels: dict[int, _ChainLevel] = {}
         self._stabilizers: dict[int, PermutationGroup] = {}
         self._labels: np.ndarray | None = None
 
@@ -520,14 +516,22 @@ class PermutationGroup:
         """The transversal of the point's orbit as rows of images: one row
         u_q with u_q(point) = q per orbit point q, in the breadth-first
         order the orbit is grown in (generators in their given order).
-        It is grown once per point and kept, read-only."""
+        It is the rows of the group's kept level at the point, read-only."""
+        return self._level(point).reps
+
+    def _level(self, point: int) -> _ChainLevel:
+        """The chain level of the group's own generators at the point: the
+        point's orbit and its transversal rows, index and inverses, grown
+        once per point and kept read-only.  Its flags are never set: a
+        chain based at the point takes a copy with flags of its own."""
         point = self._point(point)
-        rows = self._transversals.get(point)
-        if rows is None:
-            rows = _transversal(point, self._gen_rows)[0]
-            rows.setflags(write=False)
-            self._transversals[point] = rows
-        return rows
+        level = self._levels.get(point)
+        if level is None:
+            level = _ChainLevel(point, self._gen_rows)
+            for kept in (level.reps, level.index, level.inverse):
+                kept.setflags(write=False)
+            self._levels[point] = level
+        return level
 
     def is_transitive(self) -> bool:
         return not self.orbit_labels().any()
@@ -564,7 +568,8 @@ class PermutationGroup:
         """A stabilizer chain based first at the point ``first``, by
         default the smallest point any generator moves (none for the
         trivial group, whose default chain is empty)."""
-        # Level 0 spans the generators over the group's kept transversal.
+        # Level 0 is the group's kept level at the point, whose rows, index
+        # and inverses never change; its flags start unset on every build.
         # Fixpoint: every Schreier generator of every level must sift to
         # the identity through the deeper levels.  Scan bottom-up; a block
         # of level i's unverified pairs absorbs each residue it meets into
@@ -575,7 +580,8 @@ class PermutationGroup:
             if not moved.any():
                 return []
             first = int(np.argmax(moved))
-        levels = [_ChainLevel(first, self._gen_rows, self.transversal(first))]
+        levels = [copy.copy(self._level(first))]
+        levels[0].verified = np.zeros_like(levels[0].verified)
         i = 0
         while i >= 0:
             deepest = _verify(levels, i)
@@ -765,8 +771,9 @@ class ConnectionSet:
     the set {g in G : g(p) in T} for H = G_p, built by ``of_point`` alone.
 
     The set is held as its subgroup H, one row per left coset u_w*H, w in
-    T (the read-only ``cosets``) and ``n_double_cosets``, the number of
-    its H-double cosets; its size is the number of cosets times |H|.  Its
+    T (the read-only ``cosets``) with their inverses, and
+    ``n_double_cosets``, the number of its H-double cosets; its size is
+    the number of cosets times |H|.  Its
     elements are listed only where they are read, and kept: the read-only
     ``rows``, every coset row composed with every element of H, distinct
     and in lexicographic order; ``elements``, the rows as ``Permutation``
@@ -786,6 +793,7 @@ class ConnectionSet:
         "cosets",
         "n_double_cosets",
         "_point",
+        "_inverses",
         "_rows",
         "_representatives",
         "_elements",
@@ -810,58 +818,49 @@ class ConnectionSet:
         By Sabidussi's decomposition the set is the disjoint union of the
         left cosets u_w*H, for w in targets within the point's orbit and
         u_w the transversal row sending the point to w, so it is held as
-        those k rows and H, whose element rows are listed here, once.  It
+        those k rows of the group's kept level at the point, their kept
+        inverses, and H, whose element rows are listed here, once.  It
         is closed under right products by H by construction, and under
         left products exactly when H maps those targets into themselves,
         which is checked.  Then H maps the other points into themselves
         too, so the inverse (u_w*h)^-1 sends the point to
         h^-1(u_w^-1(point)), a target exactly when u_w^-1(point) is: the
         set is inverse-closed exactly when every u_w^-1(point) is a
-        target, which is checked on the k transversal rows.  Its H-double
+        target, which is read off the k inverses.  Its H-double
         coset through g is {g' : g'(point) in H.g(point)}, so the double
         cosets are H's orbits on the targets, and they are counted so.
         """
         group._check_order(cap)
         subgroup = group.stabilizer(point)
-        t = group.transversal(point)
+        level = group._level(point)
         # A target outside 0..degree-1 selects nothing.
         targets = np.array(list(targets), dtype=np.intp)
         wanted = np.zeros(group.degree, dtype=bool)
         wanted[targets[(0 <= targets) & (targets < group.degree)]] = True
-        t = t[wanted[t[:, point]]]
+        chosen = wanted[level.reps[:, point]]
+        cosets, inverses = level.reps[chosen], level.inverse[chosen]
         inside = np.zeros(group.degree, dtype=bool)
-        inside[t[:, point]] = True
+        inside[cosets[:, point]] = True
         if not inside[subgroup._gen_rows[:, inside]].all():
             raise StructureError(_NOT_BI_INVARIANT)
-        # u_w^-1(point) is the place where row u_w holds the point.
-        if not inside[np.argmax(t == point, axis=1)].all():
+        if not inside[inverses[:, point]].all():
             raise StructureError(_NOT_INVERSE_CLOSED)
         # H keeps its element rows, for the operator and the set's rows.
         subgroup.element_array(cap)
         # H keeps the targets, so each of its orbits on them holds its least
         # point: the double cosets are the targets that are orbit minima.
         label = subgroup.orbit_labels()
-        count = int(np.count_nonzero(inside & (label == np.arange(group.degree))))
-        return cls._held(subgroup, point, t, count)
-
-    @classmethod
-    def _held(
-        cls,
-        subgroup: PermutationGroup,
-        point: int,
-        cosets: np.ndarray,
-        n_double_cosets: int,
-    ) -> ConnectionSet:
-        """The set held as its subgroup, its point, its left cosets' rows,
-        made read-only, and its double-coset count, none of them checked:
-        ``of_point`` checks them first."""
         cosets.setflags(write=False)
+        inverses.setflags(write=False)
         connection = object.__new__(cls)
-        connection.degree = subgroup.degree
+        connection.degree = group.degree
         connection.subgroup = subgroup
         connection.cosets = cosets
-        connection.n_double_cosets = n_double_cosets
+        connection.n_double_cosets = int(
+            np.count_nonzero(inside & (label == np.arange(group.degree)))
+        )
         connection._point = point
+        connection._inverses = inverses
         connection._rows = connection._representatives = None
         connection._elements = None
         return connection
@@ -899,9 +898,10 @@ class ConnectionSet:
         K[x, y] = sum_w C[u_w^-1(x), y] with C[z, y] = #{h in H : h(y) = z}.
         C counts every element of H, one ``bincount`` of the cells
         (h(y), y) per block of H's rows of about ``_COUNT_BLOCK`` images,
-        and K adds C's rows gathered through each coset row's inverse, one
-        coset at a time.  That is the count of every element of S,
-        regrouped: exact, with no row of S and no |S| x n array formed."""
+        and each coset row u_w adds C's row z to K's row u_w(z), one coset
+        at a time, with no inverse formed.  That is the count of every
+        element of S, regrouped: exact, with no row of S and no |S| x n
+        array formed."""
         n = self.degree
         h_rows = self.subgroup._all_rows()
         counts = np.zeros(n * n, dtype=np.intp)
@@ -913,8 +913,8 @@ class ConnectionSet:
             counts += np.bincount(cells.ravel(), minlength=n * n)
         counts = counts.reshape(n, n)
         kernel = np.zeros((n, n))
-        for u_inverse in _inverse_rows(self.cosets):
-            kernel += counts.take(u_inverse, axis=0)
+        for u in self.cosets:
+            kernel[u] += counts
         return kernel
 
     @property
@@ -940,8 +940,9 @@ class ConnectionSet:
         the rows form a 2-D array of the set's width.
 
         The set holds g exactly when g(p) is a target w and u_w^-1 * g,
-        which fixes p, is in H: it sifts through H's chain to the identity,
-        which no row that is not a permutation does."""
+        which fixes p, is in H: composed with the kept inverse of u_w, it
+        sifts through H's chain to the identity, which no row that is not a
+        permutation does."""
         rows = _query_rows(rows, self.degree)
         g = np.clip(rows, 0, self.degree - 1).astype(self.cosets.dtype)
         inside = np.flatnonzero((g == rows).all(axis=1))
@@ -950,7 +951,7 @@ class ConnectionSet:
         coset[self.cosets[:, self._point]] = np.arange(len(self.cosets))
         w = coset.take(g[:, self._point])
         hit = w >= 0
-        back = _compose(_inverse_rows(self.cosets), w[hit], g[hit])
+        back = _compose(self._inverses, w[hit], g[hit])
         member = np.zeros(len(rows), dtype=bool)
         member[inside[hit]] = self.subgroup._contains_rows(back)
         return member

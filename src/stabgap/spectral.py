@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, SizeLimitError, StructureError
-from .groups import ConnectionSet, _inverse_rows
+from .groups import ConnectionSet
 
 #: Largest size the dense eigensolve accepts, and so the largest
 #: ``max_vertices`` an analysis accepts.
@@ -110,8 +110,9 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
     otherwise.  So the elements sending x to y number A[x, y] =
     sum_w [u_w^-1(y) in x^H] * |H| / |x^H|, for any H: an r x n matrix
     counting, for each of H's r orbits O and each y, the w with u_w^-1(y)
-    in O (one ``bincount`` over k*n cells), whose rows are gathered into A
-    and scaled.  Of S only the cosets and |S| are read, and H's orbits are
+    in O, which is one ``bincount`` over the k*n cells (orbit of z,
+    u_w(z)), so no inverse is formed.  Its rows are gathered into A and
+    scaled.  Of S only the cosets and |S| are read, and H's orbits are
     component labels over its generator rows, numbered and counted
     without a sort.  No |S|*n array is formed.
     """
@@ -121,14 +122,13 @@ def build_bipartite(connection: ConnectionSet, n: int) -> BipartiteAdjacency:
         )
     subgroup = connection.subgroup
     order = subgroup.order()
-    inverse = _inverse_rows(connection.cosets)
     label = subgroup.orbit_labels()
     # H's orbits numbered in the order of their least points: a point's
     # orbit is the rank of its label among the labels x with label[x] = x.
     orbit = (np.cumsum(label == np.arange(n)) - 1)[label]
     size = np.bincount(orbit)
-    # orbit(u_w^-1(y))*n + y, formed in int64 (``orbit`` is intp).
-    cells = (orbit[inverse] * n + np.arange(n)).ravel()
+    # orbit(z)*n + u_w(z), formed in int64 (``orbit`` is intp).
+    cells = (orbit * n + connection.cosets).ravel()
     counts = np.bincount(cells, minlength=len(size) * n).reshape(-1, n)
     a = counts[orbit] * (order // size)[orbit, None]
     return BipartiteAdjacency(a, s_size=len(connection))

@@ -240,9 +240,10 @@ def test_conjugated_levels_are_the_transversals_of_their_spans(spec):
     # G_u(b) = u * G_b * u^-1 for the first level's row u with u(b) = point,
     # an oracle independent of the chain built at the point.  The group's
     # deeper levels, conjugated here by u, are transversals of the orbits
-    # of their base points u(b_i) under their own conjugated spans, with
-    # their inverses, and the spans fix the earlier base points; and they
-    # list the elements of the stabilizer at u(b).
+    # of their base points u(b_i) under their own conjugated spans (orbits
+    # read as component labels, not grown), with their inverses, and the
+    # spans fix the earlier base points; and they list the elements of the
+    # stabilizer at u(b).
     group = realize_case(spec).group
     full = group._stabilizer_chain()
     shared = group.stabilizer(full[0].basepoint).element_array()
@@ -257,9 +258,9 @@ def test_conjugated_levels_are_the_transversals_of_their_spans(spec):
         for level in full[1:]:
             b = int(u[level.basepoint])
             span, reps = conjugate(level.span), conjugate(level.reps)
-            orbit = groups._transversal(b, span)[0][:, b]
+            orbit = PermutationGroup(group.degree, span).orbit(b)
             assert reps[0].tolist() == list(range(group.degree))
-            assert sorted(reps[:, b].tolist()) == sorted(orbit.tolist())
+            assert sorted(reps[:, b].tolist()) == sorted(orbit)
             assert np.array_equal(conjugate(level.inverse), np.argsort(reps, axis=1))
             assert (span[:, fixed] == fixed).all()
             fixed.append(b)
@@ -1012,13 +1013,41 @@ def test_chain_build_is_deterministic(spec):
     assert len(chains[0]) == len(chains[1])
 
 
+@pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
+def test_rebuilt_chain_equals_the_first(spec):
+    # A rebuild takes the group's kept level at the base point again: its
+    # transversal rows, index and inverses are shared and read-only, but
+    # its flags start unset, so the scan runs again and finds the same
+    # chain with every pair verified.  Flags shared with the first build
+    # would stop the scan at level 0.
+    group = PermutationGroup(spec.degree, np.array(spec.generators))
+    first = group._stabilizer_chain()
+    group._chain = None
+    second = group._stabilizer_chain()
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        assert a.basepoint == b.basepoint
+        for name in ("gens", "span", "reps", "index", "inverse", "verified"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert b.verified.all()
+    kept = group._level(first[0].basepoint)
+    for name in ("reps", "index", "inverse"):
+        rows = getattr(kept, name)
+        assert getattr(first[0], name) is rows is getattr(second[0], name)
+        assert not rows.flags.writeable
+    assert first[0].verified is not second[0].verified
+    assert not kept.verified.any()
+
+
 def watch_chain_build(monkeypatch):
     """Record, during ``_build_chain`` only: the ``_sift`` calls, the rows
     passed to them and those whose residue is the identity, the rows each ``_grow``
-    appends, and the ``_transversal`` calls."""
+    appends, and the breadth-first searches from scratch: the levels built
+    over a span that is not empty."""
     seen = {"sifts": 0, "sifted": 0, "identity": set(), "grown": 0, "searches": 0}
     building = []
-    sift, grow, search = groups._sift, groups._grow, groups._transversal
+    sift, grow, init = groups._sift, groups._grow, groups._ChainLevel.__init__
     build = PermutationGroup._build_chain
 
     def watched_sift(levels, rows):
@@ -1036,10 +1065,10 @@ def watch_chain_build(monkeypatch):
             seen["grown"] += len(grown) - len(reps)
         return grown
 
-    def watched_search(*args):
-        if building:
+    def watched_init(level, basepoint, span):
+        if building and len(span):
             seen["searches"] += 1
-        return search(*args)
+        init(level, basepoint, span)
 
     def watched_build(group, *args):
         building.append(group)
@@ -1050,18 +1079,19 @@ def watch_chain_build(monkeypatch):
 
     monkeypatch.setattr(groups, "_sift", watched_sift)
     monkeypatch.setattr(groups, "_grow", watched_grow)
-    monkeypatch.setattr(groups, "_transversal", watched_search)
+    monkeypatch.setattr(groups._ChainLevel, "__init__", watched_init)
     monkeypatch.setattr(PermutationGroup, "_build_chain", watched_build)
     return seen
 
 
 @pytest.mark.parametrize("spec", _WORKLOAD_CASES, ids=lambda spec: spec.name)
 def test_chain_build_composes_each_transversal_row_once(spec, monkeypatch):
-    # Level 0 takes the group's transversal, the one breadth-first search
-    # of the build, and every deeper level only appends its new rows: the
-    # build composes sum(|orbit_i| - 1) rows.  Every Schreier generator of
-    # the finished chain was seen to sift to the identity while it was
-    # built, so a pair counts as verified only once it has.
+    # Level 0 is the group's kept level, the one breadth-first search of
+    # the build, and every deeper level opens empty and only appends its
+    # new rows: the build composes sum(|orbit_i| - 1) rows.  Every
+    # Schreier generator of the finished chain was seen to sift to the
+    # identity while it was built, so a pair counts as verified only once
+    # it has.
     seen = watch_chain_build(monkeypatch)
     group = PermutationGroup(spec.degree, np.array(spec.generators))
     chain = group._stabilizer_chain()
@@ -1186,7 +1216,7 @@ def test_orbits_compose_no_transversal(monkeypatch):
     def forbidden(*args):
         raise AssertionError("orbits composed a transversal")
 
-    monkeypatch.setattr(groups, "_transversal", forbidden)
+    monkeypatch.setattr(groups, "_grow", forbidden)
     group = pair_action_s5()[0]
     assert group.is_transitive()
     assert group.orbit(3) == set(range(10))

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -160,9 +161,10 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
     # The matrix is assembled from H's orbits and the cosets S carries, K
     # from the cosets and H's element rows.  Keep G_v, its orbits and the
     # cosets u_w, and swap in the element rows of G_1, which has the same
-    # order: K then counts the rows u_w * h over h in G_1, and wherever
-    # their matrix differs from the assembled one, eq2 must fail.  Only 13
-    # catalog cases have G_v > 1, so the ladder's cases join them.
+    # order, on a copy of the set: K then counts the rows u_w * h over h in
+    # G_1, and wherever their matrix differs from the assembled one, eq2
+    # must fail.  Only 13 catalog cases have G_v > 1, so the ladder's cases
+    # join them.
     rejected = []
     for spec in catalog.builtin_cases() + ladder_cases():
         case = realize_case(spec)
@@ -171,9 +173,8 @@ def test_eq2_rejects_rows_that_disagree_with_the_cosets():
         mixed = PermutationGroup(n, h._gen_rows)
         mixed._chain = h._stabilizer_chain()
         mixed._rows = case.group.stabilizer(1).element_array()
-        swapped = ConnectionSet._held(
-            mixed, case.base_vertex, here.cosets, here.n_double_cosets
-        )
+        swapped = copy.copy(here)
+        swapped.subgroup = mixed
         adj = build_bipartite(swapped, n)
         assert np.array_equal(adj.matrix, build_bipartite(here, n).matrix)
         assert convolution_matches_matrix(here, adj)

@@ -4,7 +4,9 @@
 the graph's adjacency eigenvalues with one copy of the valency k removed.
 The families below have closed-form spectra (Brouwer & Haemers, *Spectra
 of Graphs*, 2012; Godsil & Royle, *Algebraic Graph Theory*, 2001), so
-these values do not come from this code.  Where λ* is an integer the
+these values do not come from this code; the one exception is the
+Praeger–Xu graphs C(2, r, s) with s ≥ 2, whose value is only observed to
+equal the proven s = 1 value.  Where λ* is an integer the
 bound's verdicts are decided exactly: the proof form holds exactly when
 2λ*² > k, the statement form exactly when 2λ*² > k².
 """
@@ -16,7 +18,7 @@ import pytest
 from stabgap import catalog
 from stabgap.pipeline import analyze_case
 
-from cases import paley
+from cases import paley, praeger_xu
 
 
 def kneser_lambda(n, m):
@@ -89,3 +91,40 @@ def test_a_slow_gap_cycle_is_decided_at_default_options():
     assert abs(report.lambda2 - 4.0) <= 1e-9
     assert report.bracket_ok and report.lemma3_ok
     assert report.normative_ok
+
+
+#: Praeger-Xu graphs C(2, r, s) for odd r (``cases.praeger_xu``), k = 4
+#: and |G_v| = 2^(r - s + 1).  For s = 1 the graph is C_r[2K_1], whose
+#: adjacency is A(C_r) (x) J_2, so lambda* = 2 * 2cos(pi/r), the largest
+#: |theta| of the odd cycle past its valency, doubled.  For s = 2 and 3 the
+#: same value is only observed here, not proven.
+PRAEGER_XU = [(r, s) for r in range(5, 16, 2) for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "r, s", PRAEGER_XU, ids=[f"px-2-{r}-{s}" for r, s in PRAEGER_XU]
+)
+def test_praeger_xu_lambda2_over_m_is_four_cos_pi_over_r(r, s):
+    # lambda2 / (k m) = cos(pi/r) whatever s, so as |G_v| doubles with
+    # each step down in s the ratio stays above 1/sqrt(2k), where the
+    # proof form m^2 < 2 lambda2^2 / k holds.
+    report = analyze_case(praeger_xu(r, s))
+    k, m = report.valency_k, report.stabilizer_order
+    assert (k, m, report.n_vertices) == (4, 2 ** (r - s + 1), 2**s * r)
+    assert math.isclose(report.lambda2 / m, 4 * math.cos(math.pi / r), rel_tol=1e-12)
+    assert report.normative_ok
+    assert 1 / math.sqrt(2 * k) < report.lambda2 / (k * m) <= 1
+    assert report.proof_form_ok
+
+
+def test_complete_5_falls_below_the_praeger_xu_ratio():
+    # K_5 has the Praeger-Xu valency k = 4 but lambda* = 1, so with
+    # |G_v| = 24 the ratio lambda2 / (k m) = 1/4 is below 1/sqrt(2k)
+    # and the proof form fails; K_5 is on the small-graph branch.
+    report = analyze_case(catalog._complete(5))
+    k, m = report.valency_k, report.stabilizer_order
+    assert (k, m) == (4, 24)
+    ratio = report.lambda2 / (k * m)
+    assert math.isclose(ratio, 0.25, rel_tol=1e-12) and ratio < 1 / math.sqrt(2 * k)
+    assert not report.proof_form_ok
+    assert report.prop5_branch == "small-graph" and report.normative_ok

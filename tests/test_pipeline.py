@@ -1,11 +1,13 @@
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import stabgap
 from stabgap import catalog, graphs, groups, pipeline, spectral
 from stabgap.casefile import parse_case, realize_case
 from stabgap.catalog import builtin_cases
@@ -313,32 +315,35 @@ def test_report_json_carries_the_bracket_not_the_power_iteration():
 
 
 def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
-    # ConnectionSet.of_point and sabidussi_isomorphism both read G's
-    # transversal at v, and the stabilizer chain's first level reads one
+    # ConnectionSet.of_point and sabidussi_isomorphism both read G's kept
+    # level at v, and the stabilizer chain's first level is the kept level
     # at its base point; the group grows each once and keeps it.  Every
-    # breadth-first search is counted: per group and point when made
-    # through PermutationGroup.transversal, and none may run outside it
-    # (the coset graph reads the induced group's kept transversal at H).
+    # breadth-first search from scratch (a level built over a span that is
+    # not empty) is counted: per group and point when made through
+    # PermutationGroup._level, and none may run outside it (the coset graph
+    # reads the induced group's kept transversal at H, and the chain's
+    # deeper levels open empty).
     asked, grown, inside, outside = Counter(), Counter(), [], []
-    transversal, bfs = groups.PermutationGroup.transversal, groups._transversal
+    level, init = groups.PermutationGroup._level, groups._ChainLevel.__init__
 
-    def counted_transversal(self, point):
+    def counted_level(self, point):
         asked[id(self), point] += 1
         inside.append((id(self), point))
         try:
-            return transversal(self, point)
+            return level(self, point)
         finally:
             inside.pop()
 
-    def counted_bfs(point, gen_rows):
-        if inside:
-            grown[inside[-1]] += 1
-        else:
-            outside.append(point)
-        return bfs(point, gen_rows)
+    def counted_init(self, basepoint, span):
+        if len(span):
+            if inside:
+                grown[inside[-1]] += 1
+            else:
+                outside.append(basepoint)
+        init(self, basepoint, span)
 
-    monkeypatch.setattr(groups.PermutationGroup, "transversal", counted_transversal)
-    monkeypatch.setattr(groups, "_transversal", counted_bfs)
+    monkeypatch.setattr(groups.PermutationGroup, "_level", counted_level)
+    monkeypatch.setattr(groups._ChainLevel, "__init__", counted_init)
     specs = builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]
     for spec in specs:
         asked.clear()
@@ -350,6 +355,28 @@ def test_analysis_grows_the_transversal_at_v_once(monkeypatch):
         assert grown == Counter(asked.keys()), spec.name
         assert max(asked.values()) >= 2, spec.name
         assert outside == [], spec.name
+
+
+def test_analysis_inverts_rows_only_in_chain_levels(monkeypatch):
+    # A chain level inverts its transversal rows once, and every reader
+    # (of_point, contains_rows, build_bipartite, the operator, Sabidussi)
+    # takes the kept inverses or scatters by the forward rows.  The name is
+    # patched in every stabgap module that holds it.
+    levels = {groups._ChainLevel.__init__.__code__, groups._ChainLevel.extend.__code__}
+    inverse_rows, callers = groups._inverse_rows, []
+
+    def watched(rows):
+        callers.append(sys._getframe(1).f_code)
+        return inverse_rows(rows)
+
+    for module in vars(stabgap).values():
+        if getattr(module, "_inverse_rows", None) is inverse_rows:
+            monkeypatch.setattr(module, "_inverse_rows", watched)
+    for spec in builtin_cases() + [catalog._kneser(8, 3), catalog._complete(8)]:
+        callers.clear()
+        report = analyze_case(spec)
+        assert report.sabidussi_ok and report.eq2_ok, spec.name
+        assert callers and set(callers) <= levels, spec.name
 
 
 def test_transversal_is_kept_read_only():
